@@ -1,15 +1,16 @@
 """Multiset bookkeeping for index tuples in [k]^n.
 
-Outcome weights are symmetric in the tuple entries, so everything expensive
-is computed once per sorted multiset and shared across its permutations.
+Outcome weights are symmetric in the tuple entries, so every tuple is
+represented by its sorted multiset class: weights, state columns and
+protocols are all computed and stored once per class.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Iterator
+from itertools import combinations_with_replacement
+from typing import Iterator
 
 
 def multiset_classes(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -24,19 +25,6 @@ def multiplicity(ms: tuple[int, ...]) -> int:
     for c in counts.values():
         out //= math.factorial(c)
     return out
-
-
-def orderings(ms: Iterable[int]) -> list[tuple[int, ...]]:
-    """Distinct orderings of ``ms``, sorted lexicographically."""
-    return sorted(set(permutations(ms)))
-
-
-def occurrence_counts(ms: Iterable[int], k: int) -> list[int]:
-    """occurrence_counts(I, k)[i] = number of times i occurs in I."""
-    counts = [0] * k
-    for i in ms:
-        counts[i] += 1
-    return counts
 
 
 def submultisets(ms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

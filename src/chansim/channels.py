@@ -23,6 +23,7 @@ from .errors import (
     NotPartitionOfUnity,
     WeightSumNotOne,
 )
+from .linalg import require_finite
 from .majorize import majorized_by_permutohedron
 
 STOCHASTIC_TOL = 1e-9
@@ -41,6 +42,7 @@ class TransitionMatrix:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
+        require_finite(a, "transition matrix")
         if np.any(a < -ENTRY_TOL) or np.any(a > 1 + ENTRY_TOL):
             raise ValueError("transition probabilities must lie in [0, 1]")
         col_defect = np.max(np.abs(a.sum(axis=0) - 1.0)) if a.size else 0.0

@@ -20,6 +20,7 @@ from .channels import (
     Noiseless,
     NoiseSpec,
     Permutohedron,
+    ball_born_matrix,
     mixture_matrix,
     validate_mixture,
 )
@@ -38,6 +39,7 @@ from .jsonio import (
     real_matrix_to_json,
     write_atomic,
 )
+from .linalg import born_matrix
 
 RESIDUAL_TOL = 1e-8
 
@@ -72,7 +74,7 @@ def _emit(args, cert: dict) -> None:
 
 
 def _tolerances(args) -> dict:
-    return {"tol": args.tol, "residual": RESIDUAL_TOL, "seed": args.seed, "cap": args.cap}
+    return {"tol": args.tol, "residual": RESIDUAL_TOL, "cap": args.cap}
 
 
 # -- simulate -----------------------------------------------------------------
@@ -205,8 +207,6 @@ def cmd_certify_holevo(args) -> int:
     result = {"type": "holevo", "chi": float(chi), "info": None}
     if "povm" in payload:
         povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
-        from .linalg import born_matrix
-
         info = certify.mutual_information(born_matrix(povm, states), weights)
         result["info"] = float(info)
     _emit(args, certificate(args.command_echo, payload, result, _tolerances(args)))
@@ -256,6 +256,36 @@ def _verify_row_reduction(result: dict, tolerances: dict) -> list[str]:
     return problems
 
 
+def _input_problems(result: dict, payload: dict, tolerances: dict) -> list[str]:
+    """Compare the target of a simulation or row reduction with the channel
+    the input file describes, and a quantum or ball mixture's state count
+    with the input's dimension or norm index."""
+    mixture = result.get("mixture", {})
+    num_states = None
+    if "povm" in payload:
+        povm, states = quantum_instance_from_json(payload)
+        channel, num_states = born_matrix(povm, states), povm[0].shape[0]
+    elif "effects" in payload:
+        effects, states = ball_instance_from_json(payload)
+        delta = rational_from_json(mixture.get("noise", {}).get("delta", 0))
+        tol = float(tolerances.get("tol", 1e-9))
+        channel = ball_born_matrix(effects, states, delta=delta, tol=tol).matrix
+        num_states = effects[0].norm_index
+    elif "protocol" in payload:
+        protocol = jsonio.protocol_from_json(payload["protocol"])
+        channel = protocol.decoder_matrix() @ protocol.states
+    else:
+        channel = real_matrix_from_json(payload["matrix"])
+    problems = []
+    target = real_matrix_from_json(result["target"])
+    residual_tol = float(tolerances.get("residual", RESIDUAL_TOL))
+    if channel.shape != target.shape or np.max(np.abs(channel - target)) > residual_tol:
+        problems.append("target is not the channel the input describes")
+    if num_states is not None and mixture.get("num_states") != num_states:
+        problems.append(f"mixture declares {mixture.get('num_states')} states, the input has {num_states}")
+    return problems
+
+
 def _verify_witness(result: dict) -> list[str]:
     value, bound = float(result["value"]), float(result["bound"])
     if result["kind"] == "subset":
@@ -278,6 +308,7 @@ def cmd_verify(args) -> int:
         result = cert["result"]
         tolerances = cert.get("tolerances", {})
         kind = result.get("type")
+        payload = _load_json(args.infile) if args.infile else None
         if kind == "simulation":
             problems += _verify_simulation(result, tolerances)
         elif kind == "row_reduction":
@@ -297,8 +328,10 @@ def cmd_verify(args) -> int:
             pass
         else:
             problems.append(f"unknown result type {kind!r}")
-        if args.infile:
-            if jsonio.digest(_load_json(args.infile)) != cert.get("input_digest"):
+        if payload is not None:
+            if kind in ("simulation", "row_reduction"):
+                problems += _input_problems(result, payload, tolerances)
+            if jsonio.digest(payload) != cert.get("input_digest"):
                 problems.append("input digest mismatch")
     if problems:
         for p in problems:
@@ -365,8 +398,7 @@ def cmd_fixtures_emit(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in certificates")
-    parser.add_argument("--cap", type=int, default=10**6, help="outcome enumeration cap (k^n)")
+    parser.add_argument("--cap", type=int, default=10**6, help="cap on outcome multiset classes")
     parser.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
     if with_out:
         parser.add_argument("--out", help="write the certificate here (default: stdout)")

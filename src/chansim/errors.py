@@ -15,20 +15,25 @@ class DimensionMismatch(ChanSimError):
     pass
 
 
-class NotHermitian(ChanSimError):
-    pass
+class NotFinite(ChanSimError):
+    """An input holds a NaN or an infinite entry."""
 
 
-class NotPsd(ChanSimError):
-    """A matrix that should be positive semidefinite is not.
-
-    ``index`` identifies the offending element (0-based) when the check ran
-    over a sequence, else it is None.
-    """
+class _IndexedError(ChanSimError):
+    """``index`` identifies the offending element (0-based) when the check
+    ran over a sequence, else it is None."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+class NotHermitian(_IndexedError):
+    """A matrix that should be Hermitian is not."""
+
+
+class NotPsd(_IndexedError):
+    """A matrix that should be positive semidefinite is not."""
 
 
 class SumNotIdentity(ChanSimError):

@@ -31,6 +31,7 @@ from .channels import (
     TransitionMatrix,
 )
 from .errors import InvalidCertificate
+from .linalg import require_finite
 from .simulate import RowReduction, SimulationResult
 
 CERT_VERSION = "chansim-cert-1"
@@ -39,6 +40,8 @@ CERT_VERSION = "chansim-cert-1"
 def _canonical_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("cannot serialize non-finite float")
+    if x == 0.0:
+        return "0.0"  # -0.0 too, so equal values share one text and digest
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
@@ -109,10 +112,8 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    return np.array(rows, dtype=complex)
+    rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
+    return require_finite(np.array(rows, dtype=complex), "complex matrix")
 
 
 def real_matrix_to_json(m: np.ndarray) -> list:
@@ -120,7 +121,7 @@ def real_matrix_to_json(m: np.ndarray) -> list:
 
 
 def real_matrix_from_json(data) -> np.ndarray:
-    return np.array(data, dtype=float)
+    return require_finite(np.array(data, dtype=float), "real matrix")
 
 
 # -- rationals ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd, SumNotIdentity, TraceNotOne
+from .errors import DimensionMismatch, NotFinite, NotHermitian, NotPsd, SumNotIdentity, TraceNotOne
 
 DEFAULT_TOL = 1e-9
 
@@ -21,8 +21,13 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix entries must be finite")
+    return require_finite(a, "matrix")
+
+
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a`` unchanged; raise NotFinite if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise NotFinite(f"{what} has a non-finite entry")
     return a
 
 
@@ -62,7 +67,7 @@ def validate_povm(outcomes: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> N
         if e.shape[0] != n:
             raise DimensionMismatch(f"outcome {i} is {e.shape[0]}-square, expected {n}")
         if hermiticity_defect(e) > tol:
-            raise NotPsd(f"outcome {i} is not Hermitian", index=i)
+            raise NotHermitian(f"outcome {i} is not Hermitian", index=i)
         low = float(np.linalg.eigvalsh(e)[0])
         if low < -tol:
             raise NotPsd(f"outcome {i} has eigenvalue {low:.3e} < -tol", index=i)

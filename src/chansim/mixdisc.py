@@ -1,11 +1,12 @@
-"""Mixed discriminants and the induced distribution on outcome tuples.
+"""Mixed discriminants and the induced distribution on outcome multisets.
 
 The mixed discriminant is the symmetric multilinear extension of the
 determinant: evaluated by the column-interleaving permutation expansion,
 so D(E, ..., E) = det E. For a POVM E_1..E_k the values
 p_I = D(E_{i_1}, ..., E_{i_n}) over I in [k]^n form a probability
-distribution; it is computed once per index multiset and shared across
-permutations.
+distribution. It is symmetric in the entries of I, so it is computed and
+stored once per multiset class: the class total p_I times the number of
+orderings of I.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._multiset import multiplicity, multiset_classes, orderings
+from ._multiset import multiplicity, multiset_classes
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -79,9 +80,11 @@ def symmetric_mixed(f: np.ndarray, q: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Sparse probability weights p_I over index tuples I in [k]^n.
+    """Sparse probability weights over the multiset classes of [k]^n.
 
-    Zero entries are omitted; stored weights are positive and sum to 1.
+    ``weights`` maps a sorted index multiset to its class total, p_I times
+    the number of orderings of I. Zero classes are omitted; stored weights
+    are positive and sum to 1.
     """
 
     n: int
@@ -90,18 +93,6 @@ class OutcomeDistribution:
 
     def total(self) -> float:
         return float(sum(self.weights.values()))
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.weights)
-
-    def class_weights(self) -> dict[tuple[int, ...], tuple[float, int]]:
-        """Map sorted multiset -> (weight per tuple, number of tuples)."""
-        out: dict[tuple[int, ...], tuple[float, int]] = {}
-        for key, p in self.weights.items():
-            ms = tuple(sorted(key))
-            if ms not in out:
-                out[ms] = (p, multiplicity(ms))
-        return out
 
 
 def distribution_from_class_values(
@@ -112,34 +103,31 @@ def distribution_from_class_values(
     ``class_value(ms)`` must return the common weight of every ordering of
     the sorted multiset ``ms``. Weights in [-1e-9, 0) are clamped to zero,
     anything more negative is an error, and the total mass is renormalized
-    when it drifts from 1 by at most 1e-7.
+    when it drifts from 1 by at most 1e-7. ``cap`` bounds the number of
+    classes, C(n+k-1, n).
     """
-    if k**n > cap:
-        raise EnumerationCapExceeded(f"k^n = {k}^{n} exceeds cap {cap}")
-    weights: dict[tuple[int, ...], float] = {}
-    mass = 0.0
+    classes = math.comb(n + k - 1, n)
+    if classes > cap:
+        raise EnumerationCapExceeded(f"C(n+k-1, n) = {classes} multiset classes exceed cap {cap}")
+    values: dict[tuple[int, ...], float] = {}
     for ms in multiset_classes(k, n):
         value = float(class_value(ms))
         if value < -CLAMP_TOL:
             raise NegativeWeight(f"weight {value:.3e} at class {ms} below -1e-9")
-        if value <= 0.0:
-            continue
-        mass += value * multiplicity(ms)
-        for key in orderings(ms):
-            weights[key] = value
+        if value > 0.0:
+            values[ms] = value
+    mass = sum(value * multiplicity(ms) for ms, value in values.items())
     drift = abs(mass - 1.0)
     if drift > MASS_DRIFT_TOL:
         raise MassDriftExceeded(f"total mass {mass!r} drifts from 1 by {drift:.3e}")
-    if mass > 0.0:
-        for key in weights:
-            weights[key] /= mass
+    weights = {ms: value / mass * multiplicity(ms) for ms, value in values.items()}
     return OutcomeDistribution(n=n, k=k, weights=weights)
 
 
 def outcome_distribution(
     outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP
 ) -> OutcomeDistribution:
-    """p_I = D(E_{i_1}, ..., E_{i_n}) for every tuple I over a POVM."""
+    """Class totals of p_I = D(E_{i_1}, ..., E_{i_n}) over a POVM."""
     mats = [as_complex_matrix(e) for e in outcomes]
     if not mats:
         raise DimensionMismatch("need at least one POVM outcome")

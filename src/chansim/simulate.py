@@ -2,12 +2,16 @@
 
 Each simulator returns an explicit convex-mixture certificate: a weighted
 list of classical protocols whose mixture reproduces the target transition
-matrix. Quantum targets are decomposed along the outcome-tuple distribution
-induced by mixed discriminants; the per-tuple state columns come either
-from a transport plan (noiseless case) or from a feasibility LP whose
-constraints keep every column inside the declared noise set. Outcome
-tuples are processed in lexicographic order throughout, so certificates
-are reproducible byte for byte.
+matrix. Quantum and ball targets are decomposed along the outcome
+distribution induced by mixed discriminants (or the ball pairing). That
+distribution and every state column built from it are symmetric under
+reordering an outcome tuple, so all orderings of a multiset class give the
+same protocol matrix, and the certificate holds one protocol per class.
+The per-class state columns come either from a transport plan (noiseless
+and ball cases) or from a feasibility LP whose constraints keep every
+column inside the declared noise set. Classes are processed in
+lexicographic order throughout, so certificates are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import lp
-from ._multiset import occurrence_counts, submultisets
+from ._multiset import submultisets
 from .certify import BinomialWitness, permutohedron_simulable_by_d
 from .channels import (
     BallEffect,
@@ -90,19 +94,17 @@ def _finalize(target: TransitionMatrix, mixture: ClassicalMixture) -> Simulation
     return SimulationResult(target=target, mixture=mixture, residual=residual)
 
 
-def _sorted_class_totals(dist: OutcomeDistribution) -> list[tuple[tuple[int, ...], float]]:
-    return [(ms, p * count) for ms, (p, count) in sorted(dist.class_weights().items())]
-
-
 def _transport_conditionals(
     dist: OutcomeDistribution, a: np.ndarray
 ) -> list[dict[tuple[int, ...], dict[int, float]]]:
-    """Per input column, a conditional output distribution for every
-    outcome-tuple class, via transport from class weights to the column."""
-    classes = dict(_sorted_class_totals(dist))
+    """Per input column and multiset class, the value of each slot that
+    carries output i: the class's conditional output mass on i, found by
+    transport from class weights to the column, split evenly over the
+    slots carrying i."""
+    classes = dict(sorted(dist.weights.items()))
     k = a.shape[0]
     edges = frozenset((ms, i) for ms in classes for i in set(ms))
-    conds = []
+    values = []
     for j in range(a.shape[1]):
         demand = {i: float(a[i, j]) for i in range(k)}
         inst = TransportInstance(left_supply=classes, right_demand=demand, edges=edges)
@@ -114,40 +116,37 @@ def _transport_conditionals(
                 violator=result,
             )
         positive = {ms: w for ms, w in classes.items() if w > 1e-12}
-        conds.append(conditional_columns(result, positive))
-    return conds
+        conds = conditional_columns(result, positive)
+        values.append(
+            {ms: {i: col.get(i, 0.0) / ms.count(i) for i in set(ms)} for ms, col in conds.items()}
+        )
+    return values
 
 
-def _assemble_mixture(
+def _class_mixture(
     dist: OutcomeDistribution,
-    conds: list[dict[tuple[int, ...], dict[int, float]]],
-    k: int,
-    num_inputs: int,
+    values: list[dict[tuple[int, ...], dict[int, float]]],
     noise: NoiseSpec,
     delta: float = 0.0,
 ) -> ClassicalMixture:
-    """One protocol per outcome tuple: the decoder sends slot m to the
-    tuple's m-th output, and each state column splits the conditional
-    output mass evenly over the slots carrying that output (shifted by the
-    noise floor delta/n when simulating a noisy target)."""
+    """One protocol per multiset class ms, weighted by the class total: the
+    decoder sends slot m to output ms[m], and for input j the slot holds
+    delta/n + (1-delta) values[j][ms][ms[m]] (delta/n is the noise floor
+    when simulating a noisy target). Each column is rescaled to sum to 1,
+    because the LP meets its equalities only within its tolerance. Classes
+    at or below WEIGHT_FLOOR are dropped and the remaining weights
+    renormalized."""
     n = dist.n
+    kept = [(ms, w) for ms, w in sorted(dist.weights.items()) if w > WEIGHT_FLOOR]
+    total = sum(w for _, w in kept)
     terms = []
-    for key in dist.support():
-        p = dist.weights[key]
-        if p <= WEIGHT_FLOOR:
-            continue
-        ms = tuple(sorted(key))
-        counts = occurrence_counts(key, k)
-        x = np.empty((n, num_inputs))
-        for j in range(num_inputs):
-            col = conds[j][ms]
-            for m, i in enumerate(key):
-                x[m, j] = delta / n + (1.0 - delta) * col.get(i, 0.0) / counts[i]
-        protocol = ClassicalProtocol(decoder=np.array(key), states=x, num_outputs=k)
-        terms.append((p, protocol))
-    total = sum(w for w, _ in terms)
-    scaled = tuple((w / total, prot) for w, prot in terms)
-    return ClassicalMixture(terms=scaled, num_states=n, noise=noise)
+    for ms, w in kept:
+        x = np.array([[col[ms][i] for col in values] for i in ms])
+        x = delta / n + (1.0 - delta) * x
+        x /= x.sum(axis=0, keepdims=True)
+        protocol = ClassicalProtocol(decoder=np.array(ms), states=x, num_outputs=dist.k)
+        terms.append((w / total, protocol))
+    return ClassicalMixture(terms=tuple(terms), num_states=n, noise=noise)
 
 
 def simulate_quantum_noiseless(
@@ -164,8 +163,7 @@ def simulate_quantum_noiseless(
         validate_density(rho, tol)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    conds = _transport_conditionals(dist, a)
-    mixture = _assemble_mixture(dist, conds, len(povm), len(states), Noiseless())
+    mixture = _class_mixture(dist, _transport_conditionals(dist, a), Noiseless())
     return _finalize(TransitionMatrix(a), mixture)
 
 
@@ -184,15 +182,13 @@ def simulate_ball(
     n = effects[0].norm_index
     if norm_index is not None and norm_index != n:
         raise DimensionMismatch(f"norm index {norm_index} does not match effects ({n})")
-    k = len(effects)
-    d = float(delta)
     dist = distribution_from_class_values(
-        k, n, lambda ms: bracket([effects[i] for i in ms]), cap=cap
+        len(effects), n, lambda ms: bracket([effects[i] for i in ms]), cap=cap
     )
     aprime = ball_born_matrix(effects, states, delta=0.0, tol=tol)
     target = ball_born_matrix(effects, states, delta=delta, tol=tol)
-    conds = _transport_conditionals(dist, aprime.matrix)
-    mixture = _assemble_mixture(dist, conds, k, len(states), Delta(delta), delta=d)
+    values = _transport_conditionals(dist, aprime.matrix)
+    mixture = _class_mixture(dist, values, Delta(delta), delta=float(delta))
     return _finalize(target, mixture)
 
 
@@ -200,7 +196,6 @@ def _noisy_column_states(
     dist: OutcomeDistribution,
     a_col: np.ndarray,
     prefix: np.ndarray,
-    k: int,
 ) -> dict[tuple[int, ...], dict[int, float]]:
     """Solve the per-column feasibility system in class-aggregated scaled
     variables v[M, i] = weight(M) * x[M, i].
@@ -209,9 +204,10 @@ def _noisy_column_states(
     variables must dominate the matching prefix sum of the state's
     spectrum (these are the subset constraints of the full tuple system,
     quotiented by slot symmetry), and for every output i the mixture must
-    reproduce the Born probability exactly.
+    reproduce the Born probability exactly. Returns, per class M above
+    WEIGHT_FLOOR, the value x[M, i] of each slot that carries output i.
     """
-    classes = _sorted_class_totals(dist)
+    classes = sorted(dist.weights.items())
     var_of: dict[tuple[tuple[int, ...], int], int] = {}
     for ms, _ in classes:
         for i in sorted(set(ms)):
@@ -223,7 +219,7 @@ def _noisy_column_states(
             for i in set(sub):
                 row[var_of[(ms, i)]] = sub.count(i)
             program.add(row, lp.GE, w_m * prefix[len(sub) - 1])
-    for i in range(k):
+    for i in range(dist.k):
         row = np.zeros(len(var_of))
         for ms, _ in classes:
             if i in set(ms):
@@ -262,7 +258,6 @@ def simulate_quantum_noisy(
     for rho in states:
         validate_density(rho, tol)
     a = born_matrix(povm, states)
-    k, l = a.shape
     dist = outcome_distribution(povm, cap=cap)
     n = dist.n
     if n > 6:
@@ -270,33 +265,15 @@ def simulate_quantum_noisy(
             f"subset-constraint enumeration is capped at dimension 6, got n={n}"
         )
 
-    z_cols = []
-    for j in range(l):
-        mu = hermitian_eigenvalues(states[j], tol)
+    values = []
+    for j, rho in enumerate(states):
+        mu = hermitian_eigenvalues(rho, tol)
         spec_j = spec_for_column(spec, j)
         if not satisfies_noise(mu, spec_j, tol):
             raise NotMajorized(f"state {j}: spectrum violates the declared noise set")
         prefix = np.cumsum(np.clip(mu, 0.0, None))
-        z_cols.append(_noisy_column_states(dist, a[:, j], prefix, k))
-
-    terms = []
-    for key in dist.support():
-        p = dist.weights[key]
-        if p <= WEIGHT_FLOOR:
-            continue
-        ms = tuple(sorted(key))
-        x = np.empty((n, l))
-        for j in range(l):
-            zz = z_cols[j][ms]
-            for m, i in enumerate(key):
-                x[m, j] = zz[i]
-        x /= x.sum(axis=0, keepdims=True)
-        terms.append((p, ClassicalProtocol(decoder=np.array(key), states=x, num_outputs=k)))
-    total = sum(w for w, _ in terms)
-    mixture = ClassicalMixture(
-        terms=tuple((w / total, prot) for w, prot in terms), num_states=n, noise=spec
-    )
-    return _finalize(TransitionMatrix(a), mixture)
+        values.append(_noisy_column_states(dist, a[:, j], prefix))
+    return _finalize(TransitionMatrix(a), _class_mixture(dist, values, spec))
 
 
 def _spec_base_vector(spec: NoiseSpec, n: int) -> np.ndarray:
@@ -352,22 +329,20 @@ def simulate_noisy_by_noiseless(
             raise NotMajorized(f"target column {j} violates the declared noise spec")
         col_mixes.append(hlp_decompose(x[:, j], nu, tol=4 * tol))
 
-    subsets = list(combinations(range(n), d))
+    subsets = np.array(list(combinations(range(n), d)), dtype=np.intp)
+    rows = np.arange(len(subsets))
+    xs = np.zeros((len(subsets), d, l))
+    for j, mix in enumerate(col_mixes):
+        for w, perm in mix.terms:
+            # in every subset, the element whose permuted rank is largest
+            # receives this term's mass; this is exactly the distribution
+            # whose prefix sums are C(r,d)/C(n,d)
+            xs[rows, np.argmax(np.asarray(perm)[subsets], axis=1), j] += w
     weight = 1.0 / len(subsets)
-    terms = []
-    for s in subsets:
-        xs = np.zeros((d, l))
-        for j, mix in enumerate(col_mixes):
-            for w, perm in mix.terms:
-                # the subset element whose permuted rank is largest receives
-                # this term's mass; this is exactly the distribution whose
-                # prefix sums are C(r,d)/C(n,d)
-                t_idx = max(range(d), key=lambda t: perm[s[t]])
-                xs[t_idx, j] += w
-        protocol = ClassicalProtocol(
-            decoder=decoder[list(s)], states=xs, num_outputs=k_out
-        )
-        terms.append((weight, protocol))
+    terms = [
+        (weight, ClassicalProtocol(decoder=decoder[s], states=xs[t], num_outputs=k_out))
+        for t, s in enumerate(subsets)
+    ]
     mixture = ClassicalMixture(terms=tuple(terms), num_states=d, noise=Noiseless())
 
     e = np.zeros((k_out, n))

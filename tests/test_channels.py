@@ -19,9 +19,21 @@ from chansim.channels import (
     satisfies_noise,
     validate_mixture,
 )
-from chansim.errors import BadDelta, DimensionMismatch, NotPartitionOfUnity, WeightSumNotOne
+from chansim.errors import (
+    BadDelta,
+    DimensionMismatch,
+    NotFinite,
+    NotPartitionOfUnity,
+    WeightSumNotOne,
+)
 from chansim.majorize import majorized_by_permutohedron
 from conftest import random_ball_effects, random_ball_states, random_stochastic
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transition_matrix_rejects_non_finite(bad):
+    with pytest.raises(NotFinite):
+        TransitionMatrix(np.array([[bad, 0.5], [0.5, 0.5]]))
 
 
 def test_extremals_noiseless():

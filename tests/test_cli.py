@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import chansim
+from chansim import jsonio
 from chansim.cli import main, parse_noise
 from chansim.channels import Delta, Noiseless, Permutohedron
 
@@ -80,11 +81,83 @@ def test_byte_identical_reruns(workdir, capsys):
     capsys.readouterr()
     args = [
         "simulate", "quantum", "--in", "depolarizing_qubit.json",
-        "--noise", "delta:1/2", "--seed", "0",
+        "--noise", "delta:1/2",
     ]
     assert run(args + ["--out", "a.json"]) == 0
     assert run(args + ["--out", "b.json"]) == 0
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+
+def _quantum_input(workdir, name, rng, n, k, l):
+    from conftest import random_density, random_povm
+
+    payload = jsonio.quantum_instance_to_json(
+        random_povm(rng, n, k), [random_density(rng, n) for _ in range(l)]
+    )
+    (workdir / name).write_text(json.dumps(payload))
+
+
+def test_verify_in_rejects_certificate_for_another_channel(workdir, capsys):
+    # an n=2 certificate given the digest of an n=4 input with the same k
+    # and l: the digest matches, the channel does not
+    rng = np.random.default_rng(4)
+    _quantum_input(workdir, "n2.json", rng, 2, 4, 3)
+    _quantum_input(workdir, "n4.json", rng, 4, 4, 3)
+    assert run(["simulate", "quantum", "--in", "n2.json", "--out", "n2.cert.json"]) == 0
+    assert run(["simulate", "quantum", "--in", "n4.json", "--out", "n4.cert.json"]) == 0
+    assert run(["verify", "n4.cert.json", "--in", "n4.json"]) == 0
+    capsys.readouterr()
+
+    forged = json.loads((workdir / "n2.cert.json").read_text())
+    honest = json.loads((workdir / "n4.cert.json").read_text())
+    forged["input_digest"] = honest["input_digest"]
+    (workdir / "forged.json").write_text(json.dumps(forged))
+    assert run(["verify", "forged.json", "--in", "n4.json"]) == 2
+    err = capsys.readouterr().err
+    assert "target is not the channel" in err
+    assert "declares 2 states" in err
+
+
+def test_verify_in_recomputes_ball_and_noisy_targets(workdir, capsys):
+    disk = {
+        "norm_index": 2,
+        "effects": [{"c": 0.5, "v": [0.5, 0.0]}, {"c": 0.5, "v": [-0.5, 0.0]}],
+        "ball_states": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    (workdir / "disk.json").write_text(json.dumps(disk))
+    assert run(["simulate", "ball", "--in", "disk.json", "--delta", "1/4", "--out", "b.json"]) == 0
+    assert run(["verify", "b.json", "--in", "disk.json"]) == 0
+
+    n, delta = 4, 0.5
+    matrix = np.full((n, n), delta / n) + (1 - delta) * np.eye(n)
+    (workdir / "m.json").write_text(json.dumps({"matrix": matrix.tolist()}))
+    assert run([
+        "simulate", "noisy-to-noiseless", "--in", "m.json",
+        "--noise", "delta:1/2", "--d", "3", "--out", "m.cert.json",
+    ]) == 0
+    assert run(["verify", "m.cert.json", "--in", "m.json"]) == 0
+    capsys.readouterr()
+
+    # the ball certificate with the delta of another run: the recomputed
+    # target moves, so verify rejects it
+    cert = json.loads((workdir / "b.json").read_text())
+    cert["result"]["mixture"]["noise"]["delta"] = "1/8"
+    (workdir / "b2.json").write_text(json.dumps(cert))
+    assert run(["verify", "b2.json", "--in", "disk.json"]) == 2
+
+
+def test_verify_in_checks_row_reduction_target(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    assert run(["simulate", "reduce", "--in", "octahedron_matrix.json", "--out", "red.json"]) == 0
+    assert run(["verify", "red.json", "--in", "octahedron_matrix.json"]) == 0
+    other = {"matrix": np.full((4, 6), 0.25).tolist()}
+    (workdir / "other.json").write_text(json.dumps(other))
+    cert = json.loads((workdir / "red.json").read_text())
+    cert["input_digest"] = jsonio.digest(other)
+    (workdir / "forged.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "forged.json", "--in", "other.json"]) == 2
+    assert "target is not the channel" in capsys.readouterr().err
 
 
 def test_signalling_and_replacer(workdir, capsys):

@@ -57,6 +57,13 @@ def test_validate_povm_not_psd_reports_index():
     assert exc.value.index == 1
 
 
+def test_validate_povm_not_hermitian_reports_index():
+    skew = np.array([[0.5, 0.25], [0.0, 0.5]])
+    with pytest.raises(NotHermitian) as exc:
+        linalg.validate_povm([np.eye(2) - skew, skew])
+    assert exc.value.index == 0
+
+
 def test_validate_povm_sum_not_identity():
     with pytest.raises(SumNotIdentity):
         linalg.validate_povm([np.eye(2) / 2, np.eye(2) / 3])

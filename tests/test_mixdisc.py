@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chansim import mixdisc
+from chansim._multiset import multiplicity
 from chansim.errors import DimensionMismatch, EnumerationCapExceeded, NegativeWeight
 from conftest import random_hermitian, random_povm, random_unitary
 
@@ -71,7 +72,7 @@ def test_dimension_mismatch():
 
 def test_outcome_distribution_projective():
     dist = mixdisc.outcome_distribution([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert dist.weights == pytest.approx({(0, 1): 0.5, (1, 0): 0.5})
+    assert dist.weights == pytest.approx({(0, 1): 1.0})
 
 
 def test_outcome_distribution_single_outcome():
@@ -163,12 +164,11 @@ def test_povm_combination_inequality(rng):
 
 
 def test_class_weights_grouping(rng):
+    # one entry per sorted multiset: the common tuple weight D(E_ms) times
+    # the number of orderings of ms
     povm = random_povm(rng, 2, 3)
     dist = mixdisc.outcome_distribution(povm)
-    classes = dist.class_weights()
-    for ms, (p, count) in classes.items():
+    for ms, total in dist.weights.items():
         assert ms == tuple(sorted(ms))
-        recon = [key for key in dist.weights if tuple(sorted(key)) == ms]
-        assert len(recon) == count
-        for key in recon:
-            assert dist.weights[key] == pytest.approx(p)
+        value = mixdisc.mixed_discriminant([povm[i] for i in ms])
+        assert total == pytest.approx(multiplicity(ms) * value)

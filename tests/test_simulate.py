@@ -70,6 +70,34 @@ def check_simulation(result, noise=None, max_states=None):
             assert prot.num_states <= max_states
 
 
+def test_one_protocol_per_multiset_class(rng):
+    # every ordering of a multiset gives the same protocol, so each
+    # construction emits at most C(n+k-1, n) terms, one per sorted class
+    import math
+
+    n, k = 3, 3
+    povm = random_povm(rng, n, k)
+    effects = [
+        BallEffect(c=c, v=v, norm_index=2) for c, v in random_ball_effects(rng, k, 2, 2)
+    ]
+    results = [
+        (simulate_quantum_noiseless(povm, [random_density(rng, n) for _ in range(2)]), n),
+        (simulate_quantum_noisy(
+            povm, [random_density_floor(rng, n, 0.5) for _ in range(2)], Delta(0.5)
+        ), n),
+        (simulate_ball(
+            effects, [BallState(x=x, norm_index=2) for x in random_ball_states(rng, 2, 2, 2)],
+            delta=0.5,
+        ), 2),
+    ]
+    for result, m in results:
+        check_simulation(result)
+        decoders = [tuple(prot.decoder) for _, prot in result.mixture.terms]
+        assert len(decoders) <= math.comb(m + k - 1, m)
+        assert all(list(dec) == sorted(dec) for dec in decoders)
+        assert decoders == sorted(set(decoders))
+
+
 def test_noiseless_projective_commuting_exact():
     povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -294,6 +322,31 @@ def test_noisy_by_noiseless_protocol_target(rng):
     )
     result = simulate_noisy_by_noiseless(Delta(delta), protocol, d)
     check_simulation(result, max_states=d)
+
+
+def test_noisy_by_noiseless_matches_per_subset_loop(rng):
+    # reference: the per-subset loop, in which the subset element of largest
+    # permuted rank receives each permutation term's mass; the arithmetic
+    # is the same, so the states must be equal exactly
+    from itertools import combinations
+
+    from chansim.majorize import hlp_decompose, max_subset_distribution
+
+    n, d, delta = 6, 4, 0.5
+    x = delta / n + (1 - delta) * random_stochastic(rng, n, 3)
+    result = simulate_noisy_by_noiseless(Delta(delta), x, d)
+    check_simulation(result, max_states=d)
+    nu = max_subset_distribution(n, d)
+    mixes = [hlp_decompose(x[:, j], nu, tol=4e-9) for j in range(3)]
+    subsets = list(combinations(range(n), d))
+    assert len(result.mixture.terms) == len(subsets)
+    for s, (_, prot) in zip(subsets, result.mixture.terms):
+        want = np.zeros((d, 3))
+        for j, mix in enumerate(mixes):
+            for w, perm in mix.terms:
+                want[max(range(d), key=lambda t: perm[s[t]]), j] += w
+        assert list(prot.decoder) == list(s)
+        assert np.array_equal(prot.states, want)
 
 
 def test_noisy_by_noiseless_column_violation_raises():
