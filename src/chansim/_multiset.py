@@ -26,19 +26,3 @@ def multiplicity(ms: tuple[int, ...]) -> int:
         out //= math.factorial(c)
     return out
 
-
-def submultisets(ms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct nonempty sorted submultisets of ``ms``, smallest first."""
-    counts = sorted(Counter(ms).items())
-    symbols = [s for s, _ in counts]
-    maxima = [c for _, c in counts]
-
-    def rec(idx: int, prefix: list[int]):
-        if idx == len(symbols):
-            if prefix:
-                yield tuple(prefix)
-            return
-        for take in range(maxima[idx] + 1):
-            yield from rec(idx + 1, prefix + [symbols[idx]] * take)
-
-    return rec(0, [])

@@ -299,6 +299,25 @@ def _verify_witness(result: dict) -> list[str]:
     return []
 
 
+def _witness_input_problems(result: dict, payload: dict) -> list[str]:
+    """Rerun the witness on the input matrix with the stored parameters;
+    value, bound, parameters and verdict must come out as stored."""
+    params = result["params"]
+    matrix = real_matrix_from_json(payload["matrix"])
+    if result["kind"] == "subset":
+        report = certify.subset_witness(matrix, r=int(params["r"]), d=int(params["d"]))
+    else:
+        report = certify.pairwise_witness(matrix, d=int(params["d"]))
+    if (
+        abs(report.value - float(result["value"])) > 1e-9
+        or report.bound != float(result["bound"])
+        or report.params != params
+        or report.passed != bool(result["passed"])
+    ):
+        return ["witness differs from a rerun on the input"]
+    return []
+
+
 def cmd_verify(args) -> int:
     cert = _load_json(args.certfile)
     problems: list[str] = []
@@ -331,6 +350,8 @@ def cmd_verify(args) -> int:
         if payload is not None:
             if kind in ("simulation", "row_reduction"):
                 problems += _input_problems(result, payload, tolerances)
+            if kind == "witness" and result["kind"] in ("subset", "pairwise"):
+                problems += _witness_input_problems(result, payload)
             if jsonio.digest(payload) != cert.get("input_digest"):
                 problems.append("input digest mismatch")
     if problems:

@@ -105,11 +105,10 @@ class NumericalBreakdown(ChanSimError):
 
 
 class LpInfeasible(ChanSimError):
-    """An LP that should be feasible came back infeasible.
+    """The polytope asymmetry LP came back infeasible or without a positive
+    optimum (a degenerate body).
 
-    The Farkas certificate is attached for diagnosis; for the simulation
-    routines this always signals a numerical-tolerance failure, never a
-    mathematical one.
+    The Farkas certificate, when there is one, is attached for diagnosis.
     """
 
     def __init__(self, message: str, certificate=None):

@@ -7,11 +7,11 @@ distribution induced by mixed discriminants (or the ball pairing). That
 distribution and every state column built from it are symmetric under
 reordering an outcome tuple, so all orderings of a multiset class give the
 same protocol matrix, and the certificate holds one protocol per class.
-The per-class state columns come either from a transport plan (noiseless
-and ball cases) or from a feasibility LP whose constraints keep every
-column inside the declared noise set. Classes are processed in
-lexicographic order throughout, so certificates are reproducible byte for
-byte.
+The per-class state columns of all three (noiseless, noisy and ball) come
+from one layered transport per input column, which keeps every class's
+slot vector in the permutation hull of the state's spectrum and so inside
+the declared noise set. Classes are processed in lexicographic order
+throughout, so certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import lp
-from ._multiset import submultisets
 from .certify import BinomialWitness, permutohedron_simulable_by_d
 from .channels import (
     BallEffect,
@@ -48,9 +46,7 @@ from .channels import (
 from .errors import (
     BadRange,
     DimensionMismatch,
-    EnumerationCapExceeded,
     LengthMismatch,
-    LpInfeasible,
     NotMajorized,
     PreconditionViolated,
     TransportInfeasible,
@@ -63,7 +59,14 @@ from .mixdisc import (
     distribution_from_class_values,
     outcome_distribution,
 )
-from .transport import HallViolator, TransportInstance, conditional_columns, feasible_transport
+from .transport import (
+    BALANCE_TOL,
+    DROP_TOL,
+    HallViolator,
+    TransportInstance,
+    conditional_columns,
+    feasible_transport,
+)
 
 RESIDUAL_TOL = 1e-8
 WEIGHT_FLOOR = 1e-10
@@ -94,32 +97,59 @@ def _finalize(target: TransitionMatrix, mixture: ClassicalMixture) -> Simulation
     return SimulationResult(target=target, mixture=mixture, residual=residual)
 
 
-def _transport_conditionals(
-    dist: OutcomeDistribution, a: np.ndarray
+def _class_values(
+    dist: OutcomeDistribution, a: np.ndarray, mus: Sequence[np.ndarray]
 ) -> list[dict[tuple[int, ...], dict[int, float]]]:
-    """Per input column and multiset class, the value of each slot that
-    carries output i: the class's conditional output mass on i, found by
-    transport from class weights to the column, split evenly over the
-    slots carrying i."""
-    classes = dict(sorted(dist.weights.items()))
-    k = a.shape[0]
-    edges = frozenset((ms, i) for ms in classes for i in set(ms))
+    """Per input column j and multiset class M, the value of each slot that
+    carries output i, such that the classes reproduce column j and every
+    class's slot vector lies in the permutation hull of the ascending
+    vector mus[j].
+
+    Layer cake: every slot holds the floor mu[0]. Each gap
+    g = mu[t] - mu[t-1] (0-based t >= 1) is a layer of at most g per slot
+    over the top n - t slots: it leaves node (M, t) with supply
+    w_M g (n - t) and enters output i with capacity w_M g c_M(i), c_M(i) the
+    slots of M carrying i (no cap when c_M(i) >= n - t). This transport is
+    feasible exactly when a(T) >= sum_M w_M P(c_M(T)) for every output set
+    T, P the ascending prefix sums of mu; otherwise its min cut is raised.
+    When some output cannot hold the floor, the floor is 0 and mu[0] is
+    routed as the layer t = 0.
+    """
+    n, k = dist.n, dist.k
+    classes = sorted(dist.weights.items())
+    counts = {ms: {i: ms.count(i) for i in set(ms)} for ms, _ in classes}
+    slots = np.zeros(k)  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
+    for ms, w in classes:
+        for i, c in counts[ms].items():
+            slots[i] += w * c
     values = []
-    for j in range(a.shape[1]):
-        demand = {i: float(a[i, j]) for i in range(k)}
-        inst = TransportInstance(left_supply=classes, right_demand=demand, edges=edges)
+    for j, mu in enumerate(mus):
+        floor = mu[0] if np.all(a[:, j] - mu[0] * slots >= -BALANCE_TOL) else 0.0
+        gaps = np.diff(mu, prepend=floor)
+        layers = [int(t) for t in np.flatnonzero(gaps > 0.0)]
+        supply, edges, capacity = {}, set(), {}
+        for ms, w in classes:
+            for t in layers:
+                u, height = (ms, t), n - t
+                supply[u] = w * gaps[t] * height
+                for i, c in counts[ms].items():
+                    edges.add((u, i))
+                    if c < height:
+                        capacity[(u, i)] = w * gaps[t] * c
+        demand = {i: float(a[i, j] - floor * slots[i]) for i in range(k)}
+        inst = TransportInstance(supply, demand, frozenset(edges), capacity)
         result = feasible_transport(inst)
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
-                f"column {j}: transport infeasible by {result.deficit:.3e} "
-                "(numerical tolerance failure; feasibility is guaranteed)",
+                f"column {j}: transport infeasible by {result.deficit:.3e}",
                 violator=result,
             )
-        positive = {ms: w for ms, w in classes.items() if w > 1e-12}
-        conds = conditional_columns(result, positive)
-        values.append(
-            {ms: {i: col.get(i, 0.0) / ms.count(i) for i in set(ms)} for ms, col in conds.items()}
-        )
+        positive = {u: s for u, s in supply.items() if s > DROP_TOL}
+        col = {ms: dict.fromkeys(c, float(floor)) for ms, c in counts.items()}
+        for (ms, t), cond in conditional_columns(result, positive).items():
+            for i, f in cond.items():
+                col[ms][i] += gaps[t] * (n - t) * f / counts[ms][i]
+        values.append(col)
     return values
 
 
@@ -127,22 +157,19 @@ def _class_mixture(
     dist: OutcomeDistribution,
     values: list[dict[tuple[int, ...], dict[int, float]]],
     noise: NoiseSpec,
-    delta: float = 0.0,
 ) -> ClassicalMixture:
     """One protocol per multiset class ms, weighted by the class total: the
     decoder sends slot m to output ms[m], and for input j the slot holds
-    delta/n + (1-delta) values[j][ms][ms[m]] (delta/n is the noise floor
-    when simulating a noisy target). Each column is rescaled to sum to 1,
-    because the LP meets its equalities only within its tolerance. Classes
-    at or below WEIGHT_FLOOR are dropped and the remaining weights
-    renormalized."""
+    values[j][ms][ms[m]]. Each column is rescaled to sum to 1, because
+    transport drops dust layers and meets its demands only up to float
+    rounding. Classes at or below WEIGHT_FLOOR are dropped and the
+    remaining weights renormalized."""
     n = dist.n
     kept = [(ms, w) for ms, w in sorted(dist.weights.items()) if w > WEIGHT_FLOOR]
     total = sum(w for _, w in kept)
     terms = []
     for ms, w in kept:
         x = np.array([[col[ms][i] for col in values] for i in ms])
-        x = delta / n + (1.0 - delta) * x
         x /= x.sum(axis=0, keepdims=True)
         protocol = ClassicalProtocol(decoder=np.array(ms), states=x, num_outputs=dist.k)
         terms.append((w / total, protocol))
@@ -163,8 +190,8 @@ def simulate_quantum_noiseless(
         validate_density(rho, tol)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    mixture = _class_mixture(dist, _transport_conditionals(dist, a), Noiseless())
-    return _finalize(TransitionMatrix(a), mixture)
+    values = _class_values(dist, a, [_spec_base_vector(Noiseless(), dist.n)] * a.shape[1])
+    return _finalize(TransitionMatrix(a), _class_mixture(dist, values, Noiseless()))
 
 
 def simulate_ball(
@@ -185,60 +212,10 @@ def simulate_ball(
     dist = distribution_from_class_values(
         len(effects), n, lambda ms: bracket([effects[i] for i in ms]), cap=cap
     )
-    aprime = ball_born_matrix(effects, states, delta=0.0, tol=tol)
     target = ball_born_matrix(effects, states, delta=delta, tol=tol)
-    values = _transport_conditionals(dist, aprime.matrix)
-    mixture = _class_mixture(dist, values, Delta(delta), delta=float(delta))
-    return _finalize(target, mixture)
-
-
-def _noisy_column_states(
-    dist: OutcomeDistribution,
-    a_col: np.ndarray,
-    prefix: np.ndarray,
-) -> dict[tuple[int, ...], dict[int, float]]:
-    """Solve the per-column feasibility system in class-aggregated scaled
-    variables v[M, i] = weight(M) * x[M, i].
-
-    For every class M and every nonempty submultiset of M the selected
-    variables must dominate the matching prefix sum of the state's
-    spectrum (these are the subset constraints of the full tuple system,
-    quotiented by slot symmetry), and for every output i the mixture must
-    reproduce the Born probability exactly. Returns, per class M above
-    WEIGHT_FLOOR, the value x[M, i] of each slot that carries output i.
-    """
-    classes = sorted(dist.weights.items())
-    var_of: dict[tuple[tuple[int, ...], int], int] = {}
-    for ms, _ in classes:
-        for i in sorted(set(ms)):
-            var_of[(ms, i)] = len(var_of)
-    program = lp.LinearProgram(num_vars=len(var_of), nonneg=True)
-    for ms, w_m in classes:
-        for sub in submultisets(ms):
-            row = np.zeros(len(var_of))
-            for i in set(sub):
-                row[var_of[(ms, i)]] = sub.count(i)
-            program.add(row, lp.GE, w_m * prefix[len(sub) - 1])
-    for i in range(dist.k):
-        row = np.zeros(len(var_of))
-        for ms, _ in classes:
-            if i in set(ms):
-                row[var_of[(ms, i)]] = ms.count(i)
-        program.add(row, lp.EQ, float(a_col[i]))
-    result = lp.solve(program)
-    if isinstance(result, lp.Infeasible):
-        raise LpInfeasible(
-            "noisy simulation LP infeasible (numerical tolerance failure; "
-            "feasibility is guaranteed)",
-            certificate=result.certificate,
-        )
-    v = result.x
-    out: dict[tuple[int, ...], dict[int, float]] = {}
-    for ms, w_m in classes:
-        if w_m <= WEIGHT_FLOOR:
-            continue
-        out[ms] = {i: float(v[var_of[(ms, i)]]) / w_m for i in set(ms)}
-    return out
+    mu = _spec_base_vector(Delta(delta), n)
+    values = _class_values(dist, target.matrix, [mu] * len(states))
+    return _finalize(target, _class_mixture(dist, values, Delta(delta)))
 
 
 def simulate_quantum_noisy(
@@ -259,20 +236,13 @@ def simulate_quantum_noisy(
         validate_density(rho, tol)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    n = dist.n
-    if n > 6:
-        raise EnumerationCapExceeded(
-            f"subset-constraint enumeration is capped at dimension 6, got n={n}"
-        )
-
-    values = []
+    mus = []
     for j, rho in enumerate(states):
         mu = hermitian_eigenvalues(rho, tol)
-        spec_j = spec_for_column(spec, j)
-        if not satisfies_noise(mu, spec_j, tol):
+        if not satisfies_noise(mu, spec_for_column(spec, j), tol):
             raise NotMajorized(f"state {j}: spectrum violates the declared noise set")
-        prefix = np.cumsum(np.clip(mu, 0.0, None))
-        values.append(_noisy_column_states(dist, a[:, j], prefix))
+        mus.append(np.clip(mu, 0.0, None))
+    values = _class_values(dist, a, mus)
     return _finalize(TransitionMatrix(a), _class_mixture(dist, values, spec))
 
 

@@ -1,10 +1,10 @@
 """Supply-demand feasibility on bipartite graphs.
 
 A transport instance routes probability mass from left nodes (supplies) to
-right nodes (demands) along admissible edges. Feasibility is decided by
-max-flow with BFS augmenting paths; the min cut turns directly into a
-Hall-type violator: a right-node set whose demand exceeds the supply of its
-neighborhood.
+right nodes (demands) along admissible edges, each uncapped unless the
+instance lists a capacity for it. Feasibility is decided by max-flow with
+BFS augmenting paths; the min cut turns directly into a Hall-type violator:
+a right-node set whose demand exceeds what the left side can send into it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ RESIDUAL_EPS = 1e-15
 
 @dataclass(frozen=True)
 class TransportInstance:
+    """Supplies, demands and admissible edges; an edge listed in
+    ``capacity`` carries at most that much flow, the others are uncapped."""
+
     left_supply: dict[Hashable, float]
     right_demand: dict[Hashable, float]
     edges: frozenset[tuple[Hashable, Hashable]]
+    capacity: dict[tuple[Hashable, Hashable], float] = field(default_factory=dict)
 
     def __post_init__(self):
         if any(v < -BALANCE_TOL for v in self.left_supply.values()):
@@ -41,6 +45,9 @@ class TransportInstance:
         for u, v in self.edges:
             if u not in self.left_supply or v not in self.right_demand:
                 raise UnbalancedInstance(f"edge ({u!r}, {v!r}) references unknown node")
+        for e, c in self.capacity.items():
+            if e not in self.edges or c < 0.0:
+                raise UnbalancedInstance(f"capacity {c!r} on {e!r} is negative or off the edges")
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,8 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class HallViolator:
-    """Right-node set T with demand(T) > supply(N(T))."""
+    """Right-node set T whose demand exceeds the most the left side can send
+    into it: the sum over left nodes u of min(supply(u), capacity(u -> T))."""
 
     right_set: frozenset
     demand: float
@@ -166,7 +174,7 @@ def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
     for u, v in sorted(inst.edges, key=repr):
         if u in supply:
             edge_ids[(u, v)] = len(net.to)
-            net.add_edge(("L", u), ("R", v), float("inf"))
+            net.add_edge(("L", u), ("R", v), inst.capacity.get((u, v), float("inf")))
 
     flow_value = net.max_flow(source, sink)
     if flow_value >= total_demand - FEAS_TOL:
@@ -182,8 +190,11 @@ def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
         v for v, d in demand.items() if d > 0.0 and ("R", v) not in reach
     )
     t_demand = sum(demand[v] for v in right_set)
-    neighbors = {u for (u, v) in inst.edges if v in right_set}
-    n_supply = sum(inst.left_supply[u] for u in neighbors)
+    into: dict[Hashable, float] = {}
+    for u, v in inst.edges:
+        if v in right_set:
+            into[u] = into.get(u, 0.0) + inst.capacity.get((u, v), float("inf"))
+    n_supply = sum(min(inst.left_supply[u], c) for u, c in into.items())
     return HallViolator(right_set=right_set, demand=t_demand, neighborhood_supply=n_supply)
 
 

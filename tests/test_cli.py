@@ -160,6 +160,26 @@ def test_verify_in_checks_row_reduction_target(workdir, capsys):
     assert "target is not the channel" in capsys.readouterr().err
 
 
+def test_verify_in_reruns_witnesses(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    assert run(["certify", "pairwise", "--in", "octahedron_matrix.json", "--d", "2",
+                "--out", "pairwise.json"]) == 2
+    assert run(["certify", "subset", "--in", "octahedron_matrix.json", "--r", "3",
+                "--d", "2", "--out", "subset.json"]) == 0
+    for name in ("pairwise.json", "subset.json"):
+        assert run(["verify", name, "--in", "octahedron_matrix.json"]) == 0
+    # a violated witness rewritten as passing: consistent with its own bound,
+    # but not with the matrix
+    cert = json.loads((workdir / "pairwise.json").read_text())
+    assert cert["result"]["value"] == 6.0
+    cert["result"]["value"], cert["result"]["passed"] = 4.0, True
+    (workdir / "forged.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "forged.json"]) == 0
+    assert run(["verify", "forged.json", "--in", "octahedron_matrix.json"]) == 2
+    assert "witness differs from a rerun" in capsys.readouterr().err
+
+
 def test_signalling_and_replacer(workdir, capsys):
     assert run(["certify", "signalling", "--n", "4", "--delta", "1/3"]) == 0
     cert = json.loads(capsys.readouterr().out)

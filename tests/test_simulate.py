@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -216,23 +218,98 @@ def test_noisy_dimension_four(rng):
 
 def test_noisy_columns_satisfy_full_subset_system(rng):
     # the returned per-tuple columns satisfy every subset-sum constraint of
-    # the original (unaggregated) feasibility system
+    # the original (unaggregated) feasibility system; cases: a random
+    # spectrum, n = 7 (beyond the old submultiset enumeration), and the
+    # degenerate spectrum of (1 - delta)|psi><psi| + delta I/n
     from itertools import combinations as subsets
 
     delta = 0.25
-    povm = random_povm(rng, 3, 3)
-    states = [random_density_floor(rng, 3, delta) for _ in range(2)]
-    result = simulate_quantum_noisy(povm, states, Delta(delta))
-    check_simulation(result)
-    for j, rho in enumerate(states):
-        mu = np.sort(np.linalg.eigvalsh(rho))
-        prefix = np.cumsum(mu)
-        for _, prot in result.mixture.terms:
-            col = prot.states[:, j]
-            n = len(col)
-            for h in range(1, n + 1):
-                for sub in subsets(range(n), h):
-                    assert sum(col[list(sub)]) >= prefix[h - 1] - 1e-8
+
+    def pure_plus_noise(n):
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        return (1 - delta) * np.outer(psi, psi.conj()) + delta * np.eye(n) / n
+
+    cases = [
+        (3, 3, lambda n: random_density_floor(rng, n, delta)),
+        (7, 3, lambda n: random_density_floor(rng, n, delta)),
+        (5, 3, pure_plus_noise),
+    ]
+    for n, k, make_state in cases:
+        povm = random_povm(rng, n, k)
+        states = [make_state(n) for _ in range(2)]
+        result = simulate_quantum_noisy(povm, states, Delta(delta))
+        check_simulation(result)
+        for j, rho in enumerate(states):
+            mu = np.sort(np.linalg.eigvalsh(rho))
+            prefix = np.cumsum(mu)
+            for _, prot in result.mixture.terms:
+                col = prot.states[:, j]
+                assert len(col) == n
+                for h in range(1, n + 1):
+                    for sub in subsets(range(n), h):
+                        assert sum(col[list(sub)]) >= prefix[h - 1] - 1e-8
+
+
+def test_class_values_match_prefix_sum_inequalities(rng):
+    # the layered transport succeeds exactly when
+    # a(T) >= sum_M w_M P(c_M(T)) for every output set T, P the ascending
+    # prefix sums of mu and c_M(T) the slots of class M carrying outputs in
+    # T; a failure names a set whose complement breaks that inequality
+    from itertools import combinations as subsets
+
+    from chansim.errors import TransportInfeasible
+    from chansim.majorize import majorized_by_permutohedron
+    from chansim.mixdisc import OutcomeDistribution
+
+    verdicts = []
+    for trial in range(300):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        if trial % 2:
+            mu = rng.dirichlet(np.ones(n))
+        else:  # ties: a few distinct levels
+            mu = rng.choice(rng.uniform(0.0, 1.0, size=2), size=n)
+            mu = mu / mu.sum()
+        mu = np.sort(mu)
+        classes = list(combinations_with_replacement(range(k), n))
+        kept = [ms for ms in classes if rng.random() < 0.7] or classes[:1]
+        weights = dict(zip(kept, rng.dirichlet(np.ones(len(kept)))))
+        dist = OutcomeDistribution(n=n, k=k, weights=weights)
+        # a reachable column (every class on a random permutation of mu)
+        # pulled toward a random one
+        feasible = np.zeros(k)
+        for ms, w in weights.items():
+            np.add.at(feasible, list(ms), w * rng.permutation(mu))
+        s = rng.uniform(0.0, 0.6)
+        a = (1 - s) * feasible + s * rng.dirichlet(np.ones(k))
+
+        def slack(t):
+            need = sum(w * mu[: sum(ms.count(i) for i in t)].sum() for ms, w in weights.items())
+            return a[list(t)].sum() - need
+
+        # the full set is tight by balance; check the proper nonempty ones
+        proper = [t for h in range(1, k) for t in subsets(range(k), h)]
+        worst = min((slack(t) for t in proper), default=1.0)
+        if abs(worst) < 1e-7:
+            continue
+        try:
+            (values,) = simulate._class_values(dist, a[:, None], [mu])
+        except TransportInfeasible as exc:
+            assert worst < 0
+            complement = tuple(sorted(set(range(k)) - exc.violator.right_set))
+            assert slack(complement) < -1e-9
+            assert slack(complement) == pytest.approx(-exc.violator.deficit)
+            verdicts.append(False)
+            continue
+        assert worst > 0
+        recon = np.zeros(k)
+        for ms, w in weights.items():
+            slot_values = np.array([values[ms][i] for i in ms])
+            assert majorized_by_permutohedron(slot_values, mu, 1e-9)
+            np.add.at(recon, list(ms), w * slot_values)
+        assert np.max(np.abs(recon - a)) <= 1e-9
+        verdicts.append(True)
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
 
 def test_ball_disk_antipodal_noiseless():

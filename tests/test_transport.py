@@ -14,27 +14,41 @@ from chansim.transport import (
 from chansim.errors import UnbalancedInstance, ZeroSupplyNode
 
 
-def make_instance(supply, demand, edges):
+def make_instance(supply, demand, edges, capacity=None):
     return TransportInstance(
-        left_supply=dict(supply), right_demand=dict(demand), edges=frozenset(edges)
+        left_supply=dict(supply),
+        right_demand=dict(demand),
+        edges=frozenset(edges),
+        capacity=dict(capacity or {}),
     )
 
 
-def hall_feasible(supply, demand, edges):
-    """Brute-force oracle: check every right subset's demand against its
-    neighborhood supply."""
+def reachable_supply(supply, edges, capacity, subset):
+    """Most the left side can send into a right subset: per left node, the
+    smaller of its supply and its total edge capacity into the subset."""
+    into = {}
+    for u, v in edges:
+        if v in subset:
+            into[u] = into.get(u, 0.0) + capacity.get((u, v), float("inf"))
+    return sum(min(supply.get(u, 0.0), c) for u, c in into.items())
+
+
+def hall_feasible(supply, demand, edges, capacity=None):
+    """Brute-force oracle: check every right subset's demand against what
+    the left side can send into it."""
     rights = list(demand)
     for r in range(1, len(rights) + 1):
         for subset in combinations(rights, r):
             t_demand = sum(demand[v] for v in subset)
-            neighbors = {u for (u, v) in edges if v in subset}
-            if t_demand > sum(supply.get(u, 0.0) for u in neighbors) + 1e-8:
+            if t_demand > reachable_supply(supply, edges, capacity or {}, subset) + 1e-8:
                 return False
     return True
 
 
-def lp_feasible(supply, demand, edges):
-    """Second oracle: transportation feasibility as a plain LP."""
+def lp_feasible(supply, demand, edges, capacity=None):
+    """Second oracle: transportation feasibility as a plain LP, edge
+    capacities as upper bounds."""
+    capacity = capacity or {}
     edge_list = sorted(edges, key=repr)
     if not edge_list:
         return all(d <= 1e-8 for d in demand.values())
@@ -51,14 +65,16 @@ def lp_feasible(supply, demand, edges):
         c=[0.0] * len(edge_list),
         A_eq=np.array(a_eq),
         b_eq=np.array(b_eq),
-        bounds=[(0, None)] * len(edge_list),
+        bounds=[(0, capacity.get(e)) for e in edge_list],
     )
     return res.status == 0
 
 
-def check_plan(plan, supply, demand, edges, tol=1e-8):
+def check_plan(plan, supply, demand, edges, tol=1e-8, capacity=None):
     assert all(e in edges for e in plan.flow)
     assert all(f >= 0.0 for f in plan.flow.values())
+    for e, c in (capacity or {}).items():
+        assert plan.flow.get(e, 0.0) <= c + tol
     left = plan.left_marginals()
     right = plan.right_marginals()
     for u, s in supply.items():
@@ -89,6 +105,9 @@ def test_diagonal_violator():
 def test_unbalanced_rejected():
     with pytest.raises(UnbalancedInstance):
         make_instance({0: 1.0}, {0: 0.5}, {(0, 0)})
+    for capacity in ({(0, 1): 0.5}, {(0, 0): -0.5}):
+        with pytest.raises(UnbalancedInstance):
+            make_instance({0: 1.0}, {0: 1.0}, {(0, 0)}, capacity)
 
 
 def test_conditional_single_left_node():
@@ -124,25 +143,32 @@ def test_random_instances_match_hall_oracle(rng):
         nr = int(rng.integers(1, 7))
         supply = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(nl)))}
         demand = {j: float(w) for j, w in enumerate(rng.dirichlet(np.ones(nr)))}
+        # every other trial caps about half of a denser edge set, so that
+        # the caps decide feasibility in about a third of those trials
+        capped = trial % 2 == 1
         edges = {
             (i, j)
             for i in range(nl)
             for j in range(nr)
-            if rng.random() < 0.55
+            if rng.random() < (0.9 if capped else 0.55)
         }
-        result = feasible_transport(make_instance(supply, demand, edges))
-        oracle = hall_feasible(supply, demand, edges)
-        if trial % 5 == 0:
-            assert oracle == lp_feasible(supply, demand, edges)
+        capacity = {}
+        if capped:
+            capacity = {
+                e: float(rng.uniform(0.0, 0.5)) for e in sorted(edges) if rng.random() < 0.5
+            }
+        result = feasible_transport(make_instance(supply, demand, edges, capacity))
+        oracle = hall_feasible(supply, demand, edges, capacity)
+        if trial % 5 < 2:
+            assert oracle == lp_feasible(supply, demand, edges, capacity)
         if isinstance(result, TransportPlan):
             assert oracle
-            check_plan(result, supply, demand, edges)
+            check_plan(result, supply, demand, edges, capacity=capacity)
         else:
             assert not oracle
             assert result.deficit > 1e-8
-            neighbors = {u for (u, v) in edges if v in result.right_set}
-            recomputed = sum(demand[v] for v in result.right_set) - sum(
-                supply[u] for u in neighbors
+            recomputed = sum(demand[v] for v in result.right_set) - reachable_supply(
+                supply, edges, capacity, result.right_set
             )
             assert recomputed == pytest.approx(result.deficit)
 
