@@ -299,6 +299,15 @@ def _verify_witness(result: dict) -> list[str]:
     return []
 
 
+def _verify_signalling(result: dict) -> list[str]:
+    """Recompute the signalling dimension from the stored n and delta."""
+    delta = rational_from_json(result["delta"])
+    value = certify.noisy_signalling_dimension(int(result["n"]), delta)
+    if int(result["value"]) != value:
+        return [f"signalling dimension is {value}, not {result['value']}"]
+    return []
+
+
 def _witness_input_problems(result: dict, payload: dict) -> list[str]:
     """Rerun the witness on the input matrix with the stored parameters;
     value, bound, parameters and verdict must come out as stored."""
@@ -343,7 +352,9 @@ def cmd_verify(args) -> int:
         elif kind == "holevo":
             if result.get("info") is not None and float(result["info"]) > float(result["chi"]) + 1e-9:
                 problems.append("mutual information exceeds the Holevo quantity")
-        elif kind in ("scalar", "signalling_dimension", "replacer_bounds"):
+        elif kind == "signalling_dimension":
+            problems += _verify_signalling(result)
+        elif kind in ("scalar", "replacer_bounds"):
             pass
         else:
             problems.append(f"unknown result type {kind!r}")
@@ -419,7 +430,13 @@ def cmd_fixtures_emit(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
-    parser.add_argument("--cap", type=int, default=10**6, help="cap on outcome multiset classes")
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=10**6,
+        help="cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
+        "then takes at most cap * 2^n determinants",
+    )
     parser.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
     if with_out:
         parser.add_argument("--out", help="write the certificate here (default: stdout)")

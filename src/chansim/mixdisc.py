@@ -1,21 +1,32 @@
 """Mixed discriminants and the induced distribution on outcome multisets.
 
 The mixed discriminant is the symmetric multilinear extension of the
-determinant: evaluated by the column-interleaving permutation expansion,
-so D(E, ..., E) = det E. For a POVM E_1..E_k the values
+determinant, so D(E, ..., E) = det E. For a POVM E_1..E_k the values
 p_I = D(E_{i_1}, ..., E_{i_n}) over I in [k]^n form a probability
 distribution. It is symmetric in the entries of I, so it is computed and
 stored once per multiset class: the class total p_I times the number of
 orderings of I.
+
+The class totals are the coefficients of the degree-n polynomial
+det(sum_i s_i E_i) (Bapat 1989): the total of the class with c_i copies
+of outcome i is the coefficient of s^c. With s_1 = 1 the polynomial is
+evaluated on the torus grid of (n+1)-th roots of unity, (n+1)^(k-1)
+points, and one inverse DFT returns every coefficient; no exponent
+exceeds n, so none aliases. On that grid ||sum_i z_i E_i|| <= 1, so the
+determinants and the coefficients carry absolute error near machine
+epsilon. When the grid has more points than C(n+k-1, n) 2^n (large k,
+small n), each class is evaluated on its own by polarization over the
+2^n subsets. Determinants are taken in blocks of ``_BLOCK_POINTS``
+matrices, so beyond one value per grid point memory does not grow with
+the number of points.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,38 +43,63 @@ from .linalg import as_complex_matrix
 
 CLAMP_TOL = 1e-9
 MASS_DRIFT_TOL = 1e-7
+IMAG_TOL = 1e-8
+# class totals below this are round-off of an exact zero (a projective POVM
+# otherwise shows classes of +-1e-16)
+ROUNDOFF_FLOOR = 1e-12
 DEFAULT_CAP = 10**6
+_BLOCK_POINTS = 4096
 
 
-@lru_cache(maxsize=None)
-def _permutation_array(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.intp)
+def _stack_square(matrices: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """Stack finite square matrices of one common dimension into (m, n, n)."""
+    mats = [as_complex_matrix(m) for m in matrices]
+    if not mats:
+        raise DimensionMismatch(f"need at least one {what}")
+    n = mats[0].shape[0]
+    if any(m.shape[0] != n for m in mats):
+        raise DimensionMismatch(f"every {what} must be {n}-square")
+    return np.stack(mats)
+
+
+def _determinants(
+    mats: np.ndarray, num_points: int, coefficients: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """det(sum_i a[p, i] mats[i]) for p in range(num_points), where
+    ``coefficients(points)`` returns the rows a[points] of the coefficient
+    matrix; evaluated ``_BLOCK_POINTS`` points at a time."""
+    m, n = mats.shape[0], mats.shape[1]
+    flat = mats.reshape(m, n * n)
+    out = np.empty(num_points, dtype=complex)
+    for start in range(0, num_points, _BLOCK_POINTS):
+        stop = min(start + _BLOCK_POINTS, num_points)
+        rows = coefficients(np.arange(start, stop))
+        out[start:stop] = np.linalg.det((rows @ flat).reshape(-1, n, n))
+    return out
 
 
 def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
     """D(E_1, ..., E_n) for exactly n matrices of dimension n.
 
-    Averages det over all ways of taking column t from matrix pi(t); the
-    inputs are expected Hermitian so the result is real (NonRealResult if
-    the imaginary part survives above 1e-8).
+    Evaluated by polarization, (1/n!) sum over nonempty S of [n] of
+    (-1)^(n-|S|) det(sum_{i in S} E_i); the inputs are expected Hermitian
+    so the result is real (NonRealResult if the imaginary part survives
+    above 1e-8).
     """
-    mats = [as_complex_matrix(m) for m in matrices]
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    n = mats[0].shape[0]
-    if len(mats) != n:
-        raise DimensionMismatch(f"need exactly {n} matrices of dimension {n}, got {len(mats)}")
-    for m in mats:
-        if m.shape[0] != n:
-            raise DimensionMismatch("all matrices must share the same dimension")
-    stack = np.stack(mats)  # (n, n, n): stack[i] = E_i
-    perms = _permutation_array(n)  # (n!, n)
-    # interleaved[q, t, :] = column t of E_{perms[q, t]}
-    interleaved = stack[perms, :, np.arange(n)]
-    dets = np.linalg.det(interleaved.transpose(0, 2, 1))
-    value = dets.sum() / math.factorial(n)
-    if abs(value.imag) > 1e-8:
-        raise NonRealResult(f"imaginary part {value.imag:.3e} exceeds 1e-8")
+    stack = _stack_square(matrices, "matrix")
+    n = stack.shape[1]
+    if len(stack) != n:
+        raise DimensionMismatch(f"need exactly {n} matrices of dimension {n}, got {len(stack)}")
+    bits = np.arange(n)
+
+    def subsets(points: np.ndarray) -> np.ndarray:  # point p is the subset with mask p + 1
+        return ((points[:, None] + 1) >> bits & 1).astype(float)
+
+    dets = _determinants(stack, 2**n - 1, subsets)
+    signs = np.array([(-1) ** (n - mask.bit_count()) for mask in range(1, 2**n)])
+    value = signs @ dets / math.factorial(n)
+    if abs(value.imag) > IMAG_TOL:
+        raise NonRealResult(f"imaginary part {value.imag:.3e} exceeds {IMAG_TOL:g}")
     return float(value.real)
 
 
@@ -76,6 +112,26 @@ def symmetric_mixed(f: np.ndarray, q: int, n: int) -> float:
         raise BadRange(f"q={q} outside 0..{n}")
     comp = np.eye(n) - a
     return mixed_discriminant([a] * (n - q) + [comp] * q)
+
+
+def _grid_class_totals(stack: np.ndarray) -> np.ndarray:
+    """Coefficients of det(E_1 + sum_{i>=2} z_i E_i), indexed by the
+    exponents (c_2, ..., c_k), each in 0..n."""
+    k, n = stack.shape[0], stack.shape[1]
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    place = (n + 1) ** np.arange(k - 2, -1, -1)
+
+    def torus(points: np.ndarray) -> np.ndarray:
+        z = roots[points[:, None] // place % (n + 1)]
+        return np.hstack([np.ones((len(points), 1)), z])
+
+    shape = (n + 1,) * (k - 1)
+    values = _determinants(stack, (n + 1) ** (k - 1), torus).reshape(shape)
+    coefficients = np.fft.fftn(values) / values.size
+    worst = float(np.max(np.abs(coefficients.imag)))
+    if worst > IMAG_TOL:
+        raise NonRealResult(f"imaginary part {worst:.3e} exceeds {IMAG_TOL:g}")
+    return coefficients.real
 
 
 @dataclass(frozen=True)
@@ -106,9 +162,7 @@ def distribution_from_class_values(
     when it drifts from 1 by at most 1e-7. ``cap`` bounds the number of
     classes, C(n+k-1, n).
     """
-    classes = math.comb(n + k - 1, n)
-    if classes > cap:
-        raise EnumerationCapExceeded(f"C(n+k-1, n) = {classes} multiset classes exceed cap {cap}")
+    _check_cap(k, n, cap)
     values: dict[tuple[int, ...], float] = {}
     for ms in multiset_classes(k, n):
         value = float(class_value(ms))
@@ -124,15 +178,36 @@ def distribution_from_class_values(
     return OutcomeDistribution(n=n, k=k, weights=weights)
 
 
+def _check_cap(k: int, n: int, cap: int) -> None:
+    classes = math.comb(n + k - 1, n)
+    if classes > cap:
+        raise EnumerationCapExceeded(f"C(n+k-1, n) = {classes} multiset classes exceed cap {cap}")
+
+
 def outcome_distribution(
     outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP
 ) -> OutcomeDistribution:
-    """Class totals of p_I = D(E_{i_1}, ..., E_{i_n}) over a POVM."""
-    mats = [as_complex_matrix(e) for e in outcomes]
-    if not mats:
-        raise DimensionMismatch("need at least one POVM outcome")
-    n = mats[0].shape[0]
-    k = len(mats)
-    return distribution_from_class_values(
-        k, n, lambda ms: mixed_discriminant([mats[i] for i in ms]), cap=cap
-    )
+    """Class totals of p_I = D(E_{i_1}, ..., E_{i_n}) over a POVM.
+
+    Taken from one DFT of det(sum_i z_i E_i) on the torus grid, or class by
+    class through ``mixed_discriminant`` when the grid is larger than
+    C(n+k-1, n) 2^n points; either way at most that many determinants.
+    """
+    stack = _stack_square(outcomes, "POVM outcome")
+    k, n = stack.shape[0], stack.shape[1]
+    _check_cap(k, n, cap)
+    if (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n:
+        def total(ms):
+            return mixed_discriminant(stack[list(ms)]) * multiplicity(ms)
+    else:
+        grid = _grid_class_totals(stack)
+
+        def total(ms):
+            counts = Counter(ms)
+            return grid[tuple(counts[i] for i in range(1, k))]
+
+    def class_value(ms):
+        value = total(ms)
+        return 0.0 if abs(value) < ROUNDOFF_FLOOR else value / multiplicity(ms)
+
+    return distribution_from_class_values(k, n, class_value, cap=cap)

@@ -190,6 +190,20 @@ def test_signalling_and_replacer(workdir, capsys):
     assert (cert["result"]["lower"], cert["result"]["upper"]) == (2, 3)
 
 
+def test_verify_recomputes_signalling_dimension(workdir, capsys):
+    args = ["certify", "signalling", "--n", "5", "--delta", "1/2", "--out", "sig.json"]
+    assert run(args) == 0
+    assert run(["verify", "sig.json"]) == 0
+    capsys.readouterr()
+
+    tampered = json.loads((workdir / "sig.json").read_text())
+    assert tampered["result"]["value"] == 3
+    tampered["result"]["value"] = 1
+    (workdir / "tampered.json").write_text(json.dumps(tampered))
+    assert run(["verify", "tampered.json"]) == 2
+    assert "signalling dimension is 3, not 1" in capsys.readouterr().err
+
+
 def test_noisy_to_noiseless_witness_exit_code(workdir, capsys):
     n, delta = 4, 0.5
     cols = []

@@ -1,12 +1,33 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from chansim import mixdisc
-from chansim._multiset import multiplicity
+from chansim._multiset import multiplicity, multiset_classes
 from chansim.errors import DimensionMismatch, EnumerationCapExceeded, NegativeWeight
 from conftest import random_hermitian, random_povm, random_unitary
+
+
+def permutation_expansion(mats) -> float:
+    """Reference D(E_1, ..., E_n): the average over permutations pi of the
+    determinant whose column t is column t of E_{pi(t)} (n! terms)."""
+    n = len(mats)
+    total = 0.0
+    for perm in permutations(range(n)):
+        total += np.linalg.det(np.stack([mats[perm[t]][:, t] for t in range(n)], axis=1))
+    return float(total.real) / math.factorial(n)
+
+
+def assert_class_totals(povm, dist, discriminant, tol):
+    """Every class total of ``dist`` (zero for omitted classes) equals the
+    number of orderings times ``discriminant`` of the class, within tol."""
+    n, k = dist.n, dist.k
+    assert (n, k) == (povm[0].shape[0], len(povm))
+    for ms in multiset_classes(k, n):
+        expected = multiplicity(ms) * discriminant([povm[i] for i in ms])
+        assert abs(dist.weights.get(ms, 0.0) - expected) <= tol, ms
 
 
 def subset_sum_lhs(lam: np.ndarray, r: int) -> float:
@@ -172,3 +193,72 @@ def test_class_weights_grouping(rng):
         assert ms == tuple(sorted(ms))
         value = mixdisc.mixed_discriminant([povm[i] for i in ms])
         assert total == pytest.approx(multiplicity(ms) * value)
+
+
+def test_mixed_discriminant_matches_permutation_expansion(rng):
+    for n in range(1, 6):
+        mats = [random_hermitian(rng, n) for _ in range(n)]
+        assert abs(mixdisc.mixed_discriminant(mats) - permutation_expansion(mats)) < 1e-12
+
+
+def test_mixed_discriminant_of_copies_at_n_ten(rng):
+    # 2^10 - 1 subset determinants, where an n!-term expansion takes 3.6e6
+    e = random_unitary(rng, 10) @ np.diag(rng.uniform(0.5, 1.5, size=10))
+    e = e @ e.conj().T
+    det = np.linalg.det(e).real
+    assert mixdisc.mixed_discriminant([e] * 10) == pytest.approx(det, rel=1e-9)
+
+
+def test_grid_class_totals_match_permutation_expansion(rng):
+    for n in range(1, 6):
+        for k in range(1, 5):
+            povm = random_povm(rng, n, k)
+            dist = mixdisc.outcome_distribution(povm)
+            assert abs(dist.total() - 1.0) < 1e-12
+            assert_class_totals(povm, dist, permutation_expansion, 1e-12)
+
+
+def test_per_class_route_for_large_k(rng, monkeypatch):
+    # (n+1)^(k-1) grid points exceed C(n+k-1, n) 2^n determinants, so every
+    # class is evaluated on its own; the grid must not be built
+    def no_grid(stack):
+        raise AssertionError("grid built for a large-k POVM")
+
+    monkeypatch.setattr(mixdisc, "_grid_class_totals", no_grid)
+    for n, k in [(3, 12), (2, 30)]:
+        assert (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n
+        povm = random_povm(rng, n, k)
+        dist = mixdisc.outcome_distribution(povm)
+        assert abs(dist.total() - 1.0) < 1e-12
+        assert_class_totals(povm, dist, permutation_expansion, 1e-12)
+
+
+def test_grid_spanning_several_blocks(rng):
+    n, k = 6, 6
+    assert (n + 1) ** (k - 1) > 4 * mixdisc._BLOCK_POINTS
+    povm = random_povm(rng, n, k)
+    dist = mixdisc.outcome_distribution(povm)
+    assert abs(dist.total() - 1.0) < 1e-12
+    assert_class_totals(povm, dist, mixdisc.mixed_discriminant, 1e-12)
+
+
+def test_single_outcome_is_exact():
+    for n in range(1, 9):
+        assert mixdisc.outcome_distribution([np.eye(n)]).weights == {(0,) * n: 1.0}
+
+
+def test_projective_povm_keeps_only_its_rank_class(rng):
+    # a projective POVM puts all mass on the class with rank(P_i) copies
+    # of outcome i; round-off of the other classes is floored to zero
+    u = random_unitary(rng, 5)
+    ranks = [2, 0, 1, 2]
+    cuts = np.cumsum([0] + ranks)
+    povm = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(cuts[:-1], cuts[1:])]
+    dist = mixdisc.outcome_distribution(povm)
+    assert list(dist.weights) == [(0, 0, 2, 3, 3)]
+    assert dist.weights[(0, 0, 2, 3, 3)] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_outcome_distribution_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        mixdisc.outcome_distribution([np.eye(2), np.eye(3)])

@@ -477,3 +477,33 @@ def test_one_dimensional_system():
     result = simulate_quantum_noiseless(povm, states)
     check_simulation(result)
     assert np.allclose(result.target.matrix, [[0.3], [0.7]])
+
+
+@pytest.mark.parametrize("n, k, l", [(10, 2, 2), (9, 3, 2)])
+@pytest.mark.parametrize("noise", ["noiseless", "delta:1/2"])
+def test_quantum_sizes_past_the_factorial_discriminant(n, k, l, noise, tmp_path):
+    # n = 9 and 10 took n! determinants per class, and n! n^2 complex
+    # entries of memory per discriminant, before the DFT class totals
+    import json
+
+    from chansim import jsonio
+    from chansim.cli import main, parse_noise
+
+    rng = np.random.default_rng(n * 10 + k)
+    spec = parse_noise(noise)
+    if isinstance(spec, Noiseless):
+        states = [random_density(rng, n) for _ in range(l)]
+    else:
+        states = [random_density_floor(rng, n, float(spec.delta)) for _ in range(l)]
+    instance = tmp_path / "instance.json"
+    cert = tmp_path / "cert.json"
+    instance.write_text(json.dumps(jsonio.quantum_instance_to_json(random_povm(rng, n, k), states)))
+    args = ["simulate", "quantum", "--in", str(instance), "--noise", noise, "--out", str(cert)]
+    assert main(args) == 0
+    result = json.loads(cert.read_text())["result"]
+    assert result["residual"] <= 1e-8
+    mixture = jsonio.mixture_from_json(result["mixture"])
+    assert mixture.num_states == n
+    for _, prot in mixture.terms:
+        assert all(satisfies_noise(prot.states[:, j], spec) for j in range(l))
+    assert main(["verify", str(cert), "--in", str(instance)]) == 0
