@@ -258,8 +258,11 @@ def minkowski_asymmetry(p: Polytope) -> float:
     """Smallest m such that some interior point divides every chord in
     ratio at most 1 : m; information storability is m + 1.
 
-    Solved as max t over (u, t) with a_j . u - t (a_j . v_i) <= b_j for all
-    facets j and vertices i, then m = 1/t*.
+    Solved as max t over (u, t) with a_j . u - t h_j <= b_j for every facet
+    j, h_j = min_i a_j . v_i over the vertices, then m = 1/t*. Its optimum
+    is that of the program with one row per facet and vertex,
+    a_j . u - t (a_j . v_i) <= b_j: (centre, 0) is feasible, so t* >= 0,
+    and for t >= 0 the binding vertex of facet j is the argmin.
     """
     validate_polytope(p)
     center = p.vertices.mean(axis=0)
@@ -271,10 +274,9 @@ def minkowski_asymmetry(p: Polytope) -> float:
     obj[d] = 1.0
     program.objective = obj
     program.maximize = True
-    for a, b in zip(p.normals, p.offsets):
-        for v in p.vertices:
-            row = np.concatenate([a, [-float(a @ v)]])
-            program.add(row, lp.LE, b)
+    h = (p.normals @ p.vertices.T).min(axis=1)
+    for a, b, h_j in zip(p.normals, p.offsets, h):
+        program.add(np.append(a, -h_j), lp.LE, b)
     result = lp.solve(program)
     if isinstance(result, lp.Infeasible):
         raise LpInfeasible("asymmetry program infeasible", certificate=result.certificate)

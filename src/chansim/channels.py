@@ -54,10 +54,6 @@ class TransitionMatrix:
     def num_outputs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_inputs(self) -> int:
-        return self.matrix.shape[1]
-
 
 def as_transition(a) -> TransitionMatrix:
     return a if isinstance(a, TransitionMatrix) else TransitionMatrix(np.asarray(a, dtype=float))

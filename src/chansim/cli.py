@@ -40,8 +40,7 @@ from .jsonio import (
     write_atomic,
 )
 from .linalg import born_matrix
-
-RESIDUAL_TOL = 1e-8
+from .simulate import RESIDUAL_TOL
 
 
 def _load_json(path: str):
@@ -216,9 +215,8 @@ def cmd_certify_holevo(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_simulation(result: dict, tolerances: dict) -> list[str]:
+def _verify_simulation(result: dict) -> list[str]:
     problems = []
-    residual_tol = float(tolerances.get("residual", RESIDUAL_TOL))
     try:
         mixture = mixture_from_json(result["mixture"])
         target = real_matrix_from_json(result["target"])
@@ -227,16 +225,15 @@ def _verify_simulation(result: dict, tolerances: dict) -> list[str]:
     except (ChanSimError, ValueError) as exc:
         return [f"mixture invalid: {exc}"]
     residual = float(np.max(np.abs(recon - target)))
-    if residual > residual_tol:
-        problems.append(f"recomposition residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        problems.append(f"recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     if abs(residual - float(result["residual"])) > 1e-6:
         problems.append("stored residual does not match recomputation")
     return problems
 
 
-def _verify_row_reduction(result: dict, tolerances: dict) -> list[str]:
+def _verify_row_reduction(result: dict) -> list[str]:
     problems = []
-    residual_tol = float(tolerances.get("residual", RESIDUAL_TOL))
     target = real_matrix_from_json(result["target"])
     total = np.zeros_like(target)
     weight_sum = 0.0
@@ -251,12 +248,12 @@ def _verify_row_reduction(result: dict, tolerances: dict) -> list[str]:
             problems.append("component is not column-stochastic")
     if abs(weight_sum - 1.0) > 1e-9:
         problems.append(f"weights sum to {weight_sum!r}")
-    if np.max(np.abs(total - target)) > residual_tol:
+    if np.max(np.abs(total - target)) > RESIDUAL_TOL:
         problems.append("components do not recompose to the target")
     return problems
 
 
-def _input_problems(result: dict, payload: dict, tolerances: dict) -> list[str]:
+def _input_problems(result: dict, payload: dict) -> list[str]:
     """Compare the target of a simulation or row reduction with the channel
     the input file describes, and a quantum or ball mixture's state count
     with the input's dimension or norm index."""
@@ -268,8 +265,7 @@ def _input_problems(result: dict, payload: dict, tolerances: dict) -> list[str]:
     elif "effects" in payload:
         effects, states = ball_instance_from_json(payload)
         delta = rational_from_json(mixture.get("noise", {}).get("delta", 0))
-        tol = float(tolerances.get("tol", 1e-9))
-        channel = ball_born_matrix(effects, states, delta=delta, tol=tol).matrix
+        channel = ball_born_matrix(effects, states, delta=delta).matrix
         num_states = effects[0].norm_index
     elif "protocol" in payload:
         protocol = jsonio.protocol_from_json(payload["protocol"])
@@ -278,8 +274,7 @@ def _input_problems(result: dict, payload: dict, tolerances: dict) -> list[str]:
         channel = real_matrix_from_json(payload["matrix"])
     problems = []
     target = real_matrix_from_json(result["target"])
-    residual_tol = float(tolerances.get("residual", RESIDUAL_TOL))
-    if channel.shape != target.shape or np.max(np.abs(channel - target)) > residual_tol:
+    if channel.shape != target.shape or np.max(np.abs(channel - target)) > RESIDUAL_TOL:
         problems.append("target is not the channel the input describes")
     if num_states is not None and mixture.get("num_states") != num_states:
         problems.append(f"mixture declares {mixture.get('num_states')} states, the input has {num_states}")
@@ -334,13 +329,12 @@ def cmd_verify(args) -> int:
         problems.append(f"unknown certificate version {cert.get('version')!r}")
     else:
         result = cert["result"]
-        tolerances = cert.get("tolerances", {})
         kind = result.get("type")
         payload = _load_json(args.infile) if args.infile else None
         if kind == "simulation":
-            problems += _verify_simulation(result, tolerances)
+            problems += _verify_simulation(result)
         elif kind == "row_reduction":
-            problems += _verify_row_reduction(result, tolerances)
+            problems += _verify_row_reduction(result)
         elif kind == "witness":
             problems += _verify_witness(result)
         elif kind == "binomial_witness":
@@ -360,7 +354,7 @@ def cmd_verify(args) -> int:
             problems.append(f"unknown result type {kind!r}")
         if payload is not None:
             if kind in ("simulation", "row_reduction"):
-                problems += _input_problems(result, payload, tolerances)
+                problems += _input_problems(result, payload)
             if kind == "witness" and result["kind"] in ("subset", "pairwise"):
                 problems += _witness_input_problems(result, payload)
             if jsonio.digest(payload) != cert.get("input_digest"):

@@ -211,10 +211,6 @@ def mixture_from_json(data) -> ClassicalMixture:
 # -- ball model ---------------------------------------------------------------
 
 
-def ball_effect_to_json(e: BallEffect) -> dict:
-    return {"c": float(e.c), "v": [float(x) for x in e.v]}
-
-
 def ball_instance_from_json(data) -> tuple[list[BallEffect], list[BallState]]:
     n = int(data["norm_index"])
     effects = [
@@ -244,16 +240,6 @@ def quantum_instance_from_json(data) -> tuple[list[np.ndarray], list[np.ndarray]
 
 
 # -- polytopes ----------------------------------------------------------------
-
-
-def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "vertices": real_matrix_to_json(p.vertices),
-        "facets": [
-            {"normal": [float(x) for x in a], "offset": float(b)}
-            for a, b in zip(p.normals, p.offsets)
-        ],
-    }
 
 
 def polytope_from_json(data) -> Polytope:

@@ -49,10 +49,6 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def min_eigenvalue(m, tol: float = DEFAULT_TOL) -> float:
-    return float(hermitian_eigenvalues(m, tol)[0])
-
-
 def validate_povm(outcomes: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> None:
     """Check that ``outcomes`` form a POVM; raise a specific error if not.
 

@@ -99,11 +99,12 @@ def _finalize(target: TransitionMatrix, mixture: ClassicalMixture) -> Simulation
 
 def _class_values(
     dist: OutcomeDistribution, a: np.ndarray, mus: Sequence[np.ndarray]
-) -> list[dict[tuple[int, ...], dict[int, float]]]:
-    """Per input column j and multiset class M, the value of each slot that
-    carries output i, such that the classes reproduce column j and every
-    class's slot vector lies in the permutation hull of the ascending
-    vector mus[j].
+) -> np.ndarray:
+    """Array (l, classes, k): per input column j and multiset class M (in
+    sorted order), the value of each slot that carries output i, such that
+    the classes reproduce column j and every class's slot vector lies in the
+    permutation hull of the ascending vector mus[j]. Entries for outputs
+    that M does not carry are unused.
 
     Layer cake: every slot holds the floor mu[0]. Each gap
     g = mu[t] - mu[t-1] (0-based t >= 1) is a layer of at most g per slot
@@ -117,63 +118,60 @@ def _class_values(
     """
     n, k = dist.n, dist.k
     classes = sorted(dist.weights.items())
-    counts = {ms: {i: ms.count(i) for i in set(ms)} for ms, _ in classes}
-    slots = np.zeros(k)  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
-    for ms, w in classes:
-        for i, c in counts[ms].items():
-            slots[i] += w * c
-    values = []
+    w = np.array([weight for _, weight in classes])
+    counts = np.array([np.bincount(ms, minlength=k) for ms, _ in classes], dtype=float)
+    slots = w @ counts  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
+    values = np.empty((len(mus), len(classes), k))
     for j, mu in enumerate(mus):
         floor = mu[0] if np.all(a[:, j] - mu[0] * slots >= -BALANCE_TOL) else 0.0
         gaps = np.diff(mu, prepend=floor)
-        layers = [int(t) for t in np.flatnonzero(gaps > 0.0)]
-        supply, edges, capacity = {}, set(), {}
-        for ms, w in classes:
-            for t in layers:
-                u, height = (ms, t), n - t
-                supply[u] = w * gaps[t] * height
-                for i, c in counts[ms].items():
-                    edges.add((u, i))
-                    if c < height:
-                        capacity[(u, i)] = w * gaps[t] * c
-        demand = {i: float(a[i, j] - floor * slots[i]) for i in range(k)}
-        inst = TransportInstance(supply, demand, frozenset(edges), capacity)
-        result = feasible_transport(inst)
+        layers = np.flatnonzero(gaps > 0.0)
+        heights, gap = n - layers, gaps[layers]
+        # left nodes (M, t) in row-major order over classes x layers; depth
+        # is a layer's slot mass per unit class weight
+        depth = np.tile(gap * heights, len(classes))
+        supply = np.repeat(w, len(layers)) * depth
+        capacity = np.outer(w, gap)[:, :, None] * counts[:, None, :]
+        capacity[counts[:, None, :] >= heights[:, None]] = np.inf
+        capacity = capacity.reshape(len(supply), k)
+        keep = supply > DROP_TOL
+        result = feasible_transport(
+            TransportInstance(supply[keep], a[:, j] - floor * slots, capacity[keep])
+        )
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
                 f"column {j}: transport infeasible by {result.deficit:.3e}",
                 violator=result,
             )
-        positive = {u: s for u, s in supply.items() if s > DROP_TOL}
-        col = {ms: dict.fromkeys(c, float(floor)) for ms, c in counts.items()}
-        for (ms, t), cond in conditional_columns(result, positive).items():
-            for i, f in cond.items():
-                col[ms][i] += gaps[t] * (n - t) * f / counts[ms][i]
-        values.append(col)
+        # each layer's depth, spread by its flow and shared among the
+        # c_M(i) slots that carry output i
+        layered = np.zeros_like(capacity)
+        layered[keep] = conditional_columns(result) * depth[keep, None]
+        per_class = layered.reshape(len(classes), len(layers), k).sum(axis=1)
+        values[j] = floor + per_class / np.maximum(counts, 1.0)
     return values
 
 
 def _class_mixture(
-    dist: OutcomeDistribution,
-    values: list[dict[tuple[int, ...], dict[int, float]]],
-    noise: NoiseSpec,
+    dist: OutcomeDistribution, values: np.ndarray, noise: NoiseSpec
 ) -> ClassicalMixture:
     """One protocol per multiset class ms, weighted by the class total: the
     decoder sends slot m to output ms[m], and for input j the slot holds
-    values[j][ms][ms[m]]. Each column is rescaled to sum to 1, because
-    transport drops dust layers and meets its demands only up to float
-    rounding. Classes at or below WEIGHT_FLOOR are dropped and the
-    remaining weights renormalized."""
-    n = dist.n
-    kept = [(ms, w) for ms, w in sorted(dist.weights.items()) if w > WEIGHT_FLOOR]
-    total = sum(w for _, w in kept)
+    values[j, c, ms[m]], c the index of ms among the sorted classes. Each
+    column is rescaled to sum to 1, because transport drops dust layers and
+    meets its demands only up to float rounding. Classes at or below
+    WEIGHT_FLOOR are dropped and the remaining weights renormalized."""
+    kept = [
+        (c, ms, w) for c, (ms, w) in enumerate(sorted(dist.weights.items())) if w > WEIGHT_FLOOR
+    ]
+    total = sum(w for _, _, w in kept)
     terms = []
-    for ms, w in kept:
-        x = np.array([[col[ms][i] for col in values] for i in ms])
+    for c, ms, w in kept:
+        x = values[:, c, list(ms)].T
         x /= x.sum(axis=0, keepdims=True)
         protocol = ClassicalProtocol(decoder=np.array(ms), states=x, num_outputs=dist.k)
         terms.append((w / total, protocol))
-    return ClassicalMixture(terms=tuple(terms), num_states=n, noise=noise)
+    return ClassicalMixture(terms=tuple(terms), num_states=dist.n, noise=noise)
 
 
 def simulate_quantum_noiseless(
@@ -343,36 +341,24 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
         if np.any(weights > slack + tol):
             raise PreconditionViolated("some weight exceeds its row slack 1 - max_j a_ij")
 
-    kept = [i for i in range(k) if weights[i] > 1e-12]
-    inflows: dict[int, np.ndarray] = {i: np.zeros((k, l)) for i in kept}
-    edges = frozenset((u, v) for u in range(k) for v in range(k) if u != v)
+    # transposed transport: each kept row v sends its weight p_v to the
+    # other rows u, output u taking a_uj; B(v)'s column j is v's flow
+    kept = np.flatnonzero(weights > 1e-12)
+    capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
+    columns = np.empty((len(kept), k, l))
     for j in range(l):
-        supply = {i: float(a[i, j]) for i in range(k)}
-        demand = {i: float(weights[i]) for i in range(k)}
-        result = feasible_transport(
-            TransportInstance(left_supply=supply, right_demand=demand, edges=edges)
-        )
+        result = feasible_transport(TransportInstance(weights[kept], a[:, j], capacity))
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
                 f"column {j}: row reduction transport infeasible by {result.deficit:.3e}",
                 violator=result,
             )
-        by_right: dict[int, dict[int, float]] = {}
-        for (u, v), f in result.flow.items():
-            by_right.setdefault(v, {})[u] = f
-        for v in kept:
-            col = by_right.get(v, {})
-            mass = sum(col.values())
-            if mass <= 0.0:
-                # demand below the flow tolerance: any stochastic column
-                # with a zero v-th entry works, its weight is dust
-                for u in range(k):
-                    if u != v:
-                        inflows[v][u, j] = 1.0 / (k - 1)
-                continue
-            for u, f in col.items():
-                inflows[v][u, j] = f / mass
-    terms = tuple((float(weights[i]), TransitionMatrix(inflows[i])) for i in kept)
+        # a dust weight may receive no flow within the feasibility tolerance:
+        # any stochastic column with a zero v-th entry works for it
+        dust = result.flow.sum(axis=1) <= 0.0
+        result.flow[dust] = capacity[dust] > 0.0
+        columns[:, :, j] = conditional_columns(result)
+    terms = tuple((float(weights[v]), TransitionMatrix(b)) for v, b in zip(kept, columns))
     recon = sum(w * b.matrix for w, b in terms)
     residual = float(np.max(np.abs(recon - a)))
     return RowReduction(target=t, terms=terms, residual=residual)

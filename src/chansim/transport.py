@@ -1,19 +1,22 @@
 """Supply-demand feasibility on bipartite graphs.
 
-A transport instance routes probability mass from left nodes (supplies) to
-right nodes (demands) along admissible edges, each uncapped unless the
-instance lists a capacity for it. Feasibility is decided by max-flow with
-BFS augmenting paths; the min cut turns directly into a Hall-type violator:
-a right-node set whose demand exceeds what the left side can send into it.
+A transport instance routes probability mass from L left nodes (supplies)
+to R right nodes (demands) through an (L, R) capacity matrix: an entry of 0
+means no edge, ``inf`` an uncapped edge, and any other value the most that
+edge carries. Feasibility is decided by max-flow with BFS augmenting paths
+on a network whose nodes are numbered 0..L+R+1; the min cut turns directly
+into a Hall-type violator: a right-node set whose demand exceeds what the
+left side can send into it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable
+from dataclasses import dataclass
 
-from .errors import UnbalancedInstance, ZeroSupplyNode
+import numpy as np
+
+from .errors import DimensionMismatch, NotFinite, UnbalancedInstance, ZeroSupplyNode
 
 BALANCE_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -21,50 +24,54 @@ DROP_TOL = 1e-12
 RESIDUAL_EPS = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportInstance:
-    """Supplies, demands and admissible edges; an edge listed in
-    ``capacity`` carries at most that much flow, the others are uncapped."""
+    """Supplies (L,), demands (R,) and capacities (L, R); capacity 0 is no
+    edge and ``inf`` an uncapped one."""
 
-    left_supply: dict[Hashable, float]
-    right_demand: dict[Hashable, float]
-    edges: frozenset[tuple[Hashable, Hashable]]
-    capacity: dict[tuple[Hashable, Hashable], float] = field(default_factory=dict)
+    supply: np.ndarray
+    demand: np.ndarray
+    capacity: np.ndarray
 
     def __post_init__(self):
-        if any(v < -BALANCE_TOL for v in self.left_supply.values()):
+        supply = np.asarray(self.supply, dtype=float)
+        demand = np.asarray(self.demand, dtype=float)
+        capacity = np.asarray(self.capacity, dtype=float)
+        if supply.ndim != 1 or demand.ndim != 1 or capacity.shape != supply.shape + demand.shape:
+            raise DimensionMismatch(
+                f"supply {supply.shape}, demand {demand.shape} and capacity "
+                f"{capacity.shape} do not form an (L,), (R,), (L, R) instance"
+            )
+        if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
+            raise NotFinite("transport supply or demand has a non-finite entry")
+        if np.any(np.isnan(capacity)):
+            raise NotFinite("transport capacity has a NaN entry")
+        if np.any(supply < -BALANCE_TOL):
             raise UnbalancedInstance("negative supply")
-        if any(v < -BALANCE_TOL for v in self.right_demand.values()):
+        if np.any(demand < -BALANCE_TOL):
             raise UnbalancedInstance("negative demand")
-        total_s = sum(self.left_supply.values())
-        total_d = sum(self.right_demand.values())
+        if np.any(capacity < 0.0):
+            raise UnbalancedInstance("negative capacity")
+        total_s, total_d = float(supply.sum()), float(demand.sum())
         if abs(total_s - total_d) > BALANCE_TOL:
             raise UnbalancedInstance(
                 f"supply {total_s!r} and demand {total_d!r} differ by more than 1e-9"
             )
-        for u, v in self.edges:
-            if u not in self.left_supply or v not in self.right_demand:
-                raise UnbalancedInstance(f"edge ({u!r}, {v!r}) references unknown node")
-        for e, c in self.capacity.items():
-            if e not in self.edges or c < 0.0:
-                raise UnbalancedInstance(f"capacity {c!r} on {e!r} is negative or off the edges")
+        object.__setattr__(self, "supply", supply)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "capacity", capacity)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (u, v) pairs with positive capacity, one per row, row-major."""
+        return np.argwhere(self.capacity > 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
-    flow: dict[tuple[Hashable, Hashable], float]
+    """Flow (L, R) meeting the supplies and demands within FEAS_TOL."""
 
-    def left_marginals(self) -> dict[Hashable, float]:
-        out: dict[Hashable, float] = {}
-        for (u, _), f in self.flow.items():
-            out[u] = out.get(u, 0.0) + f
-        return out
-
-    def right_marginals(self) -> dict[Hashable, float]:
-        out: dict[Hashable, float] = {}
-        for (_, v), f in self.flow.items():
-            out[v] = out.get(v, 0.0) + f
-        return out
+    flow: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class HallViolator:
     """Right-node set T whose demand exceeds the most the left side can send
     into it: the sum over left nodes u of min(supply(u), capacity(u -> T))."""
 
-    right_set: frozenset
+    right_set: frozenset[int]
     demand: float
     neighborhood_supply: float
 
@@ -81,20 +88,16 @@ class HallViolator:
         return self.demand - self.neighborhood_supply
 
 
-@dataclass
 class _FlowNetwork:
-    # adjacency as lists of edge ids; cap/flow indexed by edge id, with the
-    # reverse edge stored at id ^ 1
-    adj: dict = field(default_factory=dict)
-    to: list = field(default_factory=list)
-    cap: list = field(default_factory=list)
+    """Residual graph on nodes 0..size-1: adjacency as lists of edge ids,
+    cap indexed by edge id, with the reverse edge stored at id ^ 1."""
 
-    def add_node(self, v):
-        self.adj.setdefault(v, [])
+    def __init__(self, size: int):
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
 
-    def add_edge(self, u, v, c: float):
-        self.add_node(u)
-        self.add_node(v)
+    def add_edge(self, u: int, v: int, c: float) -> None:
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
@@ -102,51 +105,40 @@ class _FlowNetwork:
         self.to.append(u)
         self.cap.append(0.0)
 
-    def bfs_path(self, s, t):
-        prev_edge = {s: None}
+    def bfs(self, s: int, stop: int = -1) -> list:
+        """Per node, the edge id by which BFS over residual capacity first
+        reached it from s: -1 for s, None if unreached. Stops at ``stop``."""
+        prev: list = [None] * len(self.adj)
+        prev[s] = -1
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            if u == t:
+            if u == stop:
                 break
             for eid in self.adj[u]:
                 v = self.to[eid]
-                if v not in prev_edge and self.cap[eid] > RESIDUAL_EPS:
-                    prev_edge[v] = eid
+                if prev[v] is None and self.cap[eid] > RESIDUAL_EPS:
+                    prev[v] = eid
                     queue.append(v)
-        if t not in prev_edge:
-            return None
-        path = []
-        v = t
-        while prev_edge[v] is not None:
-            eid = prev_edge[v]
-            path.append(eid)
-            v = self.to[eid ^ 1]
-        return path
+        return prev
 
-    def max_flow(self, s, t) -> float:
+    def max_flow(self, s: int, t: int) -> float:
         total = 0.0
         while True:
-            path = self.bfs_path(s, t)
-            if path is None:
+            prev = self.bfs(s, t)
+            if prev[t] is None:
                 return total
+            path = []
+            v = t
+            while v != s:
+                eid = prev[v]
+                path.append(eid)
+                v = self.to[eid ^ 1]
             push = min(self.cap[eid] for eid in path)
             for eid in path:
                 self.cap[eid] -= push
                 self.cap[eid ^ 1] += push
             total += push
-
-    def reachable(self, s) -> set:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if v not in seen and self.cap[eid] > RESIDUAL_EPS:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
@@ -154,69 +146,44 @@ def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
 
     Supplies below 1e-12 are dropped before solving (their mass is
     discarded; it is within the balance tolerance by construction).
+    Left node u is network node u, right node v is L + v, and the source
+    and sink are L + R and L + R + 1.
     """
-    supply = {u: s for u, s in inst.left_supply.items() if s > DROP_TOL}
-    demand = inst.right_demand
-    total_demand = sum(demand.values())
+    n_left, n_right = inst.capacity.shape
+    source, sink = n_left + n_right, n_left + n_right + 1
+    net = _FlowNetwork(n_left + n_right + 2)
+    kept = inst.supply > DROP_TOL
+    for u in np.flatnonzero(kept).tolist():
+        net.add_edge(source, u, float(inst.supply[u]))
+    for v in np.flatnonzero(inst.demand > 0.0).tolist():
+        net.add_edge(n_left + v, sink, float(inst.demand[v]))
+    edges = inst.edges
+    us, vs = edges[kept[edges[:, 0]]].T
+    first = len(net.to)
+    for u, v, c in zip(us.tolist(), vs.tolist(), inst.capacity[us, vs].tolist()):
+        net.add_edge(u, n_left + v, c)
 
-    net = _FlowNetwork()
-    source, sink = ("__source__",), ("__sink__",)
-    net.add_node(source)
-    net.add_node(sink)
-    edge_ids: dict[tuple[Hashable, Hashable], int] = {}
-    for u, s in supply.items():
-        net.add_edge(source, ("L", u), s)
-    for v, d in demand.items():
-        if d > 0.0:
-            net.add_edge(("R", v), sink, d)
-        else:
-            net.add_node(("R", v))
-    for u, v in sorted(inst.edges, key=repr):
-        if u in supply:
-            edge_ids[(u, v)] = len(net.to)
-            net.add_edge(("L", u), ("R", v), inst.capacity.get((u, v), float("inf")))
-
-    flow_value = net.max_flow(source, sink)
-    if flow_value >= total_demand - FEAS_TOL:
-        flow = {}
-        for (u, v), eid in edge_ids.items():
-            f = net.cap[eid ^ 1]  # flow pushed equals reverse residual
-            if f > 0.0:
-                flow[(u, v)] = f
+    if net.max_flow(source, sink) >= inst.demand.sum() - FEAS_TOL:
+        flow = np.zeros((n_left, n_right))
+        flow[us, vs] = net.cap[first + 1 :: 2]  # flow pushed equals reverse residual
         return TransportPlan(flow=flow)
 
-    reach = net.reachable(source)
-    right_set = frozenset(
-        v for v, d in demand.items() if d > 0.0 and ("R", v) not in reach
+    reach = net.bfs(source)
+    right = [v for v in range(n_right) if inst.demand[v] > 0.0 and reach[n_left + v] is None]
+    into = inst.capacity[:, right].sum(axis=1)
+    return HallViolator(
+        right_set=frozenset(right),
+        demand=float(inst.demand[right].sum()),
+        neighborhood_supply=float(np.minimum(inst.supply, into).sum()),
     )
-    t_demand = sum(demand[v] for v in right_set)
-    into: dict[Hashable, float] = {}
-    for u, v in inst.edges:
-        if v in right_set:
-            into[u] = into.get(u, 0.0) + inst.capacity.get((u, v), float("inf"))
-    n_supply = sum(min(inst.left_supply[u], c) for u, c in into.items())
-    return HallViolator(right_set=right_set, demand=t_demand, neighborhood_supply=n_supply)
 
 
-def conditional_columns(
-    plan: TransportPlan, supply: dict[Hashable, float]
-) -> dict[Hashable, dict[Hashable, float]]:
-    """Per-left-node conditional distributions over right nodes.
-
-    Each returned column is normalized to be exactly stochastic; weighting
-    the columns by the supplies reproduces the right demands within the
-    feasibility tolerance.
-    """
-    outflow: dict[Hashable, dict[Hashable, float]] = {}
-    for (u, v), f in plan.flow.items():
-        outflow.setdefault(u, {})[v] = f
-    columns: dict[Hashable, dict[Hashable, float]] = {}
-    for u, s in supply.items():
-        if s <= DROP_TOL:
-            raise ZeroSupplyNode(f"left node {u!r} has supply {s!r} <= 1e-12")
-        col = outflow.get(u)
-        if not col:
-            raise ZeroSupplyNode(f"left node {u!r} received no flow")
-        mass = sum(col.values())
-        columns[u] = {v: f / mass for v, f in col.items()}
-    return columns
+def conditional_columns(plan: TransportPlan) -> np.ndarray:
+    """Per left node, its conditional distribution over right nodes: the
+    flow with each row normalised to sum exactly to 1. Weighting the rows
+    by the supplies reproduces the right demands within FEAS_TOL."""
+    mass = plan.flow.sum(axis=1, keepdims=True)
+    empty = np.flatnonzero(mass[:, 0] <= 0.0)
+    if empty.size:
+        raise ZeroSupplyNode(f"left node {int(empty[0])} received no flow")
+    return plan.flow / mass

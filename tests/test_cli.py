@@ -76,6 +76,29 @@ def test_simulate_verify_roundtrip_and_tamper(workdir, capsys):
     assert run(["verify", "tampered.json"]) == 2
 
 
+def test_verify_ignores_tolerances_stored_in_the_certificate(workdir, capsys):
+    # a forged mixture with a loose stored residual tolerance and a stored
+    # residual that matches it: verify must hold it to its own threshold
+    from chansim.channels import mixture_matrix
+
+    run(["fixtures", "emit", "--dir", "."])
+    run(["simulate", "quantum", "--in", "depolarizing_qubit.json",
+         "--noise", "delta:1/2", "--out", "cert.json"])
+    capsys.readouterr()
+    forged = json.loads((workdir / "cert.json").read_text())
+    result = forged["result"]
+    terms = result["mixture"]["terms"]
+    terms[0]["weight"] -= 0.05
+    terms[1]["weight"] += 0.05
+    recon = mixture_matrix(jsonio.mixture_from_json(result["mixture"])).matrix
+    result["residual"] = float(np.max(np.abs(recon - np.array(result["target"]))))
+    assert result["residual"] > 1e-2
+    forged["tolerances"]["residual"] = 1.0
+    (workdir / "forged.json").write_text(json.dumps(forged))
+    assert run(["verify", "forged.json"]) == 2
+    assert run(["verify", "forged.json", "--in", "depolarizing_qubit.json"]) == 2
+
+
 def test_byte_identical_reruns(workdir, capsys):
     run(["fixtures", "emit", "--dir", "."])
     capsys.readouterr()

@@ -303,8 +303,8 @@ def test_class_values_match_prefix_sum_inequalities(rng):
             continue
         assert worst > 0
         recon = np.zeros(k)
-        for ms, w in weights.items():
-            slot_values = np.array([values[ms][i] for i in ms])
+        for c, (ms, w) in enumerate(sorted(weights.items())):
+            slot_values = values[c, list(ms)]
             assert majorized_by_permutohedron(slot_values, mu, 1e-9)
             np.add.at(recon, list(ms), w * slot_values)
         assert np.max(np.abs(recon - a)) <= 1e-9
@@ -454,6 +454,41 @@ def test_reduce_rows_octahedron_uniform():
 def test_reduce_rows_default_weights(rng):
     a = random_stochastic(rng, 4, 3) * 0.5 + 0.125
     result = reduce_rows(a)
+    assert result.residual <= 1e-8
+
+
+def test_reduce_rows_with_zero_weights(rng):
+    # A = sum_v p_v B(v) with some p_v = 0: only the rows of positive weight
+    # get a term, in row order, each zero on its row and column-stochastic
+    for _ in range(40):
+        k, l = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        p = rng.dirichlet(np.ones(k))
+        p[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+        p /= p.sum()
+        a = np.zeros((k, l))
+        for v in range(k):
+            b = random_stochastic(rng, k, l)
+            b[v] = 0.0
+            a += p[v] * b / b.sum(axis=0)
+        result = reduce_rows(a, p)
+        kept = np.flatnonzero(p > 1e-12)
+        assert [w for w, _ in result.terms] == list(p[kept])
+        for (_, b), v in zip(result.terms, kept):
+            assert np.all(b.matrix[v] == 0.0)
+            assert np.max(np.abs(b.matrix.sum(axis=0) - 1.0)) < 1e-9
+        recon = sum(w * b.matrix for w, b in result.terms)
+        assert np.max(np.abs(recon - a)) <= 1e-8
+
+
+def test_reduce_rows_dust_weight_without_flow():
+    # the weights exceed the column total by the dust weight itself, so the
+    # max flow may leave that row empty; it still gets a valid term
+    a = np.array([[0.4, 0.4], [0.3, 0.3], [0.3, 0.3]])
+    result = reduce_rows(a, np.array([0.5, 0.5, 5e-10]))
+    assert len(result.terms) == 3
+    w, b = result.terms[2]
+    assert w == 5e-10
+    assert np.array_equal(b.matrix, np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]]))
     assert result.residual <= 1e-8
 
 

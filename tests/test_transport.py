@@ -11,16 +11,28 @@ from chansim.transport import (
     conditional_columns,
     feasible_transport,
 )
-from chansim.errors import UnbalancedInstance, ZeroSupplyNode
+from chansim.errors import DimensionMismatch, NotFinite, UnbalancedInstance, ZeroSupplyNode
 
 
 def make_instance(supply, demand, edges, capacity=None):
+    """Index-array instance for label-keyed supplies, demands and edges:
+    left and right nodes are numbered in the order of the two dicts, and an
+    edge without a listed capacity is uncapped."""
+    lefts, rights = list(supply), list(demand)
+    cap = np.zeros((len(lefts), len(rights)))
+    for u, v in edges:
+        cap[lefts.index(u), rights.index(v)] = (capacity or {}).get((u, v), np.inf)
     return TransportInstance(
-        left_supply=dict(supply),
-        right_demand=dict(demand),
-        edges=frozenset(edges),
-        capacity=dict(capacity or {}),
+        supply=np.array(list(supply.values()), dtype=float),
+        demand=np.array(list(demand.values()), dtype=float),
+        capacity=cap,
     )
+
+
+def right_labels(violator, demand):
+    """The violator's right set as labels of ``demand``."""
+    rights = list(demand)
+    return frozenset(rights[v] for v in violator.right_set)
 
 
 def reachable_supply(supply, edges, capacity, subset):
@@ -71,16 +83,18 @@ def lp_feasible(supply, demand, edges, capacity=None):
 
 
 def check_plan(plan, supply, demand, edges, tol=1e-8, capacity=None):
-    assert all(e in edges for e in plan.flow)
-    assert all(f >= 0.0 for f in plan.flow.values())
-    for e, c in (capacity or {}).items():
-        assert plan.flow.get(e, 0.0) <= c + tol
-    left = plan.left_marginals()
-    right = plan.right_marginals()
-    for u, s in supply.items():
-        assert abs(left.get(u, 0.0) - s) < tol
-    for v, d in demand.items():
-        assert abs(right.get(v, 0.0) - d) < tol
+    lefts, rights = list(supply), list(demand)
+    flow = plan.flow
+    assert flow.shape == (len(lefts), len(rights))
+    assert np.all(flow >= 0.0)
+    on_edge = np.zeros(flow.shape, dtype=bool)
+    for u, v in edges:
+        on_edge[lefts.index(u), rights.index(v)] = True
+    assert np.all(flow[~on_edge] == 0.0)
+    for (u, v), c in (capacity or {}).items():
+        assert flow[lefts.index(u), rights.index(v)] <= c + tol
+    assert np.max(np.abs(flow.sum(axis=1) - list(supply.values()))) < tol
+    assert np.max(np.abs(flow.sum(axis=0) - list(demand.values()))) < tol
 
 
 def test_complete_graph_feasible():
@@ -98,16 +112,24 @@ def test_diagonal_violator():
     edges = {(1, 1), (2, 2)}
     result = feasible_transport(make_instance(supply, demand, edges))
     assert isinstance(result, HallViolator)
-    assert result.right_set == frozenset({2})
+    assert right_labels(result, demand) == frozenset({2})
     assert result.deficit > 1e-8
 
 
 def test_unbalanced_rejected():
     with pytest.raises(UnbalancedInstance):
         make_instance({0: 1.0}, {0: 0.5}, {(0, 0)})
-    for capacity in ({(0, 1): 0.5}, {(0, 0): -0.5}):
-        with pytest.raises(UnbalancedInstance):
-            make_instance({0: 1.0}, {0: 1.0}, {(0, 0)}, capacity)
+    with pytest.raises(UnbalancedInstance):
+        make_instance({0: 1.0}, {0: 1.0}, {(0, 0)}, {(0, 0): -0.5})
+
+
+def test_malformed_arrays_rejected():
+    with pytest.raises(DimensionMismatch):
+        TransportInstance(np.ones(2) / 2, np.ones(1), np.full((1, 2), np.inf))
+    with pytest.raises(NotFinite):
+        TransportInstance(np.ones(1), np.ones(1), np.full((1, 1), np.nan))
+    with pytest.raises(NotFinite):
+        TransportInstance(np.array([np.nan]), np.ones(1), np.ones((1, 1)))
 
 
 def test_conditional_single_left_node():
@@ -115,8 +137,8 @@ def test_conditional_single_left_node():
     demand = {"a": 0.25, "b": 0.75}
     edges = {(0, "a"), (0, "b")}
     plan = feasible_transport(make_instance(supply, demand, edges))
-    cols = conditional_columns(plan, supply)
-    assert cols[0] == pytest.approx({"a": 0.25, "b": 0.75})
+    cols = conditional_columns(plan)
+    assert cols[0] == pytest.approx([0.25, 0.75])
 
 
 def test_conditional_symmetric_uniform():
@@ -124,17 +146,16 @@ def test_conditional_symmetric_uniform():
     demand = {0: 0.5, 1: 0.5}
     edges = set(product(supply, demand))
     plan = feasible_transport(make_instance(supply, demand, edges))
-    cols = conditional_columns(plan, supply)
-    recon = {v: sum(supply[u] * cols[u].get(v, 0.0) for u in supply) for v in demand}
-    assert recon == pytest.approx(demand)
+    cols = conditional_columns(plan)
+    assert np.array(list(supply.values())) @ cols == pytest.approx(list(demand.values()))
 
 
 def test_conditional_zero_supply_rejected():
-    supply = {0: 1.0}
+    supply = {0: 1.0, 1: 0.0}
     demand = {"a": 1.0}
     plan = feasible_transport(make_instance(supply, demand, {(0, "a")}))
     with pytest.raises(ZeroSupplyNode):
-        conditional_columns(plan, {0: 1.0, 1: 0.0})
+        conditional_columns(plan)
 
 
 def test_random_instances_match_hall_oracle(rng):
@@ -167,8 +188,9 @@ def test_random_instances_match_hall_oracle(rng):
         else:
             assert not oracle
             assert result.deficit > 1e-8
-            recomputed = sum(demand[v] for v in result.right_set) - reachable_supply(
-                supply, edges, capacity, result.right_set
+            right_set = right_labels(result, demand)
+            recomputed = sum(demand[v] for v in right_set) - reachable_supply(
+                supply, edges, capacity, right_set
             )
             assert recomputed == pytest.approx(result.deficit)
 
@@ -206,7 +228,6 @@ def test_reconstruction_residual(rng):
         demand = {j: float(w) for j, w in enumerate(rng.dirichlet(np.ones(nr)))}
         edges = set(product(range(nl), range(nr)))
         plan = feasible_transport(make_instance(supply, demand, edges))
-        cols = conditional_columns(plan, supply)
-        for v, d in demand.items():
-            recon = sum(supply[u] * cols[u].get(v, 0.0) for u in supply)
-            assert abs(recon - d) < 1e-8
+        cols = conditional_columns(plan)
+        recon = np.array(list(supply.values())) @ cols
+        assert np.max(np.abs(recon - list(demand.values()))) < 1e-8
