@@ -72,10 +72,6 @@ def _emit(args, cert: dict) -> None:
         sys.stdout.write(text)
 
 
-def _tolerances(args) -> dict:
-    return {"tol": args.tol, "residual": RESIDUAL_TOL, "cap": args.cap}
-
-
 # -- simulate -----------------------------------------------------------------
 
 
@@ -87,7 +83,7 @@ def cmd_simulate_quantum(args) -> int:
         result = simulate.simulate_quantum_noiseless(povm, states, tol=args.tol, cap=args.cap)
     else:
         result = simulate.simulate_quantum_noisy(povm, states, spec, tol=args.tol, cap=args.cap)
-    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result), _tolerances(args))
+    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
     _emit(args, cert)
     return 0
 
@@ -97,7 +93,7 @@ def cmd_simulate_ball(args) -> int:
     effects, states = ball_instance_from_json(payload)
     delta = rational_from_json(args.delta)
     result = simulate.simulate_ball(effects, states, delta=delta, tol=args.tol, cap=args.cap)
-    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result), _tolerances(args))
+    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
     _emit(args, cert)
     return 0
 
@@ -107,9 +103,7 @@ def cmd_simulate_reduce(args) -> int:
     matrix = real_matrix_from_json(payload["matrix"])
     weights = np.array(json.loads(args.p), dtype=float) if args.p else None
     result = simulate.reduce_rows(matrix, weights, tol=args.tol)
-    cert = certificate(
-        args.command_echo, payload, jsonio.row_reduction_to_json(result), _tolerances(args)
-    )
+    cert = certificate(args.command_echo, payload, jsonio.row_reduction_to_json(result))
     _emit(args, cert)
     return 0
 
@@ -123,14 +117,10 @@ def cmd_simulate_noisy_to_noiseless(args) -> int:
     spec = parse_noise(args.noise)
     result = simulate.simulate_noisy_by_noiseless(spec, target, args.d, tol=args.tol)
     if isinstance(result, BinomialWitness):
-        cert = certificate(
-            args.command_echo, payload, jsonio.binomial_witness_to_json(result), _tolerances(args)
-        )
+        cert = certificate(args.command_echo, payload, jsonio.binomial_witness_to_json(result))
         _emit(args, cert)
         return 2
-    cert = certificate(
-        args.command_echo, payload, jsonio.simulation_to_json(result), _tolerances(args)
-    )
+    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
     _emit(args, cert)
     return 0
 
@@ -143,21 +133,21 @@ def cmd_certify_storability(args) -> int:
     mats = [real_matrix_from_json(m) for m in payload.get("matrices", [payload.get("matrix")])]
     value = certify.storability(mats)
     result = {"type": "scalar", "name": "storability", "value": float(value)}
-    _emit(args, certificate(args.command_echo, payload, result, _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, result))
     return 0
 
 
 def cmd_certify_subset(args) -> int:
     payload = _load_json(args.infile)
     report = certify.subset_witness(real_matrix_from_json(payload["matrix"]), r=args.r, d=args.d)
-    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report), _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report)))
     return 0 if report.passed else 2
 
 
 def cmd_certify_pairwise(args) -> int:
     payload = _load_json(args.infile)
     report = certify.pairwise_witness(real_matrix_from_json(payload["matrix"]), d=args.d)
-    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report), _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report)))
     return 0 if report.passed else 2
 
 
@@ -166,7 +156,7 @@ def cmd_certify_asymmetry(args) -> int:
     poly = polytope_from_json(payload)
     m = certify.minkowski_asymmetry(poly)
     result = {"type": "asymmetry", "m": float(m), "infstor": float(m) + 1.0}
-    _emit(args, certificate(args.command_echo, payload, result, _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, result))
     return 0
 
 
@@ -180,7 +170,7 @@ def cmd_certify_signalling(args) -> int:
         "delta": jsonio.rational_to_json(delta),
         "value": int(value),
     }
-    _emit(args, certificate(args.command_echo, payload, result, _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, result))
     return 0
 
 
@@ -194,7 +184,7 @@ def cmd_certify_replacer(args) -> int:
         "delta": jsonio.rational_to_json(delta),
         "spectrum": None if spectrum is None else [float(x) for x in spectrum],
     }
-    _emit(args, certificate(args.command_echo, payload, jsonio.replacer_to_json(bounds), _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, jsonio.replacer_to_json(bounds)))
     return 0
 
 
@@ -208,7 +198,7 @@ def cmd_certify_holevo(args) -> int:
         povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
         info = certify.mutual_information(born_matrix(povm, states), weights)
         result["info"] = float(info)
-    _emit(args, certificate(args.command_echo, payload, result, _tolerances(args)))
+    _emit(args, certificate(args.command_echo, payload, result))
     return 0
 
 

@@ -305,11 +305,10 @@ def replacer_to_json(b: ReplacerBounds) -> dict:
     }
 
 
-def certificate(command: list[str], input_payload, result_payload, tolerances: dict) -> dict:
+def certificate(command: list[str], input_payload, result_payload) -> dict:
     return {
         "version": CERT_VERSION,
         "command": list(command),
         "input_digest": digest(input_payload),
-        "tolerances": tolerances,
         "result": result_payload,
     }

@@ -342,12 +342,17 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
             raise PreconditionViolated("some weight exceeds its row slack 1 - max_j a_ij")
 
     # transposed transport: each kept row v sends its weight p_v to the
-    # other rows u, output u taking a_uj; B(v)'s column j is v's flow
+    # other rows u, output u taking a_uj; B(v)'s column j is v's flow. The
+    # weights and the column are each stochastic only within tolerance, so
+    # supplies that do not balance the column are scaled to its total
     kept = np.flatnonzero(weights > 1e-12)
     capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
     columns = np.empty((len(kept), k, l))
     for j in range(l):
-        result = feasible_transport(TransportInstance(weights[kept], a[:, j], capacity))
+        supply, total = weights[kept], a[:, j].sum()
+        if abs(supply.sum() - total) > BALANCE_TOL:
+            supply = supply * (total / supply.sum())
+        result = feasible_transport(TransportInstance(supply, a[:, j], capacity))
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
                 f"column {j}: row reduction transport infeasible by {result.deficit:.3e}",

@@ -3,10 +3,15 @@
 A transport instance routes probability mass from L left nodes (supplies)
 to R right nodes (demands) through an (L, R) capacity matrix: an entry of 0
 means no edge, ``inf`` an uncapped edge, and any other value the most that
-edge carries. Feasibility is decided by max-flow with BFS augmenting paths
-on a network whose nodes are numbered 0..L+R+1; the min cut turns directly
-into a Hall-type violator: a right-node set whose demand exceeds what the
-left side can send into it.
+edge carries. Feasibility is decided by Dinic's max-flow on a network
+whose nodes are numbered 0..L+R+1 (source -> left -> right -> sink). Each
+phase is one BFS that levels the residual graph and one blocking flow along
+level-increasing edges; a shortest augmenting path visits each left and
+right node at most once, so its length grows with every phase and there are
+at most min(L, R) phases before the final BFS finds the sink unreachable.
+The nodes that final BFS reaches are the source side of the min cut, which
+turns directly into a Hall-type violator: a right-node set whose demand
+exceeds what the left side can send into it.
 """
 
 from __future__ import annotations
@@ -105,40 +110,67 @@ class _FlowNetwork:
         self.to.append(u)
         self.cap.append(0.0)
 
-    def bfs(self, s: int, stop: int = -1) -> list:
-        """Per node, the edge id by which BFS over residual capacity first
-        reached it from s: -1 for s, None if unreached. Stops at ``stop``."""
-        prev: list = [None] * len(self.adj)
-        prev[s] = -1
+    def levels(self, s: int) -> list[int]:
+        """Per node, its BFS distance from s over edges with residual
+        capacity above RESIDUAL_EPS; -1 for nodes not reached."""
+        level = [-1] * len(self.adj)
+        level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            if u == stop:
-                break
             for eid in self.adj[u]:
                 v = self.to[eid]
-                if prev[v] is None and self.cap[eid] > RESIDUAL_EPS:
-                    prev[v] = eid
+                if level[v] < 0 and self.cap[eid] > RESIDUAL_EPS:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        return prev
+        return level
 
-    def max_flow(self, s: int, t: int) -> float:
+    def max_flow(self, s: int, t: int) -> tuple[float, list[int]]:
+        """Dinic's algorithm: the flow value, and the levels of the final
+        phase, whose reached nodes (level >= 0) are the source side of a
+        minimum cut. Every s-t path must have finite capacity."""
         total = 0.0
         while True:
-            prev = self.bfs(s, t)
-            if prev[t] is None:
+            level = self.levels(s)
+            if level[t] < 0:
+                return total, level
+            total += self._blocking_flow(s, t, level)
+
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> float:
+        """Augment along level-increasing paths until none is left. The DFS
+        is iterative: ``path`` holds the edge ids from s to the current node
+        and ``ptr[u]`` the first edge of u not yet found to be dead."""
+        adj, to, cap = self.adj, self.to, self.cap
+        ptr = [0] * len(adj)
+        path: list[int] = []
+        total = 0.0
+        u = s
+        while True:
+            if u == t:
+                push = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= push
+                    cap[eid ^ 1] += push
+                total += push
+                # the bottleneck is now exactly 0: resume at its tail
+                first = next(i for i, eid in enumerate(path) if cap[eid] <= RESIDUAL_EPS)
+                u = to[path[first] ^ 1]
+                del path[first:]
+                continue
+            edges, i, deeper = adj[u], ptr[u], level[u] + 1
+            while i < len(edges) and not (
+                cap[edges[i]] > RESIDUAL_EPS and level[to[edges[i]]] == deeper
+            ):
+                i += 1
+            ptr[u] = i
+            if i < len(edges):
+                path.append(edges[i])
+                u = to[edges[i]]
+            elif u == s:
                 return total
-            path = []
-            v = t
-            while v != s:
-                eid = prev[v]
-                path.append(eid)
-                v = self.to[eid ^ 1]
-            push = min(self.cap[eid] for eid in path)
-            for eid in path:
-                self.cap[eid] -= push
-                self.cap[eid ^ 1] += push
-            total += push
+            else:  # dead end: step back and skip the edge that led here
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
 
 
 def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
@@ -163,13 +195,13 @@ def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
     for u, v, c in zip(us.tolist(), vs.tolist(), inst.capacity[us, vs].tolist()):
         net.add_edge(u, n_left + v, c)
 
-    if net.max_flow(source, sink) >= inst.demand.sum() - FEAS_TOL:
+    value, level = net.max_flow(source, sink)
+    if value >= inst.demand.sum() - FEAS_TOL:
         flow = np.zeros((n_left, n_right))
         flow[us, vs] = net.cap[first + 1 :: 2]  # flow pushed equals reverse residual
         return TransportPlan(flow=flow)
 
-    reach = net.bfs(source)
-    right = [v for v in range(n_right) if inst.demand[v] > 0.0 and reach[n_left + v] is None]
+    right = [v for v in range(n_right) if inst.demand[v] > 0.0 and level[n_left + v] < 0]
     into = inst.capacity[:, right].sum(axis=1)
     return HallViolator(
         right_set=frozenset(right),

@@ -85,6 +85,13 @@ def test_verify_ignores_tolerances_stored_in_the_certificate(workdir, capsys):
     run(["simulate", "quantum", "--in", "depolarizing_qubit.json",
          "--noise", "delta:1/2", "--out", "cert.json"])
     capsys.readouterr()
+    # certificates no longer record tolerances; an old-format certificate
+    # that carries the block still verifies
+    old = json.loads((workdir / "cert.json").read_text())
+    assert "tolerances" not in old
+    old["tolerances"] = {"tol": 1e-9, "residual": 1e-8, "cap": 1000000}
+    (workdir / "old.json").write_text(json.dumps(old))
+    assert run(["verify", "old.json", "--in", "depolarizing_qubit.json"]) == 0
     forged = json.loads((workdir / "cert.json").read_text())
     result = forged["result"]
     terms = result["mixture"]["terms"]
@@ -93,7 +100,8 @@ def test_verify_ignores_tolerances_stored_in_the_certificate(workdir, capsys):
     recon = mixture_matrix(jsonio.mixture_from_json(result["mixture"])).matrix
     result["residual"] = float(np.max(np.abs(recon - np.array(result["target"]))))
     assert result["residual"] > 1e-2
-    forged["tolerances"]["residual"] = 1.0
+    # an old-format block that claims a loose residual threshold
+    forged["tolerances"] = {"tol": 1e-9, "residual": 1.0, "cap": 1000000}
     (workdir / "forged.json").write_text(json.dumps(forged))
     assert run(["verify", "forged.json"]) == 2
     assert run(["verify", "forged.json", "--in", "depolarizing_qubit.json"]) == 2

@@ -492,6 +492,17 @@ def test_reduce_rows_dust_weight_without_flow():
     assert result.residual <= 1e-8
 
 
+def test_reduce_rows_weights_and_column_each_within_tolerance():
+    # the weights sum to 1 + 9e-10 and column 0 to 1 - 9e-10: each is within
+    # its own tolerance, although their totals differ by more than 1e-9
+    a = np.array([[0.3, 0.3], [0.3, 0.3], [0.4 - 9e-10, 0.4]])
+    result = reduce_rows(a, np.array([0.4, 0.3, 0.3 + 9e-10]))
+    assert result.residual <= 1e-8
+    for (_, b), v in zip(result.terms, range(3)):
+        assert np.all(b.matrix[v] == 0.0)
+        assert np.max(np.abs(b.matrix.sum(axis=0) - 1.0)) < 1e-9
+
+
 def test_reduce_rows_identity_rejected():
     with pytest.raises(PreconditionViolated):
         reduce_rows(np.eye(3))

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.optimize
 
 from chansim.transport import (
     HallViolator,
+    _FlowNetwork,
     TransportInstance,
     TransportPlan,
     conditional_columns,
@@ -158,27 +160,45 @@ def test_conditional_zero_supply_rejected():
         conditional_columns(plan)
 
 
-def test_random_instances_match_hall_oracle(rng):
-    for trial in range(200):
-        nl = int(rng.integers(1, 7))
-        nr = int(rng.integers(1, 7))
+def test_random_instances_match_hall_oracle(rng, monkeypatch):
+    # every solve takes at most min(L, R) + 1 BFS levelings: one per Dinic
+    # phase and the last, which finds the sink unreachable
+    calls = []
+    levels = _FlowNetwork.levels
+
+    def counted(net, s):
+        calls.append(s)
+        return levels(net, s)
+
+    monkeypatch.setattr(_FlowNetwork, "levels", counted)
+    for trial in range(260):
+        if trial < 200:
+            nl = int(rng.integers(1, 7))
+            nr = int(rng.integers(1, 7))
+            # every other trial caps about half of a denser edge set, so that
+            # the caps decide feasibility in about a third of those trials
+            capped = trial % 2 == 1
+            edges = {
+                (i, j)
+                for i in range(nl)
+                for j in range(nr)
+                if rng.random() < (0.9 if capped else 0.55)
+            }
+        else:
+            # the complete k x k graph without its diagonal, as in reduce_rows
+            nl = nr = int(rng.integers(2, 8))
+            capped = False
+            edges = {(i, j) for i in range(nl) for j in range(nr) if i != j}
         supply = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(nl)))}
         demand = {j: float(w) for j, w in enumerate(rng.dirichlet(np.ones(nr)))}
-        # every other trial caps about half of a denser edge set, so that
-        # the caps decide feasibility in about a third of those trials
-        capped = trial % 2 == 1
-        edges = {
-            (i, j)
-            for i in range(nl)
-            for j in range(nr)
-            if rng.random() < (0.9 if capped else 0.55)
-        }
         capacity = {}
         if capped:
             capacity = {
                 e: float(rng.uniform(0.0, 0.5)) for e in sorted(edges) if rng.random() < 0.5
             }
+        calls.clear()
         result = feasible_transport(make_instance(supply, demand, edges, capacity))
+        assert len(calls) <= min(nl, nr) + 1
         oracle = hall_feasible(supply, demand, edges, capacity)
         if trial % 5 < 2:
             assert oracle == lp_feasible(supply, demand, edges, capacity)
@@ -193,6 +213,21 @@ def test_random_instances_match_hall_oracle(rng):
                 supply, edges, capacity, right_set
             )
             assert recomputed == pytest.approx(result.deficit)
+
+
+def test_chain_longer_than_the_recursion_limit(rng):
+    # the blocking-flow DFS is iterative, so path length is not bounded by
+    # the interpreter's stack; the min cut is the chain's smallest edge
+    size = sys.getrecursionlimit() + 10
+    caps = rng.uniform(0.5, 2.0, size - 1)
+    net = _FlowNetwork(size)
+    for u, c in enumerate(caps.tolist()):
+        net.add_edge(u, u + 1, c)
+    value, level = net.max_flow(0, size - 1)
+    assert value == caps.min()
+    cut = int(np.argmin(caps))
+    assert all(x >= 0 for x in level[: cut + 1])
+    assert all(x == -1 for x in level[cut + 1 :])
 
 
 def test_outcome_tuple_structure_always_feasible(rng):
