@@ -1,5 +1,14 @@
 """JSON-in/JSON-out command line front end.
 
+One table, ``COMMANDS``, describes every command: its group, name, help,
+options and handler. ``build_parser`` turns the table into the argparse
+tree once per process. Each ``simulate`` and ``certify`` handler maps
+``(args, input payload)`` to ``(input payload, result payload)``, and one
+driver, ``_certify``, does the rest: it loads ``--in``, writes the
+certificate and derives the exit code. ``verify`` looks the certificate's
+result type up in ``VERIFIERS``: a check from the file alone, and an
+optional rerun against the ``--in`` input.
+
 Exit codes: 0 for success or a passing check, 2 for a mathematically
 meaningful negative result (a violated witness, a simulation ruled out, a
 failed verification), 1 for input or numerical errors.
@@ -8,7 +17,9 @@ failed verification), 1 for input or numerical errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -36,7 +47,6 @@ from .jsonio import (
     quantum_instance_from_json,
     rational_from_json,
     real_matrix_from_json,
-    real_matrix_to_json,
     write_atomic,
 )
 from .linalg import born_matrix
@@ -72,44 +82,42 @@ def _emit(args, cert: dict) -> None:
         sys.stdout.write(text)
 
 
+def _certify(handler, args) -> int:
+    """The driver of every ``simulate`` and ``certify`` command."""
+    payload = _load_json(args.infile) if getattr(args, "infile", None) else None
+    payload, result = handler(args, payload)
+    _emit(args, certificate(args.command_echo, payload, result))
+    return 2 if result["type"] == "binomial_witness" or result.get("passed") is False else 0
+
+
 # -- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate_quantum(args) -> int:
-    payload = _load_json(args.infile)
+def _simulate_quantum(args, payload):
     povm, states = quantum_instance_from_json(payload)
     spec = parse_noise(args.noise)
     if isinstance(spec, Noiseless):
         result = simulate.simulate_quantum_noiseless(povm, states, tol=args.tol, cap=args.cap)
     else:
         result = simulate.simulate_quantum_noisy(povm, states, spec, tol=args.tol, cap=args.cap)
-    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
-    _emit(args, cert)
-    return 0
+    return payload, jsonio.simulation_to_json(result)
 
 
-def cmd_simulate_ball(args) -> int:
-    payload = _load_json(args.infile)
+def _simulate_ball(args, payload):
     effects, states = ball_instance_from_json(payload)
     delta = rational_from_json(args.delta)
     result = simulate.simulate_ball(effects, states, delta=delta, tol=args.tol, cap=args.cap)
-    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
-    _emit(args, cert)
-    return 0
+    return payload, jsonio.simulation_to_json(result)
 
 
-def cmd_simulate_reduce(args) -> int:
-    payload = _load_json(args.infile)
+def _simulate_reduce(args, payload):
     matrix = real_matrix_from_json(payload["matrix"])
     weights = np.array(json.loads(args.p), dtype=float) if args.p else None
     result = simulate.reduce_rows(matrix, weights, tol=args.tol)
-    cert = certificate(args.command_echo, payload, jsonio.row_reduction_to_json(result))
-    _emit(args, cert)
-    return 0
+    return payload, jsonio.row_reduction_to_json(result)
 
 
-def cmd_simulate_noisy_to_noiseless(args) -> int:
-    payload = _load_json(args.infile)
+def _simulate_noisy_to_noiseless(args, payload):
     if "protocol" in payload:
         target = jsonio.protocol_from_json(payload["protocol"])
     else:
@@ -117,64 +125,42 @@ def cmd_simulate_noisy_to_noiseless(args) -> int:
     spec = parse_noise(args.noise)
     result = simulate.simulate_noisy_by_noiseless(spec, target, args.d, tol=args.tol)
     if isinstance(result, BinomialWitness):
-        cert = certificate(args.command_echo, payload, jsonio.binomial_witness_to_json(result))
-        _emit(args, cert)
-        return 2
-    cert = certificate(args.command_echo, payload, jsonio.simulation_to_json(result))
-    _emit(args, cert)
-    return 0
+        return payload, jsonio.binomial_witness_to_json(result)
+    return payload, jsonio.simulation_to_json(result)
 
 
 # -- certify ------------------------------------------------------------------
 
 
-def cmd_certify_storability(args) -> int:
-    payload = _load_json(args.infile)
+def _certify_storability(args, payload):
     mats = [real_matrix_from_json(m) for m in payload.get("matrices", [payload.get("matrix")])]
     value = certify.storability(mats)
-    result = {"type": "scalar", "name": "storability", "value": float(value)}
-    _emit(args, certificate(args.command_echo, payload, result))
-    return 0
+    return payload, {"type": "scalar", "name": "storability", "value": float(value)}
 
 
-def cmd_certify_subset(args) -> int:
-    payload = _load_json(args.infile)
+def _certify_subset(args, payload):
     report = certify.subset_witness(real_matrix_from_json(payload["matrix"]), r=args.r, d=args.d)
-    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report)))
-    return 0 if report.passed else 2
+    return payload, jsonio.witness_to_json(report)
 
 
-def cmd_certify_pairwise(args) -> int:
-    payload = _load_json(args.infile)
+def _certify_pairwise(args, payload):
     report = certify.pairwise_witness(real_matrix_from_json(payload["matrix"]), d=args.d)
-    _emit(args, certificate(args.command_echo, payload, jsonio.witness_to_json(report)))
-    return 0 if report.passed else 2
+    return payload, jsonio.witness_to_json(report)
 
 
-def cmd_certify_asymmetry(args) -> int:
-    payload = _load_json(args.infile)
-    poly = polytope_from_json(payload)
-    m = certify.minkowski_asymmetry(poly)
-    result = {"type": "asymmetry", "m": float(m), "infstor": float(m) + 1.0}
-    _emit(args, certificate(args.command_echo, payload, result))
-    return 0
+def _certify_asymmetry(args, payload):
+    m = certify.minkowski_asymmetry(polytope_from_json(payload))
+    return payload, {"type": "asymmetry", "m": float(m), "infstor": float(m) + 1.0}
 
 
-def cmd_certify_signalling(args) -> int:
+def _certify_signalling(args, payload):
     delta = rational_from_json(args.delta)
     value = certify.noisy_signalling_dimension(args.n, delta)
     payload = {"n": args.n, "delta": jsonio.rational_to_json(delta)}
-    result = {
-        "type": "signalling_dimension",
-        "n": args.n,
-        "delta": jsonio.rational_to_json(delta),
-        "value": int(value),
-    }
-    _emit(args, certificate(args.command_echo, payload, result))
-    return 0
+    return payload, {"type": "signalling_dimension", **payload, "value": int(value)}
 
 
-def cmd_certify_replacer(args) -> int:
+def _certify_replacer(args, payload):
     delta = rational_from_json(args.delta)
     spectrum = np.array(json.loads(args.spectrum), dtype=float) if args.spectrum else None
     bounds = certify.replacer_bounds(args.m, delta, spectrum=spectrum, n=args.n)
@@ -184,22 +170,17 @@ def cmd_certify_replacer(args) -> int:
         "delta": jsonio.rational_to_json(delta),
         "spectrum": None if spectrum is None else [float(x) for x in spectrum],
     }
-    _emit(args, certificate(args.command_echo, payload, jsonio.replacer_to_json(bounds)))
-    return 0
+    return payload, jsonio.replacer_to_json(bounds)
 
 
-def cmd_certify_holevo(args) -> int:
-    payload = _load_json(args.infile)
+def _certify_holevo(args, payload):
     states = [jsonio.complex_matrix_from_json(s) for s in payload["states"]]
     weights = np.array(payload["weights"], dtype=float)
-    chi = certify.holevo_chi(states, weights)
-    result = {"type": "holevo", "chi": float(chi), "info": None}
+    result = {"type": "holevo", "chi": float(certify.holevo_chi(states, weights)), "info": None}
     if "povm" in payload:
         povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
-        info = certify.mutual_information(born_matrix(povm, states), weights)
-        result["info"] = float(info)
-    _emit(args, certificate(args.command_echo, payload, result))
-    return 0
+        result["info"] = float(certify.mutual_information(born_matrix(povm, states), weights))
+    return payload, result
 
 
 # -- verify -------------------------------------------------------------------
@@ -214,6 +195,8 @@ def _verify_simulation(result: dict) -> list[str]:
         recon = mixture_matrix(mixture).matrix
     except (ChanSimError, ValueError) as exc:
         return [f"mixture invalid: {exc}"]
+    if recon.shape != target.shape:
+        return [f"mixture gives a {recon.shape} matrix, the target is {target.shape}"]
     residual = float(np.max(np.abs(recon - target)))
     if residual > RESIDUAL_TOL:
         problems.append(f"recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
@@ -223,23 +206,31 @@ def _verify_simulation(result: dict) -> list[str]:
 
 
 def _verify_row_reduction(result: dict) -> list[str]:
-    problems = []
     target = real_matrix_from_json(result["target"])
+    terms, zero_rows = result["terms"], result["zero_rows"]
+    if len(zero_rows) != len(terms):
+        return [f"{len(zero_rows)} zero rows for {len(terms)} terms"]
+    problems = []
     total = np.zeros_like(target)
     weight_sum = 0.0
-    for term, zero_row in zip(result["terms"], result["zero_rows"]):
+    for term, zero_row in zip(terms, zero_rows):
         b = real_matrix_from_json(term["matrix"])
         w = float(term["weight"])
         weight_sum += w
         total += w * b
-        if np.max(np.abs(b[int(zero_row), :])) > 1e-9:
+        if not (isinstance(zero_row, int) and 0 <= zero_row < b.shape[0]):
+            problems.append(f"claimed zero row {zero_row!r} is not a row index")
+        elif np.max(np.abs(b[zero_row, :])) > 1e-9:
             problems.append(f"claimed zero row {zero_row} is nonzero")
         if np.max(np.abs(b.sum(axis=0) - 1.0)) > 1e-8:
             problems.append("component is not column-stochastic")
     if abs(weight_sum - 1.0) > 1e-9:
         problems.append(f"weights sum to {weight_sum!r}")
-    if np.max(np.abs(total - target)) > RESIDUAL_TOL:
+    residual = float(np.max(np.abs(total - target)))
+    if residual > RESIDUAL_TOL:
         problems.append("components do not recompose to the target")
+    if abs(residual - float(result["residual"])) > 1e-6:
+        problems.append("stored residual does not match recomputation")
     return problems
 
 
@@ -284,15 +275,6 @@ def _verify_witness(result: dict) -> list[str]:
     return []
 
 
-def _verify_signalling(result: dict) -> list[str]:
-    """Recompute the signalling dimension from the stored n and delta."""
-    delta = rational_from_json(result["delta"])
-    value = certify.noisy_signalling_dimension(int(result["n"]), delta)
-    if int(result["value"]) != value:
-        return [f"signalling dimension is {value}, not {result['value']}"]
-    return []
-
-
 def _witness_input_problems(result: dict, payload: dict) -> list[str]:
     """Rerun the witness on the input matrix with the stored parameters;
     value, bound, parameters and verdict must come out as stored."""
@@ -300,8 +282,10 @@ def _witness_input_problems(result: dict, payload: dict) -> list[str]:
     matrix = real_matrix_from_json(payload["matrix"])
     if result["kind"] == "subset":
         report = certify.subset_witness(matrix, r=int(params["r"]), d=int(params["d"]))
-    else:
+    elif result["kind"] == "pairwise":
         report = certify.pairwise_witness(matrix, d=int(params["d"]))
+    else:
+        return []
     if (
         abs(report.value - float(result["value"])) > 1e-9
         or report.bound != float(result["bound"])
@@ -312,41 +296,78 @@ def _witness_input_problems(result: dict, payload: dict) -> list[str]:
     return []
 
 
+def _verify_binomial_witness(result: dict) -> list[str]:
+    violated = float(result["prefix_sum"]) < float(result["bound"]) - 1e-9
+    return [] if violated else ["witness prefix sum does not violate the bound"]
+
+
+def _verify_asymmetry(result: dict) -> list[str]:
+    consistent = abs(float(result["infstor"]) - float(result["m"]) - 1.0) <= 1e-9
+    return [] if consistent else ["infstor is not m + 1"]
+
+
+def _verify_holevo(result: dict) -> list[str]:
+    info = result.get("info")
+    if info is not None and float(info) > float(result["chi"]) + 1e-9:
+        return ["mutual information exceeds the Holevo quantity"]
+    return []
+
+
+def _verify_signalling(result: dict) -> list[str]:
+    """Recompute the signalling dimension from the stored n and delta."""
+    delta = rational_from_json(result["delta"])
+    value = certify.noisy_signalling_dimension(int(result["n"]), delta)
+    if int(result["value"]) != value:
+        return [f"signalling dimension is {value}, not {result['value']}"]
+    return []
+
+
+def _rerun(handler):
+    """An input check for a closed-form result: rerun ``handler``, which
+    reads no options, on the input; every number must match within 1e-9."""
+
+    def check(result: dict, payload: dict) -> list[str]:
+        _, fresh = handler(None, payload)
+        for key, value in fresh.items():
+            stored = result.get(key)
+            if value is None or isinstance(value, str):
+                same = stored == value
+            else:
+                same = isinstance(stored, (int, float)) and abs(stored - value) <= 1e-9
+            if not same:
+                return [f"{key} is {value!r} on the input, not {stored!r}"]
+        return []
+
+    return check
+
+
+# result type -> (check from the certificate alone, check against --in or None)
+VERIFIERS = {
+    "simulation": (_verify_simulation, _input_problems),
+    "row_reduction": (_verify_row_reduction, _input_problems),
+    "witness": (_verify_witness, _witness_input_problems),
+    "binomial_witness": (_verify_binomial_witness, None),
+    "asymmetry": (_verify_asymmetry, None),
+    "holevo": (_verify_holevo, _rerun(_certify_holevo)),
+    "signalling_dimension": (_verify_signalling, None),
+    "scalar": (lambda result: [], _rerun(_certify_storability)),
+    "replacer_bounds": (lambda result: [], None),
+}
+
+
 def cmd_verify(args) -> int:
     cert = _load_json(args.certfile)
-    problems: list[str] = []
     if cert.get("version") != CERT_VERSION:
-        problems.append(f"unknown certificate version {cert.get('version')!r}")
+        problems = [f"unknown certificate version {cert.get('version')!r}"]
     else:
         result = cert["result"]
         kind = result.get("type")
         payload = _load_json(args.infile) if args.infile else None
-        if kind == "simulation":
-            problems += _verify_simulation(result)
-        elif kind == "row_reduction":
-            problems += _verify_row_reduction(result)
-        elif kind == "witness":
-            problems += _verify_witness(result)
-        elif kind == "binomial_witness":
-            if float(result["prefix_sum"]) >= float(result["bound"]) - 1e-9:
-                problems.append("witness prefix sum does not violate the bound")
-        elif kind == "asymmetry":
-            if abs(float(result["infstor"]) - float(result["m"]) - 1.0) > 1e-9:
-                problems.append("infstor is not m + 1")
-        elif kind == "holevo":
-            if result.get("info") is not None and float(result["info"]) > float(result["chi"]) + 1e-9:
-                problems.append("mutual information exceeds the Holevo quantity")
-        elif kind == "signalling_dimension":
-            problems += _verify_signalling(result)
-        elif kind in ("scalar", "replacer_bounds"):
-            pass
-        else:
-            problems.append(f"unknown result type {kind!r}")
+        check, check_input = VERIFIERS.get(kind, (None, None))
+        problems = check(result) if check else [f"unknown result type {kind!r}"]
         if payload is not None:
-            if kind in ("simulation", "row_reduction"):
-                problems += _input_problems(result, payload)
-            if kind == "witness" and result["kind"] in ("subset", "pairwise"):
-                problems += _witness_input_problems(result, payload)
+            if check_input:
+                problems += check_input(result, payload)
             if jsonio.digest(payload) != cert.get("input_digest"):
                 problems.append("input digest mismatch")
     if problems:
@@ -394,8 +415,6 @@ def _depolarizing_qubit_payload() -> dict:
 
 
 def cmd_fixtures_emit(args) -> int:
-    import os
-
     os.makedirs(args.dir, exist_ok=True)
     files = {
         "octahedron_matrix.json": {"matrix": OCTAHEDRON_MATRIX},
@@ -409,158 +428,114 @@ def cmd_fixtures_emit(args) -> int:
     return 0
 
 
-# -- parser -------------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=10**6,
-        help="cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
+IN = ("--in", {"dest": "infile", "required": True})
+COMMON = (
+    ("--tol", {"type": float, "default": 1e-9, "help": "validation tolerance"}),
+    ("--cap", {
+        "type": int,
+        "default": 10**6,
+        "help": "cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
         "then takes at most cap * 2^n determinants",
-    )
-    parser.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
-    if with_out:
-        parser.add_argument("--out", help="write the certificate here (default: stdout)")
+    }),
+    ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"}),
+)
+OUT = ("--out", {"help": "write the certificate here (default: stdout)"})
+
+GROUPS = {
+    "simulate": "construct simulation certificates",
+    "certify": "witnesses, bounds, and diagnostics",
+    "fixtures": "fixture files",
+}
+
+# (group, name, help, options, handler); a row without a name is a top-level
+# command. Every simulate and certify row runs through ``_certify``.
+COMMANDS = (
+    ("simulate", "quantum", "simulate a (noisy) quantum channel classically",
+     [IN, ("--noise", {"default": "noiseless"})], _simulate_quantum),
+    ("simulate", "ball", "simulate a delta-noisy ball channel",
+     [IN, ("--delta", {"default": "0"})], _simulate_ball),
+    ("simulate", "reduce", "row-reduction decomposition of a matrix",
+     [IN, ("--p", {"help": "JSON list of row weights"})], _simulate_reduce),
+    ("simulate", "noisy-to-noiseless", "simulate a noisy channel with d noiseless states",
+     [IN, ("--noise", {"required": True}), ("--d", {"type": int, "required": True})],
+     _simulate_noisy_to_noiseless),
+    ("certify", "storability", "sum of row maxima", [IN], _certify_storability),
+    ("certify", "subset", "subset-sum simulability witness",
+     [IN, ("--r", {"type": int, "required": True}), ("--d", {"type": int, "required": True})],
+     _certify_subset),
+    ("certify", "pairwise", "pairwise row witness",
+     [IN, ("--d", {"type": int, "required": True})], _certify_pairwise),
+    ("certify", "asymmetry", "Minkowski asymmetry of a polytope", [IN], _certify_asymmetry),
+    ("certify", "signalling", "noisy-channel signalling dimension",
+     [("--n", {"type": int, "required": True}), ("--delta", {"required": True})],
+     _certify_signalling),
+    ("certify", "replacer", "partial replacer channel bounds",
+     [("--m", {"type": int, "required": True}), ("--delta", {"required": True}),
+      ("--n", {"type": int}),
+      ("--spectrum", {"help": "JSON list: ascending spectrum of the replacement state"})],
+     _certify_replacer),
+    ("certify", "holevo", "mutual information and Holevo quantity", [IN], _certify_holevo),
+    ("verify", None, "re-check a certificate without re-running the solver",
+     [("certfile", {}),
+      ("--in", {"dest": "infile", "help": "original input file to check the digest against"})],
+     cmd_verify),
+    ("fixtures", "emit", "write the bundled example files",
+     [("--dir", {"default": "."})], cmd_fixtures_emit),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for ``COMMANDS``; built once per process, since parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chansim",
         description="Classical simulation certificates for quantum and ball-model channels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="construct simulation certificates")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-
-    p = sim_sub.add_parser("quantum", help="simulate a (noisy) quantum channel classically")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--noise", default="noiseless")
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate_quantum)
-
-    p = sim_sub.add_parser("ball", help="simulate a delta-noisy ball channel")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--delta", default="0")
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate_ball)
-
-    p = sim_sub.add_parser("reduce", help="row-reduction decomposition of a matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", help="JSON list of row weights")
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate_reduce)
-
-    p = sim_sub.add_parser("noisy-to-noiseless", help="simulate a noisy channel with d noiseless states")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--noise", required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate_noisy_to_noiseless)
-
-    cer = sub.add_parser("certify", help="witnesses, bounds, and diagnostics")
-    cer_sub = cer.add_subparsers(dest="subcommand", required=True)
-
-    p = cer_sub.add_parser("storability", help="sum of row maxima")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_storability)
-
-    p = cer_sub.add_parser("subset", help="subset-sum simulability witness")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_subset)
-
-    p = cer_sub.add_parser("pairwise", help="pairwise row witness")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_pairwise)
-
-    p = cer_sub.add_parser("asymmetry", help="Minkowski asymmetry of a polytope")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_asymmetry)
-
-    p = cer_sub.add_parser("signalling", help="noisy-channel signalling dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_signalling)
-
-    p = cer_sub.add_parser("replacer", help="partial replacer channel bounds")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--spectrum", help="JSON list: ascending spectrum of the replacement state")
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_replacer)
-
-    p = cer_sub.add_parser("holevo", help="mutual information and Holevo quantity")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_certify_holevo)
-
-    p = sub.add_parser("verify", help="re-check a certificate without re-running the solver")
-    p.add_argument("certfile")
-    p.add_argument("--in", dest="infile", help="original input file to check the digest against")
-    _add_common(p, with_out=False)
-    p.set_defaults(handler=cmd_verify)
-
-    fix = sub.add_parser("fixtures", help="fixture files")
-    fix_sub = fix.add_subparsers(dest="subcommand", required=True)
-    p = fix_sub.add_parser("emit", help="write the bundled example files")
-    p.add_argument("--dir", default=".")
-    _add_common(p, with_out=False)
-    p.set_defaults(handler=cmd_fixtures_emit)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for group, name, help_text, options, handler in COMMANDS:
+        if name is None:
+            p = top.add_parser(group, help=help_text)
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            p = groups[group].add_parser(name, help=help_text)
+        certifies = group in ("simulate", "certify")
+        for flag, kwargs in [*options, *COMMON, *([OUT] if certifies else [])]:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=functools.partial(_certify, handler) if certifies else handler)
     return parser
 
 
 def _echo_args(argv: list[str]) -> list[str]:
     """Command echo for certificates, minus the output path (so reruns of
     the same logical command are byte-identical)."""
-    echo = []
-    skip = False
+    echo, skip = [], False
     for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        if token.startswith("--out="):
-            continue
-        echo.append(token)
+        if not skip and token != "--out" and not token.startswith("--out="):
+            echo.append(token)
+        skip = token == "--out" and not skip
     return echo
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.command_echo = _echo_args(argv)
     try:
         return args.handler(args)
-    except ChanSimError as exc:
-        _report_error(args, exc)
+    except (ChanSimError, OSError, ValueError, KeyError) as exc:
+        if args.json_errors:
+            error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            print(canonical_dumps(error), file=sys.stderr)
+        else:
+            print(f"chansim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _report_error(args, exc)
-        return 1
-
-
-def _report_error(args, exc: Exception) -> None:
-    if getattr(args, "json_errors", False):
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(canonical_dumps(payload), file=sys.stderr)
-    else:
-        print(f"chansim: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -276,6 +276,92 @@ def test_reduce_and_verify(workdir, capsys):
     capsys.readouterr()
 
 
+def _reduce_certificate(workdir):
+    run(["fixtures", "emit", "--dir", "."])
+    assert run([
+        "simulate", "reduce", "--in", "octahedron_matrix.json",
+        "--p", "[0.25, 0.25, 0.25, 0.25]", "--out", "red.json",
+    ]) == 0
+    return json.loads((workdir / "red.json").read_text())
+
+
+def test_verify_rejects_row_reduction_with_wrong_residual(workdir, capsys):
+    cert = _reduce_certificate(workdir)
+    cert["result"]["residual"] += 0.25
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "tampered.json"]) == 2
+    assert "stored residual does not match" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_row_outside_the_matrix(workdir, capsys):
+    cert = _reduce_certificate(workdir)
+    zero_rows = cert["result"]["zero_rows"]
+    assert zero_rows[3] == 3
+    zero_rows[3] = 4
+    (workdir / "outside.json").write_text(json.dumps(cert))
+    zero_rows.pop()
+    (workdir / "short.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "outside.json"]) == 2
+    assert "claimed zero row 4 is not a row index" in capsys.readouterr().err
+    assert run(["verify", "short.json"]) == 2
+    assert "3 zero rows for 4 terms" in capsys.readouterr().err
+
+
+def test_verify_in_reruns_storability_and_holevo(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    ensemble = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    ensemble["weights"] = [0.5, 0.5]
+    (workdir / "ensemble.json").write_text(json.dumps(ensemble))
+    assert run(["certify", "storability", "--in", "octahedron_matrix.json", "--out", "s.json"]) == 0
+    assert run(["certify", "holevo", "--in", "ensemble.json", "--out", "h.json"]) == 0
+    assert run(["verify", "s.json", "--in", "octahedron_matrix.json"]) == 0
+    assert run(["verify", "h.json", "--in", "ensemble.json"]) == 0
+
+    cert = json.loads((workdir / "s.json").read_text())
+    assert cert["result"]["value"] == 2.0
+    cert["result"]["value"] = 2.25
+    (workdir / "s2.json").write_text(json.dumps(cert))
+    cert = json.loads((workdir / "h.json").read_text())
+    cert["result"]["chi"] += 0.25
+    (workdir / "h2.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "s2.json", "--in", "octahedron_matrix.json"]) == 2
+    assert "value is 2.0 on the input, not 2.25" in capsys.readouterr().err
+    assert run(["verify", "h2.json", "--in", "ensemble.json"]) == 2
+    assert "chi is" in capsys.readouterr().err
+
+
+def test_shared_parser_carries_no_state_between_calls(workdir, capsys):
+    from chansim import cli
+
+    cli.build_parser.cache_clear()
+    signalling = ["certify", "signalling", "--n", "5", "--delta", "1/2"]
+    assert run(signalling + ["--out", "a.json"]) == 0
+    written = (workdir / "a.json").read_bytes()
+    capsys.readouterr()
+    assert run(signalling) == 0
+    assert capsys.readouterr().out.encode() == written
+    assert (workdir / "a.json").read_bytes() == written
+
+    run(["fixtures", "emit", "--dir", "."])
+    quantum = ["simulate", "quantum", "--in", "depolarizing_qubit.json"]
+    assert run(quantum + ["--noise", "delta:1/2", "--out", "noisy.json"]) == 0
+    assert run(quantum + ["--out", "plain.json"]) == 0
+    noisy = json.loads((workdir / "noisy.json").read_text())
+    plain = json.loads((workdir / "plain.json").read_text())
+    assert noisy["result"]["mixture"]["noise"] == {"kind": "delta", "delta": "1/2"}
+    assert plain["result"]["mixture"]["noise"] == {"kind": "noiseless"}
+    assert cli.build_parser.cache_info().misses == 1
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["bogus"])
+    assert exc.value.code == 2
+    assert "{simulate,certify,verify,fixtures}" in capsys.readouterr().err.splitlines()[0]
+
+
 def test_storability_and_holevo(workdir, capsys):
     run(["fixtures", "emit", "--dir", "."])
     capsys.readouterr()
@@ -424,3 +510,61 @@ def test_console_script_declaration():
     with pyproject.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["chansim"] == "chansim.cli:main"
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to the int and float leaves under a JSON node (not booleans)."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in children:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
+    # binomial_witness and replacer_bounds are left out: their certificates
+    # carry too little (no d, no noise spec; no m, no delta) to recompute
+    run(["fixtures", "emit", "--dir", "."])
+    ensemble = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    ensemble["weights"] = [0.5, 0.5]
+    (workdir / "ensemble.json").write_text(json.dumps(ensemble))
+    # a projective measurement: its noiseless certificate has a single term
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    projective = jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2])
+    (workdir / "projective.json").write_text(json.dumps(projective))
+    commands = [
+        (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json"),
+        (["simulate", "quantum"], "depolarizing_qubit.json"),
+        (["simulate", "quantum"], "projective.json"),
+        (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json"),
+        (["certify", "subset", "--r", "3", "--d", "2"], "octahedron_matrix.json"),
+        (["certify", "asymmetry"], "octahedron_polytope.json"),
+        (["certify", "signalling", "--n", "5", "--delta", "1/2"], None),
+        (["simulate", "reduce", "--p", "[0.25, 0.25, 0.25, 0.25]"], "octahedron_matrix.json"),
+        (["certify", "storability"], "octahedron_matrix.json"),
+        (["certify", "holevo"], "ensemble.json"),
+    ]
+    accepted = []
+    for argv, infile in commands:
+        in_args = ["--in", infile] if infile else []
+        run(argv + in_args + ["--out", "cert.json"])
+        cert = json.loads((workdir / "cert.json").read_text())
+        assert run(["verify", "cert.json", *in_args]) == 0
+        paths = list(_numeric_leaves(cert["result"]))
+        assert paths
+        for path in paths:
+            tampered = json.loads((workdir / "cert.json").read_text())
+            node = tampered["result"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] += 1 if isinstance(node[path[-1]], int) else 0.25
+            (workdir / "tampered.json").write_text(json.dumps(tampered))
+            if run(["verify", "tampered.json", *in_args]) != 2:
+                accepted.append((argv[1], path))
+    capsys.readouterr()
+    assert accepted == []
