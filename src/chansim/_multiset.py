@@ -2,7 +2,7 @@
 
 Outcome weights are symmetric in the tuple entries, so every tuple is
 represented by its sorted multiset class: weights, state columns and
-protocols are all computed and stored once per class.
+candidate protocols are all computed once per class.
 """
 
 from __future__ import annotations

@@ -431,16 +431,14 @@ def cmd_fixtures_emit(args) -> int:
 # -- the command table ----------------------------------------------------------
 
 IN = ("--in", {"dest": "infile", "required": True})
-COMMON = (
-    ("--tol", {"type": float, "default": 1e-9, "help": "validation tolerance"}),
-    ("--cap", {
-        "type": int,
-        "default": 10**6,
-        "help": "cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
-        "then takes at most cap * 2^n determinants",
-    }),
-    ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"}),
-)
+TOL = ("--tol", {"type": float, "default": 1e-9, "help": "validation tolerance"})
+CAP = ("--cap", {
+    "type": int,
+    "default": 10**6,
+    "help": "cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
+    "then takes at most cap * 2^n determinants",
+})
+JSON_ERRORS = ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"})
 OUT = ("--out", {"help": "write the certificate here (default: stdout)"})
 
 GROUPS = {
@@ -450,16 +448,18 @@ GROUPS = {
 }
 
 # (group, name, help, options, handler); a row without a name is a top-level
-# command. Every simulate and certify row runs through ``_certify``.
+# command. A row lists only the options its handler reads; every row also
+# takes --json-errors, and every simulate and certify row runs through
+# ``_certify`` and takes --out.
 COMMANDS = (
     ("simulate", "quantum", "simulate a (noisy) quantum channel classically",
-     [IN, ("--noise", {"default": "noiseless"})], _simulate_quantum),
+     [IN, ("--noise", {"default": "noiseless"}), TOL, CAP], _simulate_quantum),
     ("simulate", "ball", "simulate a delta-noisy ball channel",
-     [IN, ("--delta", {"default": "0"})], _simulate_ball),
+     [IN, ("--delta", {"default": "0"}), TOL, CAP], _simulate_ball),
     ("simulate", "reduce", "row-reduction decomposition of a matrix",
-     [IN, ("--p", {"help": "JSON list of row weights"})], _simulate_reduce),
+     [IN, ("--p", {"help": "JSON list of row weights"}), TOL], _simulate_reduce),
     ("simulate", "noisy-to-noiseless", "simulate a noisy channel with d noiseless states",
-     [IN, ("--noise", {"required": True}), ("--d", {"type": int, "required": True})],
+     [IN, ("--noise", {"required": True}), ("--d", {"type": int, "required": True}), TOL],
      _simulate_noisy_to_noiseless),
     ("certify", "storability", "sum of row maxima", [IN], _certify_storability),
     ("certify", "subset", "subset-sum simulability witness",
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                 )
             p = groups[group].add_parser(name, help=help_text)
         certifies = group in ("simulate", "certify")
-        for flag, kwargs in [*options, *COMMON, *([OUT] if certifies else [])]:
+        for flag, kwargs in [*options, JSON_ERRORS, *([OUT] if certifies else [])]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=functools.partial(_certify, handler) if certifies else handler)
     return parser
@@ -514,12 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _echo_args(argv: list[str]) -> list[str]:
     """Command echo for certificates, minus the output path (so reruns of
-    the same logical command are byte-identical)."""
+    the same logical command are byte-identical). argparse accepts any
+    prefix of ``--out`` down to ``--o``, with the path as the next token or
+    after ``=``, so every such form is removed."""
     echo, skip = [], False
     for token in argv:
-        if not skip and token != "--out" and not token.startswith("--out="):
+        flag = token.split("=", 1)[0]
+        out = len(flag) > 2 and "--out".startswith(flag)
+        if not skip and not out:
             echo.append(token)
-        skip = token == "--out" and not skip
+        skip = out and flag == token and not skip
     return echo
 
 

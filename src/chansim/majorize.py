@@ -1,11 +1,16 @@
-"""Majorization tests and constructive permutation-mixture decompositions.
+"""Majorization tests, constructive permutation-mixture decompositions and
+Carathéodory reduction.
 
 ``hlp_decompose`` writes a probability vector inside the permutohedron of
 another as an explicit convex combination of its coordinate permutations:
 a chain of pairwise-averaging transfers produces a doubly stochastic matrix
-connecting the two vectors, and a Birkhoff extraction turns that matrix
-into permutation terms. Term counts are reduced to the Caratheodory bound
-(n-1)^2 + 1 by eliminating affine dependencies.
+connecting the two vectors, and a greedy Birkhoff extraction turns that
+matrix into at most (n-1)^2 + 1 linearly independent permutation terms.
+
+``caratheodory`` cuts any weighted set of points to at most (affine rank +
+1) of them with the same weighted sum, by a fixed-order Gauss-Jordan
+elimination behind the Fast-Carathéodory recursion of Maalouf, Jubran and
+Feldman; ``simulate`` uses it to bound every certificate's term count.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .errors import BadRange, LengthMismatch, NotDoublyStochastic, NotMajorized
 SUPPORT_TOL = 1e-10
 RECON_TOL = 1e-8
 WEIGHT_TOL = 1e-9
+# smallest pivot of the Carathéodory elimination, relative to the largest
+# entry: an absolute 1e-12 let a cancellation pivot of 2e-12 through, and
+# round-off then grew to a 3e-5 residual in a random quantum simulation
+PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,45 +97,110 @@ def _perfect_matching(support: np.ndarray) -> list[int] | None:
     return out
 
 
-def _prune_to_caratheodory(
-    weights: list[float], perms: list[tuple[int, ...]], n: int
-) -> tuple[list[float], list[tuple[int, ...]]]:
-    """Drop terms while the permutation matrices stay affinely dependent."""
-    limit = (n - 1) ** 2 + 1
-    while len(weights) > limit:
-        rows = []
-        for perm in perms:
-            p = np.zeros((n, n))
-            p[np.arange(n), np.array(perm)] = 1.0
-            rows.append(np.concatenate([p.ravel(), [1.0]]))
-        a = np.array(rows).T  # (n^2+1, T) with T <= n^2 - n + 1 from the greedy
-        _, s, vt = np.linalg.svd(a)
-        if s[-1] > 1e-12:
-            break  # affinely independent already
-        c = vt[-1]
-        if np.max(np.abs(c)) < 1e-12:
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step: scale ``row`` so its ``col`` entry is 1 and clear
+    ``col`` from every other row."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+
+
+def _eliminate(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Carathéodory by elimination on the tableau [points.T; 1].
+
+    A first pass in column order picks the basis: a column is a pivot when
+    its largest entry in the rows not yet used exceeds PIVOT_TOL times the
+    largest entry of the tableau, rows chosen by partial pivoting. Then each
+    other column, in order, moves its weight onto the basis along its
+    coordinates c (a_j = sum_i c_i a_basis[i]); the ratio test stops at the
+    first basis weight to reach zero, and that column leaves while column j
+    enters. Every step keeps sum_t w_t a_t, so the kept terms recompose the
+    same point and total.
+    """
+    w = weights.copy()
+    tableau = np.vstack([points.T, np.ones(len(w))])
+    threshold = PIVOT_TOL * float(np.max(np.abs(tableau), initial=1.0))
+    basis: list[int] = []
+    for j in range(len(w)):
+        if len(basis) == tableau.shape[0]:
             break
-        positive = [(weights[t] / c[t], t) for t in range(len(c)) if c[t] > 1e-15]
-        if not positive:
-            c = -c
-            positive = [(weights[t] / c[t], t) for t in range(len(c)) if c[t] > 1e-15]
-            if not positive:
-                break
-        theta, drop = min(positive)
-        weights = [w - theta * ct for w, ct in zip(weights, c)]
-        weights[drop] = 0.0
-        keep = [t for t, w in enumerate(weights) if w > 1e-15]
-        weights = [weights[t] for t in keep]
-        perms = [perms[t] for t in keep]
-    return weights, perms
+        r = len(basis)
+        p = r + int(np.argmax(np.abs(tableau[r:, j])))
+        if abs(tableau[p, j]) > threshold:
+            tableau[[r, p]] = tableau[[p, r]]
+            _pivot(tableau, r, j)
+            basis.append(j)
+    tableau = tableau[: len(basis)]
+    rows = np.array(basis, dtype=np.intp)
+    for j in range(len(w)):
+        if w[j] <= 0.0 or j in rows:
+            continue
+        c = tableau[:, j]
+        blocking = np.flatnonzero(c < -PIVOT_TOL)
+        step, leave = w[j], None
+        if len(blocking):
+            ratios = w[rows[blocking]] / -c[blocking]
+            first = int(np.argmin(ratios))
+            if ratios[first] < step:
+                step, leave = float(ratios[first]), int(blocking[first])
+        w[rows] = np.maximum(w[rows] + step * c, 0.0)
+        if leave is None:
+            w[j] = 0.0
+        else:
+            w[j] -= step
+            w[rows[leave]] = 0.0
+            _pivot(tableau, leave, j)
+            rows[leave] = j
+    kept = np.flatnonzero(w > 0.0)
+    return kept, w[kept]
+
+
+def caratheodory(weights, points) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a weighted set of points to at most (affine rank + 1) of them.
+
+    ``weights`` (T,) are nonnegative and ``points`` is (T, D). Returns the
+    ascending indices of the kept points and their new weights, which are
+    nonnegative, keep the total weight and recompose the same weighted sum
+    of points. The result depends only on the inputs and their order.
+
+    When T > 2(D+1), the Fast-Carathéodory recursion (Maalouf, Jubran and
+    Feldman, NeurIPS 2019) runs first: the points are cut into 2(D+1)
+    consecutive groups, the groups' weighted means are reduced by
+    elimination, and only the chosen groups stay, each point's weight scaled
+    by its group's new weight over its old one. Each round at least halves
+    the points, so the elimination only ever sees O(D) of them.
+    """
+    w = np.asarray(weights, dtype=float)
+    p = np.asarray(points, dtype=float)
+    index = np.flatnonzero(w > 0.0)
+    w = w[index]
+    groups = 2 * (p.shape[1] + 1)
+    while len(index) > groups:
+        sizes = np.full(groups, len(index) // groups)
+        sizes[: len(index) % groups] += 1
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        totals = np.add.reduceat(w, starts)
+        means = np.add.reduceat(w[:, None] * p[index], starts, axis=0) / totals[:, None]
+        chosen, new = _eliminate(totals, means)
+        scale = np.zeros(groups)
+        scale[chosen] = new / totals[chosen]
+        scale = np.repeat(scale, sizes)
+        live = scale > 0.0
+        index, w = index[live], w[live] * scale[live]
+    kept, w = _eliminate(w, p[index])
+    return index[kept], w
 
 
 def birkhoff(d: np.ndarray, tol: float = RECON_TOL) -> PermutationMixture:
     """Decompose a doubly stochastic matrix into permutation matrices.
 
     Greedy extraction along perfect matchings of the positive support
-    (entries below 1e-10 count as zero), then Caratheodory reduction to at
-    most (n-1)^2 + 1 terms.
+    (entries below 1e-10 count as zero). Each term zeroes an entry that no
+    later term uses, so the terms are linearly independent and there are at
+    most (n-1)^2 + 1 of them, the Carathéodory bound, without any pruning.
     """
     a = np.array(d, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -158,7 +232,6 @@ def birkhoff(d: np.ndarray, tol: float = RECON_TOL) -> PermutationMixture:
         remaining -= w
     if remaining > tol:
         raise NotDoublyStochastic(f"extraction stalled with mass {remaining:.3e} left")
-    weights, perms = _prune_to_caratheodory(weights, perms, n)
     total = sum(weights)
     terms = tuple((w / total, perm) for w, perm in zip(weights, perms))
     return PermutationMixture(terms=terms)

@@ -6,12 +6,19 @@ matrix. Quantum and ball targets are decomposed along the outcome
 distribution induced by mixed discriminants (or the ball pairing). That
 distribution and every state column built from it are symmetric under
 reordering an outcome tuple, so all orderings of a multiset class give the
-same protocol matrix, and the certificate holds one protocol per class.
-The per-class state columns of all three (noiseless, noisy and ball) come
-from one layered transport per input column, which keeps every class's
-slot vector in the permutation hull of the state's spectrum and so inside
-the declared noise set. Classes are processed in lexicographic order
-throughout, so certificates are reproducible byte for byte.
+same protocol matrix, and each class is one candidate protocol. The
+per-class state columns of all three (noiseless, noisy and ball) come from
+one layered transport per input column, which keeps every class's slot
+vector in the permutation hull of the state's spectrum and so inside the
+declared noise set. The noisy-to-noiseless construction has one candidate
+per d-subset.
+
+A k x l target lies in an l(k-1)-dimensional affine space, so every
+certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
+``majorize.caratheodory`` to the same mixture matrix; the survivors are
+candidates unchanged, so their states stay in the noise set. Classes and
+subsets are processed in lexicographic order throughout, and the reduction
+is deterministic, so certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .errors import (
     TransportInfeasible,
 )
 from .linalg import born_matrix, hermitian_eigenvalues, validate_density, validate_povm
-from .majorize import hlp_decompose, max_subset_distribution
+from .majorize import caratheodory, hlp_decompose, max_subset_distribution
 from .mixdisc import (
     DEFAULT_CAP,
     OutcomeDistribution,
@@ -91,7 +98,33 @@ class RowReduction:
     residual: float
 
 
-def _finalize(target: TransitionMatrix, mixture: ClassicalMixture) -> SimulationResult:
+def _finalize(
+    target: TransitionMatrix,
+    weights: np.ndarray,
+    decoders: np.ndarray,
+    states: np.ndarray,
+    noise: NoiseSpec,
+) -> SimulationResult:
+    """The certificate for T candidate protocols given as arrays: weights
+    (T,), decoders (T, n) and states (T, n, l). A k x l column-stochastic
+    target lies in an l(k-1)-dimensional affine space, so when T exceeds
+    l(k-1) + 1 the mixture is cut to at most that many protocols with the
+    same matrix (``caratheodory`` on the T protocol matrices). Weights at or
+    below WEIGHT_FLOOR are then dropped, the rest renormalized, and a
+    protocol is built for each survivor, in candidate order."""
+    k, l = target.matrix.shape
+    keep, w = np.arange(len(weights)), weights
+    if len(w) > l * (k - 1) + 1:
+        matrices = np.zeros((len(w), k, l))
+        np.add.at(matrices, (keep[:, None], decoders), states)
+        keep, w = caratheodory(w, matrices.reshape(len(w), -1))
+    live = w > WEIGHT_FLOOR
+    keep, w = keep[live], w[live] / w[live].sum()
+    terms = tuple(
+        (float(weight), ClassicalProtocol(decoder=decoders[t], states=states[t], num_outputs=k))
+        for t, weight in zip(keep, w)
+    )
+    mixture = ClassicalMixture(terms=terms, num_states=decoders.shape[1], noise=noise)
     recon = mixture_matrix(mixture).matrix
     residual = float(np.max(np.abs(recon - target.matrix)))
     return SimulationResult(target=target, mixture=mixture, residual=residual)
@@ -152,26 +185,23 @@ def _class_values(
     return values
 
 
-def _class_mixture(
-    dist: OutcomeDistribution, values: np.ndarray, noise: NoiseSpec
-) -> ClassicalMixture:
-    """One protocol per multiset class ms, weighted by the class total: the
-    decoder sends slot m to output ms[m], and for input j the slot holds
-    values[j, c, ms[m]], c the index of ms among the sorted classes. Each
-    column is rescaled to sum to 1, because transport drops dust layers and
-    meets its demands only up to float rounding. Classes at or below
-    WEIGHT_FLOOR are dropped and the remaining weights renormalized."""
-    kept = [
-        (c, ms, w) for c, (ms, w) in enumerate(sorted(dist.weights.items())) if w > WEIGHT_FLOOR
-    ]
-    total = sum(w for _, _, w in kept)
-    terms = []
-    for c, ms, w in kept:
-        x = values[:, c, list(ms)].T
-        x /= x.sum(axis=0, keepdims=True)
-        protocol = ClassicalProtocol(decoder=np.array(ms), states=x, num_outputs=dist.k)
-        terms.append((w / total, protocol))
-    return ClassicalMixture(terms=tuple(terms), num_states=dist.n, noise=noise)
+def _class_terms(
+    dist: OutcomeDistribution, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One candidate protocol per multiset class ms above WEIGHT_FLOOR, in
+    sorted order, weighted by the class total: the decoder sends slot m to
+    output ms[m], and for input j the slot holds values[j, c, ms[m]], c the
+    index of ms among the sorted classes. Each column is rescaled to sum to
+    1, because transport drops dust layers and meets its demands only up to
+    float rounding. Returns the weights, decoders and states that
+    ``_finalize`` takes."""
+    classes = sorted(dist.weights.items())
+    weights = np.array([w for _, w in classes])
+    index = np.flatnonzero(weights > WEIGHT_FLOOR)
+    decoders = np.array([ms for ms, _ in classes], dtype=np.intp)[index]
+    x = values[:, index[:, None], decoders]  # (l, classes, n)
+    x /= x.sum(axis=2, keepdims=True)
+    return weights[index], decoders, x.transpose(1, 2, 0)
 
 
 def simulate_quantum_noiseless(
@@ -189,7 +219,7 @@ def simulate_quantum_noiseless(
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
     values = _class_values(dist, a, [_spec_base_vector(Noiseless(), dist.n)] * a.shape[1])
-    return _finalize(TransitionMatrix(a), _class_mixture(dist, values, Noiseless()))
+    return _finalize(TransitionMatrix(a), *_class_terms(dist, values), Noiseless())
 
 
 def simulate_ball(
@@ -213,7 +243,7 @@ def simulate_ball(
     target = ball_born_matrix(effects, states, delta=delta, tol=tol)
     mu = _spec_base_vector(Delta(delta), n)
     values = _class_values(dist, target.matrix, [mu] * len(states))
-    return _finalize(target, _class_mixture(dist, values, Delta(delta)))
+    return _finalize(target, *_class_terms(dist, values), Delta(delta))
 
 
 def simulate_quantum_noisy(
@@ -241,7 +271,7 @@ def simulate_quantum_noisy(
             raise NotMajorized(f"state {j}: spectrum violates the declared noise set")
         mus.append(np.clip(mu, 0.0, None))
     values = _class_values(dist, a, mus)
-    return _finalize(TransitionMatrix(a), _class_mixture(dist, values, spec))
+    return _finalize(TransitionMatrix(a), *_class_terms(dist, values), spec)
 
 
 def _spec_base_vector(spec: NoiseSpec, n: int) -> np.ndarray:
@@ -271,7 +301,8 @@ def simulate_noisy_by_noiseless(
     Returns the failing prefix-sum index as a witness when the noise set
     itself is not d-simulable. Otherwise every input column is decomposed
     over permutations of the max-of-a-random-d-subset distribution, and
-    each of the C(n,d) subsets becomes one d-state protocol.
+    each of the C(n,d) subsets becomes one candidate d-state protocol, of
+    which at most l(k-1) + 1 are kept.
     """
     if isinstance(target, ClassicalProtocol):
         decoder = target.decoder
@@ -306,16 +337,10 @@ def simulate_noisy_by_noiseless(
             # receives this term's mass; this is exactly the distribution
             # whose prefix sums are C(r,d)/C(n,d)
             xs[rows, np.argmax(np.asarray(perm)[subsets], axis=1), j] += w
-    weight = 1.0 / len(subsets)
-    terms = [
-        (weight, ClassicalProtocol(decoder=decoder[s], states=xs[t], num_outputs=k_out))
-        for t, s in enumerate(subsets)
-    ]
-    mixture = ClassicalMixture(terms=tuple(terms), num_states=d, noise=Noiseless())
-
     e = np.zeros((k_out, n))
     e[decoder, np.arange(n)] = 1.0
-    return _finalize(TransitionMatrix(e @ x), mixture)
+    weights = np.full(len(subsets), 1.0 / len(subsets))
+    return _finalize(TransitionMatrix(e @ x), weights, decoder[subsets], xs, Noiseless())
 
 
 def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:

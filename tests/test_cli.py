@@ -119,6 +119,70 @@ def test_byte_identical_reruns(workdir, capsys):
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
 
+def test_out_abbreviations_leave_the_certificate_unchanged(workdir, capsys):
+    # argparse takes --o and --ou for --out; the path must not reach the
+    # certificate's command echo in any spelling
+    signalling = ["certify", "signalling", "--n", "5", "--delta", "1/2"]
+    spellings = [["--ou", "a.json"], ["--ou", "b.json"], ["--out", "c.json"],
+                 ["--o=d.json"], ["--ou=e.json"]]
+    for out in spellings:
+        assert run(signalling + out) == 0
+    written = [(workdir / f"{c}.json").read_bytes() for c in "abcde"]
+    assert len(set(written)) == 1
+    assert json.loads(written[0])["command"] == signalling
+    capsys.readouterr()
+
+
+def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
+    # --tol on the simulate rows, --cap where an outcome distribution is
+    # built, --json-errors everywhere, --out on simulate and certify
+    from chansim.cli import COMMANDS
+
+    for group, name, _, _, _ in COMMANDS:
+        with pytest.raises(SystemExit):
+            run([group, "--help"] if name is None else [group, name, "--help"])
+        usage = capsys.readouterr().out
+        flags = set(usage.replace("[", " ").replace("]", " ").split())
+        assert "--json-errors" in flags
+        assert ("--tol" in flags) == (group == "simulate")
+        assert ("--cap" in flags) == (name in ("quantum", "ball"))
+        assert ("--out" in flags) == (group in ("simulate", "certify"))
+
+    run(["certify", "signalling", "--n", "5", "--delta", "1/2", "--out", "c.json"])
+    for argv in (
+        ["certify", "signalling", "--n", "5", "--delta", "1/2", "--tol", "7", "--cap", "0"],
+        ["verify", "c.json", "--tol", "0.5"],
+        ["fixtures", "emit", "--cap", "0"],
+        ["simulate", "reduce", "--in", "m.json", "--cap", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_noisy_to_noiseless_certificate_has_at_most_l_k_minus_1_plus_1_terms(workdir, capsys):
+    # (n, d, l, k) = (16, 8, 3, 8): C(16, 8) = 12870 subsets, pruned to at
+    # most 3 * 7 + 1 = 22 protocols
+    n, d, l, k = 16, 8, 3, 8
+    rng = np.random.default_rng(16)
+    delta = 2 / 3  # d = 8 noiseless states simulate this noise at n = 16
+    states = delta / n + (1 - delta) * rng.dirichlet(np.ones(n), size=l).T
+    decoder = sorted(list(range(k)) + [int(i) for i in rng.integers(0, k, size=n - k)])
+    payload = {"protocol": {"decoder": decoder, "states": states.tolist(), "num_outputs": k}}
+    (workdir / "p.json").write_text(json.dumps(payload))
+    assert run([
+        "simulate", "noisy-to-noiseless", "--in", "p.json",
+        "--noise", "delta:2/3", "--d", str(d), "--out", "c.json",
+    ]) == 0
+    result = json.loads((workdir / "c.json").read_text())["result"]
+    assert len(result["mixture"]["terms"]) <= l * (k - 1) + 1
+    assert result["residual"] <= 1e-8
+    capsys.readouterr()
+    assert run(["verify", "c.json", "--in", "p.json"]) == 0
+    assert capsys.readouterr().out == "verify: ok\n"
+
+
 def _quantum_input(workdir, name, rng, n, k, l):
     from conftest import random_density, random_povm
 

@@ -119,6 +119,22 @@ def test_birkhoff_random_reconstruction(rng):
         assert len(mix.terms) <= (n - 1) ** 2 + 1
 
 
+def test_birkhoff_terms_are_linearly_independent(rng):
+    # the reason no Carathéodory pruning is needed: every greedy term
+    # zeroes an entry that no later term uses
+    for _ in range(50):
+        n = int(rng.integers(2, 8))
+        d = rng.random((n, n)) ** 2
+        for _ in range(2000):
+            d /= d.sum(axis=0)
+            d /= d.sum(axis=1, keepdims=True)
+        mix = majorize.birkhoff(d)
+        perms = np.zeros((len(mix.terms), n, n))
+        for t, (_, perm) in enumerate(mix.terms):
+            perms[t, np.arange(n), perm] = 1.0
+        assert np.linalg.matrix_rank(perms.reshape(len(perms), -1)) == len(mix.terms)
+
+
 def test_birkhoff_not_doubly_stochastic():
     with pytest.raises(NotDoublyStochastic):
         majorize.birkhoff(np.array([[0.9, 0.0], [0.1, 1.0]]))
@@ -157,3 +173,41 @@ def test_max_subset_distribution_bad_range():
         majorize.max_subset_distribution(3, 0)
     with pytest.raises(BadRange):
         majorize.max_subset_distribution(3, 4)
+
+
+def _point_set(rng, kind, t, dim):
+    if kind == "random":
+        return rng.normal(size=(t, dim))
+    if kind == "duplicated":
+        distinct = rng.normal(size=(max(1, t // 7), dim))
+        return distinct[rng.integers(0, len(distinct), size=t)]
+    # rank-deficient: an affine image of a 2-dimensional set
+    return rng.normal(size=(t, 2)) @ rng.normal(size=(2, dim)) + rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicated", "rank-deficient"])
+@pytest.mark.parametrize("t", [1, 2, 5, 13, 60, 400, 3000])
+def test_caratheodory_keeps_the_point_with_affine_rank_plus_one_terms(rng, kind, t):
+    dim = 5
+    points = _point_set(rng, kind, t, dim)
+    weights = rng.dirichlet(np.ones(t))
+    weights[rng.integers(0, t, size=t // 4)] = 0.0  # zero weights are dropped
+    weights /= weights.sum()
+    index, kept = majorize.caratheodory(weights, points)
+    assert np.all(np.diff(index) > 0)
+    assert np.all(kept >= 0.0)
+    assert abs(kept.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-12
+    assert len(index) <= np.linalg.matrix_rank(np.vstack([points.T, np.ones(t)]))
+    again_index, again_kept = majorize.caratheodory(weights, points)
+    assert np.array_equal(again_index, index) and np.array_equal(again_kept, kept)
+
+
+def test_caratheodory_reaches_the_bound_on_protocol_like_points(rng):
+    # column-stochastic 4 x 3 matrices span an affine space of dimension
+    # 3 * (4 - 1) = 9, so at most 10 of 500 survive
+    points = rng.dirichlet(np.ones(4), size=(500, 3)).transpose(0, 2, 1).reshape(500, -1)
+    weights = np.full(500, 1.0 / 500)
+    index, kept = majorize.caratheodory(weights, points)
+    assert len(index) <= 10
+    assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-12

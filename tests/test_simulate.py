@@ -72,32 +72,44 @@ def check_simulation(result, noise=None, max_states=None):
             assert prot.num_states <= max_states
 
 
-def test_one_protocol_per_multiset_class(rng):
+def test_one_protocol_per_multiset_class(rng, monkeypatch):
     # every ordering of a multiset gives the same protocol, so each
-    # construction emits at most C(n+k-1, n) terms, one per sorted class
+    # construction has at most C(n+k-1, n) candidates, one per sorted class;
+    # the certificate keeps at most l(k-1) + 1 of them, each unchanged
     import math
 
-    n, k = 3, 3
+    n, k, l = 3, 3, 2
     povm = random_povm(rng, n, k)
     effects = [
         BallEffect(c=c, v=v, norm_index=2) for c, v in random_ball_effects(rng, k, 2, 2)
     ]
-    results = [
-        (simulate_quantum_noiseless(povm, [random_density(rng, n) for _ in range(2)]), n),
-        (simulate_quantum_noisy(
-            povm, [random_density_floor(rng, n, 0.5) for _ in range(2)], Delta(0.5)
-        ), n),
-        (simulate_ball(
-            effects, [BallState(x=x, norm_index=2) for x in random_ball_states(rng, 2, 2, 2)],
-            delta=0.5,
-        ), 2),
-    ]
-    for result, m in results:
+    quantum_states = [random_density(rng, n) for _ in range(l)]
+    noisy_states = [random_density_floor(rng, n, 0.5) for _ in range(l)]
+    ball_states = [BallState(x=x, norm_index=2) for x in random_ball_states(rng, l, 2, 2)]
+
+    def simulations():
+        return [
+            (simulate_quantum_noiseless(povm, quantum_states), n),
+            (simulate_quantum_noisy(povm, noisy_states, Delta(0.5)), n),
+            (simulate_ball(effects, ball_states, delta=0.5), 2),
+        ]
+
+    pruned = simulations()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "caratheodory", lambda w, points: (np.arange(len(w)), w))
+        unpruned = simulations()
+    for (result, m), (full, _) in zip(pruned, unpruned):
         check_simulation(result)
-        decoders = [tuple(prot.decoder) for _, prot in result.mixture.terms]
-        assert len(decoders) <= math.comb(m + k - 1, m)
-        assert all(list(dec) == sorted(dec) for dec in decoders)
-        assert decoders == sorted(set(decoders))
+        classes = [tuple(prot.decoder) for _, prot in full.mixture.terms]
+        assert len(classes) <= math.comb(m + k - 1, m)
+        assert all(list(dec) == sorted(dec) for dec in classes)
+        assert classes == sorted(set(classes))
+        survivors = [tuple(prot.decoder) for _, prot in result.mixture.terms]
+        assert len(survivors) <= l * (k - 1) + 1 < len(classes)
+        assert survivors == sorted(set(survivors))
+        for _, prot in result.mixture.terms:
+            twin = full.mixture.terms[classes.index(tuple(prot.decoder))][1]
+            assert np.array_equal(prot.states, twin.states)
 
 
 def test_noiseless_projective_commuting_exact():
