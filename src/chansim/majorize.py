@@ -2,15 +2,23 @@
 Carathéodory reduction.
 
 ``hlp_decompose`` writes a probability vector inside the permutohedron of
-another as an explicit convex combination of its coordinate permutations:
-a chain of pairwise-averaging transfers produces a doubly stochastic matrix
-connecting the two vectors, and a greedy Birkhoff extraction turns that
-matrix into at most (n-1)^2 + 1 linearly independent permutation terms.
+another as an explicit convex combination of at most n of its coordinate
+permutations: a chain of pairwise-averaging transfers produces a doubly
+stochastic matrix connecting the two vectors, a greedy Birkhoff extraction
+turns that matrix into linearly independent permutation terms (keeping its
+matching from term to term and re-augmenting only the rows that lost their
+edge), and ``caratheodory`` cuts those terms to at most n, since the
+permuted vectors lie in an (n-1)-dimensional affine space.
 
 ``caratheodory`` cuts any weighted set of points to at most (affine rank +
-1) of them with the same weighted sum, by a fixed-order Gauss-Jordan
-elimination behind the Fast-Carathéodory recursion of Maalouf, Jubran and
-Feldman; ``simulate`` uses it to bound every certificate's term count.
+1) of them with the same weighted sum. Behind the Fast-Carathéodory
+recursion of Maalouf, Jubran and Feldman, each elimination takes one SVD
+null basis of [points.T; 1] and walks it: every null vector moves the
+weights until the first one is exactly zero, and that coordinate is
+reflected out of the vectors left. Beyond the SVD's rank cut-off at
+round-off level there is no threshold and no clamp, so no mass is gained
+or lost beyond round-off. ``simulate`` uses it to bound every
+certificate's term count.
 """
 
 from __future__ import annotations
@@ -23,13 +31,10 @@ import numpy as np
 
 from .errors import BadRange, LengthMismatch, NotDoublyStochastic, NotMajorized
 
-SUPPORT_TOL = 1e-10
+# entries down to -NEGATIVE_TOL are round-off zeros of a doubly stochastic matrix
+NEGATIVE_TOL = 1e-10
 RECON_TOL = 1e-8
 WEIGHT_TOL = 1e-9
-# smallest pivot of the Carathéodory elimination, relative to the largest
-# entry: an absolute 1e-12 let a cancellation pivot of 2e-12 through, and
-# round-off then grew to a 3e-5 residual in a random quantum simulation
-PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,89 +76,73 @@ def majorized_by_permutohedron(x, mu, tol: float = WEIGHT_TOL) -> bool:
     return bool(np.all(np.cumsum(xs)[:-1] >= np.cumsum(ms)[:-1] - tol))
 
 
-def _perfect_matching(support: np.ndarray) -> list[int] | None:
-    """Augmenting-path matching on the row->column support graph.
-
-    Returns match[row] = column, or None when no perfect matching exists.
+def _augment(adjacent: list[list[int]], col_of: list[int], row_of: list[int], r: int) -> bool:
+    """Match the free row r along a shortest augmenting path of the row ->
+    column support graph (``adjacent[row]``, ascending columns), keeping
+    every other pair of the matching (col_of per row, row_of per column, -1
+    when free). False when no path exists.
     """
-    n = support.shape[0]
-    match_col = [-1] * n  # column -> row
-
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if support[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    out = [-1] * n
-    for c, r in enumerate(match_col):
-        out[r] = c
-    return out
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan step: scale ``row`` so its ``col`` entry is 1 and clear
-    ``col`` from every other row."""
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    reached_from = {}  # column -> row it was reached from
+    frontier = [r]
+    while frontier:
+        following = []
+        for u in frontier:
+            for c in adjacent[u]:
+                if c in reached_from:
+                    continue
+                reached_from[c] = u
+                if row_of[c] >= 0:
+                    following.append(row_of[c])
+                    continue
+                # flip the path back to r: each row on it takes the column
+                # it reached, and r, free until now, ends the walk
+                while c >= 0:
+                    u = reached_from[c]
+                    previous = col_of[u]
+                    col_of[u], row_of[c] = c, u
+                    c = previous
+                return True
+        frontier = following
+    return False
 
 
 def _eliminate(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Carathéodory by elimination on the tableau [points.T; 1].
+    """Carathéodory along one null basis of A = [points.T; 1].
 
-    A first pass in column order picks the basis: a column is a pivot when
-    its largest entry in the rows not yet used exceeds PIVOT_TOL times the
-    largest entry of the tableau, rows chosen by partial pivoting. Then each
-    other column, in order, moves its weight onto the basis along its
-    coordinates c (a_j = sum_i c_i a_basis[i]); the ratio test stops at the
-    first basis weight to reach zero, and that column leaves while column j
-    enters. Every step keeps sum_t w_t a_t, so the kept terms recompose the
-    same point and total.
+    The right singular vectors of A past its numerical rank r span its null
+    space; they are the orthonormal columns of Q. Each step (Maalouf, Jubran
+    and Feldman, NeurIPS 2019, Alg. 1) moves the weights along the first
+    column v of Q, whose entries sum to zero, until the first weight
+    reaches zero: with step = min over v_t > 0 of w_t / v_t, a weight
+    with v_t > 0 becomes v_t (w_t / v_t - step), which is exactly zero at the
+    minimum and never negative, and one with v_t < 0 grows. Every coordinate
+    that reached zero is then removed from the remaining vectors by a
+    Householder reflection that zeroes its row of Q and drops one column,
+    keeping the rest orthonormal. A w is unchanged up to round-off, so the
+    kept points recompose the same sum and total; live points minus columns
+    never exceeds r, so at most r points survive.
     """
     w = weights.copy()
-    tableau = np.vstack([points.T, np.ones(len(w))])
-    threshold = PIVOT_TOL * float(np.max(np.abs(tableau), initial=1.0))
-    basis: list[int] = []
-    for j in range(len(w)):
-        if len(basis) == tableau.shape[0]:
-            break
-        r = len(basis)
-        p = r + int(np.argmax(np.abs(tableau[r:, j])))
-        if abs(tableau[p, j]) > threshold:
-            tableau[[r, p]] = tableau[[p, r]]
-            _pivot(tableau, r, j)
-            basis.append(j)
-    tableau = tableau[: len(basis)]
-    rows = np.array(basis, dtype=np.intp)
-    for j in range(len(w)):
-        if w[j] <= 0.0 or j in rows:
-            continue
-        c = tableau[:, j]
-        blocking = np.flatnonzero(c < -PIVOT_TOL)
-        step, leave = w[j], None
-        if len(blocking):
-            ratios = w[rows[blocking]] / -c[blocking]
-            first = int(np.argmin(ratios))
-            if ratios[first] < step:
-                step, leave = float(ratios[first]), int(blocking[first])
-        w[rows] = np.maximum(w[rows] + step * c, 0.0)
-        if leave is None:
-            w[j] = 0.0
-        else:
-            w[j] -= step
-            w[rows[leave]] = 0.0
-            _pivot(tableau, leave, j)
-            rows[leave] = j
+    a = np.vstack([points.T, np.ones(len(w))])
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps))
+    q = vt[rank:].T
+    while q.shape[1]:
+        v = q[:, 0]  # a unit null vector of the ones row has positive entries
+        up = np.nonzero(v > 0.0)[0]
+        ratio = w[up] / v[up]
+        step = ratio.min()
+        w -= step * v
+        w[up] = v[up] * (ratio - step)
+        for z in up[ratio == step]:
+            u = q[z].copy()
+            norm = math.sqrt(u @ u)
+            if norm == 0.0:  # a tie outside every vector left, or none left
+                continue
+            u[0] += math.copysign(norm, u[0])
+            q -= (q @ u)[:, None] * (u * (2.0 / (u @ u)))
+            q = q[:, 1:]
+            q[z] = 0.0
     kept = np.flatnonzero(w > 0.0)
     return kept, w[kept]
 
@@ -169,9 +158,9 @@ def caratheodory(weights, points) -> tuple[np.ndarray, np.ndarray]:
     When T > 2(D+1), the Fast-Carathéodory recursion (Maalouf, Jubran and
     Feldman, NeurIPS 2019) runs first: the points are cut into 2(D+1)
     consecutive groups, the groups' weighted means are reduced by
-    elimination, and only the chosen groups stay, each point's weight scaled
-    by its group's new weight over its old one. Each round at least halves
-    the points, so the elimination only ever sees O(D) of them.
+    ``_eliminate``, and only the chosen groups stay, each point's weight
+    scaled by its group's new weight over its old one. Each round at least
+    halves the points, so every null basis is of at most 2(D+1) points.
     """
     w = np.asarray(weights, dtype=float)
     p = np.asarray(points, dtype=float)
@@ -197,41 +186,48 @@ def caratheodory(weights, points) -> tuple[np.ndarray, np.ndarray]:
 def birkhoff(d: np.ndarray, tol: float = RECON_TOL) -> PermutationMixture:
     """Decompose a doubly stochastic matrix into permutation matrices.
 
-    Greedy extraction along perfect matchings of the positive support
-    (entries below 1e-10 count as zero). Each term zeroes an entry that no
-    later term uses, so the terms are linearly independent and there are at
-    most (n-1)^2 + 1 of them, the Carathéodory bound, without any pruning.
+    Greedy extraction along perfect matchings of the positive support, until
+    the support has none; the mass left must be at most ``tol``. Each term
+    takes the smallest matched entry as its weight and subtracts it along
+    the matching. The matching is kept between terms: only the rows whose
+    matched entry fell to zero are matched again, by augmenting paths. Each
+    term zeroes an entry that no later term uses, so the terms are linearly
+    independent and there are at most (n-1)^2 + 1 of them.
     """
     a = np.array(d, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotDoublyStochastic(f"expected square matrix, got {a.shape}")
     n = a.shape[0]
-    if np.any(a < -SUPPORT_TOL):
+    if np.any(a < -NEGATIVE_TOL):
         raise NotDoublyStochastic("negative entries")
     if np.max(np.abs(a.sum(axis=0) - 1.0)) > tol or np.max(np.abs(a.sum(axis=1) - 1.0)) > tol:
         raise NotDoublyStochastic("row/column sums deviate from 1")
 
     work = np.clip(a, 0.0, None)
+    adjacent = [np.flatnonzero(row).tolist() for row in work > 0.0]
+    rows = np.arange(n)
+    col_of, row_of = [-1] * n, [-1] * n
+    free = range(n)
     weights: list[float] = []
     perms: list[tuple[int, ...]] = []
     remaining = 1.0
-    for _ in range(n * n + 1):
-        if remaining <= tol:
-            break
-        match = _perfect_matching(work > SUPPORT_TOL)
-        if match is None:
-            raise NotDoublyStochastic(
-                f"no perfect matching on residual support (mass {remaining:.3e} left)"
-            )
-        w = float(min(work[r, match[r]] for r in range(n)))
+    while all(_augment(adjacent, col_of, row_of, r) for r in free):
+        cols = np.array(col_of)
+        matched = work[rows, cols]
+        w = float(matched.min())
         weights.append(w)
-        perms.append(tuple(match))
-        for r in range(n):
-            work[r, match[r]] -= w
-        work = np.clip(work, 0.0, None)
+        perms.append(tuple(col_of))
+        work[rows, cols] = matched - w
+        free = np.flatnonzero(matched == w).tolist()  # entries now exactly zero
+        for r in free:
+            adjacent[r].remove(col_of[r])
+            row_of[col_of[r]] = -1
+            col_of[r] = -1
         remaining -= w
     if remaining > tol:
-        raise NotDoublyStochastic(f"extraction stalled with mass {remaining:.3e} left")
+        raise NotDoublyStochastic(
+            f"no perfect matching on residual support (mass {remaining:.3e} left)"
+        )
     total = sum(weights)
     terms = tuple((w / total, perm) for w, perm in zip(weights, perms))
     return PermutationMixture(terms=terms)
@@ -271,8 +267,10 @@ def _transfer_chain(target_desc: np.ndarray, source_desc: np.ndarray) -> np.ndar
 def hlp_decompose(mu, nu, tol: float = WEIGHT_TOL) -> PermutationMixture:
     """Write mu as a convex combination of coordinate permutations of nu.
 
-    Requires mu inside the permutohedron of nu; the result recomposes to mu
-    within 1e-8 and has at most (n-1)^2 + 1 terms.
+    Requires mu inside the permutohedron of nu. The Birkhoff terms of the
+    transfer matrix are cut by ``caratheodory`` on their points nu[perm],
+    which lie in the hyperplane of total sum(nu), so at most n terms are
+    kept, in Birkhoff order; they recompose mu up to round-off.
     """
     m = np.asarray(mu, dtype=float)
     v = np.asarray(nu, dtype=float)
@@ -290,7 +288,9 @@ def hlp_decompose(mu, nu, tol: float = WEIGHT_TOL) -> PermutationMixture:
     s_v = np.zeros((n, n))
     s_v[np.arange(n), order_v] = 1.0
     d = s_m.T @ d_sorted @ s_v
-    return birkhoff(d)
+    terms = birkhoff(d).terms
+    keep, weights = caratheodory([w for w, _ in terms], v[np.array([p for _, p in terms])])
+    return PermutationMixture(terms=tuple((float(w), terms[t][1]) for t, w in zip(keep, weights)))
 
 
 def max_subset_distribution(n: int, d: int) -> np.ndarray:

@@ -11,14 +11,20 @@ per-class state columns of all three (noiseless, noisy and ball) come from
 one layered transport per input column, which keeps every class's slot
 vector in the permutation hull of the state's spectrum and so inside the
 declared noise set. The noisy-to-noiseless construction has one candidate
-per d-subset.
+per d-subset; each input column is a mixture of at most n permutations of
+the max-of-a-random-d-subset distribution (``majorize.hlp_decompose``), so
+the subsets are gathered at most n times per column.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
 ``majorize.caratheodory`` to the same mixture matrix; the survivors are
-candidates unchanged, so their states stay in the noise set. Classes and
-subsets are processed in lexicographic order throughout, and the reduction
-is deterministic, so certificates are reproducible byte for byte.
+candidates unchanged, so their states stay in the noise set. That reduction
+walks an SVD null basis and clamps no weight, so it moves no mass beyond
+round-off; still, a certificate whose recomposition misses its target by more
+than RESIDUAL_TOL is never returned: ``NumericalBreakdown`` names the stage
+instead. Classes and subsets are processed in lexicographic order
+throughout, and the reduction is deterministic, so certificates are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     NotMajorized,
+    NumericalBreakdown,
     PreconditionViolated,
     TransportInfeasible,
 )
@@ -98,6 +105,18 @@ class RowReduction:
     residual: float
 
 
+def _checked_residual(stage: str, recon: np.ndarray, target: np.ndarray) -> float:
+    """The largest entrywise error of ``recon`` against ``target``; above
+    RESIDUAL_TOL it raises, so no certificate that ``verify`` rejects is
+    ever returned."""
+    residual = float(np.max(np.abs(recon - target)))
+    if residual > RESIDUAL_TOL:
+        raise NumericalBreakdown(
+            f"{stage}: recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+        )
+    return residual
+
+
 def _finalize(
     target: TransitionMatrix,
     weights: np.ndarray,
@@ -111,7 +130,9 @@ def _finalize(
     l(k-1) + 1 the mixture is cut to at most that many protocols with the
     same matrix (``caratheodory`` on the T protocol matrices). Weights at or
     below WEIGHT_FLOOR are then dropped, the rest renormalized, and a
-    protocol is built for each survivor, in candidate order."""
+    protocol is built for each survivor, in candidate order. Raises
+    NumericalBreakdown when the survivors miss the target by more than
+    RESIDUAL_TOL."""
     k, l = target.matrix.shape
     keep, w = np.arange(len(weights)), weights
     if len(w) > l * (k - 1) + 1:
@@ -126,7 +147,7 @@ def _finalize(
     )
     mixture = ClassicalMixture(terms=terms, num_states=decoders.shape[1], noise=noise)
     recon = mixture_matrix(mixture).matrix
-    residual = float(np.max(np.abs(recon - target.matrix)))
+    residual = _checked_residual("simulation", recon, target.matrix)
     return SimulationResult(target=target, mixture=mixture, residual=residual)
 
 
@@ -300,9 +321,9 @@ def simulate_noisy_by_noiseless(
 
     Returns the failing prefix-sum index as a witness when the noise set
     itself is not d-simulable. Otherwise every input column is decomposed
-    over permutations of the max-of-a-random-d-subset distribution, and
-    each of the C(n,d) subsets becomes one candidate d-state protocol, of
-    which at most l(k-1) + 1 are kept.
+    over at most n permutations of the max-of-a-random-d-subset
+    distribution, and each of the C(n,d) subsets becomes one candidate
+    d-state protocol, of which at most l(k-1) + 1 are kept.
     """
     if isinstance(target, ClassicalProtocol):
         decoder = target.decoder
@@ -345,7 +366,9 @@ def simulate_noisy_by_noiseless(
 
 def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
     """Write A as sum p_i B(i) where B(i) is column-stochastic with its
-    i-th row zero; requires the row slacks 1 - max_j a_ij to sum to >= 1."""
+    i-th row zero; requires the row slacks 1 - max_j a_ij to sum to >= 1.
+    Raises NumericalBreakdown when the terms miss A by more than
+    RESIDUAL_TOL."""
     t = as_transition(m)
     a = t.matrix
     k, l = a.shape
@@ -390,5 +413,5 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
         columns[:, :, j] = conditional_columns(result)
     terms = tuple((float(weights[v]), TransitionMatrix(b)) for v, b in zip(kept, columns))
     recon = sum(w * b.matrix for w, b in terms)
-    residual = float(np.max(np.abs(recon - a)))
+    residual = _checked_residual("row reduction", recon, a)
     return RowReduction(target=t, terms=terms, residual=residual)

@@ -6,6 +6,10 @@ every suite is reproducible.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +116,15 @@ def char_poly_eigenvalues(a: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's instance generators, ``bench/workloads.py``, loaded
+    read-only by path, so tests can rebuild its instances at other sizes."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -84,9 +84,27 @@ def test_hlp_random_interior_points(rng):
             mu += w[t] * rng.permutation(nu)
         mix = majorize.hlp_decompose(mu, nu)
         assert np.max(np.abs(mix.apply(nu) - mu)) < 1e-8
-        assert len(mix.terms) <= (n - 1) ** 2 + 1
+        assert len(mix.terms) <= n
         assert all(wt >= 0 for wt, _ in mix.terms)
         assert abs(mix.total_weight() - 1.0) < 1e-9
+
+
+def test_hlp_at_most_n_terms_recompose_exactly(rng):
+    # the permuted vectors nu[perm] lie in an (n-1)-dimensional affine
+    # space, so Carathéodory keeps at most n of the Birkhoff terms
+    for trial in range(60):
+        n = int(rng.integers(2, 21))
+        if trial % 3 == 0:  # ties and zeros, as in the noisy-to-noiseless path
+            nu = majorize.max_subset_distribution(n, int(rng.integers(1, n + 1)))
+        else:
+            nu = rng.dirichlet(np.ones(n))
+        w = rng.dirichlet(np.ones(int(rng.integers(1, 3 * n))))
+        mu = sum(wt * rng.permutation(nu) for wt in w)
+        mix = majorize.hlp_decompose(mu, nu)
+        assert len(mix.terms) <= n
+        assert all(wt > 0 for wt, _ in mix.terms)
+        assert abs(mix.total_weight() - 1.0) <= 1e-12
+        assert np.max(np.abs(mix.apply(nu) - mu)) <= 1e-12
 
 
 def test_hlp_not_majorized():
@@ -210,4 +228,79 @@ def test_caratheodory_reaches_the_bound_on_protocol_like_points(rng):
     weights = np.full(500, 1.0 / 500)
     index, kept = majorize.caratheodory(weights, points)
     assert len(index) <= 10
+    assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-12
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("t", [60, 3000])
+def test_caratheodory_on_near_degenerate_protocols(rng, spread, t):
+    # 4 x 3 protocols that stay within `spread` of six distinct ones, with
+    # weights over 14 decades: the null directions they add are real, so a
+    # rank cut-off far above round-off would walk along non-null vectors
+    base = rng.dirichlet(np.ones(4), size=(6, 3))
+    mats = base[rng.integers(0, 6, size=t)] + spread * rng.dirichlet(np.ones(4), size=(t, 3))
+    mats /= mats.sum(axis=2, keepdims=True)
+    points = mats.transpose(0, 2, 1).reshape(t, -1)
+    weights = 10.0 ** rng.uniform(-14, 0, size=t)
+    weights /= weights.sum()
+    index, kept = majorize.caratheodory(weights, points)
+    assert len(index) <= 3 * (4 - 1) + 1
+    assert np.all(kept >= 0.0)
+    assert abs(kept.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-12
+
+
+def test_caratheodory_with_more_ties_than_null_vectors():
+    # equal weights on repeated points: one step zeroes several weights at
+    # once, the last of them after every null vector is used up
+    points = np.array([[-1.0]] * 3 + [[0.0]] * 3 + [[-1.0]] * 5)
+    weights = np.full(11, 1.0 / 11)
+    index, kept = majorize.caratheodory(weights, points)
+    assert len(index) <= 2
+    assert np.all(kept > 0.0)
+    assert abs(kept.sum() - 1.0) <= 1e-15
+    assert abs(kept @ points[index, 0] + 8.0 / 11) <= 1e-15
+
+
+def test_caratheodory_lets_no_small_coefficient_skip_the_ratio_test():
+    # c is the affine combination 0.3 v0 + 0.2 v1 + 0.2 v2 + 0.3 v3
+    # + 1e-10 v4 - 1e-10 v5 of the simplex vertices v0 = 0, v1..v5 = e_i,
+    # and v4, v5 weigh 1e-13: whichever way the one null vector points, a
+    # 1e-10 coefficient blocks the step first; skipping it would drive its
+    # weight below zero by about 4e-11, and dropping or clamping that weight
+    # would lose or add the mass
+    vertices = np.vstack([np.zeros(5), np.eye(5)])
+    lam = np.array([0.3, 0.2, 0.2, 0.3, 1e-10, -1e-10])
+    points = np.vstack([vertices, lam @ vertices])
+    weights = np.array([0.125, 0.125, 0.125, 0.125, 1e-13, 1e-13, 0.5])
+    index, kept = majorize.caratheodory(weights, points)
+    assert len(index) == 6
+    assert np.all(kept >= 0.0)
+    assert abs(kept.sum() - weights.sum()) <= 1e-15
+    assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-15
+
+
+def test_caratheodory_on_the_candidate_protocols_of_a_noiseless_simulation(
+    bench_workloads, monkeypatch
+):
+    # 1716 multiset-class protocols of a (6, 8, 3) simulation, weighted and
+    # flattened as the certificate builder hands them over; a tableau that
+    # ignored small negative coefficients and clamped the weights they
+    # drove negative missed their weighted sum by 7.8e-2 here
+    from chansim import jsonio, simulate
+
+    calls = []
+
+    def record(weights, points):
+        calls.append((weights, points))
+        return np.arange(len(weights)), weights
+
+    monkeypatch.setattr(simulate, "caratheodory", record)
+    inst = bench_workloads._quantum_instance(np.random.default_rng([6, 6, 8]), 6, 8, 3, "noiseless")
+    simulate.simulate_quantum_noiseless(*jsonio.quantum_instance_from_json(inst.payload))
+    ((weights, points),) = calls
+    index, kept = majorize.caratheodory(weights, points)
+    assert len(index) <= 3 * (8 - 1) + 1
+    assert np.all(kept >= 0.0)
+    assert abs(kept.sum() - weights.sum()) <= 1e-12
     assert np.max(np.abs(kept @ points[index] - weights @ points)) <= 1e-12

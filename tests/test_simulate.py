@@ -1,3 +1,5 @@
+import json
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,7 +20,7 @@ from chansim.channels import (
     validate_mixture,
 )
 from chansim.certify import BinomialWitness
-from chansim.errors import NotMajorized, PreconditionViolated
+from chansim.errors import NotMajorized, NumericalBreakdown, PreconditionViolated
 from chansim.linalg import born_matrix
 from chansim.simulate import (
     SimulationResult,
@@ -565,3 +567,78 @@ def test_quantum_sizes_past_the_factorial_discriminant(n, k, l, noise, tmp_path)
     for _, prot in mixture.terms:
         assert all(satisfies_noise(prot.states[:, j], spec) for j in range(l))
     assert main(["verify", str(cert), "--in", str(instance)]) == 0
+
+
+def _certify_and_verify(tmp_path, inst) -> dict:
+    """Run a bench instance's certify command and ``verify --in`` on its
+    certificate; both must exit 0. Returns the certificate's result."""
+    from chansim.cli import main
+
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps(inst.payload))
+    assert main(inst.certify_argv(str(source), str(cert))) == 0
+    assert main(["verify", str(cert), "--in", str(source)]) == 0
+    return json.loads(cert.read_text())["result"]
+
+
+# noiseless simulations whose pruning, a Gauss-Jordan tableau that ignored
+# small negative coefficients and clamped the weights they drove negative,
+# left residuals of 1.95e-6, 2.86e-2, 2.64e-4 and 7.80e-2
+@pytest.mark.parametrize("n, k, l, seed", [(10, 5, 3, 1), (10, 5, 3, 2), (12, 5, 3, 0), (6, 8, 3, 6)])
+def test_pruning_keeps_the_target_at_formerly_failing_noiseless_instances(
+    bench_workloads, tmp_path, n, k, l, seed
+):
+    rng = np.random.default_rng([seed, n, k])
+    inst = bench_workloads._quantum_instance(rng, n, k, l, "noiseless")
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= l * (k - 1) + 1
+
+
+def test_pruning_meets_its_bound_at_a_formerly_failing_noisy_to_noiseless_instance(
+    bench_workloads, tmp_path
+):
+    # the tableau's relative pivot threshold missed a basis column here and
+    # kept 23 protocols against the bound of 3 * (8 - 1) + 1 = 22
+    rng = np.random.default_rng([3, 16])
+    inst = bench_workloads._noisy_to_noiseless_instance(rng, 16, 8, 3, 8, Fraction(3, 5))
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (8 - 1) + 1
+
+
+def test_a_pruning_that_misses_the_target_is_never_written(rng, monkeypatch, tmp_path):
+    from chansim import jsonio
+    from chansim.cli import main
+
+    povm, states = random_povm(rng, 3, 3), [random_density(rng, 3) for _ in range(2)]
+    exact = simulate.caratheodory
+
+    def off_by_a_micro(weights, points):
+        # move 1e-6 of weight between two survivors: same total, other sum
+        keep, w = exact(weights, points)
+        return keep, w + 1e-6 * (np.arange(len(w)) == 0) - 1e-6 * (np.arange(len(w)) == 1)
+
+    monkeypatch.setattr(simulate, "caratheodory", off_by_a_micro)
+    with pytest.raises(NumericalBreakdown, match="simulation: recomposition residual"):
+        simulate_quantum_noiseless(povm, states)
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
+    args = ["simulate", "quantum", "--in", str(source), "--noise", "noiseless", "--out", str(cert)]
+    assert main(args) == 1
+    assert not cert.exists()
+
+
+def test_a_row_reduction_that_misses_the_matrix_is_never_written(tmp_path):
+    # weights summing to 1 + 5e-4 pass a loose --tol, but the terms then
+    # recompose 1.0005 times the matrix
+    from chansim.cli import main
+
+    a = np.full((3, 2), 1.0 / 3.0)
+    with pytest.raises(NumericalBreakdown, match="row reduction: recomposition residual"):
+        reduce_rows(a, np.array([0.3, 0.3, 0.4005]), tol=1e-3)
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps({"matrix": a.tolist()}))
+    args = ["simulate", "reduce", "--in", str(source), "--p", "[0.3, 0.3, 0.4005]", "--tol", "1e-3"]
+    assert main(args + ["--out", str(cert)]) == 1
+    assert not cert.exists()
