@@ -184,22 +184,24 @@ def _class_values(
         # left nodes (M, t) in row-major order over classes x layers; depth
         # is a layer's slot mass per unit class weight
         depth = np.tile(gap * heights, len(classes))
-        supply = np.repeat(w, len(layers)) * depth
+        weight = np.repeat(w, len(layers))
+        supply = weight * depth
         capacity = np.outer(w, gap)[:, :, None] * counts[:, None, :]
         capacity[counts[:, None, :] >= heights[:, None]] = np.inf
         capacity = capacity.reshape(len(supply), k)
+        # a dust layer stays out of the transport: it is spread evenly over
+        # its class's n slots, and the transport meets the rest of column j
+        layered = depth[:, None] * np.repeat(counts, len(layers), axis=0) / n
         keep = supply > DROP_TOL
-        result = feasible_transport(
-            TransportInstance(supply[keep], a[:, j] - floor * slots, capacity[keep])
-        )
+        demand = a[:, j] - floor * slots - weight[~keep] @ layered[~keep]
+        result = feasible_transport(TransportInstance(supply[keep], demand, capacity[keep]))
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
                 f"column {j}: transport infeasible by {result.deficit:.3e}",
                 violator=result,
             )
-        # each layer's depth, spread by its flow and shared among the
+        # each kept layer's depth, spread by its flow and shared among the
         # c_M(i) slots that carry output i
-        layered = np.zeros_like(capacity)
         layered[keep] = conditional_columns(result) * depth[keep, None]
         per_class = layered.reshape(len(classes), len(layers), k).sum(axis=1)
         values[j] = floor + per_class / np.maximum(counts, 1.0)
@@ -209,16 +211,17 @@ def _class_values(
 def _class_terms(
     dist: OutcomeDistribution, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One candidate protocol per multiset class ms above WEIGHT_FLOOR, in
+    """One candidate protocol per multiset class ms of positive weight, in
     sorted order, weighted by the class total: the decoder sends slot m to
     output ms[m], and for input j the slot holds values[j, c, ms[m]], c the
     index of ms among the sorted classes. Each column is rescaled to sum to
-    1, because transport drops dust layers and meets its demands only up to
-    float rounding. Returns the weights, decoders and states that
-    ``_finalize`` takes."""
+    1, because transport meets its demands only up to float rounding. Dust
+    classes stay: ``_finalize`` drops weights only after pruning, so their
+    mass reaches ``caratheodory``. Returns the weights, decoders and states
+    that ``_finalize`` takes."""
     classes = sorted(dist.weights.items())
     weights = np.array([w for _, w in classes])
-    index = np.flatnonzero(weights > WEIGHT_FLOOR)
+    index = np.flatnonzero(weights > 0.0)
     decoders = np.array([ms for ms, _ in classes], dtype=np.intp)[index]
     x = values[:, index[:, None], decoders]  # (l, classes, n)
     x /= x.sum(axis=2, keepdims=True)

@@ -3,20 +3,40 @@
 A transport instance routes probability mass from L left nodes (supplies)
 to R right nodes (demands) through an (L, R) capacity matrix: an entry of 0
 means no edge, ``inf`` an uncapped edge, and any other value the most that
-edge carries. Feasibility is decided by Dinic's max-flow on a network
-whose nodes are numbered 0..L+R+1 (source -> left -> right -> sink). Each
-phase is one BFS that levels the residual graph and one blocking flow along
-level-increasing edges; a shortest augmenting path visits each left and
-right node at most once, so its length grows with every phase and there are
-at most min(L, R) phases before the final BFS finds the sink unreachable.
-The nodes that final BFS reaches are the source side of the min cut, which
-turns directly into a Hall-type violator: a right-node set whose demand
-exceeds what the left side can send into it.
+edge carries. Feasibility is decided by a max flow (source -> left ->
+right -> sink) held as the (L, R) flow matrix itself, next to the unused
+supply per left node and the unmet demand per right node; every step is a
+few numpy operations on whole columns, not one interpreter step per edge.
+The networks here have many left nodes and few right ones, and bipartite
+max flow can be driven by the small side (Ahuja, Orlin, Stein and Tarjan,
+SIAM J. Comput. 23, 1994):
+
+- Greedy start: each right node in turn takes its demand from the left
+  nodes, each giving at most its unused supply and its capacity into that
+  node (one cumsum and clip per column). The left nodes with the least
+  room to place their supply in the right nodes still to come give first,
+  so most solves at the sizes used here end right there.
+- Array levels: Dinic then routes the remainder. Each phase levels the
+  residual network by a BFS over the matrices, forward where
+  capacity - flow > RESIDUAL_EPS and backward where flow > RESIDUAL_EPS,
+  so left nodes get odd levels and right nodes even ones.
+- Hop pushes: the blocking flow walks level-increasing paths over right
+  nodes only. A hop a -> b runs through the left nodes one level above a;
+  pushing x over it spreads x across them by cumsum and clip, moving flow
+  from column a to column b. Each push empties a hop or a sink edge, and
+  hop rooms only shrink within a phase, so the phase ends in a true
+  blocking flow.
+- Phase bound: a shortest augmenting path visits each left and right node
+  at most once, so its length grows with every phase and there are at most
+  min(L, R) phases before the final BFS finds the sink unreachable (that
+  BFS is skipped once every demand is met).
+- Min cut: the right nodes that final BFS does not reach form a Hall-type
+  violator: a right-node set whose demand exceeds what the left side can
+  send into it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,119 +113,172 @@ class HallViolator:
         return self.demand - self.neighborhood_supply
 
 
-class _FlowNetwork:
-    """Residual graph on nodes 0..size-1: adjacency as lists of edge ids,
-    cap indexed by edge id, with the reverse edge stored at id ^ 1."""
+SOURCE = -1  # the source, as a path node next to the right nodes
 
-    def __init__(self, size: int):
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
 
-    def add_edge(self, u: int, v: int, c: float) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
+def _spread(room: np.ndarray, amount: float) -> np.ndarray:
+    """Split ``amount`` over nodes in order, each taking at most its room:
+    the first nodes fill up and at most one is filled in part."""
+    before = np.cumsum(room) - room
+    return np.clip(amount - before, 0.0, room)
 
-    def levels(self, s: int) -> list[int]:
-        """Per node, its BFS distance from s over edges with residual
-        capacity above RESIDUAL_EPS; -1 for nodes not reached."""
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if level[v] < 0 and self.cap[eid] > RESIDUAL_EPS:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
 
-    def max_flow(self, s: int, t: int) -> tuple[float, list[int]]:
-        """Dinic's algorithm: the flow value, and the levels of the final
-        phase, whose reached nodes (level >= 0) are the source side of a
-        minimum cut. Every s-t path must have finite capacity."""
-        total = 0.0
-        while True:
-            level = self.levels(s)
-            if level[t] < 0:
-                return total, level
-            total += self._blocking_flow(s, t, level)
+def _levels(
+    capacity: np.ndarray, flow: np.ndarray, spare: np.ndarray, unmet: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Array BFS from the source over the residual network: source to left
+    u where spare(u) > RESIDUAL_EPS, u to right v where capacity - flow >
+    RESIDUAL_EPS, v back to u where flow > RESIDUAL_EPS, and v to the sink
+    where unmet(v) > RESIDUAL_EPS. Returns the level of each left node (odd)
+    and right node (even), -1 where not reached, and the sink's level, -1
+    when unreachable. The BFS stops at the first right level that reaches
+    the sink."""
+    left = np.full(len(spare), -1)
+    right = np.full(len(unmet), -1)
+    frontier = spare > RESIDUAL_EPS
+    depth = 1
+    left[frontier] = depth
+    room = capacity - flow
+    while True:
+        reached = (room[frontier] > RESIDUAL_EPS).any(axis=0) & (right < 0)
+        if not reached.any():
+            return left, right, -1
+        right[reached] = depth + 1
+        if np.any(unmet[reached] > RESIDUAL_EPS):
+            return left, right, depth + 2
+        frontier = (flow[:, reached] > RESIDUAL_EPS).any(axis=1) & (left < 0)
+        if not frontier.any():
+            return left, right, -1
+        depth += 2
+        left[frontier] = depth
 
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> float:
-        """Augment along level-increasing paths until none is left. The DFS
-        is iterative: ``path`` holds the edge ids from s to the current node
-        and ``ptr[u]`` the first edge of u not yet found to be dead."""
-        adj, to, cap = self.adj, self.to, self.cap
-        ptr = [0] * len(adj)
-        path: list[int] = []
-        total = 0.0
-        u = s
-        while True:
-            if u == t:
-                push = min(cap[eid] for eid in path)
-                for eid in path:
-                    cap[eid] -= push
-                    cap[eid ^ 1] += push
-                total += push
-                # the bottleneck is now exactly 0: resume at its tail
-                first = next(i for i, eid in enumerate(path) if cap[eid] <= RESIDUAL_EPS)
-                u = to[path[first] ^ 1]
-                del path[first:]
-                continue
-            edges, i, deeper = adj[u], ptr[u], level[u] + 1
-            while i < len(edges) and not (
-                cap[edges[i]] > RESIDUAL_EPS and level[to[edges[i]]] == deeper
-            ):
-                i += 1
-            ptr[u] = i
-            if i < len(edges):
-                path.append(edges[i])
-                u = to[edges[i]]
-            elif u == s:
-                return total
-            else:  # dead end: step back and skip the edge that led here
-                u = to[path.pop() ^ 1]
-                ptr[u] += 1
+
+def _blocking_flow(
+    capacity: np.ndarray,
+    flow: np.ndarray,
+    spare: np.ndarray,
+    unmet: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    sink: int,
+) -> None:
+    """Augment along level-increasing paths until none is left, in place.
+
+    Paths are walked over right nodes: a hop a -> b (a a right node or the
+    source, b a right node two levels up) runs through every left node u
+    one level above a, which can carry min(flow(u, a), capacity(u, b) -
+    flow(u, b)), or min(spare(u), ...) from the source. ``path`` holds the
+    nodes from the source, ``hops[i]`` the rows and room of the hop from
+    path[i] to path[i + 1], and ``ahead[a]`` the hops out of a not yet found
+    dead, last first. A path ends at a right node one level below the sink.
+    Hop rooms only shrink within a phase, and each push empties a hop or a
+    sink edge, so the phase ends in a blocking flow."""
+    rows = {level: np.flatnonzero(left == level) for level in range(1, sink, 2)}
+    path, hops = [SOURCE], []
+    ahead: dict[int, list[int]] = {}
+
+    def taken(a: int, u: np.ndarray) -> np.ndarray:
+        return spare[u] if a == SOURCE else flow[u, a]
+
+    def alive(b: int) -> bool:
+        if right[b] == sink - 1:
+            return unmet[b] > RESIDUAL_EPS
+        return ahead.get(b) != []
+
+    while True:
+        a = path[-1]
+        if a != SOURCE and right[a] == sink - 1:
+            push = min(unmet[a], *(room.sum() for _, room in hops))
+            for (u, room), tail, head in zip(hops, path, path[1:]):
+                moved = _spread(room, push)
+                flow[u, head] += moved
+                if tail == SOURCE:
+                    spare[u] -= moved
+                else:
+                    flow[u, tail] -= moved
+                room -= moved
+            unmet[a] -= push
+            # back to the tail of the first emptied hop; the last hop
+            # counts as emptied once its head's demand is met
+            cut = next(
+                (i for i, (_, room) in enumerate(hops) if not np.any(room > RESIDUAL_EPS)),
+                len(hops) - 1,
+            )
+            del path[cut + 1 :], hops[cut:]
+            ahead[path[-1]].pop()
+            continue
+        level = 0 if a == SOURCE else right[a]
+        u = rows[level + 1]
+        if a not in ahead:
+            ahead[a] = np.flatnonzero(right == level + 2)[::-1].tolist()
+        todo = ahead[a]
+        while todo:
+            b = todo[-1]
+            if alive(b):
+                room = np.minimum(taken(a, u), capacity[u, b] - flow[u, b])
+                room[room <= RESIDUAL_EPS] = 0.0
+                if room.any():
+                    path.append(b)
+                    hops.append((u, room))
+                    break
+            todo.pop()
+        else:
+            if a == SOURCE:
+                return
+            path.pop()
+            hops.pop()
+            ahead[path[-1]].pop()
+
+
+def _max_flow(
+    capacity: np.ndarray, supply: np.ndarray, demand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (L, R) flow of a maximum flow, and the right-node levels of the
+    final BFS (-1 for nodes on the sink side of a minimum cut), or None
+    when every demand is met. A greedy start fills each right node in turn,
+    first from the left nodes with the least room to place their supply in
+    the right nodes after it; Dinic phases then route the remainder."""
+    flow = np.zeros(capacity.shape)
+    spare, unmet = supply.copy(), demand.copy()
+    # need: a left node's room in the right nodes after the current one,
+    # less its supply; below 0 it cannot place all of it later. Leaving up
+    # to FEAS_TOL unplaced is within tolerance, so that shortfall is none
+    share = np.minimum(supply[:, None], capacity)
+    need = share[:, ::-1].cumsum(axis=1)[:, ::-1] - share - supply[:, None]
+    need[(-FEAS_TOL <= need) & (need < 0.0)] = 0.0
+    for v in range(len(unmet)):
+        room = np.minimum(spare, capacity[:, v])
+        u = np.flatnonzero(room)
+        u = u[np.argsort(need[u, v], kind="stable")]
+        give = _spread(room[u], unmet[v])
+        flow[u, v] = give
+        spare[u] -= give
+        unmet[v] -= give.sum()
+    right = None
+    while np.any(unmet > RESIDUAL_EPS):
+        left, right, sink = _levels(capacity, flow, spare, unmet)
+        if sink < 0:
+            break
+        _blocking_flow(capacity, flow, spare, unmet, left, right, sink)
+    return flow, right
 
 
 def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
     """Either a plan meeting both marginals or a Hall violator set.
 
-    Supplies below 1e-12 are dropped before solving (their mass is
+    Supplies at or below DROP_TOL are dropped before solving (their mass is
     discarded; it is within the balance tolerance by construction).
-    Left node u is network node u, right node v is L + v, and the source
-    and sink are L + R and L + R + 1.
     """
-    n_left, n_right = inst.capacity.shape
-    source, sink = n_left + n_right, n_left + n_right + 1
-    net = _FlowNetwork(n_left + n_right + 2)
-    kept = inst.supply > DROP_TOL
-    for u in np.flatnonzero(kept).tolist():
-        net.add_edge(source, u, float(inst.supply[u]))
-    for v in np.flatnonzero(inst.demand > 0.0).tolist():
-        net.add_edge(n_left + v, sink, float(inst.demand[v]))
-    edges = inst.edges
-    us, vs = edges[kept[edges[:, 0]]].T
-    first = len(net.to)
-    for u, v, c in zip(us.tolist(), vs.tolist(), inst.capacity[us, vs].tolist()):
-        net.add_edge(u, n_left + v, c)
-
-    value, level = net.max_flow(source, sink)
-    if value >= inst.demand.sum() - FEAS_TOL:
-        flow = np.zeros((n_left, n_right))
-        flow[us, vs] = net.cap[first + 1 :: 2]  # flow pushed equals reverse residual
+    supply = np.where(inst.supply > DROP_TOL, inst.supply, 0.0)
+    flow, right = _max_flow(inst.capacity, supply, inst.demand)
+    if flow.sum() >= inst.demand.sum() - FEAS_TOL:
         return TransportPlan(flow=flow)
 
-    right = [v for v in range(n_right) if inst.demand[v] > 0.0 and level[n_left + v] < 0]
-    into = inst.capacity[:, right].sum(axis=1)
+    t = np.flatnonzero((inst.demand > 0.0) & (right < 0))
+    into = inst.capacity[:, t].sum(axis=1)
     return HallViolator(
-        right_set=frozenset(right),
-        demand=float(inst.demand[right].sum()),
+        right_set=frozenset(t.tolist()),
+        demand=float(inst.demand[t].sum()),
         neighborhood_supply=float(np.minimum(inst.supply, into).sum()),
     )
 

@@ -326,6 +326,66 @@ def test_class_values_match_prefix_sum_inequalities(rng):
     assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
 
+def _prefix_slack(dist, mu):
+    """The 2^k inequalities a(T) >= sum_M w_M P(c_M(T)) as (member, need):
+    row T of member marks the outputs in T (T read as a bit mask), and
+    need[T] is the right-hand side."""
+    classes = sorted(dist.weights.items())
+    w = np.array([weight for _, weight in classes])
+    counts = np.array([np.bincount(ms, minlength=dist.k) for ms, _ in classes])
+    member = (np.arange(2**dist.k)[:, None] >> np.arange(dist.k)) & 1
+    prefix = np.concatenate(([0.0], np.cumsum(mu)))
+    return member, prefix[counts @ member.T].T @ w
+
+
+@pytest.mark.parametrize("noise", ["noiseless", "delta"])
+def test_layered_transport_matches_the_prefix_sum_oracle(rng, noise):
+    # every _class_values solve on a random POVM with k <= 8 outcomes is
+    # checked against all 2^k inequalities of its docstring: the columns
+    # the POVM gives and the same columns pulled toward an output until
+    # one inequality fails, whose violator must carry the failing deficit
+    from chansim.errors import TransportInfeasible
+    from chansim.majorize import majorized_by_permutohedron
+    from chansim.mixdisc import outcome_distribution
+
+    solved = refused = 0
+    for _ in range(12):
+        n, k = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        povm = random_povm(rng, n, k)
+        dist = outcome_distribution(povm)
+        classes = sorted(dist.weights)
+        for _ in range(2):
+            if noise == "noiseless":
+                rho, mu = random_density(rng, n), np.eye(n)[-1]
+            else:
+                rho = random_density_floor(rng, n, 0.5)
+                mu = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+            member, need = _prefix_slack(dist, mu)
+            a = born_matrix(povm, [rho])[:, 0]
+            out = np.eye(k)[rng.integers(k)]
+            pulls = [(1 - s) * a + s * out for s in (0.2, 0.4, 0.6, 0.8, 1.0)]
+            pulled = next((b for b in pulls if np.min(member @ b - need) < -1e-6), None)
+            assert np.min(member @ a - need) > -1e-9
+            (values,) = simulate._class_values(dist, a[:, None], [mu])
+            recon = np.zeros(k)
+            for c, ms in enumerate(classes):
+                slot_values = values[c, list(ms)]
+                assert majorized_by_permutohedron(slot_values, mu, 1e-9)
+                np.add.at(recon, list(ms), dist.weights[ms] * slot_values)
+            assert np.max(np.abs(recon - a)) <= 1e-9
+            solved += 1
+            if pulled is None:
+                continue
+            with pytest.raises(TransportInfeasible) as exc:
+                simulate._class_values(dist, pulled[:, None], [mu])
+            violator = exc.value.violator
+            complement = sum(1 << i for i in range(k) if i not in violator.right_set)
+            slack = member[complement] @ pulled - need[complement]
+            assert slack == pytest.approx(-violator.deficit, abs=1e-12)
+            refused += 1
+    assert solved == 24 and refused >= 12
+
+
 def test_ball_disk_antipodal_noiseless():
     v = np.array([0.6, 0.8])
     effects = [
@@ -593,6 +653,55 @@ def test_pruning_keeps_the_target_at_formerly_failing_noiseless_instances(
     result = _certify_and_verify(tmp_path, inst)
     assert result["residual"] <= 1e-8
     assert len(result["mixture"]["terms"]) <= l * (k - 1) + 1
+
+
+# with classes at or below WEIGHT_FLOOR dropped before pruning, the first
+# three instances above still missed their targets by 4.4e-11, 6.7e-11 and
+# 1.2e-10: the dropped mass
+@pytest.mark.parametrize("n, k, seed", [(10, 5, 1), (10, 5, 2), (12, 5, 0)])
+def test_dust_classes_reach_the_pruning(bench_workloads, n, k, seed):
+    from chansim import jsonio
+
+    rng = np.random.default_rng([seed, n, k])
+    inst = bench_workloads._quantum_instance(rng, n, k, 3, "noiseless")
+    povm, states = jsonio.quantum_instance_from_json(inst.payload)
+    assert simulate_quantum_noiseless(povm, states).residual <= 1e-13
+
+
+# layers lighter than the transport's DROP_TOL were dropped, and their
+# mass with them: these instances missed their targets by 4.5e-11 and 3.5e-11
+@pytest.mark.parametrize("n, k", [(12, 4), (16, 4)])
+def test_dust_layers_are_taken_off_the_transport_demand(bench_workloads, n, k):
+    from chansim import jsonio
+
+    inst = bench_workloads._quantum_instance(np.random.default_rng(3), n, k, 3, "delta:1/2")
+    povm, states = jsonio.quantum_instance_from_json(inst.payload)
+    assert simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2))).residual <= 1e-13
+
+
+def test_a_class_below_the_transport_drop_keeps_a_valid_column():
+    # a class too light for the transport spreads its one layer evenly over
+    # its slots, so it stays a candidate with a column that sums to 1
+    from chansim.mixdisc import OutcomeDistribution
+    from chansim.transport import DROP_TOL
+
+    dust = DROP_TOL / 4
+    weights = {(0, 0): 0.5, (0, 1): 0.5 - dust, (1, 1): dust}
+    dist = OutcomeDistribution(n=2, k=2, weights=weights)
+    a = np.array([[0.75 - dust], [0.25 + dust]])
+    values = simulate._class_values(dist, a, [np.array([0.0, 1.0])])
+    assert values[0, 2, 1] == pytest.approx(0.5)
+    w, decoders, states = simulate._class_terms(dist, values)
+    assert w[-1] == dust and decoders[-1].tolist() == [1, 1]
+    assert np.allclose(states.sum(axis=1), 1.0)
+
+
+def test_noisy_simulation_at_a_lifted_size(bench_workloads, tmp_path):
+    # noisy (14,5,3) spent 2.4 s of 2.9 s in the per-edge transport
+    inst = bench_workloads._quantum_instance(np.random.default_rng(3), 14, 5, 3, "delta:1/2")
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (5 - 1) + 1
 
 
 def test_pruning_meets_its_bound_at_a_formerly_failing_noisy_to_noiseless_instance(

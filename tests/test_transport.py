@@ -1,13 +1,12 @@
-import sys
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from chansim import transport
 from chansim.transport import (
     HallViolator,
-    _FlowNetwork,
     TransportInstance,
     TransportPlan,
     conditional_columns,
@@ -160,17 +159,23 @@ def test_conditional_zero_supply_rejected():
         conditional_columns(plan)
 
 
-def test_random_instances_match_hall_oracle(rng, monkeypatch):
+@pytest.fixture
+def level_calls(monkeypatch):
+    """What each transport._levels call returned, in call order."""
+    calls = []
+    levels = transport._levels
+
+    def counted(*args):
+        calls.append(levels(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(transport, "_levels", counted)
+    return calls
+
+
+def test_random_instances_match_hall_oracle(rng, level_calls):
     # every solve takes at most min(L, R) + 1 BFS levelings: one per Dinic
     # phase and the last, which finds the sink unreachable
-    calls = []
-    levels = _FlowNetwork.levels
-
-    def counted(net, s):
-        calls.append(s)
-        return levels(net, s)
-
-    monkeypatch.setattr(_FlowNetwork, "levels", counted)
     for trial in range(260):
         if trial < 200:
             nl = int(rng.integers(1, 7))
@@ -196,9 +201,9 @@ def test_random_instances_match_hall_oracle(rng, monkeypatch):
             capacity = {
                 e: float(rng.uniform(0.0, 0.5)) for e in sorted(edges) if rng.random() < 0.5
             }
-        calls.clear()
+        level_calls.clear()
         result = feasible_transport(make_instance(supply, demand, edges, capacity))
-        assert len(calls) <= min(nl, nr) + 1
+        assert len(level_calls) <= min(nl, nr) + 1
         oracle = hall_feasible(supply, demand, edges, capacity)
         if trial % 5 < 2:
             assert oracle == lp_feasible(supply, demand, edges, capacity)
@@ -215,19 +220,38 @@ def test_random_instances_match_hall_oracle(rng, monkeypatch):
             assert recomputed == pytest.approx(result.deficit)
 
 
-def test_chain_longer_than_the_recursion_limit(rng):
-    # the blocking-flow DFS is iterative, so path length is not bounded by
-    # the interpreter's stack; the min cut is the chain's smallest edge
-    size = sys.getrecursionlimit() + 10
-    caps = rng.uniform(0.5, 2.0, size - 1)
-    net = _FlowNetwork(size)
-    for u, c in enumerate(caps.tolist()):
-        net.add_edge(u, u + 1, c)
-    value, level = net.max_flow(0, size - 1)
-    assert value == caps.min()
-    cut = int(np.argmin(caps))
-    assert all(x >= 0 for x in level[: cut + 1])
-    assert all(x == -1 for x in level[cut + 1 :])
+def test_staircase_leaves_one_augmenting_path_through_every_right_node(level_calls):
+    # right v < m - 1 is met by left v + 1 and right m - 1 by left 0 only,
+    # but the greedy start hands right v its decoy edge to left v, which
+    # has no room in the right nodes after v (left 0 ties with left 1 and
+    # comes first). That leaves left m - 1 with its supply and right m - 1
+    # unmet, joined by the single augmenting path m-1 -> m-2 -> ... -> 0 ->
+    # m-1 over all m right nodes, which one Dinic phase pushes back
+    m = 60
+    capacity = np.zeros((m, m))
+    capacity[np.arange(1, m), np.arange(m - 1)] = np.inf  # left v + 1 -> right v
+    capacity[np.arange(m - 1), np.arange(m - 1)] = np.inf  # decoys
+    capacity[0, m - 1] = np.inf
+    supply = demand = np.full(m, 1.0 / m)
+    plan = feasible_transport(TransportInstance(supply, demand, capacity))
+    expected = np.zeros((m, m))
+    expected[np.arange(1, m), np.arange(m - 1)] = 1.0 / m
+    expected[0, m - 1] = 1.0 / m
+    assert isinstance(plan, TransportPlan)
+    assert np.array_equal(plan.flow, expected)
+    # one phase, whose path reaches the sink at level 2m + 1; it meets every
+    # demand, so no closing BFS is needed
+    assert len(level_calls) == 1
+    assert level_calls[0][2] == 2 * m + 1
+
+    # move right 0's demand onto right m - 1, which only left 0 reaches
+    raised = demand.copy()
+    raised[m - 1], raised[0] = 2.0 / m, 0.0
+    result = feasible_transport(TransportInstance(supply, raised, capacity))
+    assert isinstance(result, HallViolator)
+    assert result.right_set == frozenset({m - 1})
+    assert result.demand == pytest.approx(2.0 / m)
+    assert result.neighborhood_supply == pytest.approx(1.0 / m)
 
 
 def test_outcome_tuple_structure_always_feasible(rng):
