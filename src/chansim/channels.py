@@ -4,7 +4,9 @@ noise specifications, and ball-model effects and states.
 A classical protocol is a decoder (a deterministic map from internal states
 to outputs, stored as an index array) together with a column-stochastic
 state matrix; convex combinations of protocols are the simulation
-certificates everything else produces.
+certificates everything else produces. A mixture stores its protocols as
+stacked arrays, so it is validated, recomposed and checked against its
+noise spec by array operations over all terms at once.
 """
 
 from __future__ import annotations
@@ -132,6 +134,24 @@ def satisfies_noise(x, spec: NoiseSpec, tol: float = STOCHASTIC_TOL) -> bool:
     raise TypeError(f"cannot test membership against {type(spec).__name__}; resolve per column first")
 
 
+def _checked_protocols(decoders, states, num_outputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decoders (T, n) and state matrices (T, n, l) of T protocols as
+    arrays, once each protocol is checked: finite states, decoder values
+    in the output alphabet, nonnegative states with columns summing to 1."""
+    dec = np.asarray(decoders, dtype=int)
+    st = np.asarray(states, dtype=float)
+    if dec.ndim != 2 or st.ndim != 3 or st.shape[:2] != dec.shape:
+        raise DimensionMismatch(f"decoders {dec.shape} do not match states {st.shape}")
+    require_finite(st, "state matrix")
+    if dec.size and (dec.min() < 0 or dec.max() >= num_outputs):
+        raise DimensionMismatch("decoder values outside the output alphabet")
+    if np.any(st < -ENTRY_TOL):
+        raise ValueError("state matrix has negative entries")
+    if st.size and np.max(np.abs(st.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("state matrix columns must sum to 1")
+    return dec, st
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalProtocol:
     """Deterministic decoder over n internal states plus a state matrix.
@@ -145,20 +165,11 @@ class ClassicalProtocol:
     num_outputs: int
 
     def __post_init__(self):
-        dec = np.asarray(self.decoder, dtype=int)
-        st = np.asarray(self.states, dtype=float)
-        if dec.ndim != 1 or st.ndim != 2 or st.shape[0] != dec.shape[0]:
-            raise DimensionMismatch(
-                f"decoder length {dec.shape} does not match states shape {st.shape}"
-            )
-        if dec.size and (dec.min() < 0 or dec.max() >= self.num_outputs):
-            raise DimensionMismatch("decoder values outside the output alphabet")
-        if np.any(st < -ENTRY_TOL):
-            raise ValueError("state matrix has negative entries")
-        if st.size and np.max(np.abs(st.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("state matrix columns must sum to 1")
-        object.__setattr__(self, "decoder", dec)
-        object.__setattr__(self, "states", st)
+        dec, st = _checked_protocols(
+            np.asarray(self.decoder)[None], np.asarray(self.states)[None], self.num_outputs
+        )
+        object.__setattr__(self, "decoder", dec[0])
+        object.__setattr__(self, "states", st[0])
 
     @property
     def num_states(self) -> int:
@@ -177,42 +188,107 @@ def protocol_matrix(p: ClassicalProtocol) -> TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalMixture:
-    """Weighted list of classical protocols with a declared noise spec."""
+    """Convex mixture of T classical protocols over a common shape, held as
+    arrays: ``weights`` (T,), ``decoders`` (T, n) and ``states`` (T, n, l).
+    Term t is the protocol with decoder ``decoders[t]`` and state matrix
+    ``states[t]``; every term has ``num_outputs`` outputs, and n may not
+    exceed the declared ``num_states``.
 
-    terms: tuple[tuple[float, ClassicalProtocol], ...]
+    Construction validates everything except noise membership, once for
+    all terms: the checks of ``ClassicalProtocol`` on every term, finite
+    weights summing to 1, and the state count. The arrays are stored
+    read-only.
+    """
+
+    weights: np.ndarray
+    decoders: np.ndarray
+    states: np.ndarray
+    num_outputs: int
     num_states: int
     noise: NoiseSpec
 
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.terms])
+    def __post_init__(self):
+        dec, st = _checked_protocols(self.decoders, self.states, self.num_outputs)
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(dec),):
+            raise DimensionMismatch(f"weights {w.shape} for {len(dec)} protocols")
+        require_finite(w, "mixture weights")
+        if np.any(w < -STOCHASTIC_TOL) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
+            raise WeightSumNotOne(f"mixture weights sum to {w.sum()!r}")
+        if st.shape[1] > self.num_states:
+            raise DimensionMismatch(
+                f"protocols have {st.shape[1]} states, mixture declares {self.num_states}"
+            )
+        object.__setattr__(self, "weights", _read_only(w))
+        object.__setattr__(self, "decoders", _read_only(dec))
+        object.__setattr__(self, "states", _read_only(st))
+
+    @property
+    def terms(self) -> tuple[tuple[float, ClassicalProtocol], ...]:
+        """The (weight, protocol) pairs, built on each access."""
+        return tuple(
+            (float(w), ClassicalProtocol(decoder=d, states=x, num_outputs=self.num_outputs))
+            for w, d, x in zip(self.weights, self.decoders, self.states)
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def protocol_matrices(decoders: np.ndarray, states: np.ndarray, num_outputs: int) -> np.ndarray:
+    """The (T, k, l) stack of protocol matrices E_t X_t for decoders (T, n)
+    and states (T, n, l): row i of E_t X_t adds up, in state order, the
+    rows of X_t whose state decodes to i."""
+    num_terms, _, l = states.shape
+    matrices = np.zeros((num_terms, num_outputs, l))
+    np.add.at(matrices, (np.arange(num_terms)[:, None], decoders), states)
+    return matrices
 
 
 def mixture_matrix(m: ClassicalMixture) -> TransitionMatrix:
-    """Weighted sum of the protocol matrices; raises unless weights sum to 1."""
-    w = m.weights()
-    if np.any(w < -STOCHASTIC_TOL) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-        raise WeightSumNotOne(f"mixture weights sum to {w.sum()!r}")
-    total = None
-    for weight, protocol in m.terms:
-        mat = protocol.decoder_matrix() @ protocol.states
-        total = weight * mat if total is None else total + weight * mat
-    return TransitionMatrix(total)
+    """Weighted sum of the protocol matrices E_t X_t, summed in term order;
+    no sum depends on how BLAS would order it."""
+    matrices = protocol_matrices(m.decoders, m.states, m.num_outputs)
+    return TransitionMatrix((m.weights[:, None, None] * matrices).sum(axis=0))
+
+
+def _in_noise_set(v: np.ndarray, spec: NoiseSpec, tol: float) -> np.ndarray:
+    """``satisfies_noise`` over the last axis of ``v``: one verdict per
+    vector."""
+    total_ok = np.abs(v.sum(axis=-1) - 1.0) <= tol
+    if isinstance(spec, Noiseless):
+        return np.all(v >= -tol, axis=-1) & total_ok
+    if isinstance(spec, Delta):
+        return np.all(v >= float(spec.delta) / v.shape[-1] - tol, axis=-1) & total_ok
+    if isinstance(spec, Permutohedron):
+        base = np.sort(np.asarray(spec.base, dtype=float))
+        if len(base) != v.shape[-1]:
+            raise LengthMismatch(f"vector length {v.shape[-1]} vs base length {len(base)}")
+        xs = np.sort(v, axis=-1)
+        prefix = np.cumsum(xs, axis=-1)[..., :-1] >= np.cumsum(base)[:-1] - tol
+        return (np.abs(xs.sum(axis=-1) - base.sum()) <= tol) & np.all(prefix, axis=-1)
+    raise TypeError(f"cannot test membership against {type(spec).__name__}; resolve per column first")
 
 
 def validate_mixture(m: ClassicalMixture, tol: float = STOCHASTIC_TOL) -> None:
-    """Check weights, state counts, and per-column noise membership."""
-    w = m.weights()
-    if np.any(w < -tol) or abs(w.sum() - 1.0) > tol:
-        raise WeightSumNotOne(f"mixture weights sum to {w.sum()!r}")
-    for _, protocol in m.terms:
-        if protocol.num_states > m.num_states:
-            raise DimensionMismatch(
-                f"protocol has {protocol.num_states} states, mixture declares {m.num_states}"
-            )
-        for j in range(protocol.states.shape[1]):
-            spec = spec_for_column(m.noise, j)
-            if not satisfies_noise(protocol.states[:, j], spec, tol):
-                raise ValueError(f"state column {j} violates the declared noise spec")
+    """Check every state column of every term against the declared noise
+    spec (the checks of ``satisfies_noise``), all T x l columns at once;
+    the rest is checked when the mixture is built."""
+    l = m.states.shape[2]
+    columns = np.ascontiguousarray(m.states.transpose(0, 2, 1))  # (T, l, n)
+    if isinstance(m.noise, PerColumn):
+        if len(m.noise.specs) < l:
+            raise DimensionMismatch(f"{len(m.noise.specs)} column specs for {l} columns")
+        verdicts = [_in_noise_set(columns[:, j], m.noise.specs[j], tol) for j in range(l)]
+        ok = np.stack(verdicts, axis=1)
+    else:
+        ok = _in_noise_set(columns, m.noise, tol)
+    if not ok.all():
+        j = np.argwhere(~ok)[0, 1]
+        raise ValueError(f"state column {j} violates the declared noise spec")
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,23 +210,29 @@ def _verify_row_reduction(result: dict) -> list[str]:
     terms, zero_rows = result["terms"], result["zero_rows"]
     if len(zero_rows) != len(terms):
         return [f"{len(zero_rows)} zero rows for {len(terms)} terms"]
+    try:
+        b = real_matrix_from_json([term["matrix"] for term in terms])
+        w = np.array([term["weight"] for term in terms], dtype=float)
+    except (ChanSimError, ValueError) as exc:
+        return [f"terms invalid: {exc}"]
+    if b.shape[1:] != target.shape:
+        return [f"terms are {b.shape[1:]} matrices, the target is {target.shape}"]
+    k = target.shape[0]
+    named = [isinstance(z, int) and 0 <= z < k for z in zero_rows]
+    rows = b[np.arange(len(terms)), [z if ok else 0 for z, ok in zip(zero_rows, named)]]
+    nonzero = np.max(np.abs(rows), axis=1) > 1e-9
+    unstochastic = np.max(np.abs(b.sum(axis=1) - 1.0), axis=1) > 1e-8
     problems = []
-    total = np.zeros_like(target)
-    weight_sum = 0.0
-    for term, zero_row in zip(terms, zero_rows):
-        b = real_matrix_from_json(term["matrix"])
-        w = float(term["weight"])
-        weight_sum += w
-        total += w * b
-        if not (isinstance(zero_row, int) and 0 <= zero_row < b.shape[0]):
-            problems.append(f"claimed zero row {zero_row!r} is not a row index")
-        elif np.max(np.abs(b[zero_row, :])) > 1e-9:
-            problems.append(f"claimed zero row {zero_row} is nonzero")
-        if np.max(np.abs(b.sum(axis=0) - 1.0)) > 1e-8:
+    for t in np.flatnonzero(~np.array(named, dtype=bool) | nonzero | unstochastic):
+        if not named[t]:
+            problems.append(f"claimed zero row {zero_rows[t]!r} is not a row index")
+        elif nonzero[t]:
+            problems.append(f"claimed zero row {zero_rows[t]} is nonzero")
+        if unstochastic[t]:
             problems.append("component is not column-stochastic")
-    if abs(weight_sum - 1.0) > 1e-9:
-        problems.append(f"weights sum to {weight_sum!r}")
-    residual = float(np.max(np.abs(total - target)))
+    if abs(w.sum() - 1.0) > 1e-9:
+        problems.append(f"weights sum to {float(w.sum())!r}")
+    residual = float(np.max(np.abs((w[:, None, None] * b).sum(axis=0) - target)))
     if residual > RESIDUAL_TOL:
         problems.append("components do not recompose to the target")
     if abs(residual - float(result["residual"])) > 1e-6:

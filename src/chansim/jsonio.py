@@ -30,7 +30,7 @@ from .channels import (
     Permutohedron,
     TransitionMatrix,
 )
-from .errors import InvalidCertificate
+from .errors import DimensionMismatch, InvalidCertificate
 from .linalg import require_finite
 from .simulate import RowReduction, SimulationResult
 
@@ -112,8 +112,14 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
-    rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    return require_finite(np.array(rows, dtype=complex), "complex matrix")
+    """An r x c complex matrix from its r x c x 2 array of [re, im] pairs."""
+    try:
+        pairs = np.array(data, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"complex matrix is not an array of [re, im] pairs: {exc}") from exc
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise DimensionMismatch(f"complex matrix has shape {pairs.shape}, not r x c x 2")
+    return require_finite(pairs.view(complex)[..., 0], "complex matrix")
 
 
 def real_matrix_to_json(m: np.ndarray) -> list:
@@ -166,19 +172,14 @@ def noise_from_json(data) -> NoiseSpec:
     if kind == "permutohedron":
         return Permutohedron(base=tuple(float(x) for x in data["base"]))
     if kind == "per_column":
-        return PerColumn(specs=tuple(noise_from_json(s) for s in data["specs"]))
+        specs = tuple(noise_from_json(s) for s in data["specs"])
+        if any(isinstance(s, PerColumn) for s in specs):
+            raise InvalidCertificate("per_column noise specs do not nest")
+        return PerColumn(specs=specs)
     raise InvalidCertificate(f"unknown noise kind {kind!r}")
 
 
 # -- protocols and mixtures ---------------------------------------------------
-
-
-def protocol_to_json(p: ClassicalProtocol) -> dict:
-    return {
-        "decoder": [int(i) for i in p.decoder],
-        "states": real_matrix_to_json(p.states),
-        "num_outputs": int(p.num_outputs),
-    }
 
 
 def protocol_from_json(data) -> ClassicalProtocol:
@@ -190,21 +191,34 @@ def protocol_from_json(data) -> ClassicalProtocol:
 
 
 def mixture_to_json(m: ClassicalMixture) -> dict:
-    return {
-        "terms": [
-            {"weight": float(w), "protocol": protocol_to_json(p)} for w, p in m.terms
-        ],
-        "num_states": int(m.num_states),
-        "noise": noise_to_json(m.noise),
-    }
+    k = int(m.num_outputs)
+    terms = [
+        {"weight": w, "protocol": {"decoder": d, "states": x, "num_outputs": k}}
+        for w, d, x in zip(m.weights.tolist(), m.decoders.tolist(), m.states.tolist())
+    ]
+    return {"terms": terms, "num_states": int(m.num_states), "noise": noise_to_json(m.noise)}
 
 
 def mixture_from_json(data) -> ClassicalMixture:
-    terms = tuple(
-        (float(t["weight"]), protocol_from_json(t["protocol"])) for t in data["terms"]
-    )
+    """The mixture of a certificate's ``terms``, one array per field; the
+    protocols must share their number of outputs and their shape."""
+    protocols = [t["protocol"] for t in data["terms"]]
+    outputs = {p["num_outputs"] for p in protocols}
+    if len(outputs) > 1:
+        raise InvalidCertificate(f"protocols differ in their number of outputs: {sorted(outputs)}")
+    try:
+        weights = np.array([t["weight"] for t in data["terms"]], dtype=float)
+        decoders = np.array([p["decoder"] for p in protocols], dtype=int)
+        states = np.array([p["states"] for p in protocols], dtype=float)
+    except ValueError as exc:
+        raise InvalidCertificate(f"protocols differ in shape: {exc}") from exc
     return ClassicalMixture(
-        terms=terms, num_states=int(data["num_states"]), noise=noise_from_json(data["noise"])
+        weights=weights,
+        decoders=decoders,
+        states=states,
+        num_outputs=int(outputs.pop()) if outputs else 0,
+        num_states=int(data["num_states"]),
+        noise=noise_from_json(data["noise"]),
     )
 
 

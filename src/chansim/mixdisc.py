@@ -162,19 +162,27 @@ def distribution_from_class_values(
     when it drifts from 1 by at most 1e-7. ``cap`` bounds the number of
     classes, C(n+k-1, n).
     """
+    return _distribution(k, n, lambda ms, orderings: class_value(ms), cap)
+
+
+def _distribution(k: int, n: int, class_value, cap: int) -> OutcomeDistribution:
+    """``distribution_from_class_values`` for an evaluator
+    ``class_value(ms, orderings)`` that is also given the class's
+    multiplicity, which is computed once per class."""
     _check_cap(k, n, cap)
-    values: dict[tuple[int, ...], float] = {}
+    values: dict[tuple[int, ...], tuple[float, int]] = {}
     for ms in multiset_classes(k, n):
-        value = float(class_value(ms))
+        orderings = multiplicity(ms)
+        value = float(class_value(ms, orderings))
         if value < -CLAMP_TOL:
             raise NegativeWeight(f"weight {value:.3e} at class {ms} below -1e-9")
         if value > 0.0:
-            values[ms] = value
-    mass = sum(value * multiplicity(ms) for ms, value in values.items())
+            values[ms] = value, orderings
+    mass = sum(value * orderings for value, orderings in values.values())
     drift = abs(mass - 1.0)
     if drift > MASS_DRIFT_TOL:
         raise MassDriftExceeded(f"total mass {mass!r} drifts from 1 by {drift:.3e}")
-    weights = {ms: value / mass * multiplicity(ms) for ms, value in values.items()}
+    weights = {ms: value / mass * orderings for ms, (value, orderings) in values.items()}
     return OutcomeDistribution(n=n, k=k, weights=weights)
 
 
@@ -197,17 +205,17 @@ def outcome_distribution(
     k, n = stack.shape[0], stack.shape[1]
     _check_cap(k, n, cap)
     if (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n:
-        def total(ms):
-            return mixed_discriminant(stack[list(ms)]) * multiplicity(ms)
+        def total(ms, orderings):
+            return mixed_discriminant(stack[list(ms)]) * orderings
     else:
         grid = _grid_class_totals(stack)
 
-        def total(ms):
+        def total(ms, orderings):
             counts = Counter(ms)
             return grid[tuple(counts[i] for i in range(1, k))]
 
-    def class_value(ms):
-        value = total(ms)
-        return 0.0 if abs(value) < ROUNDOFF_FLOOR else value / multiplicity(ms)
+    def class_value(ms, orderings):
+        value = total(ms, orderings)
+        return 0.0 if abs(value) < ROUNDOFF_FLOOR else value / orderings
 
-    return distribution_from_class_values(k, n, class_value, cap=cap)
+    return _distribution(k, n, class_value, cap)

@@ -52,6 +52,7 @@ from .channels import (
     bracket,
     mixture_matrix,
     noisy_classical_extremals,
+    protocol_matrices,
     satisfies_noise,
     spec_for_column,
     validate_partition_of_unity,
@@ -129,23 +130,25 @@ def _finalize(
     target lies in an l(k-1)-dimensional affine space, so when T exceeds
     l(k-1) + 1 the mixture is cut to at most that many protocols with the
     same matrix (``caratheodory`` on the T protocol matrices). Weights at or
-    below WEIGHT_FLOOR are then dropped, the rest renormalized, and a
-    protocol is built for each survivor, in candidate order. Raises
+    below WEIGHT_FLOOR are then dropped, the rest renormalized, and the
+    survivors' rows, in candidate order, make the mixture. Raises
     NumericalBreakdown when the survivors miss the target by more than
     RESIDUAL_TOL."""
     k, l = target.matrix.shape
     keep, w = np.arange(len(weights)), weights
     if len(w) > l * (k - 1) + 1:
-        matrices = np.zeros((len(w), k, l))
-        np.add.at(matrices, (keep[:, None], decoders), states)
+        matrices = protocol_matrices(decoders, states, k)
         keep, w = caratheodory(w, matrices.reshape(len(w), -1))
     live = w > WEIGHT_FLOOR
     keep, w = keep[live], w[live] / w[live].sum()
-    terms = tuple(
-        (float(weight), ClassicalProtocol(decoder=decoders[t], states=states[t], num_outputs=k))
-        for t, weight in zip(keep, w)
+    mixture = ClassicalMixture(
+        weights=w,
+        decoders=decoders[keep],
+        states=states[keep],
+        num_outputs=k,
+        num_states=decoders.shape[1],
+        noise=noise,
     )
-    mixture = ClassicalMixture(terms=terms, num_states=decoders.shape[1], noise=noise)
     recon = mixture_matrix(mixture).matrix
     residual = _checked_residual("simulation", recon, target.matrix)
     return SimulationResult(target=target, mixture=mixture, residual=residual)

@@ -114,7 +114,7 @@ def _check_quantum_result(result: SimulationResult, n: int, delta: float | None)
     if result.residual > 1e-8:
         return False
     validate_mixture(result.mixture)
-    weights = result.mixture.weights()
+    weights = result.mixture.weights
     if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
         return False
     for _, prot in result.mixture.terms:

@@ -21,7 +21,6 @@ from chansim.certify import (
 )
 from chansim.channels import (
     ClassicalMixture,
-    ClassicalProtocol,
     Noiseless,
     mixture_matrix,
     noisy_classical_extremals,
@@ -81,16 +80,14 @@ def test_storability_of_d_state_mixtures(rng):
     # any mixture of d-state protocols has storability at most d
     for _ in range(20):
         k, d, l = 5, int(rng.integers(1, 4)), 3
-        terms = []
-        weights = rng.dirichlet(np.ones(4))
-        for w in weights:
-            prot = ClassicalProtocol(
-                decoder=rng.integers(0, k, size=d),
-                states=random_stochastic(rng, d, l),
-                num_outputs=k,
-            )
-            terms.append((float(w), prot))
-        mix = ClassicalMixture(terms=tuple(terms), num_states=d, noise=Noiseless())
+        mix = ClassicalMixture(
+            weights=rng.dirichlet(np.ones(4)),
+            decoders=rng.integers(0, k, size=(4, d)),
+            states=np.stack([random_stochastic(rng, d, l) for _ in range(4)]),
+            num_outputs=k,
+            num_states=d,
+            noise=Noiseless(),
+        )
         assert storability([mixture_matrix(mix)]) <= d + 1e-9
 
 

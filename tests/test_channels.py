@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from chansim.channels import (
     noisy_classical_extremals,
     protocol_matrix,
     satisfies_noise,
+    spec_for_column,
     validate_mixture,
 )
 from chansim.errors import (
@@ -105,31 +108,192 @@ def test_protocol_matrix_column_sums(rng):
 
 def test_mixture_matrix_swapped_decoders():
     x = np.eye(2)
-    p1 = ClassicalProtocol(decoder=np.array([0, 1]), states=x, num_outputs=2)
-    p2 = ClassicalProtocol(decoder=np.array([1, 0]), states=x, num_outputs=2)
-    mix = ClassicalMixture(terms=((0.5, p1), (0.5, p2)), num_states=2, noise=Noiseless())
+    mix = ClassicalMixture(
+        weights=np.array([0.5, 0.5]),
+        decoders=np.array([[0, 1], [1, 0]]),
+        states=np.stack([x, x]),
+        num_outputs=2,
+        num_states=2,
+        noise=Noiseless(),
+    )
     assert np.allclose(mixture_matrix(mix).matrix, 0.5)
 
 
 def test_mixture_weight_sum_checked():
-    p = ClassicalProtocol(decoder=np.array([0]), states=np.ones((1, 1)), num_outputs=1)
-    mix = ClassicalMixture(terms=((0.5, p),), num_states=1, noise=Noiseless())
     with pytest.raises(WeightSumNotOne):
-        mixture_matrix(mix)
+        ClassicalMixture(
+            weights=np.array([0.5]),
+            decoders=np.array([[0]]),
+            states=np.ones((1, 1, 1)),
+            num_outputs=1,
+            num_states=1,
+            noise=Noiseless(),
+        )
 
 
 def test_validate_mixture_noise_and_percolumn():
-    states = np.array([[0.5, 0.1], [0.5, 0.9]])
-    p = ClassicalProtocol(decoder=np.array([0, 1]), states=states, num_outputs=2)
+    states = np.array([[[0.5, 0.1], [0.5, 0.9]]])
     ok = ClassicalMixture(
-        terms=((1.0, p),),
+        weights=np.array([1.0]),
+        decoders=np.array([[0, 1]]),
+        states=states,
+        num_outputs=2,
         num_states=2,
         noise=PerColumn(specs=(Delta(0.8), Delta(0.2))),
     )
     validate_mixture(ok)
-    bad = ClassicalMixture(terms=((1.0, p),), num_states=2, noise=Delta(0.5))
+    bad = ClassicalMixture(
+        weights=np.array([1.0]),
+        decoders=np.array([[0, 1]]),
+        states=states,
+        num_outputs=2,
+        num_states=2,
+        noise=Delta(0.5),
+    )
     with pytest.raises(ValueError):
         validate_mixture(bad)
+
+
+def _random_column(rng, n, spec):
+    """A probability vector near the boundary of the noise set of spec:
+    inside it, outside it, or off by round-off either way."""
+    kind = int(rng.integers(5))
+    if kind == 0:  # anywhere in the simplex
+        return rng.dirichlet(np.ones(n) * 0.5)
+    if kind == 1:  # a vertex with an entry at -5e-10, still summing to 1
+        x = np.zeros(n)
+        x[rng.integers(n)] = 1.0 + 5e-10
+        x[rng.integers(n)] -= 5e-10
+        return x
+    if isinstance(spec, Delta):
+        floor = float(spec.delta) / n
+        inside = floor + (1.0 - n * floor) * rng.dirichlet(np.ones(n) * 0.5)
+    elif isinstance(spec, Permutohedron):
+        base = np.asarray(spec.base)
+        perms = [base[rng.permutation(n)] for _ in range(int(rng.integers(1, 4)))]
+        inside = rng.dirichlet(np.ones(len(perms))) @ np.array(perms)
+    else:
+        inside = rng.dirichlet(np.ones(n))
+    # kind 2 sums to 1 + 5e-10; kind 4 sits 1e-12 below a delta floor
+    return inside * (1.0 + 5e-10 * (kind == 2)) - 1e-12 * (kind == 4)
+
+
+def _random_spec(rng, n):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return Noiseless()
+    if kind == 1:
+        exact = rng.random() < 0.5
+        return Delta(Fraction(int(rng.integers(0, 4)), 4) if exact else float(rng.random()))
+    return Permutohedron(base=tuple(rng.dirichlet(np.ones(n))))
+
+
+@pytest.mark.parametrize("kind", ["noiseless", "delta", "permutohedron", "per_column"])
+def test_validate_mixture_matches_per_column_oracle(rng, kind):
+    # the array check against satisfies_noise on every (term, column), in
+    # term-major order; both verdicts must occur
+    verdicts = set()
+    for _ in range(150):
+        num_terms, n, l = (int(x) for x in rng.integers(1, 5, size=3))
+        n += 1
+        if kind == "noiseless":
+            noise = Noiseless()
+        elif kind == "delta":
+            noise = Delta(float(rng.random()))
+        elif kind == "permutohedron":
+            noise = Permutohedron(base=tuple(rng.dirichlet(np.ones(n) * 0.5)))
+        else:
+            noise = PerColumn(specs=tuple(_random_spec(rng, n) for _ in range(l)))
+        states = np.array(
+            [
+                [_random_column(rng, n, spec_for_column(noise, j)) for j in range(l)]
+                for _ in range(num_terms)
+            ]
+        ).transpose(0, 2, 1)
+        mix = ClassicalMixture(
+            weights=np.full(num_terms, 1.0 / num_terms),
+            decoders=rng.integers(0, 3, size=(num_terms, n)),
+            states=states,
+            num_outputs=3,
+            num_states=n,
+            noise=noise,
+        )
+        tol = 1e-10
+        failing = [
+            j
+            for t in range(num_terms)
+            for j in range(l)
+            if not satisfies_noise(states[t, :, j], spec_for_column(noise, j), tol)
+        ]
+        verdicts.add(not failing)
+        if failing:
+            with pytest.raises(ValueError, match=f"state column {failing[0]} violates"):
+                validate_mixture(mix, tol)
+        else:
+            validate_mixture(mix, tol)
+    assert verdicts == {True, False}
+
+
+def test_mixture_rejects_mismatched_arrays_at_construction():
+    good = dict(
+        weights=np.array([0.25, 0.75]),
+        decoders=np.array([[0, 1], [1, 1]]),
+        states=np.stack([np.eye(2), np.full((2, 2), 0.5)]),
+        num_outputs=2,
+        num_states=2,
+        noise=Noiseless(),
+    )
+    ClassicalMixture(**good)
+    cases = [
+        ({"decoders": np.array([[0, 1, 1], [1, 1, 0]])}, DimensionMismatch),
+        ({"weights": np.array([1.0])}, DimensionMismatch),
+        ({"decoders": np.array([[0, 2], [1, 1]])}, DimensionMismatch),
+        ({"num_states": 1}, DimensionMismatch),
+        ({"weights": np.array([np.nan, 1.0])}, NotFinite),
+        ({"states": np.stack([np.eye(2), [[1.5, 0.5], [-0.5, 0.5]]])}, ValueError),
+        ({"states": np.stack([np.eye(2), np.full((2, 2), 0.4)])}, ValueError),
+        ({"weights": np.array([1.25, -0.25])}, WeightSumNotOne),
+    ]
+    for change, error in cases:
+        with pytest.raises(error):
+            ClassicalMixture(**{**good, **change})
+
+
+def test_mixture_terms_view_and_read_only_arrays():
+    mix = ClassicalMixture(
+        weights=np.array([0.25, 0.75]),
+        decoders=np.array([[0, 1], [1, 1]]),
+        states=np.stack([np.eye(2), np.full((2, 2), 0.5)]),
+        num_outputs=2,
+        num_states=2,
+        noise=Noiseless(),
+    )
+    (w0, p0), (w1, p1) = mix.terms
+    assert (w0, w1) == (0.25, 0.75)
+    assert np.array_equal(p1.decoder, [1, 1]) and np.array_equal(p0.states, np.eye(2))
+    with pytest.raises(ValueError):
+        mix.weights[0] = 1.0
+
+
+def test_mixture_matrix_equals_the_per_term_products(rng):
+    # one np.add.at and a sum in term order against the weighted sum of the
+    # products E_t X_t taken term by term; BLAS may add the n states of an
+    # entry in another order, so each entry may differ by n roundings
+    for _ in range(200):
+        num_terms, n, k, l = (int(x) for x in rng.integers(1, 7, size=4))
+        mix = ClassicalMixture(
+            weights=rng.dirichlet(np.ones(num_terms)),
+            decoders=rng.integers(0, k, size=(num_terms, n)),
+            states=np.stack([random_stochastic(rng, n, l) for _ in range(num_terms)]),
+            num_outputs=k,
+            num_states=n,
+            noise=Noiseless(),
+        )
+        total = None
+        for w, p in mix.terms:
+            term = w * protocol_matrix(p).matrix
+            total = term if total is None else total + term
+        assert np.max(np.abs(mixture_matrix(mix).matrix - total)) <= n * np.finfo(float).eps
 
 
 def test_bracket_unit_effects():

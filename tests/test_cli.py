@@ -632,3 +632,111 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
                 accepted.append((argv[1], path))
     capsys.readouterr()
     assert accepted == []
+
+
+# sha256 of the certificate text of each command that
+# test_verify_rejects_every_single_leaf_tamper checks, as written before the
+# mixture moved to arrays: certificates must stay byte-identical
+PINNED_CERTIFICATE_DIGESTS = [
+    (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
+     "ddb44f9daf30f47947a4828567d33cee4afa14d27f5bb4ca46086824b9fb372e"),
+    (["simulate", "quantum"], "depolarizing_qubit.json",
+     "a1f645fe1477be12fe3471eb864cebbf5dc8859e3c5ca6459e31e7f7de5f4ed1"),
+    (["simulate", "quantum"], "projective.json",
+     "4c8a7246fe20234a3ad1aea6884be337b692bb0c48efb737e8037aa58285607c"),
+    (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
+     "5bce77fa6c453a25fb8645ebc64500db8331e92c1524da6a7c341add05f60795"),
+    (["certify", "subset", "--r", "3", "--d", "2"], "octahedron_matrix.json",
+     "fd947add246f0f717971ee14a5a60c040020f890ff5f7c0988bf44a05d668865"),
+    (["certify", "asymmetry"], "octahedron_polytope.json",
+     "8eb8fedc0e48bfaee9d672f8765d89af72a75a74bfe35eca003c6e1c4c05331b"),
+    (["certify", "signalling", "--n", "5", "--delta", "1/2"], None,
+     "393624f935eb5c6e6350f9fb0cd832a7a791d897664e1494753eee7d8e89eb36"),
+    (["simulate", "reduce", "--p", "[0.25, 0.25, 0.25, 0.25]"], "octahedron_matrix.json",
+     "55c40a4d7bcf4d3b07bbb19c29892670729df30baf35d8b599efc9876fe637ad"),
+    (["certify", "storability"], "octahedron_matrix.json",
+     "5804e3db3e89a8988cbb77af0390b2afe7d2dcb4d0bd6b1440de2ff0a6d3d212"),
+    (["certify", "holevo"], "ensemble.json",
+     "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
+]
+
+
+def test_certificates_match_pinned_digests(workdir, capsys):
+    import hashlib
+
+    run(["fixtures", "emit", "--dir", "."])
+    ensemble = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    ensemble["weights"] = [0.5, 0.5]
+    (workdir / "ensemble.json").write_text(json.dumps(ensemble))
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    projective = jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2])
+    (workdir / "projective.json").write_text(json.dumps(projective))
+    changed = []
+    for argv, infile, expected in PINNED_CERTIFICATE_DIGESTS:
+        in_args = ["--in", infile] if infile else []
+        run(argv + in_args + ["--out", "cert.json"])
+        if hashlib.sha256((workdir / "cert.json").read_bytes()).hexdigest() != expected:
+            changed.append(argv)
+    capsys.readouterr()
+    assert changed == []
+
+
+@pytest.mark.parametrize("cut", [3, 1])
+def test_complex_entry_that_is_not_a_pair_is_an_input_error(workdir, capsys, cut):
+    # [re, im, 5] used to be read as re + im j, and [re] to raise IndexError
+    run(["fixtures", "emit", "--dir", "."])
+    payload = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    payload["states"][0][0][0] = (payload["states"][0][0][0] + [5.0])[:cut]
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["simulate", "quantum", "--in", "bad.json", "--out", "cert.json"]) == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+    assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize("change", ["extra_state", "extra_column", "num_outputs"])
+def test_verify_rejects_protocols_of_different_shapes(workdir, capsys, change):
+    # no command writes such a certificate; verify must reject it, not crash
+    run(["fixtures", "emit", "--dir", "."])
+    run(["simulate", "quantum", "--in", "depolarizing_qubit.json", "--out", "cert.json"])
+    capsys.readouterr()
+    cert = json.loads((workdir / "cert.json").read_text())
+    terms = cert["result"]["mixture"]["terms"]
+    assert len(terms) >= 2
+    protocol = terms[-1]["protocol"]
+    if change == "extra_state":
+        # still a valid protocol on 3 states with the same matrix
+        protocol["decoder"].append(0)
+        protocol["states"].append([0.0] * len(protocol["states"][0]))
+        cert["result"]["mixture"]["num_states"] = 3
+    elif change == "extra_column":
+        for row in protocol["states"]:
+            row.append(row[0])
+    else:
+        protocol["num_outputs"] += 1
+    (workdir / "odd.json").write_text(json.dumps(cert))
+    assert run(["verify", "odd.json"]) == 2
+    assert "mixture invalid" in capsys.readouterr().err
+
+
+def test_verify_rejects_row_reduction_terms_of_another_shape(workdir, capsys):
+    cert = _reduce_certificate(workdir)
+    for row in cert["result"]["terms"][0]["matrix"]:
+        row.append(row[0])
+    (workdir / "wide.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "wide.json"]) == 2
+    assert "terms invalid" in capsys.readouterr().err
+
+
+def test_verify_rejects_nested_per_column_noise(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    run(["simulate", "quantum", "--in", "depolarizing_qubit.json",
+         "--noise", "delta:1/2", "--out", "cert.json"])
+    cert = json.loads((workdir / "cert.json").read_text())
+    inner = {"kind": "per_column", "specs": [{"kind": "noiseless"}] * 2}
+    cert["result"]["mixture"]["noise"] = {"kind": "per_column", "specs": [inner] * 2}
+    (workdir / "nested.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "nested.json"]) == 2
+    assert "do not nest" in capsys.readouterr().err

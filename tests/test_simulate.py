@@ -65,7 +65,7 @@ def check_simulation(result, noise=None, max_states=None):
     assert result.residual <= 1e-8
     recon = mixture_matrix(result.mixture).matrix
     assert np.max(np.abs(recon - result.target.matrix)) <= 1e-8
-    weights = result.mixture.weights()
+    weights = result.mixture.weights
     assert abs(weights.sum() - 1.0) < 1e-9
     assert np.all(weights >= 0)
     validate_mixture(result.mixture)
