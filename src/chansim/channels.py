@@ -196,8 +196,8 @@ class ClassicalMixture:
 
     Construction validates everything except noise membership, once for
     all terms: the checks of ``ClassicalProtocol`` on every term, finite
-    weights summing to 1, and the state count. The arrays are stored
-    read-only.
+    weights summing to 1, and the state count. The arrays are copied and
+    stored read-only.
     """
 
     weights: np.ndarray
@@ -208,8 +208,12 @@ class ClassicalMixture:
     noise: NoiseSpec
 
     def __post_init__(self):
-        dec, st = _checked_protocols(self.decoders, self.states, self.num_outputs)
-        w = np.asarray(self.weights, dtype=float)
+        # copies, so a caller that keeps its arrays cannot change a
+        # validated mixture
+        dec, st = _checked_protocols(
+            np.array(self.decoders, dtype=int), np.array(self.states, dtype=float), self.num_outputs
+        )
+        w = np.array(self.weights, dtype=float)
         if w.shape != (len(dec),):
             raise DimensionMismatch(f"weights {w.shape} for {len(dec)} protocols")
         require_finite(w, "mixture weights")
@@ -233,9 +237,8 @@ class ClassicalMixture:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
+    a.flags.writeable = False
+    return a
 
 
 def protocol_matrices(decoders: np.ndarray, states: np.ndarray, num_outputs: int) -> np.ndarray:

@@ -212,9 +212,11 @@ def _verify_row_reduction(result: dict) -> list[str]:
         return [f"{len(zero_rows)} zero rows for {len(terms)} terms"]
     try:
         b = real_matrix_from_json([term["matrix"] for term in terms])
-        w = np.array([term["weight"] for term in terms], dtype=float)
+        w = real_matrix_from_json([term["weight"] for term in terms])
     except (ChanSimError, ValueError) as exc:
         return [f"terms invalid: {exc}"]
+    if w.shape != (len(terms),):
+        return [f"terms invalid: weights {w.shape} for {len(terms)} terms"]
     if b.shape[1:] != target.shape:
         return [f"terms are {b.shape[1:]} matrices, the target is {target.shape}"]
     k = target.shape[0]

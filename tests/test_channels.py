@@ -275,6 +275,20 @@ def test_mixture_terms_view_and_read_only_arrays():
         mix.weights[0] = 1.0
 
 
+def test_mixture_keeps_its_own_copies_of_the_arrays():
+    weights, decoders = np.array([0.25, 0.75]), np.array([[0, 1], [1, 1]])
+    states = np.stack([np.eye(2), np.full((2, 2), 0.5)])
+    mix = ClassicalMixture(
+        weights=weights, decoders=decoders, states=states,
+        num_outputs=2, num_states=2, noise=Noiseless(),
+    )
+    weights[0], decoders[0, 0], states[0] = 5.0, 7, -1.0
+    assert np.array_equal(mix.weights, [0.25, 0.75])
+    assert np.array_equal(mix.decoders, [[0, 1], [1, 1]])
+    assert np.array_equal(mix.states[0], np.eye(2))
+    assert weights.flags.writeable and states.flags.writeable
+
+
 def test_mixture_matrix_equals_the_per_term_products(rng):
     # one np.add.at and a sum in term order against the weighted sum of the
     # products E_t X_t taken term by term; BLAS may add the n states of an

@@ -729,6 +729,20 @@ def test_verify_rejects_row_reduction_terms_of_another_shape(workdir, capsys):
     assert "terms invalid" in capsys.readouterr().err
 
 
+def test_verify_rejects_row_reduction_weights_that_are_not_finite(workdir, capsys):
+    # NaN weights compare false against every tolerance, so they must be
+    # refused when read; JSON null and the string "nan" both parse to NaN
+    for bad in (None, "nan"):
+        cert = _reduce_certificate(workdir)
+        for term in cert["result"]["terms"]:
+            term["weight"] = bad
+        (workdir / "nan_weights.json").write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert run(["verify", "nan_weights.json"]) == 2
+        assert "terms invalid" in capsys.readouterr().err
+        assert run(["verify", "nan_weights.json", "--in", "octahedron_matrix.json"]) == 2
+
+
 def test_verify_rejects_nested_per_column_noise(workdir, capsys):
     run(["fixtures", "emit", "--dir", "."])
     run(["simulate", "quantum", "--in", "depolarizing_qubit.json",
