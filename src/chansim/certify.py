@@ -278,8 +278,6 @@ def minkowski_asymmetry(p: Polytope) -> float:
     for a, b, h_j in zip(p.normals, p.offsets, h):
         program.add(np.append(a, -h_j), lp.LE, b)
     result = lp.solve(program)
-    if isinstance(result, lp.Infeasible):
-        raise LpInfeasible("asymmetry program infeasible", certificate=result.certificate)
     if not isinstance(result, lp.Optimal):
         raise LpInfeasible("asymmetry program did not reach an optimum")
     t_star = result.value

@@ -105,15 +105,8 @@ class NumericalBreakdown(ChanSimError):
 
 
 class LpInfeasible(ChanSimError):
-    """The polytope asymmetry LP came back infeasible or without a positive
-    optimum (a degenerate body).
-
-    The Farkas certificate, when there is one, is attached for diagnosis.
-    """
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """The polytope asymmetry LP did not reach an optimum, or reached no
+    positive one (a degenerate body)."""
 
 
 class WeightSumNotOne(ChanSimError):

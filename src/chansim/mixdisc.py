@@ -4,8 +4,9 @@ The mixed discriminant is the symmetric multilinear extension of the
 determinant, so D(E, ..., E) = det E. For a POVM E_1..E_k the values
 p_I = D(E_{i_1}, ..., E_{i_n}) over I in [k]^n form a probability
 distribution. It is symmetric in the entries of I, so it is computed and
-stored once per multiset class: the class total p_I times the number of
-orderings of I.
+stored once per multiset class, as one table: the sorted multisets as rows
+of an integer array in lexicographic order, and their class totals, p_I
+times the number of orderings of I.
 
 The class totals are the coefficients of the degree-n polynomial
 det(sum_i s_i E_i) (Bapat 1989): the total of the class with c_i copies
@@ -16,7 +17,9 @@ exceeds n, so none aliases. On that grid ||sum_i z_i E_i|| <= 1, so the
 determinants and the coefficients carry absolute error near machine
 epsilon. When the grid has more points than C(n+k-1, n) 2^n (large k,
 small n), each class is evaluated on its own by polarization over the
-2^n subsets. Determinants are taken in blocks of ``_BLOCK_POINTS``
+2^n subsets. Other symmetric weights (the ball pairing) enter through
+``distribution_from_class_values``, which evaluates the whole table at
+once. Determinants are taken in blocks of ``_BLOCK_POINTS``
 matrices, so beyond one value per grid point memory does not grow with
 the number of points.
 """
@@ -24,13 +27,12 @@ the number of points.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._multiset import multiplicity, multiset_classes
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -134,62 +136,88 @@ def _grid_class_totals(stack: np.ndarray) -> np.ndarray:
     return coefficients.real
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Sparse probability weights over the multiset classes of [k]^n.
+def _class_counts(classes: np.ndarray, k: int) -> np.ndarray:
+    """counts[c, i]: the copies of outcome i in class c, from the (C, n)
+    class table."""
+    rows = np.arange(len(classes))[:, None] * k
+    return np.bincount((rows + classes).ravel(), minlength=len(classes) * k).reshape(-1, k)
 
-    ``weights`` maps a sorted index multiset to its class total, p_I times
+
+@dataclass(frozen=True, eq=False)
+class OutcomeDistribution:
+    """Probability weights over the multiset classes of [k]^n, as a table.
+
+    Row c of ``classes`` (C, n) is a sorted index multiset, the rows in
+    lexicographic order, and ``weights[c]`` is its class total: p_I times
     the number of orderings of I. Zero classes are omitted; stored weights
-    are positive and sum to 1.
+    are positive and sum to 1. ``counts`` (C, k) holds the copies of each
+    outcome in each class.
     """
 
     n: int
     k: int
-    weights: dict[tuple[int, ...], float] = field(repr=False)
+    classes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
-    def total(self) -> float:
-        return float(sum(self.weights.values()))
+    @property
+    def counts(self) -> np.ndarray:
+        return _class_counts(self.classes, self.k)
 
 
-def distribution_from_class_values(
-    k: int, n: int, class_value, cap: int = DEFAULT_CAP
+def _class_table(k: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sorted multiset of length n over range(k) in lexicographic
+    order, (C, n), with its counts (C, k) and its number of orderings (C,),
+    exact integers converted to float. ``cap`` bounds C = C(n+k-1, n)."""
+    size = math.comb(n + k - 1, n)
+    if size > cap:
+        raise EnumerationCapExceeded(f"C(n+k-1, n) = {size} multiset classes exceed cap {cap}")
+    flat = chain.from_iterable(combinations_with_replacement(range(k), n))
+    classes = np.fromiter(flat, dtype=np.intp, count=size * n).reshape(size, n)
+    counts = _class_counts(classes, k)
+    factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=object)
+    orderings = (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)
+    return classes, counts, orderings
+
+
+def _distribution(
+    k: int, n: int, classes: np.ndarray, orderings: np.ndarray, values: np.ndarray
 ) -> OutcomeDistribution:
-    """Build an OutcomeDistribution from a symmetric per-multiset evaluator.
-
-    ``class_value(ms)`` must return the common weight of every ordering of
-    the sorted multiset ``ms``. Weights in [-1e-9, 0) are clamped to zero,
-    anything more negative is an error, and the total mass is renormalized
-    when it drifts from 1 by at most 1e-7. ``cap`` bounds the number of
-    classes, C(n+k-1, n).
-    """
-    return _distribution(k, n, lambda ms, orderings: class_value(ms), cap)
-
-
-def _distribution(k: int, n: int, class_value, cap: int) -> OutcomeDistribution:
-    """``distribution_from_class_values`` for an evaluator
-    ``class_value(ms, orderings)`` that is also given the class's
-    multiplicity, which is computed once per class."""
-    _check_cap(k, n, cap)
-    values: dict[tuple[int, ...], tuple[float, int]] = {}
-    for ms in multiset_classes(k, n):
-        orderings = multiplicity(ms)
-        value = float(class_value(ms, orderings))
-        if value < -CLAMP_TOL:
-            raise NegativeWeight(f"weight {value:.3e} at class {ms} below -1e-9")
-        if value > 0.0:
-            values[ms] = value, orderings
-    mass = sum(value * orderings for value, orderings in values.values())
+    """The distribution from the common weight ``values[c]`` of every
+    ordering of class c. Weights in [-1e-9, 0) are clamped to zero,
+    anything more negative is an error, and the total mass, summed in class
+    order, is renormalized when it drifts from 1 by at most 1e-7."""
+    negative = np.flatnonzero(values < -CLAMP_TOL)
+    if len(negative):
+        c = negative[0]
+        raise NegativeWeight(
+            f"weight {values[c]:.3e} at class {tuple(classes[c].tolist())} below -1e-9"
+        )
+    keep = values > 0.0
+    values, orderings = values[keep], orderings[keep]
+    mass = float(np.cumsum(values * orderings)[-1]) if len(values) else 0.0
     drift = abs(mass - 1.0)
     if drift > MASS_DRIFT_TOL:
         raise MassDriftExceeded(f"total mass {mass!r} drifts from 1 by {drift:.3e}")
-    weights = {ms: value / mass * orderings for ms, (value, orderings) in values.items()}
-    return OutcomeDistribution(n=n, k=k, weights=weights)
+    return OutcomeDistribution(
+        n=n, k=k, classes=classes[keep], weights=values / mass * orderings
+    )
 
 
-def _check_cap(k: int, n: int, cap: int) -> None:
-    classes = math.comb(n + k - 1, n)
-    if classes > cap:
-        raise EnumerationCapExceeded(f"C(n+k-1, n) = {classes} multiset classes exceed cap {cap}")
+def distribution_from_class_values(
+    k: int, n: int, class_values: Callable[[np.ndarray], np.ndarray], cap: int = DEFAULT_CAP
+) -> OutcomeDistribution:
+    """Build an OutcomeDistribution from a symmetric evaluator.
+
+    ``class_values(classes)`` is given the (C, n) table of sorted multisets
+    and must return, per row, the common weight of every ordering of that
+    multiset. Weights in [-1e-9, 0) are clamped to zero, anything more
+    negative is an error, and the total mass is renormalized when it drifts
+    from 1 by at most 1e-7. ``cap`` bounds the number of classes,
+    C(n+k-1, n).
+    """
+    classes, _, orderings = _class_table(k, n, cap)
+    values = np.asarray(class_values(classes), dtype=float)
+    return _distribution(k, n, classes, orderings, values)
 
 
 def outcome_distribution(
@@ -203,19 +231,11 @@ def outcome_distribution(
     """
     stack = _stack_square(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
-    _check_cap(k, n, cap)
-    if (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n:
-        def total(ms, orderings):
-            return mixed_discriminant(stack[list(ms)]) * orderings
+    classes, counts, orderings = _class_table(k, n, cap)
+    if (n + 1) ** (k - 1) > len(classes) * 2**n:
+        discriminants = [mixed_discriminant(stack[ms]) for ms in classes]
+        totals = np.array(discriminants, dtype=float) * orderings
     else:
-        grid = _grid_class_totals(stack)
-
-        def total(ms, orderings):
-            counts = Counter(ms)
-            return grid[tuple(counts[i] for i in range(1, k))]
-
-    def class_value(ms, orderings):
-        value = total(ms, orderings)
-        return 0.0 if abs(value) < ROUNDOFF_FLOOR else value / orderings
-
-    return _distribution(k, n, class_value, cap)
+        totals = _grid_class_totals(stack)[tuple(counts[:, 1:].T)]
+    values = np.where(np.abs(totals) < ROUNDOFF_FLOOR, 0.0, totals / orderings)
+    return _distribution(k, n, classes, orderings, values)

@@ -49,7 +49,6 @@ from .channels import (
     TransitionMatrix,
     as_transition,
     ball_born_matrix,
-    bracket,
     mixture_matrix,
     noisy_classical_extremals,
     protocol_matrices,
@@ -173,12 +172,11 @@ def _class_values(
     When some output cannot hold the floor, the floor is 0 and mu[0] is
     routed as the layer t = 0.
     """
-    n, k = dist.n, dist.k
-    classes = sorted(dist.weights.items())
-    w = np.array([weight for _, weight in classes])
-    counts = np.array([np.bincount(ms, minlength=k) for ms, _ in classes], dtype=float)
+    n, k, w = dist.n, dist.k, dist.weights
+    counts = dist.counts.astype(float)
+    num_classes = len(w)
     slots = w @ counts  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
-    values = np.empty((len(mus), len(classes), k))
+    values = np.empty((len(mus), num_classes, k))
     for j, mu in enumerate(mus):
         floor = mu[0] if np.all(a[:, j] - mu[0] * slots >= -BALANCE_TOL) else 0.0
         gaps = np.diff(mu, prepend=floor)
@@ -186,7 +184,7 @@ def _class_values(
         heights, gap = n - layers, gaps[layers]
         # left nodes (M, t) in row-major order over classes x layers; depth
         # is a layer's slot mass per unit class weight
-        depth = np.tile(gap * heights, len(classes))
+        depth = np.tile(gap * heights, num_classes)
         weight = np.repeat(w, len(layers))
         supply = weight * depth
         capacity = np.outer(w, gap)[:, :, None] * counts[:, None, :]
@@ -206,7 +204,7 @@ def _class_values(
         # each kept layer's depth, spread by its flow and shared among the
         # c_M(i) slots that carry output i
         layered[keep] = conditional_columns(result) * depth[keep, None]
-        per_class = layered.reshape(len(classes), len(layers), k).sum(axis=1)
+        per_class = layered.reshape(num_classes, len(layers), k).sum(axis=1)
         values[j] = floor + per_class / np.maximum(counts, 1.0)
     return values
 
@@ -214,21 +212,17 @@ def _class_values(
 def _class_terms(
     dist: OutcomeDistribution, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One candidate protocol per multiset class ms of positive weight, in
-    sorted order, weighted by the class total: the decoder sends slot m to
-    output ms[m], and for input j the slot holds values[j, c, ms[m]], c the
-    index of ms among the sorted classes. Each column is rescaled to sum to
+    """One candidate protocol per class c = dist.classes[c], weighted by
+    the class total: the decoder sends slot m to output c[m], and for input
+    j the slot holds values[j, c, c[m]]. Each column is rescaled to sum to
     1, because transport meets its demands only up to float rounding. Dust
     classes stay: ``_finalize`` drops weights only after pruning, so their
     mass reaches ``caratheodory``. Returns the weights, decoders and states
     that ``_finalize`` takes."""
-    classes = sorted(dist.weights.items())
-    weights = np.array([w for _, w in classes])
-    index = np.flatnonzero(weights > 0.0)
-    decoders = np.array([ms for ms, _ in classes], dtype=np.intp)[index]
-    x = values[:, index[:, None], decoders]  # (l, classes, n)
+    decoders = dist.classes
+    x = values[:, np.arange(len(decoders))[:, None], decoders]  # (l, classes, n)
     x /= x.sum(axis=2, keepdims=True)
-    return weights[index], decoders, x.transpose(1, 2, 0)
+    return dist.weights, decoders, x.transpose(1, 2, 0)
 
 
 def simulate_quantum_noiseless(
@@ -260,17 +254,37 @@ def simulate_ball(
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
     channel with n states (n the even norm index)."""
+    n, c, v = _ball_arrays(effects, states, norm_index)
     validate_partition_of_unity(effects, tol)
-    n = effects[0].norm_index
-    if norm_index is not None and norm_index != n:
-        raise DimensionMismatch(f"norm index {norm_index} does not match effects ({n})")
-    dist = distribution_from_class_values(
-        len(effects), n, lambda ms: bracket([effects[i] for i in ms]), cap=cap
-    )
+
+    def brackets(classes: np.ndarray) -> np.ndarray:
+        # channels.bracket per row, multiplied slot by slot in its order
+        cs, vs = 1.0, 1.0
+        for slot in classes.T:
+            cs, vs = cs * c[slot], vs * v[slot]
+        return cs - vs.sum(axis=1)
+
+    dist = distribution_from_class_values(len(effects), n, brackets, cap=cap)
     target = ball_born_matrix(effects, states, delta=delta, tol=tol)
     mu = _spec_base_vector(Delta(delta), n)
     values = _class_values(dist, target.matrix, [mu] * len(states))
     return _finalize(target, *_class_terms(dist, values), Delta(delta))
+
+
+def _ball_arrays(
+    effects: Sequence[BallEffect], states: Sequence[BallState], norm_index: int | None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The norm index n of a ball instance, its effects' constants (k,) and
+    vectors (k, dim). Raises DimensionMismatch unless every effect and state
+    has norm index n (``norm_index`` when given) and one dimension dim."""
+    if not effects:
+        raise DimensionMismatch("need at least one effect")
+    n = effects[0].norm_index if norm_index is None else norm_index
+    if {p.norm_index for p in [*effects, *states]} != {n}:
+        raise DimensionMismatch(f"every effect and state must have norm index {n}")
+    if len({len(e.v) for e in effects} | {len(s.x) for s in states}) > 1:
+        raise DimensionMismatch("effects and states must share one dimension")
+    return n, np.array([e.c for e in effects]), np.array([e.v for e in effects])
 
 
 def simulate_quantum_noisy(

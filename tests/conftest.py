@@ -7,8 +7,12 @@ every suite is reproducible.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
+from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -99,6 +103,20 @@ def random_ball_states(
         nrm = np.sum(np.abs(x) ** dual) ** (1.0 / dual)
         states.append(x * rng.uniform(0.0, 1.0) / max(nrm, 1e-12))
     return states
+
+
+def multiset_classes(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """All sorted index multisets of length n over alphabet range(k), lex order."""
+    return combinations_with_replacement(range(k), n)
+
+
+def multiplicity(ms: tuple[int, ...]) -> int:
+    """Number of distinct orderings of the multiset ``ms``."""
+    counts = Counter(ms)
+    out = math.factorial(len(ms))
+    for c in counts.values():
+        out //= math.factorial(c)
+    return out
 
 
 def char_poly_eigenvalues(a: np.ndarray) -> np.ndarray:

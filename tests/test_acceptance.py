@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from chansim import majorize, mixdisc
-from chansim._multiset import multiplicity, multiset_classes
 from chansim.channels import (
     BallEffect,
     BallState,
@@ -41,6 +40,8 @@ from chansim.simulate import (
     simulate_quantum_noisy,
 )
 from conftest import (
+    multiplicity,
+    multiset_classes,
     random_ball_effects,
     random_ball_states,
     random_density,
@@ -237,7 +238,7 @@ def test_criterion_5_subset_sum_inequalities():
         spect = np.sort(np.linalg.eigvalsh(sum(ui * ei for ui, ei in zip(u, povm))))
         prefix = np.cumsum(spect)
         lhs = np.zeros(n)
-        for key, p in dist.weights.items():
+        for key, p in zip(dist.classes, dist.weights):
             vals = np.sort(np.array([u[i] for i in key]))
             lhs += p * np.cumsum(vals)
         for r in range(1, n + 1):

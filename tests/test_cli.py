@@ -561,6 +561,32 @@ def test_console_entry_point_subprocess(workdir):
     _run_console_sequence(workdir, [sys.executable, "-m", "chansim"], env=env)
 
 
+_IMPORT_EVERY_MODULE = """
+import pkgutil, sys
+before = set(sys.modules)
+import chansim
+for info in pkgutil.iter_modules(chansim.__path__):
+    __import__("chansim." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(*sorted(loaded - set(sys.stdlib_module_names) - {"chansim", "numpy"}))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a fresh interpreter imports chansim and every submodule; what the
+    # site already loads (.pth hooks) is taken as the baseline in that
+    # process, before the import
+    package_root = str(Path(chansim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERY_MODULE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.skipif(
     shutil.which("chansim") is None, reason="no chansim console script on PATH"
 )
@@ -658,6 +684,34 @@ PINNED_CERTIFICATE_DIGESTS = [
      "5804e3db3e89a8988cbb77af0390b2afe7d2dcb4d0bd6b1440de2ff0a6d3d212"),
     (["certify", "holevo"], "ensemble.json",
      "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
+    (["simulate", "ball", "--delta", "1/3"], "ball.json",
+     "61322182b6021ae3cb3190df62049914498b6fae8f6a19e2ecb42430c6bb3e46"),
+    # (n+1)^(k-1) = 243 > C(7, 2) 2^2 = 84: the per-class route
+    (["simulate", "quantum"], "six_outcome_qubit.json",
+     "058cf17deac23d6531c3cc271ec31496466b78f4329d324c66e9e1e82ac18e52"),
+    (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
+     "964c5d5059b7245dba7ba2f97b5a8a047260092f88b405ed23912b03da285e00"),
+]
+
+# a norm-index-4 partition of unity on the plane; its vectors cancel exactly
+PINNED_BALL = {
+    "norm_index": 4,
+    "effects": [
+        {"c": 0.25, "v": [0.2, 0.05]},
+        {"c": 0.25, "v": [-0.2, -0.05]},
+        {"c": 0.3, "v": [0.03, 0.18]},
+        {"c": 0.2, "v": [-0.03, -0.18]},
+    ],
+    "ball_states": [[0.5, 0.3], [-0.2, 0.6], [0.0, -0.7]],
+}
+
+# 1/10 + S/2 for a column-stochastic S: every column is 1/2-noisy on 5 states
+PINNED_NOISY_MATRIX = [
+    [0.3, 0.1, 0.2],
+    [0.25, 0.35, 0.2],
+    [0.2, 0.1, 0.2],
+    [0.15, 0.35, 0.2],
+    [0.1, 0.1, 0.2],
 ]
 
 
@@ -671,6 +725,13 @@ def test_certificates_match_pinned_digests(workdir, capsys):
     basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     projective = jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2])
     (workdir / "projective.json").write_text(json.dumps(projective))
+    rays = [np.array([np.cos(t), np.sin(t)]) for t in np.pi * np.arange(6) / 6]
+    six = jsonio.quantum_instance_to_json(
+        [np.outer(r, r) / 3 for r in rays], [np.diag([0.75, 0.25]), np.eye(2) / 2]
+    )
+    (workdir / "six_outcome_qubit.json").write_text(json.dumps(six))
+    (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
+    (workdir / "noisy_matrix.json").write_text(json.dumps({"matrix": PINNED_NOISY_MATRIX}))
     changed = []
     for argv, infile, expected in PINNED_CERTIFICATE_DIGESTS:
         in_args = ["--in", infile] if infile else []

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from chansim import mixdisc
-from chansim._multiset import multiplicity, multiset_classes
 from chansim.errors import DimensionMismatch, EnumerationCapExceeded, NegativeWeight
-from conftest import random_hermitian, random_povm, random_unitary
+from conftest import (
+    multiplicity,
+    multiset_classes,
+    random_hermitian,
+    random_povm,
+    random_unitary,
+)
 
 
 def permutation_expansion(mats) -> float:
@@ -20,14 +25,21 @@ def permutation_expansion(mats) -> float:
     return float(total.real) / math.factorial(n)
 
 
+def class_weights(dist) -> dict:
+    """The class table as {sorted multiset: class total}."""
+    return dict(zip(map(tuple, dist.classes.tolist()), dist.weights.tolist()))
+
+
 def assert_class_totals(povm, dist, discriminant, tol):
     """Every class total of ``dist`` (zero for omitted classes) equals the
     number of orderings times ``discriminant`` of the class, within tol."""
     n, k = dist.n, dist.k
     assert (n, k) == (povm[0].shape[0], len(povm))
+    weights = class_weights(dist)
     for ms in multiset_classes(k, n):
         expected = multiplicity(ms) * discriminant([povm[i] for i in ms])
-        assert abs(dist.weights.get(ms, 0.0) - expected) <= tol, ms
+        assert abs(weights.get(ms, 0.0) - expected) <= tol, ms
+
 
 
 def subset_sum_lhs(lam: np.ndarray, r: int) -> float:
@@ -93,20 +105,20 @@ def test_dimension_mismatch():
 
 def test_outcome_distribution_projective():
     dist = mixdisc.outcome_distribution([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert dist.weights == pytest.approx({(0, 1): 1.0})
+    assert class_weights(dist) == pytest.approx({(0, 1): 1.0})
 
 
 def test_outcome_distribution_single_outcome():
     dist = mixdisc.outcome_distribution([np.eye(3)])
-    assert dist.weights == pytest.approx({(0, 0, 0): 1.0})
+    assert class_weights(dist) == pytest.approx({(0, 0, 0): 1.0})
 
 
 def test_outcome_distribution_mass_one(rng):
     for _ in range(10):
         povm = random_povm(rng, 3, 3)
         dist = mixdisc.outcome_distribution(povm)
-        assert abs(dist.total() - 1.0) < 1e-9
-        assert all(p > 0 for p in dist.weights.values())
+        assert abs(dist.weights.sum() - 1.0) < 1e-9
+        assert np.all(dist.weights > 0)
 
 
 def test_outcome_distribution_cap():
@@ -116,7 +128,9 @@ def test_outcome_distribution_cap():
 
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
-        mixdisc.distribution_from_class_values(2, 2, lambda ms: -1.0 if ms == (0, 1) else 1.0)
+        mixdisc.distribution_from_class_values(
+            2, 2, lambda classes: np.where((classes == [0, 1]).all(axis=1), -1.0, 1.0)
+        )
 
 
 def test_symmetric_mixed_identity_cases():
@@ -178,7 +192,7 @@ def test_povm_combination_inequality(rng):
         spect = np.sort(np.linalg.eigvalsh(sum(ui * ei for ui, ei in zip(u, povm))))
         for r in range(1, n + 1):
             lhs = 0.0
-            for key, p in dist.weights.items():
+            for key, p in zip(dist.classes, dist.weights):
                 vals = sorted(u[i] for i in key)
                 lhs += p * sum(vals[:r])
             assert lhs <= spect[:r].sum() + 1e-8
@@ -189,7 +203,7 @@ def test_class_weights_grouping(rng):
     # the number of orderings of ms
     povm = random_povm(rng, 2, 3)
     dist = mixdisc.outcome_distribution(povm)
-    for ms, total in dist.weights.items():
+    for ms, total in class_weights(dist).items():
         assert ms == tuple(sorted(ms))
         value = mixdisc.mixed_discriminant([povm[i] for i in ms])
         assert total == pytest.approx(multiplicity(ms) * value)
@@ -214,7 +228,7 @@ def test_grid_class_totals_match_permutation_expansion(rng):
         for k in range(1, 5):
             povm = random_povm(rng, n, k)
             dist = mixdisc.outcome_distribution(povm)
-            assert abs(dist.total() - 1.0) < 1e-12
+            assert abs(dist.weights.sum() - 1.0) < 1e-12
             assert_class_totals(povm, dist, permutation_expansion, 1e-12)
 
 
@@ -229,7 +243,7 @@ def test_per_class_route_for_large_k(rng, monkeypatch):
         assert (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n
         povm = random_povm(rng, n, k)
         dist = mixdisc.outcome_distribution(povm)
-        assert abs(dist.total() - 1.0) < 1e-12
+        assert abs(dist.weights.sum() - 1.0) < 1e-12
         assert_class_totals(povm, dist, permutation_expansion, 1e-12)
 
 
@@ -238,13 +252,13 @@ def test_grid_spanning_several_blocks(rng):
     assert (n + 1) ** (k - 1) > 4 * mixdisc._BLOCK_POINTS
     povm = random_povm(rng, n, k)
     dist = mixdisc.outcome_distribution(povm)
-    assert abs(dist.total() - 1.0) < 1e-12
+    assert abs(dist.weights.sum() - 1.0) < 1e-12
     assert_class_totals(povm, dist, mixdisc.mixed_discriminant, 1e-12)
 
 
 def test_single_outcome_is_exact():
     for n in range(1, 9):
-        assert mixdisc.outcome_distribution([np.eye(n)]).weights == {(0,) * n: 1.0}
+        assert class_weights(mixdisc.outcome_distribution([np.eye(n)])) == {(0,) * n: 1.0}
 
 
 def test_projective_povm_keeps_only_its_rank_class(rng):
@@ -255,10 +269,60 @@ def test_projective_povm_keeps_only_its_rank_class(rng):
     cuts = np.cumsum([0] + ranks)
     povm = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(cuts[:-1], cuts[1:])]
     dist = mixdisc.outcome_distribution(povm)
-    assert list(dist.weights) == [(0, 0, 2, 3, 3)]
-    assert dist.weights[(0, 0, 2, 3, 3)] == pytest.approx(1.0, abs=1e-12)
+    assert dist.classes.tolist() == [[0, 0, 2, 3, 3]]
+    assert dist.weights[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_distribution_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         mixdisc.outcome_distribution([np.eye(2), np.eye(3)])
+
+
+def assert_class_table(dist, value, tol=1e-12):
+    """The class table's invariants: rows are sorted multisets in strictly
+    increasing lex order, weights are positive and sum to 1, counts match
+    the rows, and each weight (zero for an omitted class) is the number of
+    orderings times ``value`` of the class, within tol."""
+    rows = [tuple(row) for row in dist.classes.tolist()]
+    assert dist.classes.shape == (len(dist.weights), dist.n)
+    assert all(list(ms) == sorted(ms) for ms in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.all(dist.weights > 0) and abs(dist.weights.sum() - 1.0) < 1e-12
+    assert dist.counts.tolist() == [[ms.count(i) for i in range(dist.k)] for ms in rows]
+    weights = class_weights(dist)
+    for ms in multiset_classes(dist.k, dist.n):
+        assert abs(weights.get(ms, 0.0) - multiplicity(ms) * value(ms)) <= tol, ms
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (3, 4), (4, 3), (2, 6), (3, 8)])
+def test_class_table_matches_the_discriminant_oracle(rng, n, k):
+    # (2, 6) and (3, 8) take the per-class route, the others the grid
+    assert ((n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n) == (k >= 6)
+    for _ in range(3):
+        povm = random_povm(rng, n, k)
+        dist = mixdisc.outcome_distribution(povm)
+        assert_class_table(dist, lambda ms: mixdisc.mixed_discriminant([povm[i] for i in ms]))
+
+
+@pytest.mark.parametrize("k, dim, norm_index", [(3, 2, 2), (4, 3, 4), (5, 2, 6)])
+def test_class_table_matches_the_bracket_oracle(rng, monkeypatch, k, dim, norm_index):
+    from chansim import simulate
+    from chansim.channels import BallEffect, BallState, bracket
+    from conftest import random_ball_effects, random_ball_states
+
+    tables = []
+
+    def keep(*args, **kwargs):
+        tables.append(mixdisc.distribution_from_class_values(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(simulate, "distribution_from_class_values", keep)
+    for _ in range(3):
+        pairs = random_ball_effects(rng, k, dim, norm_index)
+        effects = [BallEffect(c=c, v=v, norm_index=norm_index) for c, v in pairs]
+        states = [
+            BallState(x=x, norm_index=norm_index)
+            for x in random_ball_states(rng, 2, dim, norm_index)
+        ]
+        simulate.simulate_ball(effects, states, delta=0.5)
+        assert_class_table(tables[-1], lambda ms: bracket([effects[i] for i in ms]))

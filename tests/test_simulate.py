@@ -288,7 +288,8 @@ def test_class_values_match_prefix_sum_inequalities(rng):
         classes = list(combinations_with_replacement(range(k), n))
         kept = [ms for ms in classes if rng.random() < 0.7] or classes[:1]
         weights = dict(zip(kept, rng.dirichlet(np.ones(len(kept)))))
-        dist = OutcomeDistribution(n=n, k=k, weights=weights)
+        table = np.array(kept, dtype=np.intp).reshape(len(kept), n)
+        dist = OutcomeDistribution(n=n, k=k, classes=table, weights=np.array([*weights.values()]))
         # a reachable column (every class on a random permutation of mu)
         # pulled toward a random one
         feasible = np.zeros(k)
@@ -330,12 +331,10 @@ def _prefix_slack(dist, mu):
     """The 2^k inequalities a(T) >= sum_M w_M P(c_M(T)) as (member, need):
     row T of member marks the outputs in T (T read as a bit mask), and
     need[T] is the right-hand side."""
-    classes = sorted(dist.weights.items())
-    w = np.array([weight for _, weight in classes])
-    counts = np.array([np.bincount(ms, minlength=dist.k) for ms, _ in classes])
+    counts = np.array([np.bincount(ms, minlength=dist.k) for ms in dist.classes])
     member = (np.arange(2**dist.k)[:, None] >> np.arange(dist.k)) & 1
     prefix = np.concatenate(([0.0], np.cumsum(mu)))
-    return member, prefix[counts @ member.T].T @ w
+    return member, prefix[counts @ member.T].T @ dist.weights
 
 
 @pytest.mark.parametrize("noise", ["noiseless", "delta"])
@@ -353,7 +352,6 @@ def test_layered_transport_matches_the_prefix_sum_oracle(rng, noise):
         n, k = int(rng.integers(2, 5)), int(rng.integers(2, 9))
         povm = random_povm(rng, n, k)
         dist = outcome_distribution(povm)
-        classes = sorted(dist.weights)
         for _ in range(2):
             if noise == "noiseless":
                 rho, mu = random_density(rng, n), np.eye(n)[-1]
@@ -368,10 +366,10 @@ def test_layered_transport_matches_the_prefix_sum_oracle(rng, noise):
             assert np.min(member @ a - need) > -1e-9
             (values,) = simulate._class_values(dist, a[:, None], [mu])
             recon = np.zeros(k)
-            for c, ms in enumerate(classes):
-                slot_values = values[c, list(ms)]
+            for c, ms in enumerate(dist.classes):
+                slot_values = values[c, ms]
                 assert majorized_by_permutohedron(slot_values, mu, 1e-9)
-                np.add.at(recon, list(ms), dist.weights[ms] * slot_values)
+                np.add.at(recon, ms, dist.weights[c] * slot_values)
             assert np.max(np.abs(recon - a)) <= 1e-9
             solved += 1
             if pulled is None:
@@ -429,6 +427,34 @@ def test_ball_norm_four(rng):
     states = [BallState(x=x, norm_index=4) for x in random_ball_states(rng, 2, 2, 4)]
     result = simulate_ball(effects, states, delta=0.5)
     check_simulation(result, max_states=4)
+
+
+_DISK_EFFECTS = [
+    BallEffect(c=0.5, v=np.array([0.3, 0.4]), norm_index=2),
+    BallEffect(c=0.5, v=np.array([-0.3, -0.4]), norm_index=2),
+]
+_DISK_STATES = [BallState(x=np.array([0.6, 0.8]), norm_index=2)]
+
+
+@pytest.mark.parametrize("mismatch", ["effect_dimension", "state_dimension", "norm_index"])
+def test_ball_inputs_that_do_not_fit_raise_dimension_mismatch(monkeypatch, mismatch):
+    # the instance is checked once, before any class is evaluated
+    from chansim.errors import DimensionMismatch
+
+    effects, states = list(_DISK_EFFECTS), list(_DISK_STATES)
+    if mismatch == "effect_dimension":
+        effects.append(BallEffect(c=0.0, v=np.zeros(3), norm_index=2))
+    elif mismatch == "state_dimension":
+        states.append(BallState(x=np.array([0.1, 0.2, 0.3]), norm_index=2))
+    else:
+        effects.append(BallEffect(c=0.0, v=np.zeros(2), norm_index=4))
+
+    def no_classes(*args, **kwargs):
+        raise AssertionError("classes evaluated before the inputs were checked")
+
+    monkeypatch.setattr(simulate, "distribution_from_class_values", no_classes)
+    with pytest.raises(DimensionMismatch):
+        simulate_ball(effects, states)
 
 
 def test_noisy_by_noiseless_delta_at_threshold():
@@ -686,8 +712,8 @@ def test_a_class_below_the_transport_drop_keeps_a_valid_column():
     from chansim.transport import DROP_TOL
 
     dust = DROP_TOL / 4
-    weights = {(0, 0): 0.5, (0, 1): 0.5 - dust, (1, 1): dust}
-    dist = OutcomeDistribution(n=2, k=2, weights=weights)
+    classes = np.array([[0, 0], [0, 1], [1, 1]])
+    dist = OutcomeDistribution(n=2, k=2, classes=classes, weights=np.array([0.5, 0.5 - dust, dust]))
     a = np.array([[0.75 - dust], [0.25 + dust]])
     values = simulate._class_values(dist, a, [np.array([0.0, 1.0])])
     assert values[0, 2, 1] == pytest.approx(0.5)
