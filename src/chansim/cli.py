@@ -253,7 +253,10 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
         channel, num_states = born_matrix(povm, states), povm[0].shape[0]
     elif "effects" in payload:
         effects, states = ball_instance_from_json(payload)
-        delta = rational_from_json(mixture.get("noise", {}).get("delta", 0))
+        try:
+            delta = rational_from_json(mixture.get("noise", {}).get("delta", 0))
+        except ValueError as exc:
+            return [f"noise delta invalid: {exc}"]
         channel = ball_born_matrix(effects, states, delta=delta).matrix
         num_states = effects[0].norm_index
     elif "protocol" in payload:
@@ -323,8 +326,11 @@ def _verify_holevo(result: dict) -> list[str]:
 
 def _verify_signalling(result: dict) -> list[str]:
     """Recompute the signalling dimension from the stored n and delta."""
-    delta = rational_from_json(result["delta"])
-    value = certify.noisy_signalling_dimension(int(result["n"]), delta)
+    try:
+        delta = rational_from_json(result["delta"])
+        value = certify.noisy_signalling_dimension(int(result["n"]), delta)
+    except (ChanSimError, ValueError) as exc:
+        return [f"stored n or delta invalid: {exc}"]
     if int(result["value"]) != value:
         return [f"signalling dimension is {value}, not {result['value']}"]
     return []

@@ -1,18 +1,32 @@
 """Canonical JSON encoding for every domain type.
 
 Complex numbers are [re, im] pairs, matrices are row-major nested arrays.
-The canonical serializer (sorted keys, 17-significant-digit floats) makes
-certificate files and their digests byte-reproducible.
+The canonical serializer makes certificate files and their digests
+byte-reproducible: keys are sorted, separators carry no spaces, strings are
+written as by ``json.dumps(s, ensure_ascii=False)``, and a float x is
+written as ``"%.1f" % x`` when it is integral and |x| < 1e16, else as
+``"%.17g" % x``; -0.0 is written as 0.0, and NaN and infinities raise
+ValueError.
+
+``canonical_dumps`` renders a document in two passes. One structural walk
+writes the skeleton text with a mark in place of each float and collects
+the floats in one list; a list that is a rectangular nest of floats goes in
+whole as a bracket template of its shape, and an ndarray is written as its
+``tolist()``. Then all of the document's floats are checked and formatted
+at once: numpy picks the format of each, and one ``%`` fills them into the
+skeleton.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring
 from typing import Any
 
 import numpy as np
@@ -36,54 +50,108 @@ from .simulate import RowReduction, SimulationResult
 
 CERT_VERSION = "chansim-cert-1"
 
-
-def _canonical_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("cannot serialize non-finite float")
-    if x == 0.0:
-        return "0.0"  # -0.0 too, so equal values share one text and digest
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+# stands for a float in the skeleton text; every string and key is written
+# by encode_basestring, which escapes all control characters, so no text
+# can contain it
+_MARK = "\x00"
+# lists of only these types are written by one call of the compact encoder
+_PLAIN = {int, str, bool, type(None)}
+_encode_plain = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
-    pieces: list[str] = []
-    _write_canonical(obj, pieces)
-    return "".join(pieces)
+    skeleton: list[str] = []
+    floats: list[float] = []
+    try:
+        _write_canonical(obj, skeleton, floats)
+    except TypeError:
+        # a non-finite float ahead of the bad item is the first fault
+        _require_finite(np.array(floats, dtype=float))
+        raise
+    text = "".join(skeleton)
+    if not floats:
+        return text
+    values = np.array(floats, dtype=float) + 0.0  # -0.0 becomes 0.0
+    _require_finite(values)
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    pieces = text.replace("%", "%%").split(_MARK)
+    template = [""] * (2 * len(pieces) - 1)
+    template[::2] = pieces
+    template[1::2] = np.where(integral, "%.1f", "%.17g").tolist()
+    return "".join(template) % tuple(values.tolist())
 
 
-def _write_canonical(obj: Any, out: list[str]) -> None:
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_canonical_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("cannot serialize non-finite float")
+
+
+def _write_canonical(obj: Any, out: list[str], floats: list[float]) -> None:
+    """Append the JSON text of ``obj`` to ``out``, with a mark in place of
+    each float and the float itself appended to ``floats``."""
+    if isinstance(obj, dict):
         out.append("{")
         for t, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise TypeError("canonical JSON requires string keys")
             if t:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
-            _write_canonical(obj[key], out)
+            _write_canonical(obj[key], out, floats)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_MARK)
+        floats.append(float(obj))
+    elif isinstance(obj, list) and (types := set(map(type, obj))) <= _PLAIN:
+        out.append(_encode_plain(obj))
+    elif isinstance(obj, list) and (block := _float_block(obj, types)):
+        shape, leaves = block
+        floats.extend(leaves)
+        out.append(_brackets(shape))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.ndarray) and obj.ndim:
+        _write_canonical(obj.tolist(), out, floats)
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for t, item in enumerate(seq):
+        for t, item in enumerate(obj):
             if t:
                 out.append(",")
-            _write_canonical(item, out)
+            _write_canonical(item, out, floats)
         out.append("]")
     else:
         raise TypeError(f"cannot canonically serialize {type(obj).__name__}")
+
+
+def _float_block(seq: list, types: set) -> tuple[tuple[int, ...], list[float]] | None:
+    """The shape and the row-major leaves of ``seq``, whose items have
+    ``types``, if it is a rectangular nest of lists whose leaves are all of
+    type ``float``, else None."""
+    shape = [len(seq)]
+    while True:
+        if types <= {float}:
+            return tuple(shape), seq
+        if types != {list}:
+            return None
+        lengths = set(map(len, seq))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        seq = list(chain.from_iterable(seq))
+        types = set(map(type, seq))
+
+
+@functools.lru_cache(maxsize=256)
+def _brackets(shape: tuple[int, ...]) -> str:
+    """The JSON text of an array of this shape with a mark for each entry."""
+    inner = _brackets(shape[1:]) if len(shape) > 1 else _MARK
+    return "[" + ",".join([inner] * shape[0]) + "]"
 
 
 def digest(obj: Any) -> str:
@@ -108,7 +176,7 @@ def write_atomic(path: str, text: str) -> None:
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
@@ -123,7 +191,7 @@ def complex_matrix_from_json(data) -> np.ndarray:
 
 
 def real_matrix_to_json(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def real_matrix_from_json(data) -> np.ndarray:
@@ -140,12 +208,19 @@ def rational_to_json(x):
 
 
 def rational_from_json(data):
+    """A ``Fraction`` from a string such as "1/3" or "0.25", a float from a
+    number; text that is not a rational, a zero denominator included, and
+    any other value raise ValueError."""
     if isinstance(data, str):
         if "/" in data:
-            num, den = data.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in data.split("/", 1))
+            if den == 0:
+                raise ValueError(f"rational {data!r} has a zero denominator")
+            return Fraction(num, den)
         return Fraction(data)
-    return float(data)
+    if isinstance(data, (int, float)) and not isinstance(data, bool):
+        return float(data)
+    raise ValueError(f"rational must be a string or a number, not {type(data).__name__}")
 
 
 # -- noise specs --------------------------------------------------------------

@@ -693,6 +693,22 @@ PINNED_CERTIFICATE_DIGESTS = [
      "964c5d5059b7245dba7ba2f97b5a8a047260092f88b405ed23912b03da285e00"),
 ]
 
+# jsonio.digest of the list of every input payload (None for a command
+# without one) of each benchmark workload at seed 1, as written before the
+# canonical writer moved to one float pass: input digests must stay as they are
+PINNED_BENCH_INPUT_DIGESTS = {
+    "noisy_quantum": "31f9183ca25d8e8d3587b42aa8e701bc3f97002142142b152eb449d0aec84391",
+    "noiseless_quantum": "70d9b1d58f47abdca7c9b129314d2ea2cd1e4aab40cbdffe3554cc5da851b482",
+    "gpt_channels": "686fd58ac729ca326f899f3ee08fe1c07c2b9c540305de569cb046fc9d10364d",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_BENCH_INPUT_DIGESTS))
+def test_bench_inputs_match_pinned_digests(bench_workloads, workload):
+    payloads = [inst.payload for inst in bench_workloads.generate(workload, 1)]
+    assert jsonio.digest(payloads) == PINNED_BENCH_INPUT_DIGESTS[workload]
+
+
 # a norm-index-4 partition of unity on the plane; its vectors cancel exactly
 PINNED_BALL = {
     "norm_index": 4,
@@ -815,3 +831,47 @@ def test_verify_rejects_nested_per_column_noise(workdir, capsys):
     capsys.readouterr()
     assert run(["verify", "nested.json"]) == 2
     assert "do not nest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "signalling", "--n", "3", "--delta", "{}"],
+        ["simulate", "ball", "--in", "ball.json", "--delta", "{}"],
+        ["simulate", "quantum", "--in", "depolarizing_qubit.json", "--noise", "delta:{}"],
+    ],
+)
+def test_rational_that_does_not_parse_is_an_input_error(workdir, capsys, argv, bad):
+    # a zero denominator used to end in an uncaught ZeroDivisionError
+    run(["fixtures", "emit", "--dir", "."])
+    (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
+    capsys.readouterr()
+    assert run([a.format(bad) for a in argv] + ["--out", "cert.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("chansim: ValueError")
+    assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", None, [1, 2], {"a": 1}])
+def test_verify_rejects_signalling_delta_that_does_not_parse(workdir, capsys, bad):
+    run(["certify", "signalling", "--n", "5", "--delta", "1/2", "--out", "sig.json"])
+    cert = json.loads((workdir / "sig.json").read_text())
+    cert["result"]["delta"] = bad
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "tampered.json"]) == 2
+    assert "verify: stored n or delta invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", None, [1, 2], {"a": 1}])
+def test_verify_rejects_ball_noise_delta_that_does_not_parse(workdir, capsys, bad):
+    (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
+    run(["simulate", "ball", "--in", "ball.json", "--delta", "1/3", "--out", "cert.json"])
+    cert = json.loads((workdir / "cert.json").read_text())
+    cert["result"]["mixture"]["noise"]["delta"] = bad
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "tampered.json", "--in", "ball.json"]) == 2
+    err = capsys.readouterr().err
+    assert "verify: mixture invalid" in err and "verify: noise delta invalid" in err

@@ -1,4 +1,6 @@
 import json
+import math
+from typing import Any
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from chansim.jsonio import (
     canonical_dumps,
     complex_matrix_from_json,
     digest,
+    rational_from_json,
     real_matrix_from_json,
 )
 
@@ -27,6 +30,133 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20,
 )
+
+
+# the canonical writer as it was before the single float pass: one recursive
+# call and one format call per float; the oracle for byte identity
+def _canonical_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("cannot serialize non-finite float")
+    if x == 0.0:
+        return "0.0"  # -0.0 too, so equal values share one text and digest
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def _write_canonical(obj: Any, out: list[str]) -> None:
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_canonical_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for t, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError("canonical JSON requires string keys")
+            if t:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _write_canonical(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        out.append("[")
+        for t, item in enumerate(seq):
+            if t:
+                out.append(",")
+            _write_canonical(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot canonically serialize {type(obj).__name__}")
+
+
+def _reference_dumps(obj: Any) -> str:
+    pieces: list[str] = []
+    _write_canonical(obj, pieces)
+    return "".join(pieces)
+
+
+def _outcome(dumps, value):
+    """The text ``dumps`` writes for ``value``, or the type it raises."""
+    try:
+        return dumps(value)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -7.0, 0.1, 1e15, 9999999999999998.0, -9999999999999998.0,
+    1e16, -1e16, 2e16, 123456789012345680.0, 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# a leaf that keeps a nest of floats from being one block of floats
+odd_leaves = st.sampled_from(
+    [3, -1, True, False, None, np.float64(0.5), np.float64(-0.0),
+     float("nan"), float("inf"), float("-inf")]
+)
+texts = st.text(alphabet=st.sampled_from("ab%s\x00\"\\\u00e9\n"), max_size=6) | st.sampled_from(
+    ["%", "%s", "%%", "%(a)s", "\x00", "%.1f"]
+)
+
+
+def _nest(leaves: list, shape: list[int], sequence=list):
+    if len(shape) == 1:
+        return sequence(leaves)
+    step = len(leaves) // shape[0] if shape[0] else 0
+    return sequence(
+        _nest(leaves[i * step:(i + 1) * step], shape[1:], sequence) for i in range(shape[0])
+    )
+
+
+@st.composite
+def float_nests(draw):
+    """A rectangular nest of floats up to 4-D, as lists, tuples or an
+    ndarray, with at most one odd leaf in a list nest."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    leaves = draw(st.lists(finite_floats, min_size=size, max_size=size))
+    form = draw(st.sampled_from(["list", "list", "odd", "tuple", "ndarray", "float32"]))
+    if form == "ndarray":
+        return np.array(leaves, dtype=float).reshape(shape)
+    if form == "float32":
+        with np.errstate(over="ignore"):  # the largest floats become inf
+            return np.array(leaves, dtype=float).astype(np.float32).reshape(shape)
+    if form == "odd" and size:
+        leaves[draw(st.integers(0, size - 1))] = draw(odd_leaves)
+    return _nest(leaves, shape, tuple if form == "tuple" else list)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | finite_floats
+    | odd_leaves
+    | texts
+    | st.sampled_from([np.int64(7), np.float32(0.1), np.float64(2.0), np.array(1.5), 1j])
+    | st.sampled_from([np.arange(4).reshape(2, 2), np.array([True, False]), np.array([1j])])
+)
+
+documents = st.recursive(
+    scalars | float_nests(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(documents)
+def test_canonical_dumps_matches_the_reference_writer(value):
+    assert _outcome(canonical_dumps, value) == _outcome(_reference_dumps, value)
 
 
 @PROPERTY
@@ -66,3 +196,9 @@ def test_complex_matrix_rejects_non_finite(bad):
     with pytest.raises(NotFinite):
         complex_matrix_from_json([[[1.0, 0.0], [0.0, bad]], [[0.0, 0.0], [1.0, 0.0]]])
     assert np.all(np.isfinite(complex_matrix_from_json([[[1.0, 0.0]]])))
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", None, [1, 2], {"a": 1}, True])
+def test_rational_that_does_not_parse_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        rational_from_json(bad)
