@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     NotPartitionOfUnity,
+    PerColumnNoise,
     WeightSumNotOne,
 )
 from .linalg import require_finite
@@ -89,6 +90,7 @@ class Permutohedron(NoiseSpec):
 
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
+        require_finite(b, "permutohedron base")
         if np.any(b < -ENTRY_TOL) or abs(b.sum() - 1.0) > STOCHASTIC_TOL:
             raise ValueError("permutohedron base must be a probability vector")
         object.__setattr__(self, "base", tuple(float(x) for x in b))
@@ -97,12 +99,6 @@ class Permutohedron(NoiseSpec):
 @dataclass(frozen=True)
 class PerColumn(NoiseSpec):
     specs: tuple[NoiseSpec, ...]
-
-
-def spec_for_column(spec: NoiseSpec, j: int) -> NoiseSpec:
-    if isinstance(spec, PerColumn):
-        return spec.specs[j]
-    return spec
 
 
 def noisy_classical_extremals(n: int, delta: Rational) -> list[np.ndarray]:
@@ -119,19 +115,42 @@ def noisy_classical_extremals(n: int, delta: Rational) -> list[np.ndarray]:
     return out
 
 
-def satisfies_noise(x, spec: NoiseSpec, tol: float = STOCHASTIC_TOL) -> bool:
-    """Membership of a probability vector in the state set declared by spec."""
-    v = np.asarray(x, dtype=float)
+def noise_bases(spec: NoiseSpec, n: int, l: int | None = None) -> np.ndarray:
+    """The (l, n) ascending bases of spec's noise sets, one per input column;
+    each set is the permutation hull of its base: e_n for ``Noiseless``, the
+    sorted (d/n, ..., d/n, 1-(n-1)d/n) for ``Delta(d)``, the sorted base for
+    ``Permutohedron``, and for ``PerColumn`` those of its exactly l specs.
+    With l None, the one base (1, n) of a spec that serves every column, and
+    ``PerColumn`` raises PerColumnNoise."""
+    if isinstance(spec, PerColumn):
+        if l is None:
+            raise PerColumnNoise("per-column noise where one noise set must serve every column")
+        if len(spec.specs) != l:
+            raise DimensionMismatch(f"{len(spec.specs)} column specs for {l} columns")
+        return np.concatenate([noise_bases(s, n) for s in spec.specs])
     if isinstance(spec, Noiseless):
-        return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
-    if isinstance(spec, Delta):
-        n = len(v)
-        return bool(np.all(v >= float(spec.delta) / n - tol) and abs(v.sum() - 1.0) <= tol)
-    if isinstance(spec, Permutohedron):
-        if len(spec.base) != len(v):
-            raise LengthMismatch(f"vector length {len(v)} vs base length {len(spec.base)}")
-        return majorized_by_permutohedron(v, np.asarray(spec.base), tol)
-    raise TypeError(f"cannot test membership against {type(spec).__name__}; resolve per column first")
+        base = np.zeros(n)
+        base[-1] = 1.0
+    elif isinstance(spec, Delta):
+        d = float(spec.delta)
+        base = np.full(n, d / n)
+        base[-1] = 1.0 - (n - 1) * d / n
+        base.sort()
+    elif isinstance(spec, Permutohedron):
+        if len(spec.base) != n:
+            raise LengthMismatch(f"spec base length {len(spec.base)} vs n={n}")
+        base = np.sort(spec.base)
+    else:
+        raise TypeError(f"unknown noise spec {type(spec).__name__}")
+    return base[None].repeat(1 if l is None else l, axis=0)
+
+
+def satisfies_noise(x, spec: NoiseSpec, tol: float = STOCHASTIC_TOL) -> bool:
+    """Membership of a probability vector in the state set declared by spec,
+    the permutation hull of its base; a ``PerColumn`` spec raises
+    PerColumnNoise, a TypeError."""
+    v = np.asarray(x, dtype=float)
+    return bool(majorized_by_permutohedron(v, noise_bases(spec, len(v))[0], tol))
 
 
 def _checked_protocols(decoders, states, num_outputs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,39 +277,15 @@ def mixture_matrix(m: ClassicalMixture) -> TransitionMatrix:
     return TransitionMatrix((m.weights[:, None, None] * matrices).sum(axis=0))
 
 
-def _in_noise_set(v: np.ndarray, spec: NoiseSpec, tol: float) -> np.ndarray:
-    """``satisfies_noise`` over the last axis of ``v``: one verdict per
-    vector."""
-    total_ok = np.abs(v.sum(axis=-1) - 1.0) <= tol
-    if isinstance(spec, Noiseless):
-        return np.all(v >= -tol, axis=-1) & total_ok
-    if isinstance(spec, Delta):
-        return np.all(v >= float(spec.delta) / v.shape[-1] - tol, axis=-1) & total_ok
-    if isinstance(spec, Permutohedron):
-        base = np.sort(np.asarray(spec.base, dtype=float))
-        if len(base) != v.shape[-1]:
-            raise LengthMismatch(f"vector length {v.shape[-1]} vs base length {len(base)}")
-        xs = np.sort(v, axis=-1)
-        prefix = np.cumsum(xs, axis=-1)[..., :-1] >= np.cumsum(base)[:-1] - tol
-        return (np.abs(xs.sum(axis=-1) - base.sum()) <= tol) & np.all(prefix, axis=-1)
-    raise TypeError(f"cannot test membership against {type(spec).__name__}; resolve per column first")
-
-
 def validate_mixture(m: ClassicalMixture, tol: float = STOCHASTIC_TOL) -> None:
-    """Check every state column of every term against the declared noise
-    spec (the checks of ``satisfies_noise``), all T x l columns at once;
-    the rest is checked when the mixture is built."""
-    l = m.states.shape[2]
-    columns = np.ascontiguousarray(m.states.transpose(0, 2, 1))  # (T, l, n)
-    if isinstance(m.noise, PerColumn):
-        if len(m.noise.specs) < l:
-            raise DimensionMismatch(f"{len(m.noise.specs)} column specs for {l} columns")
-        verdicts = [_in_noise_set(columns[:, j], m.noise.specs[j], tol) for j in range(l)]
-        ok = np.stack(verdicts, axis=1)
-    else:
-        ok = _in_noise_set(columns, m.noise, tol)
-    if not ok.all():
-        j = np.argwhere(~ok)[0, 1]
+    """Check every state column of every term against its column's base
+    from ``noise_bases`` (the test of ``satisfies_noise``), all T x l
+    columns at once; the rest is checked when the mixture is built."""
+    _, n, l = m.states.shape
+    columns = m.states.transpose(0, 2, 1)  # (T, l, n)
+    inside = majorized_by_permutohedron(columns, noise_bases(m.noise, n, l), tol)
+    if not inside.all():
+        j = np.argwhere(~inside)[0, 1]
         raise ValueError(f"state column {j} violates the declared noise spec")
 
 

@@ -274,29 +274,34 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
 
 
 def _verify_witness(result: dict) -> list[str]:
-    value, bound = float(result["value"]), float(result["bound"])
-    if result["kind"] == "subset":
+    try:
+        kind, passed = result["kind"], bool(result["passed"])
+        value, bound = float(result["value"]), float(result["bound"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"witness fields invalid: {exc!r}"]
+    if kind == "subset":
         recomputed = value >= bound - 1e-9
-    elif result["kind"] == "pairwise":
+    elif kind == "pairwise":
         recomputed = value <= bound + 1e-9
     else:
-        return [f"unknown witness kind {result['kind']!r}"]
-    if bool(result["passed"]) != recomputed:
+        return [f"unknown witness kind {kind!r}"]
+    if passed != recomputed:
         return ["stored verdict contradicts the value/bound comparison"]
     return []
 
 
 def _witness_input_problems(result: dict, payload: dict) -> list[str]:
     """Rerun the witness on the input matrix with the stored parameters;
-    value, bound, parameters and verdict must come out as stored."""
+    value, bound, parameters and verdict must come out as stored. A witness
+    that fails its check from the file alone is not rerun."""
+    if _verify_witness(result):
+        return []
     params = result["params"]
     matrix = real_matrix_from_json(payload["matrix"])
     if result["kind"] == "subset":
         report = certify.subset_witness(matrix, r=int(params["r"]), d=int(params["d"]))
-    elif result["kind"] == "pairwise":
-        report = certify.pairwise_witness(matrix, d=int(params["d"]))
     else:
-        return []
+        report = certify.pairwise_witness(matrix, d=int(params["d"]))
     if (
         abs(report.value - float(result["value"])) > 1e-9
         or report.bound != float(result["bound"])

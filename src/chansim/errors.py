@@ -92,6 +92,10 @@ class NotDoublyStochastic(ChanSimError):
     pass
 
 
+class PerColumnNoise(ChanSimError, TypeError):
+    """A per-column noise spec where one noise set must serve every column."""
+
+
 class BadRange(ChanSimError):
     pass
 

@@ -60,20 +60,21 @@ class PermutationMixture:
         return float(sum(w for w, _ in self.terms))
 
 
-def majorized_by_permutohedron(x, mu, tol: float = WEIGHT_TOL) -> bool:
-    """True iff x lies in the convex hull of the coordinate permutations of mu.
+def majorized_by_permutohedron(x, mu, tol: float = WEIGHT_TOL) -> np.ndarray:
+    """Whether x lies in the convex hull of the coordinate permutations of
+    mu, for the vectors along the last axis of x and mu, whose leading axes
+    broadcast; one verdict per vector pair (a numpy bool for two vectors).
 
     Checked via ascending partial sums: for every r the r smallest entries
     of x must sum to at least the r smallest entries of mu, with totals
-    agreeing.
+    agreeing, each within the flat ``tol``.
     """
-    xs = np.sort(np.asarray(x, dtype=float))
-    ms = np.sort(np.asarray(mu, dtype=float))
-    if xs.shape != ms.shape:
-        raise LengthMismatch(f"lengths {xs.shape} vs {ms.shape}")
-    if abs(xs.sum() - ms.sum()) > tol:
-        return False
-    return bool(np.all(np.cumsum(xs)[:-1] >= np.cumsum(ms)[:-1] - tol))
+    xs = np.sort(np.asarray(x, dtype=float), axis=-1)
+    ms = np.sort(np.asarray(mu, dtype=float), axis=-1)
+    if xs.shape[-1] != ms.shape[-1]:
+        raise LengthMismatch(f"lengths {xs.shape[-1]} vs {ms.shape[-1]}")
+    gaps = xs.cumsum(axis=-1) - ms.cumsum(axis=-1)
+    return (gaps >= -tol).all(axis=-1) & (gaps[..., -1] <= tol)
 
 
 def _augment(adjacent: list[list[int]], col_of: list[int], row_of: list[int], r: int) -> bool:

@@ -44,29 +44,30 @@ from .channels import (
     Delta,
     Noiseless,
     NoiseSpec,
-    Permutohedron,
     Rational,
     TransitionMatrix,
     as_transition,
     ball_born_matrix,
     mixture_matrix,
-    noisy_classical_extremals,
+    noise_bases,
     protocol_matrices,
-    satisfies_noise,
-    spec_for_column,
     validate_partition_of_unity,
 )
 from .errors import (
     BadRange,
     DimensionMismatch,
-    LengthMismatch,
     NotMajorized,
     NumericalBreakdown,
     PreconditionViolated,
     TransportInfeasible,
 )
 from .linalg import born_matrix, hermitian_eigenvalues, validate_density, validate_povm
-from .majorize import caratheodory, hlp_decompose, max_subset_distribution
+from .majorize import (
+    caratheodory,
+    hlp_decompose,
+    majorized_by_permutohedron,
+    max_subset_distribution,
+)
 from .mixdisc import (
     DEFAULT_CAP,
     OutcomeDistribution,
@@ -239,7 +240,7 @@ def simulate_quantum_noiseless(
         validate_density(rho, tol)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    values = _class_values(dist, a, [_spec_base_vector(Noiseless(), dist.n)] * a.shape[1])
+    values = _class_values(dist, a, noise_bases(Noiseless(), dist.n, a.shape[1]))
     return _finalize(TransitionMatrix(a), *_class_terms(dist, values), Noiseless())
 
 
@@ -266,8 +267,7 @@ def simulate_ball(
 
     dist = distribution_from_class_values(len(effects), n, brackets, cap=cap)
     target = ball_born_matrix(effects, states, delta=delta, tol=tol)
-    mu = _spec_base_vector(Delta(delta), n)
-    values = _class_values(dist, target.matrix, [mu] * len(states))
+    values = _class_values(dist, target.matrix, noise_bases(Delta(delta), n, len(states)))
     return _finalize(target, *_class_terms(dist, values), Delta(delta))
 
 
@@ -305,29 +305,12 @@ def simulate_quantum_noisy(
         validate_density(rho, tol)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    mus = []
-    for j, rho in enumerate(states):
-        mu = hermitian_eigenvalues(rho, tol)
-        if not satisfies_noise(mu, spec_for_column(spec, j), tol):
-            raise NotMajorized(f"state {j}: spectrum violates the declared noise set")
-        mus.append(np.clip(mu, 0.0, None))
-    values = _class_values(dist, a, mus)
+    mus = np.array([hermitian_eigenvalues(rho, tol) for rho in states])
+    inside = majorized_by_permutohedron(mus, noise_bases(spec, dist.n, len(mus)), tol)
+    if not inside.all():
+        raise NotMajorized(f"state {np.argmin(inside)}: spectrum violates the declared noise set")
+    values = _class_values(dist, a, np.clip(mus, 0.0, None))
     return _finalize(TransitionMatrix(a), *_class_terms(dist, values), spec)
-
-
-def _spec_base_vector(spec: NoiseSpec, n: int) -> np.ndarray:
-    """Ascending worst-case state vector of a permutation-invariant spec."""
-    if isinstance(spec, Delta):
-        return np.sort(noisy_classical_extremals(n, spec.delta)[0])
-    if isinstance(spec, Permutohedron):
-        if len(spec.base) != n:
-            raise LengthMismatch(f"spec base length {len(spec.base)} vs n={n}")
-        return np.sort(np.asarray(spec.base, dtype=float))
-    if isinstance(spec, Noiseless):
-        out = np.zeros(n)
-        out[-1] = 1.0
-        return out
-    raise TypeError(f"unsupported spec for this simulation: {type(spec).__name__}")
 
 
 def simulate_noisy_by_noiseless(
@@ -343,7 +326,8 @@ def simulate_noisy_by_noiseless(
     itself is not d-simulable. Otherwise every input column is decomposed
     over at most n permutations of the max-of-a-random-d-subset
     distribution, and each of the C(n,d) subsets becomes one candidate
-    d-state protocol, of which at most l(k-1) + 1 are kept.
+    d-state protocol, of which at most l(k-1) + 1 are kept. A ``PerColumn``
+    spec raises PerColumnNoise, since the witness names no column.
     """
     if isinstance(target, ClassicalProtocol):
         decoder = target.decoder
@@ -358,16 +342,16 @@ def simulate_noisy_by_noiseless(
     if not 1 <= d <= n:
         raise BadRange(f"need 1 <= d <= n, got d={d}, n={n}")
 
-    witness = permutohedron_simulable_by_d(_spec_base_vector(spec, n), d, tol)
+    base = noise_bases(spec, n)[0]
+    witness = permutohedron_simulable_by_d(base, d, tol)
     if witness is not None:
         return witness
 
+    inside = majorized_by_permutohedron(x.T, base, tol)
+    if not inside.all():
+        raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
     nu = max_subset_distribution(n, d)
-    col_mixes = []
-    for j in range(l):
-        if not satisfies_noise(x[:, j], spec_for_column(spec, j), tol):
-            raise NotMajorized(f"target column {j} violates the declared noise spec")
-        col_mixes.append(hlp_decompose(x[:, j], nu, tol=4 * tol))
+    col_mixes = [hlp_decompose(x[:, j], nu, tol=4 * tol) for j in range(l)]
 
     subsets = np.array(list(combinations(range(n), d)), dtype=np.intp)
     rows = np.arange(len(subsets))

@@ -17,6 +17,8 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+from chansim.channels import Delta, Noiseless, PerColumn, Permutohedron
+
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -129,6 +131,30 @@ def char_poly_eigenvalues(a: np.ndarray) -> np.ndarray:
         coeffs.append(-np.trace(a @ m) / k)
     roots = np.roots(np.array(coeffs))
     return np.sort(roots.real)
+
+
+def spec_for_column(spec, j: int):
+    """Oracle: the noise spec of input column j."""
+    return spec.specs[j] if isinstance(spec, PerColumn) else spec
+
+
+def oracle_satisfies_noise(x, spec, tol: float = 1e-9) -> bool:
+    """Oracle for noise membership, one rule per kind of spec: entrywise
+    floors (0 or delta/n) and a total of 1 for ``Noiseless`` and ``Delta``;
+    for ``Permutohedron``, totals within tol and the ascending prefix sums
+    of x at least those of the base, less tol."""
+    v = np.asarray(x, dtype=float)
+    if isinstance(spec, Noiseless):
+        return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
+    if isinstance(spec, Delta):
+        floor = float(spec.delta) / len(v)
+        return bool(np.all(v >= floor - tol) and abs(v.sum() - 1.0) <= tol)
+    if isinstance(spec, Permutohedron):
+        xs, ms = np.sort(v), np.sort(np.asarray(spec.base, dtype=float))
+        if abs(xs.sum() - ms.sum()) > tol:
+            return False
+        return bool(np.all(np.cumsum(xs)[:-1] >= np.cumsum(ms)[:-1] - tol))
+    raise TypeError(f"no oracle for {type(spec).__name__}")
 
 
 @pytest.fixture

@@ -16,27 +16,41 @@ from chansim.channels import (
     ball_born_matrix,
     bracket,
     mixture_matrix,
+    noise_bases,
     noisy_classical_extremals,
     protocol_matrix,
     satisfies_noise,
-    spec_for_column,
     validate_mixture,
 )
 from chansim.errors import (
     BadDelta,
     DimensionMismatch,
+    LengthMismatch,
     NotFinite,
     NotPartitionOfUnity,
+    PerColumnNoise,
     WeightSumNotOne,
 )
 from chansim.majorize import majorized_by_permutohedron
-from conftest import random_ball_effects, random_ball_states, random_stochastic
+from conftest import (
+    oracle_satisfies_noise,
+    random_ball_effects,
+    random_ball_states,
+    random_stochastic,
+    spec_for_column,
+)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_transition_matrix_rejects_non_finite(bad):
     with pytest.raises(NotFinite):
         TransitionMatrix(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_permutohedron_base_rejects_non_finite(bad):
+    with pytest.raises(NotFinite):
+        Permutohedron(base=(bad, 0.5, 0.5))
 
 
 def test_extremals_noiseless():
@@ -86,7 +100,54 @@ def test_delta_matches_permutohedron_membership(rng):
         d = float(rng.uniform(0.0, 1.0))
         ext = noisy_classical_extremals(n, d)[0]
         x = rng.dirichlet(np.ones(n))
-        assert satisfies_noise(x, Delta(d)) == majorized_by_permutohedron(x, ext)
+        assert oracle_satisfies_noise(x, Delta(d)) == majorized_by_permutohedron(x, ext)
+
+
+def test_noise_bases_one_ascending_row_per_column():
+    for n in range(1, 8):
+        for d in (0.0, 0.3, 1.0, 1, Fraction(1, 3), Fraction(2, 7)):
+            rows = noise_bases(Delta(d), n, 3)
+            extremal = np.sort(noisy_classical_extremals(n, d)[0])
+            assert rows.shape == (3, n)
+            assert all(row.tobytes() == extremal.tobytes() for row in rows)
+    assert noise_bases(Noiseless(), 3, 2).tolist() == [[0.0, 0.0, 1.0]] * 2
+    assert noise_bases(Permutohedron(base=(0.5, 0.2, 0.3)), 3).tolist() == [[0.2, 0.3, 0.5]]
+    per_column = PerColumn(specs=(Noiseless(), Delta(0.75)))
+    assert noise_bases(per_column, 3, 2).tolist() == [[0.0, 0.0, 1.0], [0.25, 0.25, 0.5]]
+
+
+def test_noise_bases_rejects_mismatched_specs():
+    per_column = PerColumn(specs=(Noiseless(), Delta(0.75)))
+    for l in (1, 3):
+        with pytest.raises(DimensionMismatch, match=f"2 column specs for {l} columns"):
+            noise_bases(per_column, 3, l)
+    with pytest.raises(PerColumnNoise):
+        noise_bases(per_column, 3)
+    with pytest.raises(TypeError):
+        satisfies_noise(np.ones(3) / 3, per_column)
+    with pytest.raises(LengthMismatch):
+        noise_bases(Permutohedron(base=(0.5, 0.5)), 3, 1)
+
+
+@pytest.mark.parametrize(
+    "x, spec, by_entries, by_prefixes",
+    [
+        # two entries 0.6e-9 under the floor: each is within tol, their sum
+        # (the second prefix) is not
+        ((-0.6e-9, -0.6e-9, 1 + 1.2e-9), Noiseless(), True, False),
+        ((1 / 6 - 0.6e-9, 1 / 6 - 0.6e-9, 2 / 3 + 1.2e-9), Delta(Fraction(1, 2)), True, False),
+        # one entry under the floor: the first prefix has the same tol
+        ((-0.9e-9, 0.5, 0.5 + 0.9e-9), Noiseless(), True, True),
+        ((-1.1e-9, 0.5, 0.5 + 1.1e-9), Noiseless(), False, False),
+        ((1 / 6 - 0.9e-9, 1 / 3, 1 / 2 + 0.9e-9), Delta(Fraction(1, 2)), True, True),
+        ((1 / 6 - 1.1e-9, 1 / 3, 1 / 2 + 1.1e-9), Delta(Fraction(1, 2)), False, False),
+    ],
+)
+def test_noise_membership_boundary_is_the_prefix_test(x, spec, by_entries, by_prefixes):
+    # the prefix test is stricter than entrywise floors by up to (r-1) tol
+    # at the r-th ascending prefix
+    assert oracle_satisfies_noise(x, spec) is by_entries
+    assert satisfies_noise(x, spec) is by_prefixes
 
 
 def test_protocol_matrix_identity():
@@ -190,7 +251,7 @@ def _random_spec(rng, n):
 
 @pytest.mark.parametrize("kind", ["noiseless", "delta", "permutohedron", "per_column"])
 def test_validate_mixture_matches_per_column_oracle(rng, kind):
-    # the array check against satisfies_noise on every (term, column), in
+    # the array check against the per-kind oracle on every (term, column), in
     # term-major order; both verdicts must occur
     verdicts = set()
     for _ in range(150):
@@ -223,7 +284,7 @@ def test_validate_mixture_matches_per_column_oracle(rng, kind):
             j
             for t in range(num_terms)
             for j in range(l)
-            if not satisfies_noise(states[t, :, j], spec_for_column(noise, j), tol)
+            if not oracle_satisfies_noise(states[t, :, j], spec_for_column(noise, j), tol)
         ]
         verdicts.add(not failing)
         if failing:

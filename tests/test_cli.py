@@ -833,6 +833,78 @@ def test_verify_rejects_nested_per_column_noise(workdir, capsys):
     assert "do not nest" in capsys.readouterr().err
 
 
+def test_simulate_quantum_rejects_too_few_per_column_specs(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    (workdir / "one.json").write_text(
+        json.dumps({"kind": "per_column", "specs": [{"kind": "delta", "delta": "1/2"}]})
+    )
+    capsys.readouterr()
+    argv = ["simulate", "quantum", "--in", "depolarizing_qubit.json", "--noise", "@one.json"]
+    assert run(argv + ["--json-errors"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "DimensionMismatch", "message": "1 column specs for 2 columns"}
+
+
+def _two_column_noisy_to_noiseless_certificate(workdir):
+    n, delta = 4, 0.5
+    matrix = np.full((n, 2), delta / n)
+    matrix[[0, 1], [0, 1]] = 1 - (n - 1) * delta / n
+    (workdir / "target.json").write_text(json.dumps({"matrix": matrix.tolist()}))
+    assert run([
+        "simulate", "noisy-to-noiseless", "--in", "target.json",
+        "--noise", "delta:1/2", "--d", "3", "--out", "cert.json",
+    ]) == 0
+    return json.loads((workdir / "cert.json").read_text())
+
+
+def test_verify_rejects_more_per_column_specs_than_columns(workdir, capsys):
+    cert = _two_column_noisy_to_noiseless_certificate(workdir)
+    cert["result"]["mixture"]["noise"] = {"kind": "per_column", "specs": [{"kind": "noiseless"}] * 3}
+    (workdir / "three.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "three.json"]) == 2
+    assert "mixture invalid: 3 column specs for 2 columns" in capsys.readouterr().err
+
+
+def test_noisy_to_noiseless_rejects_per_column_noise(workdir, capsys):
+    _two_column_noisy_to_noiseless_certificate(workdir)
+    per_column = {"kind": "per_column", "specs": [{"kind": "delta", "delta": "1/2"}] * 2}
+    (workdir / "percol.json").write_text(json.dumps(per_column))
+    capsys.readouterr()
+    assert run([
+        "simulate", "noisy-to-noiseless", "--in", "target.json",
+        "--noise", "@percol.json", "--d", "3", "--out", "percol_cert.json",
+    ]) == 1
+    assert capsys.readouterr().err.startswith("chansim: PerColumnNoise: ")
+    assert not (workdir / "percol_cert.json").exists()
+
+
+def test_simulate_quantum_rejects_non_finite_permutohedron_base(workdir, capsys):
+    run(["fixtures", "emit", "--dir", "."])
+    capsys.readouterr()
+    argv = ["simulate", "quantum", "--in", "depolarizing_qubit.json"]
+    assert run(argv + ["--noise", "permutohedron:[NaN, 0.5]"]) == 1
+    assert capsys.readouterr().err.startswith("chansim: NotFinite: ")
+
+
+@pytest.mark.parametrize("change", ["value_not_a_number", "bound_missing"])
+@pytest.mark.parametrize("with_input", [False, True])
+def test_verify_rejects_witness_fields_that_do_not_parse(workdir, capsys, change, with_input):
+    run(["fixtures", "emit", "--dir", "."])
+    run(["certify", "pairwise", "--in", "octahedron_matrix.json", "--d", "2",
+         "--out", "pairwise.json"])
+    cert = json.loads((workdir / "pairwise.json").read_text())
+    if change == "value_not_a_number":
+        cert["result"]["value"] = "x"
+    else:
+        del cert["result"]["bound"]
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    argv = ["verify", "tampered.json"]
+    assert run(argv + ["--in", "octahedron_matrix.json"] * with_input) == 2
+    assert "verify: witness fields invalid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["1/0", "x"])
 @pytest.mark.parametrize(
     "argv",

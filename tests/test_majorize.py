@@ -8,6 +8,8 @@ import scipy.optimize
 
 from chansim import majorize
 from chansim.errors import BadRange, LengthMismatch, NotDoublyStochastic, NotMajorized
+from chansim.channels import Permutohedron
+from conftest import oracle_satisfies_noise, random_point_in_permutohedron
 
 
 def random_doubly_stochastic(rng, n, terms=6):
@@ -54,6 +56,21 @@ def test_majorized_trivials():
 def test_majorized_length_mismatch():
     with pytest.raises(LengthMismatch):
         majorize.majorized_by_permutohedron(np.ones(2) / 2, np.ones(3) / 3)
+
+
+def test_majorized_over_last_axis_matches_the_oracle(rng):
+    bases = rng.dirichlet(np.ones(4), size=3)
+    specs = [Permutohedron(base=tuple(b)) for b in bases]
+    x = rng.dirichlet(np.ones(4) * 0.5, size=(6, 3))
+    x[:3] = [[random_point_in_permutohedron(rng, b) for b in bases] for _ in range(3)]
+    verdicts = majorize.majorized_by_permutohedron(x, bases)
+    assert verdicts.shape == (6, 3)
+    for t, j in np.ndindex(6, 3):
+        assert verdicts[t, j] == oracle_satisfies_noise(x[t, j], specs[j])
+    assert verdicts[:3].all() and not verdicts[3:].all()
+    # one base broadcast over every vector
+    alone = majorize.majorized_by_permutohedron(x, bases[0])
+    assert alone.tolist() == [[oracle_satisfies_noise(v, specs[0]) for v in row] for row in x]
 
 
 def test_hlp_identity_single_term():
