@@ -28,7 +28,7 @@ from .errors import (
     LpInfeasible,
     NotFullDimensional,
 )
-from .linalg import shannon_entropy, von_neumann_entropy
+from .linalg import require_finite, shannon_entropy, von_neumann_entropy
 
 SLACK = 1e-9
 BOUNDARY_GUARD = 1e-12
@@ -192,15 +192,16 @@ def replacer_bounds(
     upper = min(m, raw_upper)
 
     exact = None
-    if spectrum is not None and n is not None and m == n:
-        vec = np.sort(np.asarray(spectrum, dtype=float))
-        prefix = np.cumsum(vec)
-        total = math.comb(n, lower)
-        ok = all(
+    if spectrum is not None:
+        dim = m if n is None else n
+        vec = np.sort(require_finite(np.asarray(spectrum, dtype=float), "spectrum"))
+        if vec.shape != (dim,):
+            raise DimensionMismatch(f"spectrum has shape {vec.shape}, expected ({dim},)")
+        prefix, total = np.cumsum(vec), math.comb(dim, lower)
+        if m == n and all(
             float(delta) * prefix[r - 1] >= math.comb(r, lower) / total - SLACK
             for r in range(lower, n)
-        )
-        if ok:
+        ):
             exact = lower
     return ReplacerBounds(lower=lower, upper=upper, exact=exact)
 

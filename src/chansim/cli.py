@@ -7,7 +7,9 @@ tree once per process. Each ``simulate`` and ``certify`` handler maps
 driver, ``_certify``, does the rest: it loads ``--in``, writes the
 certificate and derives the exit code. ``verify`` looks the certificate's
 result type up in ``VERIFIERS``: a check from the file alone, and an
-optional rerun against the ``--in`` input.
+optional check against the ``--in`` input. ``_rerun`` recomputes every
+closed-form result with the handler that wrote it, and a field that does
+not parse is a failed check like a wrong value.
 
 Exit codes: 0 for success or a passing check, 2 for a mathematically
 meaningful negative result (a violated witness, a simulation ruled out, a
@@ -274,11 +276,8 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
 
 
 def _verify_witness(result: dict) -> list[str]:
-    try:
-        kind, passed = result["kind"], bool(result["passed"])
-        value, bound = float(result["value"]), float(result["bound"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"witness fields invalid: {exc!r}"]
+    kind, passed = result["kind"], bool(result["passed"])
+    value, bound = float(result["value"]), float(result["bound"])
     if kind == "subset":
         recomputed = value >= bound - 1e-9
     elif kind == "pairwise":
@@ -287,28 +286,6 @@ def _verify_witness(result: dict) -> list[str]:
         return [f"unknown witness kind {kind!r}"]
     if passed != recomputed:
         return ["stored verdict contradicts the value/bound comparison"]
-    return []
-
-
-def _witness_input_problems(result: dict, payload: dict) -> list[str]:
-    """Rerun the witness on the input matrix with the stored parameters;
-    value, bound, parameters and verdict must come out as stored. A witness
-    that fails its check from the file alone is not rerun."""
-    if _verify_witness(result):
-        return []
-    params = result["params"]
-    matrix = real_matrix_from_json(payload["matrix"])
-    if result["kind"] == "subset":
-        report = certify.subset_witness(matrix, r=int(params["r"]), d=int(params["d"]))
-    else:
-        report = certify.pairwise_witness(matrix, d=int(params["d"]))
-    if (
-        abs(report.value - float(result["value"])) > 1e-9
-        or report.bound != float(result["bound"])
-        or report.params != params
-        or report.passed != bool(result["passed"])
-    ):
-        return ["witness differs from a rerun on the input"]
     return []
 
 
@@ -329,66 +306,76 @@ def _verify_holevo(result: dict) -> list[str]:
     return []
 
 
-def _verify_signalling(result: dict) -> list[str]:
-    """Recompute the signalling dimension from the stored n and delta."""
-    try:
-        delta = rational_from_json(result["delta"])
-        value = certify.noisy_signalling_dimension(int(result["n"]), delta)
-    except (ChanSimError, ValueError) as exc:
-        return [f"stored n or delta invalid: {exc}"]
-    if int(result["value"]) != value:
-        return [f"signalling dimension is {value}, not {result['value']}"]
+WITNESSES = {"subset": _certify_subset, "pairwise": _certify_pairwise}
+
+# closed-form result type -> (its handler, the options it reads) from the result
+RERUNS = {
+    "scalar": lambda result: (_certify_storability, None),
+    "holevo": lambda result: (_certify_holevo, None),
+    "witness": lambda result: (WITNESSES[result["kind"]], argparse.Namespace(**result["params"])),
+    "signalling_dimension": lambda result: (
+        _certify_signalling, argparse.Namespace(n=result["n"], delta=result["delta"])
+    ),
+}
+
+
+def _rerun(result: dict, payload: dict | None = None) -> list[str]:
+    """Recompute a closed-form result with the handler that wrote it, on the
+    input if one is given; numbers must match within 1e-9, every other value
+    (strings, parameters, null) exactly."""
+    handler, options = RERUNS[result["type"]](result)
+    _, fresh = handler(options, payload)
+    for key, value in fresh.items():
+        stored = result.get(key)
+        if isinstance(value, (int, float)):
+            same = isinstance(stored, (int, float)) and abs(stored - value) <= 1e-9
+        else:
+            same = stored == value
+        if not same:
+            source = "on a rerun" if payload is None else "on the input"
+            return [f"{key} is {value!r} {source}, not {stored!r}"]
     return []
-
-
-def _rerun(handler):
-    """An input check for a closed-form result: rerun ``handler``, which
-    reads no options, on the input; every number must match within 1e-9."""
-
-    def check(result: dict, payload: dict) -> list[str]:
-        _, fresh = handler(None, payload)
-        for key, value in fresh.items():
-            stored = result.get(key)
-            if value is None or isinstance(value, str):
-                same = stored == value
-            else:
-                same = isinstance(stored, (int, float)) and abs(stored - value) <= 1e-9
-            if not same:
-                return [f"{key} is {value!r} on the input, not {stored!r}"]
-        return []
-
-    return check
 
 
 # result type -> (check from the certificate alone, check against --in or None)
 VERIFIERS = {
     "simulation": (_verify_simulation, _input_problems),
     "row_reduction": (_verify_row_reduction, _input_problems),
-    "witness": (_verify_witness, _witness_input_problems),
+    "witness": (_verify_witness, _rerun),
     "binomial_witness": (_verify_binomial_witness, None),
     "asymmetry": (_verify_asymmetry, None),
-    "holevo": (_verify_holevo, _rerun(_certify_holevo)),
-    "signalling_dimension": (_verify_signalling, None),
-    "scalar": (lambda result: [], _rerun(_certify_storability)),
+    "holevo": (_verify_holevo, _rerun),
+    "signalling_dimension": (_rerun, None),
+    "scalar": (lambda result: [], _rerun),
     "replacer_bounds": (lambda result: [], None),
 }
 
+# what a command reports as a failure instead of a traceback: chansim's own
+# errors, and what a document of the wrong shape raises when it is read
+MALFORMED = (ChanSimError, ValueError, KeyError, TypeError, IndexError, AttributeError)
+
 
 def cmd_verify(args) -> int:
+    """Check a certificate; a field that is missing or does not parse is a
+    failed check, like a wrong value."""
     cert = _load_json(args.certfile)
-    if cert.get("version") != CERT_VERSION:
-        problems = [f"unknown certificate version {cert.get('version')!r}"]
-    else:
-        result = cert["result"]
-        kind = result.get("type")
-        payload = _load_json(args.infile) if args.infile else None
-        check, check_input = VERIFIERS.get(kind, (None, None))
-        problems = check(result) if check else [f"unknown result type {kind!r}"]
-        if payload is not None:
-            if check_input:
-                problems += check_input(result, payload)
-            if jsonio.digest(payload) != cert.get("input_digest"):
-                problems.append("input digest mismatch")
+    payload = _load_json(args.infile) if args.infile else None
+    problems, kind = [], "certificate"
+    try:
+        if cert.get("version") != CERT_VERSION:
+            problems.append(f"unknown certificate version {cert.get('version')!r}")
+        else:
+            result = cert["result"]
+            kind = result.get("type")
+            check, check_input = VERIFIERS.get(kind, (None, None))
+            problems += check(result) if check else [f"unknown result type {kind!r}"]
+            if payload is not None:
+                if check_input:
+                    problems += check_input(result, payload)
+                if jsonio.digest(payload) != cert.get("input_digest"):
+                    problems.append("input digest mismatch")
+    except MALFORMED as exc:
+        problems.append(f"{kind} fields invalid: {exc!r}")
     if problems:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
@@ -552,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     args.command_echo = _echo_args(argv)
     try:
         return args.handler(args)
-    except (ChanSimError, OSError, ValueError, KeyError) as exc:
+    except (OSError, *MALFORMED) as exc:
         if args.json_errors:
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(canonical_dumps(error), file=sys.stderr)

@@ -51,7 +51,6 @@ from .channels import (
     mixture_matrix,
     noise_bases,
     protocol_matrices,
-    validate_partition_of_unity,
 )
 from .errors import (
     BadRange,
@@ -61,7 +60,13 @@ from .errors import (
     PreconditionViolated,
     TransportInfeasible,
 )
-from .linalg import born_matrix, hermitian_eigenvalues, validate_density, validate_povm
+from .linalg import (
+    born_matrix,
+    hermitian_eigenvalues,
+    require_finite,
+    validate_density,
+    validate_povm,
+)
 from .majorize import (
     caratheodory,
     hlp_decompose,
@@ -256,7 +261,7 @@ def simulate_ball(
     """Simulate the delta-noisy ball channel by the delta-noisy classical
     channel with n states (n the even norm index)."""
     n, c, v = _ball_arrays(effects, states, norm_index)
-    validate_partition_of_unity(effects, tol)
+    target = ball_born_matrix(effects, states, delta=delta, tol=tol)
 
     def brackets(classes: np.ndarray) -> np.ndarray:
         # channels.bracket per row, multiplied slot by slot in its order
@@ -266,7 +271,6 @@ def simulate_ball(
         return cs - vs.sum(axis=1)
 
     dist = distribution_from_class_values(len(effects), n, brackets, cap=cap)
-    target = ball_born_matrix(effects, states, delta=delta, tol=tol)
     values = _class_values(dist, target.matrix, noise_bases(Delta(delta), n, len(states)))
     return _finalize(target, *_class_terms(dist, values), Delta(delta))
 
@@ -385,7 +389,7 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
             )
         weights = slack / total
     else:
-        weights = np.asarray(p, dtype=float)
+        weights = require_finite(np.asarray(p, dtype=float), "row weights")
         if weights.shape != (k,):
             raise DimensionMismatch(f"weights shape {weights.shape}, expected ({k},)")
         if np.any(weights < -tol) or abs(weights.sum() - 1.0) > tol:

@@ -16,8 +16,14 @@ from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chansim.channels import Delta, Noiseless, PerColumn, Permutohedron
+
+# every property test draws the same examples on every run, writes no example
+# database into the working directory and has no per-example deadline
+settings.register_profile("chansim", derandomize=True, database=None, deadline=None)
+settings.load_profile("chansim")
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

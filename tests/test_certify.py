@@ -25,7 +25,7 @@ from chansim.channels import (
     mixture_matrix,
     noisy_classical_extremals,
 )
-from chansim.errors import BadRange, EmptyInput, NotFullDimensional
+from chansim.errors import BadRange, DimensionMismatch, EmptyInput, NotFinite, NotFullDimensional
 from chansim.linalg import born_matrix
 from conftest import random_density, random_povm, random_stochastic
 
@@ -203,6 +203,23 @@ def test_replacer_bounds():
     assert full.exact == full.lower == noisy_signalling_dimension(3, 0.5)
     with pytest.raises(BadRange):
         replacer_bounds(5, 0.5, n=4)
+
+
+@pytest.mark.parametrize(
+    "spectrum, n, error",
+    [
+        ([1.0], 3, DimensionMismatch),
+        ([0.5, 0.5], None, DimensionMismatch),
+        (np.ones((3, 1)) / 3, 3, DimensionMismatch),
+        ([np.nan] * 3, 3, NotFinite),
+        ([0.5, np.inf, 0.5], None, NotFinite),
+    ],
+)
+def test_replacer_bounds_requires_a_finite_spectrum_of_length_n(spectrum, n, error):
+    # without n the input is not embedded, and the spectrum has length m
+    with pytest.raises(error):
+        replacer_bounds(3, Fraction(1, 2), spectrum=spectrum, n=n)
+    assert replacer_bounds(3, Fraction(1, 2), spectrum=np.ones(3) / 3).exact is None
 
 
 def test_minkowski_asymmetry_octahedron():

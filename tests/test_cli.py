@@ -1,4 +1,9 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -7,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chansim
 from chansim import jsonio
@@ -272,7 +279,7 @@ def test_verify_in_reruns_witnesses(workdir, capsys):
     capsys.readouterr()
     assert run(["verify", "forged.json"]) == 0
     assert run(["verify", "forged.json", "--in", "octahedron_matrix.json"]) == 2
-    assert "witness differs from a rerun" in capsys.readouterr().err
+    assert "value is 6.0 on the input, not 4.0" in capsys.readouterr().err
 
 
 def test_signalling_and_replacer(workdir, capsys):
@@ -296,7 +303,7 @@ def test_verify_recomputes_signalling_dimension(workdir, capsys):
     tampered["result"]["value"] = 1
     (workdir / "tampered.json").write_text(json.dumps(tampered))
     assert run(["verify", "tampered.json"]) == 2
-    assert "signalling dimension is 3, not 1" in capsys.readouterr().err
+    assert "value is 3 on a rerun, not 1" in capsys.readouterr().err
 
 
 def test_noisy_to_noiseless_witness_exit_code(workdir, capsys):
@@ -660,6 +667,125 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
     assert accepted == []
 
 
+@pytest.fixture(scope="module")
+def pinned_certificates(tmp_path_factory):
+    """A directory with the inputs of PINNED_CERTIFICATE_DIGESTS, and for each
+    of its commands the certificate and the verify arguments after its path."""
+    directory = tmp_path_factory.mktemp("pinned")
+    main(["fixtures", "emit", "--dir", str(directory)])
+    ensemble = json.loads((directory / "depolarizing_qubit.json").read_text())
+    ensemble["weights"] = [0.5, 0.5]
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    rays = [np.array([np.cos(t), np.sin(t)]) for t in np.pi * np.arange(6) / 6]
+    inputs = {
+        "ensemble.json": ensemble,
+        "projective.json": jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2]),
+        "six_outcome_qubit.json": jsonio.quantum_instance_to_json(
+            [np.outer(r, r) / 3 for r in rays], [np.diag([0.75, 0.25]), np.eye(2) / 2]
+        ),
+        "ball.json": PINNED_BALL,
+        "noisy_matrix.json": {"matrix": PINNED_NOISY_MATRIX},
+    }
+    for name, payload in inputs.items():
+        (directory / name).write_text(json.dumps(payload))
+    certificates = []
+    for argv, infile, _ in PINNED_CERTIFICATE_DIGESTS:
+        in_args = ["--in", str(directory / infile)] if infile else []
+        main(argv + in_args + ["--out", str(directory / "cert.json")])
+        certificates.append((json.loads((directory / "cert.json").read_text()), in_args))
+    return directory, certificates
+
+
+def _sites(node, path=()):
+    """Paths to every value under a JSON node, containers included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _sites(child, path + (key,))
+
+
+DELETE = object()
+
+
+def _tamper(document, path, new):
+    """Delete the key at ``path`` in a JSON document if ``new`` is DELETE,
+    else put ``new`` there."""
+    parent = functools.reduce(operator.getitem, path[:-1], document)
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+
+
+def _not_a_rational(text):
+    try:
+        jsonio.rational_from_json(text)
+    except ValueError:
+        return True
+    return False
+
+_words = st.text(max_size=3).filter(_not_a_rational)
+# a value with no number in it: null, a string that is not a rational, or a
+# list or object of these
+_junk = st.recursive(
+    st.none() | _words,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_words, inner, max_size=2),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_verify_rejects_every_malformed_field(pinned_certificates, data):
+    # the single-leaf tamper test's commands, plus a ball, a per-class and a
+    # noisy-to-noiseless simulation; one key of the result deleted, or one
+    # value anywhere in it replaced by a value that holds no number
+    directory, certificates = pinned_certificates
+    cert, in_args = data.draw(st.sampled_from(certificates))
+    tampered = copy.deepcopy(cert)
+    path = data.draw(st.sampled_from(list(_sites(tampered["result"], ("result",)))))
+    parent = functools.reduce(operator.getitem, path[:-1], tampered)
+    new = data.draw(st.just(DELETE) | _junk if isinstance(parent, dict) else _junk)
+    assume(new is DELETE or new != parent[path[-1]])
+    _tamper(tampered, path, new)
+    (directory / "tampered.json").write_text(json.dumps(tampered))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(directory / "tampered.json"), *in_args]) == 2
+    err = stderr.getvalue().splitlines()
+    assert err and all(line.startswith("verify: ") for line in err)
+
+
+@pytest.mark.parametrize(
+    "argv, infile, path, value",
+    [
+        (["certify", "asymmetry"], "octahedron_polytope.json", ("m",), "x"),
+        (["simulate", "quantum"], "depolarizing_qubit.json", ("residual",), "x"),
+        (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json", ("params",), DELETE),
+        (["certify", "storability"], "octahedron_matrix.json", (), []),
+        (["simulate", "quantum"], "depolarizing_qubit.json", ("mixture",), []),
+        (["simulate", "reduce"], "octahedron_matrix.json", ("terms",), 5),
+    ],
+)
+def test_verify_rejects_malformed_certificate(workdir, capsys, argv, infile, path, value):
+    # each of these exited 1 with a ValueError or KeyError, or raised a
+    # TypeError or AttributeError out of verify
+    run(["fixtures", "emit", "--dir", "."])
+    run(argv + ["--in", infile, "--out", "cert.json"])
+    cert = json.loads((workdir / "cert.json").read_text())
+    _tamper(cert, ("result", *path), value)
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "tampered.json", "--in", infile]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("verify: ") for line in err)
+
+
 # sha256 of the certificate text of each command that
 # test_verify_rejects_every_single_leaf_tamper checks, as written before the
 # mixture moved to arrays: certificates must stay byte-identical
@@ -933,7 +1059,7 @@ def test_verify_rejects_signalling_delta_that_does_not_parse(workdir, capsys, ba
     (workdir / "tampered.json").write_text(json.dumps(cert))
     capsys.readouterr()
     assert run(["verify", "tampered.json"]) == 2
-    assert "verify: stored n or delta invalid" in capsys.readouterr().err
+    assert "verify: signalling_dimension fields invalid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["1/0", "x", None, [1, 2], {"a": 1}])
@@ -947,3 +1073,50 @@ def test_verify_rejects_ball_noise_delta_that_does_not_parse(workdir, capsys, ba
     assert run(["verify", "tampered.json", "--in", "ball.json"]) == 2
     err = capsys.readouterr().err
     assert "verify: mixture invalid" in err and "verify: noise delta invalid" in err
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["simulate", "quantum"], {"povm": [], "states": []}),
+        (["certify", "storability"], {"matrices": 5}),
+        (["simulate", "reduce"], [[0.5, 0.5], [0.5, 0.5]]),
+        (["certify", "asymmetry"], [[1.0, 0.0], [-1.0, 0.0]]),
+    ],
+)
+def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, json_errors):
+    # each of these ended in an uncaught TypeError that ignored --json-errors
+    (workdir / "in.json").write_text(json.dumps(payload))
+    flags = ["--json-errors"] * json_errors
+    assert run(argv + ["--in", "in.json", "--out", "cert.json", *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if json_errors:
+        assert json.loads(err[0])["error"]["type"] == "TypeError"
+    else:
+        assert err[0].startswith("chansim: TypeError: ")
+    assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_reduce_rejects_non_finite_weights(workdir, capsys, bad):
+    # NaN passed every comparison of the probability check, and a certificate
+    # for the remaining weights was written and verified
+    run(["fixtures", "emit", "--dir", "."])
+    capsys.readouterr()
+    argv = ["simulate", "reduce", "--in", "octahedron_matrix.json", "--out", "cert.json"]
+    assert run(argv + ["--p", f"[{bad}, 0.5, 0.5, 0.0]"]) == 1
+    assert capsys.readouterr().err.startswith("chansim: NotFinite: ")
+    assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spectrum, error",
+    [("[1.0]", "DimensionMismatch"), ("[NaN, NaN, NaN]", "NotFinite"), ("[0.5, 0.5]", "DimensionMismatch")],
+)
+def test_replacer_spectrum_is_checked(workdir, capsys, spectrum, error):
+    # a short spectrum ended in an IndexError, and NaN reached the JSON writer
+    argv = ["certify", "replacer", "--m", "3", "--n", "3", "--delta", "1/2"]
+    assert run(argv + ["--spectrum", spectrum]) == 1
+    assert capsys.readouterr().err.startswith(f"chansim: {error}: ")

@@ -16,9 +16,7 @@ from chansim.jsonio import (
     real_matrix_from_json,
 )
 
-# derandomized and without an example database, so every run draws the same
-# examples and writes nothing to the working directory
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 
 json_values = st.recursive(
     st.none()
@@ -153,7 +151,7 @@ documents = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(documents)
 def test_canonical_dumps_matches_the_reference_writer(value):
     assert _outcome(canonical_dumps, value) == _outcome(_reference_dumps, value)

@@ -20,7 +20,7 @@ from chansim.channels import (
     validate_mixture,
 )
 from chansim.certify import BinomialWitness
-from chansim.errors import NotMajorized, NumericalBreakdown, PreconditionViolated
+from chansim.errors import NotFinite, NotMajorized, NumericalBreakdown, PreconditionViolated
 from chansim.linalg import born_matrix
 from chansim.simulate import (
     SimulationResult,
@@ -549,6 +549,13 @@ def test_reduce_rows_octahedron_uniform():
     assert np.max(np.abs(recon - OCTAHEDRON)) <= 1e-8
     for (w, b), i in zip(result.terms, range(4)):
         assert np.allclose(b.matrix[i, :], 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reduce_rows_rejects_non_finite_weights(bad):
+    # NaN fails every comparison, so it passed the probability check
+    with pytest.raises(NotFinite):
+        reduce_rows(OCTAHEDRON, np.array([bad, 0.5, 0.5, 0.0]))
 
 
 def test_reduce_rows_default_weights(rng):
