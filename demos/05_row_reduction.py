@@ -22,8 +22,7 @@ print("octahedron matrix, row maxima all 1/2, slack sum = 2 >= 1")
 
 result = reduce_rows(a, np.full(4, 0.25))
 print(f"decomposed into {len(result.terms)} components, residual {result.residual:.2e}\n")
-for i, (w, b) in enumerate(result.terms):
-    zero_row = int(np.argmin(np.abs(b.matrix).sum(axis=1)))
+for i, (w, zero_row) in enumerate(zip(result.weights, result.zero_rows)):
     print(f"component {i}: weight {w}, zero row {zero_row}")
 print("\nfirst component:")
-print(np.round(result.terms[0][1].matrix, 3))
+print(np.round(result.matrices[0], 3))

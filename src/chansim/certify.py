@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .channels import Rational, as_transition
+from .channels import Rational, as_transition, require_column_stochastic
 from .errors import (
     BadDelta,
     BadRange,
@@ -52,11 +52,14 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class BinomialWitness:
-    """Index r at which the prefix-sum criterion fails, with both sides."""
+    """Index r at which the prefix-sum criterion for d of n states fails,
+    with both sides."""
 
     r: int
     prefix_sum: float
     bound: float
+    d: int
+    n: int
 
 
 def storability(matrices: Sequence) -> float:
@@ -122,25 +125,27 @@ def pairwise_witness(m, d: int) -> WitnessReport:
     )
 
 
-def _guarded_ceil(value: float, scale: float) -> int:
+def _ceil(delta: Rational, n: int, offset: Rational) -> int:
+    """The ceiling of (1-delta) n + offset: exact for rational delta and
+    offset, and for floats snapped to an integer within a boundary guard
+    that scales with n."""
+    if isinstance(delta, (Fraction, int)):
+        return math.ceil((1 - Fraction(delta)) * n + offset)
+    value = (1.0 - delta) * n + offset
     snapped = round(value)
-    if abs(value - snapped) <= BOUNDARY_GUARD * max(1.0, scale):
+    if abs(value - snapped) <= BOUNDARY_GUARD * max(1.0, float(n)):
         return int(snapped)
     return int(math.ceil(value))
 
 
 def noisy_signalling_dimension(n: int, delta: Rational) -> int:
     """Smallest noiseless state count simulating the delta-noisy n-state
-    channel: the ceiling of (1-delta) n + delta, computed exactly for
-    rational delta and with a boundary guard for floats."""
+    channel: the ceiling of (1-delta) n + delta."""
     if n < 1:
         raise BadRange(f"need n >= 1, got {n}")
     if not 0 <= float(delta) <= 1:
         raise BadDelta(f"delta={delta!r} outside [0, 1]")
-    if isinstance(delta, (Fraction, int)):
-        frac = Fraction(delta)
-        return int(math.ceil((1 - frac) * n + frac))
-    return _guarded_ceil((1.0 - delta) * n + delta, float(n))
+    return _ceil(delta, n, delta)
 
 
 def permutohedron_simulable_by_d(mu, d: int, tol: float = SLACK) -> BinomialWitness | None:
@@ -158,7 +163,7 @@ def permutohedron_simulable_by_d(mu, d: int, tol: float = SLACK) -> BinomialWitn
     for r in range(n - 1, d - 1, -1):
         bound = math.comb(r, d) / total
         if prefix[r - 1] < bound - tol:
-            return BinomialWitness(r=r, prefix_sum=float(prefix[r - 1]), bound=bound)
+            return BinomialWitness(r=r, prefix_sum=float(prefix[r - 1]), bound=bound, d=d, n=n)
     return None
 
 
@@ -173,34 +178,31 @@ def replacer_bounds(
     m: int, delta: Rational, spectrum=None, n: int | None = None
 ) -> ReplacerBounds:
     """Signalling-dimension bounds for the partial replacer channel on an
-    m-dimensional input embedded in dimension n.
+    m-dimensional input embedded in dimension n (n = m when not given).
 
     ``exact`` is the lower bound when m = n and the replacement state's
-    ascending spectrum satisfies delta * prefix_r >= C(r, lower)/C(n, lower)
-    for r = lower .. n-1 (in particular for the maximally mixed state).
+    ascending spectrum, a probability vector of length n, satisfies
+    delta * prefix_r >= C(r, lower)/C(n, lower) for r = lower .. n-1 (in
+    particular for the maximally mixed state).
     """
-    if m < 1 or (n is not None and m > n):
+    dim = m if n is None else n
+    if not 1 <= m <= dim:
         raise BadRange(f"need 1 <= m <= n, got m={m}, n={n}")
     if not 0 <= float(delta) <= 1:
         raise BadDelta(f"delta={delta!r} outside [0, 1]")
     lower = noisy_signalling_dimension(m, delta)
-    if isinstance(delta, (Fraction, int)):
-        frac = Fraction(delta)
-        raw_upper = int(math.ceil((1 - frac) * m + 1))
-    else:
-        raw_upper = _guarded_ceil((1.0 - float(delta)) * m + 1.0, float(m))
-    upper = min(m, raw_upper)
+    upper = min(m, _ceil(delta, m, 1))
 
     exact = None
     if spectrum is not None:
-        dim = m if n is None else n
         vec = np.sort(require_finite(np.asarray(spectrum, dtype=float), "spectrum"))
         if vec.shape != (dim,):
             raise DimensionMismatch(f"spectrum has shape {vec.shape}, expected ({dim},)")
+        require_column_stochastic(vec[:, None], "spectrum")
         prefix, total = np.cumsum(vec), math.comb(dim, lower)
-        if m == n and all(
+        if m == dim and all(
             float(delta) * prefix[r - 1] >= math.comb(r, lower) / total - SLACK
-            for r in range(lower, n)
+            for r in range(lower, dim)
         ):
             exact = lower
     return ReplacerBounds(lower=lower, upper=upper, exact=exact)

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     NotPartitionOfUnity,
+    NotStochastic,
     PerColumnNoise,
     WeightSumNotOne,
 )
@@ -45,17 +46,25 @@ class TransitionMatrix:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-        require_finite(a, "transition matrix")
-        if np.any(a < -ENTRY_TOL) or np.any(a > 1 + ENTRY_TOL):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        col_defect = np.max(np.abs(a.sum(axis=0) - 1.0)) if a.size else 0.0
-        if col_defect > STOCHASTIC_TOL:
-            raise ValueError(f"columns deviate from stochasticity by {col_defect:.3e}")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", require_column_stochastic(a, "transition matrix"))
 
     @property
     def num_outputs(self) -> int:
         return self.matrix.shape[0]
+
+
+def require_column_stochastic(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a``, a matrix or a stack of matrices over its last two axes,
+    once every column of every matrix is checked: finite, entries in [0, 1]
+    within ENTRY_TOL, summing to 1 within STOCHASTIC_TOL. A probability
+    vector is checked as a one-column matrix."""
+    require_finite(a, what)
+    if np.any(a < -ENTRY_TOL) or np.any(a > 1 + ENTRY_TOL):
+        raise NotStochastic(f"{what} has entries outside [0, 1]")
+    col_defect = np.max(np.abs(a.sum(axis=-2) - 1.0)) if a.size else 0.0
+    if col_defect > STOCHASTIC_TOL:
+        raise NotStochastic(f"{what} columns deviate from stochasticity by {col_defect:.3e}")
+    return a
 
 
 def as_transition(a) -> TransitionMatrix:
@@ -90,9 +99,7 @@ class Permutohedron(NoiseSpec):
 
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
-        require_finite(b, "permutohedron base")
-        if np.any(b < -ENTRY_TOL) or abs(b.sum() - 1.0) > STOCHASTIC_TOL:
-            raise ValueError("permutohedron base must be a probability vector")
+        require_column_stochastic(b[:, None], "permutohedron base")
         object.__setattr__(self, "base", tuple(float(x) for x in b))
 
 
@@ -155,20 +162,15 @@ def satisfies_noise(x, spec: NoiseSpec, tol: float = STOCHASTIC_TOL) -> bool:
 
 def _checked_protocols(decoders, states, num_outputs: int) -> tuple[np.ndarray, np.ndarray]:
     """The decoders (T, n) and state matrices (T, n, l) of T protocols as
-    arrays, once each protocol is checked: finite states, decoder values
-    in the output alphabet, nonnegative states with columns summing to 1."""
+    arrays, once each protocol is checked: decoder values in the output
+    alphabet and column-stochastic state matrices."""
     dec = np.asarray(decoders, dtype=int)
     st = np.asarray(states, dtype=float)
     if dec.ndim != 2 or st.ndim != 3 or st.shape[:2] != dec.shape:
         raise DimensionMismatch(f"decoders {dec.shape} do not match states {st.shape}")
-    require_finite(st, "state matrix")
     if dec.size and (dec.min() < 0 or dec.max() >= num_outputs):
         raise DimensionMismatch("decoder values outside the output alphabet")
-    if np.any(st < -ENTRY_TOL):
-        raise ValueError("state matrix has negative entries")
-    if st.size and np.max(np.abs(st.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-        raise ValueError("state matrix columns must sum to 1")
-    return dec, st
+    return dec, require_column_stochastic(st, "state matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,19 +234,13 @@ class ClassicalMixture:
         dec, st = _checked_protocols(
             np.array(self.decoders, dtype=int), np.array(self.states, dtype=float), self.num_outputs
         )
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (len(dec),):
-            raise DimensionMismatch(f"weights {w.shape} for {len(dec)} protocols")
-        require_finite(w, "mixture weights")
-        if np.any(w < -STOCHASTIC_TOL) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-            raise WeightSumNotOne(f"mixture weights sum to {w.sum()!r}")
         if st.shape[1] > self.num_states:
             raise DimensionMismatch(
                 f"protocols have {st.shape[1]} states, mixture declares {self.num_states}"
             )
-        object.__setattr__(self, "weights", _read_only(w))
-        object.__setattr__(self, "decoders", _read_only(dec))
-        object.__setattr__(self, "states", _read_only(st))
+        object.__setattr__(self, "weights", convex_weights(self.weights, len(dec)))
+        object.__setattr__(self, "decoders", read_only(dec))
+        object.__setattr__(self, "states", read_only(st))
 
     @property
     def terms(self) -> tuple[tuple[float, ClassicalProtocol], ...]:
@@ -255,7 +251,19 @@ class ClassicalMixture:
         )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def convex_weights(weights, count: int) -> np.ndarray:
+    """A read-only copy of the weights of a convex combination of ``count``
+    terms, once checked: finite, nonnegative and summing to 1."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (count,):
+        raise DimensionMismatch(f"weights {w.shape} for {count} terms")
+    require_finite(w, "weights")
+    if np.any(w < -STOCHASTIC_TOL) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
+        raise WeightSumNotOne(f"weights sum to {w.sum()!r}")
+    return read_only(w)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 

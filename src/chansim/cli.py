@@ -29,15 +29,17 @@ import numpy as np
 from . import certify, jsonio, simulate
 from .certify import BinomialWitness
 from .channels import (
+    ClassicalProtocol,
     Delta,
     Noiseless,
     NoiseSpec,
     Permutohedron,
     ball_born_matrix,
     mixture_matrix,
+    noise_bases,
     validate_mixture,
 )
-from .errors import ChanSimError
+from .errors import ChanSimError, InvalidCertificate
 from .jsonio import (
     CERT_VERSION,
     ball_instance_from_json,
@@ -49,6 +51,7 @@ from .jsonio import (
     quantum_instance_from_json,
     rational_from_json,
     real_matrix_from_json,
+    row_reduction_from_json,
     write_atomic,
 )
 from .linalg import born_matrix
@@ -119,16 +122,35 @@ def _simulate_reduce(args, payload):
     return payload, jsonio.row_reduction_to_json(result)
 
 
-def _simulate_noisy_to_noiseless(args, payload):
+def _noisy_target(payload):
+    """The channel of a matrix input, or the protocol of a protocol input."""
     if "protocol" in payload:
-        target = jsonio.protocol_from_json(payload["protocol"])
-    else:
-        target = real_matrix_from_json(payload["matrix"])
+        return jsonio.protocol_from_json(payload["protocol"])
+    return real_matrix_from_json(payload["matrix"])
+
+
+def _simulate_noisy_to_noiseless(args, payload):
+    target = _noisy_target(payload)
     spec = parse_noise(args.noise)
     result = simulate.simulate_noisy_by_noiseless(spec, target, args.d, tol=args.tol)
     if isinstance(result, BinomialWitness):
-        return payload, jsonio.binomial_witness_to_json(result)
+        return payload, jsonio.binomial_witness_to_json(result, spec)
     return payload, jsonio.simulation_to_json(result)
+
+
+def _binomial_witness(args, payload):
+    """The rerun of a binomial witness: the prefix-sum test of the noise set
+    ``args.noise`` (JSON) on n states against d noiseless ones, n the state
+    count of the input when one is given."""
+    n = args.n
+    if payload is not None:
+        target = _noisy_target(payload)
+        n = len(target.states if isinstance(target, ClassicalProtocol) else target)
+    spec = noise_from_json(args.noise)
+    witness = certify.permutohedron_simulable_by_d(noise_bases(spec, n)[0], args.d)
+    if witness is None:
+        raise InvalidCertificate(f"the noise set on {n} states is simulable with d={args.d}")
+    return payload, jsonio.binomial_witness_to_json(witness, spec)
 
 
 # -- certify ------------------------------------------------------------------
@@ -164,7 +186,8 @@ def _certify_signalling(args, payload):
 
 def _certify_replacer(args, payload):
     delta = rational_from_json(args.delta)
-    spectrum = np.array(json.loads(args.spectrum), dtype=float) if args.spectrum else None
+    # JSON text on the command line, a list in a certificate
+    spectrum = json.loads(args.spectrum) if isinstance(args.spectrum, str) else args.spectrum
     bounds = certify.replacer_bounds(args.m, delta, spectrum=spectrum, n=args.n)
     payload = {
         "m": args.m,
@@ -172,7 +195,8 @@ def _certify_replacer(args, payload):
         "delta": jsonio.rational_to_json(delta),
         "spectrum": None if spectrum is None else [float(x) for x in spectrum],
     }
-    return payload, jsonio.replacer_to_json(bounds)
+    result = {"lower": int(bounds.lower), "upper": int(bounds.upper), "exact": bounds.exact}
+    return payload, {"type": "replacer_bounds", **payload, **result}
 
 
 def _certify_holevo(args, payload):
@@ -189,7 +213,6 @@ def _certify_holevo(args, payload):
 
 
 def _verify_simulation(result: dict) -> list[str]:
-    problems = []
     try:
         mixture = mixture_from_json(result["mixture"])
         target = real_matrix_from_json(result["target"])
@@ -199,47 +222,26 @@ def _verify_simulation(result: dict) -> list[str]:
         return [f"mixture invalid: {exc}"]
     if recon.shape != target.shape:
         return [f"mixture gives a {recon.shape} matrix, the target is {target.shape}"]
-    residual = float(np.max(np.abs(recon - target)))
-    if residual > RESIDUAL_TOL:
-        problems.append(f"recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    if abs(residual - float(result["residual"])) > 1e-6:
-        problems.append("stored residual does not match recomputation")
-    return problems
+    return _residual_problems(recon, target, result["residual"])
 
 
 def _verify_row_reduction(result: dict) -> list[str]:
-    target = real_matrix_from_json(result["target"])
-    terms, zero_rows = result["terms"], result["zero_rows"]
-    if len(zero_rows) != len(terms):
-        return [f"{len(zero_rows)} zero rows for {len(terms)} terms"]
     try:
-        b = real_matrix_from_json([term["matrix"] for term in terms])
-        w = real_matrix_from_json([term["weight"] for term in terms])
+        reduction = row_reduction_from_json(result)
     except (ChanSimError, ValueError) as exc:
         return [f"terms invalid: {exc}"]
-    if w.shape != (len(terms),):
-        return [f"terms invalid: weights {w.shape} for {len(terms)} terms"]
-    if b.shape[1:] != target.shape:
-        return [f"terms are {b.shape[1:]} matrices, the target is {target.shape}"]
-    k = target.shape[0]
-    named = [isinstance(z, int) and 0 <= z < k for z in zero_rows]
-    rows = b[np.arange(len(terms)), [z if ok else 0 for z, ok in zip(zero_rows, named)]]
-    nonzero = np.max(np.abs(rows), axis=1) > 1e-9
-    unstochastic = np.max(np.abs(b.sum(axis=1) - 1.0), axis=1) > 1e-8
+    recon = simulate.row_reduction_matrix(reduction.weights, reduction.matrices)
+    return _residual_problems(recon, reduction.target.matrix, reduction.residual)
+
+
+def _residual_problems(recon: np.ndarray, target: np.ndarray, stored) -> list[str]:
+    """A recomposition against its target, and its error against the
+    residual that the certificate states."""
     problems = []
-    for t in np.flatnonzero(~np.array(named, dtype=bool) | nonzero | unstochastic):
-        if not named[t]:
-            problems.append(f"claimed zero row {zero_rows[t]!r} is not a row index")
-        elif nonzero[t]:
-            problems.append(f"claimed zero row {zero_rows[t]} is nonzero")
-        if unstochastic[t]:
-            problems.append("component is not column-stochastic")
-    if abs(w.sum() - 1.0) > 1e-9:
-        problems.append(f"weights sum to {float(w.sum())!r}")
-    residual = float(np.max(np.abs((w[:, None, None] * b).sum(axis=0) - target)))
+    residual = float(np.max(np.abs(recon - target)))
     if residual > RESIDUAL_TOL:
-        problems.append("components do not recompose to the target")
-    if abs(residual - float(result["residual"])) > 1e-6:
+        problems.append(f"recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    if abs(residual - float(stored)) > 1e-6:
         problems.append("stored residual does not match recomputation")
     return problems
 
@@ -261,11 +263,10 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
             return [f"noise delta invalid: {exc}"]
         channel = ball_born_matrix(effects, states, delta=delta).matrix
         num_states = effects[0].norm_index
-    elif "protocol" in payload:
-        protocol = jsonio.protocol_from_json(payload["protocol"])
-        channel = protocol.decoder_matrix() @ protocol.states
     else:
-        channel = real_matrix_from_json(payload["matrix"])
+        channel = _noisy_target(payload)
+        if isinstance(channel, ClassicalProtocol):
+            channel = channel.decoder_matrix() @ channel.states
     problems = []
     target = real_matrix_from_json(result["target"])
     if channel.shape != target.shape or np.max(np.abs(channel - target)) > RESIDUAL_TOL:
@@ -289,11 +290,6 @@ def _verify_witness(result: dict) -> list[str]:
     return []
 
 
-def _verify_binomial_witness(result: dict) -> list[str]:
-    violated = float(result["prefix_sum"]) < float(result["bound"]) - 1e-9
-    return [] if violated else ["witness prefix sum does not violate the bound"]
-
-
 def _verify_asymmetry(result: dict) -> list[str]:
     consistent = abs(float(result["infstor"]) - float(result["m"]) - 1.0) <= 1e-9
     return [] if consistent else ["infstor is not m + 1"]
@@ -308,14 +304,16 @@ def _verify_holevo(result: dict) -> list[str]:
 
 WITNESSES = {"subset": _certify_subset, "pairwise": _certify_pairwise}
 
-# closed-form result type -> (its handler, the options it reads) from the result
+# closed-form result type -> the handler that writes it (for a binomial
+# witness, the prefix-sum test alone); a rerun passes the result's fields as
+# the options (a witness's from its params)
 RERUNS = {
-    "scalar": lambda result: (_certify_storability, None),
-    "holevo": lambda result: (_certify_holevo, None),
-    "witness": lambda result: (WITNESSES[result["kind"]], argparse.Namespace(**result["params"])),
-    "signalling_dimension": lambda result: (
-        _certify_signalling, argparse.Namespace(n=result["n"], delta=result["delta"])
-    ),
+    "scalar": _certify_storability,
+    "holevo": _certify_holevo,
+    "witness": lambda args, payload: WITNESSES[args.kind](argparse.Namespace(**args.params), payload),
+    "signalling_dimension": _certify_signalling,
+    "binomial_witness": _binomial_witness,
+    "replacer_bounds": _certify_replacer,
 }
 
 
@@ -323,10 +321,9 @@ def _rerun(result: dict, payload: dict | None = None) -> list[str]:
     """Recompute a closed-form result with the handler that wrote it, on the
     input if one is given; numbers must match within 1e-9, every other value
     (strings, parameters, null) exactly."""
-    handler, options = RERUNS[result["type"]](result)
-    _, fresh = handler(options, payload)
+    _, fresh = RERUNS[result["type"]](argparse.Namespace(**result), payload)
     for key, value in fresh.items():
-        stored = result.get(key)
+        stored = result[key]
         if isinstance(value, (int, float)):
             same = isinstance(stored, (int, float)) and abs(stored - value) <= 1e-9
         else:
@@ -342,12 +339,12 @@ VERIFIERS = {
     "simulation": (_verify_simulation, _input_problems),
     "row_reduction": (_verify_row_reduction, _input_problems),
     "witness": (_verify_witness, _rerun),
-    "binomial_witness": (_verify_binomial_witness, None),
+    "binomial_witness": (_rerun, _rerun),
     "asymmetry": (_verify_asymmetry, None),
     "holevo": (_verify_holevo, _rerun),
     "signalling_dimension": (_rerun, None),
     "scalar": (lambda result: [], _rerun),
-    "replacer_bounds": (lambda result: [], None),
+    "replacer_bounds": (_rerun, None),
 }
 
 # what a command reports as a failure instead of a traceback: chansim's own

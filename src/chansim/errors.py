@@ -117,6 +117,10 @@ class WeightSumNotOne(ChanSimError):
     pass
 
 
+class NotStochastic(ChanSimError, ValueError):
+    """A matrix is not column-stochastic, or a vector not a probability vector."""
+
+
 class NotPartitionOfUnity(ChanSimError):
     pass
 

@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .certify import BinomialWitness, Polytope, ReplacerBounds, WitnessReport
+from .certify import BinomialWitness, Polytope, WitnessReport
 from .channels import (
     BallEffect,
     BallState,
@@ -352,17 +352,33 @@ def simulation_to_json(result: SimulationResult) -> dict:
 
 def row_reduction_to_json(result: RowReduction) -> dict:
     terms = [
-        {"weight": float(w), "matrix": real_matrix_to_json(b.matrix)}
-        for w, b in result.terms
+        {"weight": w, "matrix": b}
+        for w, b in zip(result.weights.tolist(), result.matrices.tolist())
     ]
-    zero_rows = [int(np.argmin(np.abs(b.matrix).sum(axis=1))) for _, b in result.terms]
     return {
         "type": "row_reduction",
         "target": real_matrix_to_json(result.target.matrix),
         "terms": terms,
-        "zero_rows": zero_rows,
+        "zero_rows": result.zero_rows.tolist(),
         "residual": float(result.residual),
     }
+
+
+def row_reduction_from_json(data) -> RowReduction:
+    """The row reduction of a certificate's result, one array per field;
+    the terms must share their shape."""
+    try:
+        weights = np.array([t["weight"] for t in data["terms"]], dtype=float)
+        matrices = np.array([t["matrix"] for t in data["terms"]], dtype=float)
+    except ValueError as exc:
+        raise InvalidCertificate(f"terms are not arrays of one shape: {exc}") from exc
+    return RowReduction(
+        target=TransitionMatrix(real_matrix_from_json(data["target"])),
+        weights=weights,
+        zero_rows=np.array(data["zero_rows"]),
+        matrices=matrices,
+        residual=float(data["residual"]),
+    )
 
 
 def witness_to_json(report: WitnessReport) -> dict:
@@ -376,21 +392,15 @@ def witness_to_json(report: WitnessReport) -> dict:
     }
 
 
-def binomial_witness_to_json(w: BinomialWitness) -> dict:
+def binomial_witness_to_json(w: BinomialWitness, noise: NoiseSpec) -> dict:
     return {
         "type": "binomial_witness",
+        "d": int(w.d),
+        "n": int(w.n),
+        "noise": noise_to_json(noise),
         "r": int(w.r),
         "prefix_sum": float(w.prefix_sum),
         "bound": float(w.bound),
-    }
-
-
-def replacer_to_json(b: ReplacerBounds) -> dict:
-    return {
-        "type": "replacer_bounds",
-        "lower": int(b.lower),
-        "upper": int(b.upper),
-        "exact": None if b.exact is None else int(b.exact),
     }
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .certify import BinomialWitness, permutohedron_simulable_by_d
 from .channels import (
+    ENTRY_TOL,
     BallEffect,
     BallState,
     ClassicalMixture,
@@ -48,13 +49,17 @@ from .channels import (
     TransitionMatrix,
     as_transition,
     ball_born_matrix,
+    convex_weights,
     mixture_matrix,
     noise_bases,
     protocol_matrices,
+    read_only,
+    require_column_stochastic,
 )
 from .errors import (
     BadRange,
     DimensionMismatch,
+    InvalidCertificate,
     NotMajorized,
     NumericalBreakdown,
     PreconditionViolated,
@@ -104,11 +109,54 @@ class SimulationResult:
 
 @dataclass(frozen=True, eq=False)
 class RowReduction:
-    """Decomposition of a matrix as sum p_i B(i) with row i of B(i) zero."""
+    """Decomposition of a k x l target as sum_t p_t B_t, held as arrays:
+    ``weights`` (T,) the p_t, ``matrices`` (T, k, l) the B_t, and row
+    ``zero_rows[t]`` of B_t is zero; ``residual`` is the stated
+    recomposition error. Construction validates all terms once, as for
+    ``ClassicalMixture``: convex weights, column-stochastic terms of the
+    target's shape, and distinct row indices that are zero in their terms.
+    The arrays are copied and stored read-only.
+    """
 
     target: TransitionMatrix
-    terms: tuple[tuple[float, TransitionMatrix], ...]
+    weights: np.ndarray
+    zero_rows: np.ndarray
+    matrices: np.ndarray
     residual: float
+
+    def __post_init__(self):
+        b = np.array(self.matrices, dtype=float)
+        if b.ndim != 3 or b.shape[1:] != self.target.matrix.shape:
+            raise DimensionMismatch(
+                f"terms are {b.shape[1:]} matrices, the target is {self.target.matrix.shape}"
+            )
+        require_column_stochastic(b, "row-reduction term")
+        z = np.array(self.zero_rows)
+        if z.shape != (len(b),):
+            raise DimensionMismatch(f"{z.size} zero rows for {len(b)} terms")
+        rows, k = z.tolist(), self.target.num_outputs
+        outside = [r for r in rows if type(r) is not int or not 0 <= r < k]
+        if outside:
+            raise BadRange(f"claimed zero row {outside[0]!r} is not a row index")
+        if len(set(rows)) != len(rows):
+            raise InvalidCertificate(f"zero rows {rows} repeat a row")
+        nonzero = np.abs(b[np.arange(len(b)), z]).max(axis=1, initial=0.0) > ENTRY_TOL
+        if nonzero.any():
+            raise InvalidCertificate(f"claimed zero row {z[nonzero][0]} is nonzero in its term")
+        object.__setattr__(self, "weights", convex_weights(self.weights, len(b)))
+        object.__setattr__(self, "zero_rows", read_only(z))
+        object.__setattr__(self, "matrices", read_only(b))
+
+    @property
+    def terms(self) -> tuple[tuple[float, TransitionMatrix], ...]:
+        """The (weight, term) pairs, built on each access."""
+        return tuple((float(w), TransitionMatrix(b)) for w, b in zip(self.weights, self.matrices))
+
+
+def row_reduction_matrix(weights: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """sum_t weights[t] matrices[t] over T terms, weights (T,) and matrices
+    (T, k, l), summed in term order like ``mixture_matrix``."""
+    return (weights[:, None, None] * matrices).sum(axis=0)
 
 
 def _checked_residual(stage: str, recon: np.ndarray, target: np.ndarray) -> float:
@@ -327,7 +375,8 @@ def simulate_noisy_by_noiseless(
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable. Otherwise every input column is decomposed
+    itself is not d-simulable, tested at the fixed tolerance that ``verify``
+    reruns it with, whatever ``tol`` is. Otherwise every input column is decomposed
     over at most n permutations of the max-of-a-random-d-subset
     distribution, and each of the C(n,d) subsets becomes one candidate
     d-state protocol, of which at most l(k-1) + 1 are kept. A ``PerColumn``
@@ -347,7 +396,7 @@ def simulate_noisy_by_noiseless(
         raise BadRange(f"need 1 <= d <= n, got d={d}, n={n}")
 
     base = noise_bases(spec, n)[0]
-    witness = permutohedron_simulable_by_d(base, d, tol)
+    witness = permutohedron_simulable_by_d(base, d)
     if witness is not None:
         return witness
 
@@ -419,7 +468,8 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
         dust = result.flow.sum(axis=1) <= 0.0
         result.flow[dust] = capacity[dust] > 0.0
         columns[:, :, j] = conditional_columns(result)
-    terms = tuple((float(weights[v]), TransitionMatrix(b)) for v, b in zip(kept, columns))
-    recon = sum(w * b.matrix for w, b in terms)
+    recon = row_reduction_matrix(weights[kept], columns)
     residual = _checked_residual("row reduction", recon, a)
-    return RowReduction(target=t, terms=terms, residual=residual)
+    return RowReduction(
+        target=t, weights=weights[kept], zero_rows=kept, matrices=columns, residual=residual
+    )

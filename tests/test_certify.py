@@ -25,7 +25,14 @@ from chansim.channels import (
     mixture_matrix,
     noisy_classical_extremals,
 )
-from chansim.errors import BadRange, DimensionMismatch, EmptyInput, NotFinite, NotFullDimensional
+from chansim.errors import (
+    BadRange,
+    DimensionMismatch,
+    EmptyInput,
+    NotFinite,
+    NotFullDimensional,
+    NotStochastic,
+)
 from chansim.linalg import born_matrix
 from conftest import random_density, random_povm, random_stochastic
 
@@ -213,13 +220,14 @@ def test_replacer_bounds():
         (np.ones((3, 1)) / 3, 3, DimensionMismatch),
         ([np.nan] * 3, 3, NotFinite),
         ([0.5, np.inf, 0.5], None, NotFinite),
+        ([0.5, 0.25, 0.5], 3, NotStochastic),
     ],
 )
 def test_replacer_bounds_requires_a_finite_spectrum_of_length_n(spectrum, n, error):
-    # without n the input is not embedded, and the spectrum has length m
+    # without n the input is not embedded, n = m, and the spectrum has length m
     with pytest.raises(error):
         replacer_bounds(3, Fraction(1, 2), spectrum=spectrum, n=n)
-    assert replacer_bounds(3, Fraction(1, 2), spectrum=np.ones(3) / 3).exact is None
+    assert replacer_bounds(3, Fraction(1, 2), spectrum=np.ones(3) / 3).exact == 2
 
 
 def test_minkowski_asymmetry_octahedron():

@@ -335,6 +335,20 @@ def test_noisy_to_noiseless_witness_exit_code(workdir, capsys):
     capsys.readouterr()
 
 
+def test_binomial_witness_under_a_loose_tolerance_verifies(workdir, capsys):
+    # prefix sums (0.04, 0.09, 0.3, 0.5995) against C(r,2)/C(5,2) = (0.1, 0.3,
+    # 0.6) at r = 2, 3, 4: r = 4 misses by 5e-4 only, and a witness tested at
+    # --tol 1e-3 named r = 2, which verify's rerun does not reproduce
+    base = [0.04, 0.05, 0.21, 0.2995, 0.4005]
+    (workdir / "target.json").write_text(json.dumps({"matrix": [[b] for b in base]}))
+    assert run([
+        "simulate", "noisy-to-noiseless", "--in", "target.json", "--noise",
+        f"permutohedron:{json.dumps(base)}", "--d", "2", "--tol", "1e-3", "--out", "w.json",
+    ]) == 2
+    assert json.loads((workdir / "w.json").read_text())["result"]["r"] == 4
+    assert run(["verify", "w.json", "--in", "target.json"]) == 0
+
+
 def test_reduce_and_verify(workdir, capsys):
     run(["fixtures", "emit", "--dir", "."])
     capsys.readouterr()
@@ -378,6 +392,54 @@ def test_verify_rejects_zero_row_outside_the_matrix(workdir, capsys):
     assert "claimed zero row 4 is not a row index" in capsys.readouterr().err
     assert run(["verify", "short.json"]) == 2
     assert "3 zero rows for 4 terms" in capsys.readouterr().err
+
+
+# a bench-shaped channel (rows Dirichlet(6) per column), and one whose row 0
+# is zero, so that row 0 is zero in every term
+ZERO_ROW_TARGET = [[0.0, 0.0, 0.0], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.random.default_rng(0).dirichlet(np.full(6, 6.0), size=4).T.tolist(), ZERO_ROW_TARGET],
+    ids=["dirichlet", "zero_row"],
+)
+def test_reduce_zero_rows_are_the_zeroed_rows(workdir, capsys, matrix):
+    # the zero rows were guessed by argmin, which named the first zero row
+    # of each term instead of the row that the reduction zeroed
+    (workdir / "a.json").write_text(json.dumps({"matrix": matrix}))
+    assert run(["simulate", "reduce", "--in", "a.json", "--out", "red.json"]) == 0
+    assert run(["verify", "red.json", "--in", "a.json"]) == 0
+    assert json.loads((workdir / "red.json").read_text())["result"]["zero_rows"] == [
+        *range(len(matrix))
+    ]
+
+
+def test_verify_rejects_repeated_zero_rows(workdir, capsys):
+    # row 0 is zero in every term, so only distinctness rules out [0, 0, 0, 0]
+    (workdir / "a.json").write_text(json.dumps({"matrix": ZERO_ROW_TARGET}))
+    assert run(["simulate", "reduce", "--in", "a.json", "--out", "red.json"]) == 0
+    cert = json.loads((workdir / "red.json").read_text())
+    cert["result"]["zero_rows"] = [0, 0, 0, 0]
+    (workdir / "repeated.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "repeated.json", "--in", "a.json"]) == 2
+    assert "repeat a row" in capsys.readouterr().err
+
+
+def test_verify_rejects_row_reduction_terms_with_negative_entries(workdir, capsys):
+    # moving 2 between rows 2 and 3 of two equally weighted terms keeps every
+    # column sum, the recomposition and the residual
+    cert = _reduce_certificate(workdir)
+    first, second = (term["matrix"] for term in cert["result"]["terms"][:2])
+    first[2][0] += 2
+    first[3][0] -= 2
+    second[2][0] -= 2
+    second[3][0] += 2
+    (workdir / "negative.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "negative.json", "--in", "octahedron_matrix.json"]) == 2
+    assert "terms invalid" in capsys.readouterr().err
 
 
 def test_verify_in_reruns_storability_and_holevo(workdir, capsys):
@@ -623,13 +685,20 @@ def _numeric_leaves(node, path=()):
         yield from _numeric_leaves(child, path + (key,))
 
 
+def _delta_noisy_matrix(n, delta):
+    """The n x n matrix whose columns are the n extremal delta-noisy states."""
+    return (np.full((n, n), delta / n) + np.eye(n) * (1 - delta)).tolist()
+
+
 def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
-    # binomial_witness and replacer_bounds are left out: their certificates
-    # carry too little (no d, no noise spec; no m, no delta) to recompute
+    from chansim import cli
+
     run(["fixtures", "emit", "--dir", "."])
     ensemble = json.loads((workdir / "depolarizing_qubit.json").read_text())
     ensemble["weights"] = [0.5, 0.5]
     (workdir / "ensemble.json").write_text(json.dumps(ensemble))
+    (workdir / "noisy4.json").write_text(json.dumps({"matrix": _delta_noisy_matrix(4, 0.5)}))
+    uniform = json.dumps([1 / 3] * 3)
     # a projective measurement: its noiseless certificate has a single term
     basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     projective = jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2])
@@ -645,13 +714,17 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
         (["simulate", "reduce", "--p", "[0.25, 0.25, 0.25, 0.25]"], "octahedron_matrix.json"),
         (["certify", "storability"], "octahedron_matrix.json"),
         (["certify", "holevo"], "ensemble.json"),
+        (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "2"], "noisy4.json"),
+        (["certify", "replacer", "--m", "3", "--n", "3", "--delta", "1/2",
+          "--spectrum", uniform], None),
     ]
-    accepted = []
+    accepted, types = [], set()
     for argv, infile in commands:
         in_args = ["--in", infile] if infile else []
         run(argv + in_args + ["--out", "cert.json"])
         cert = json.loads((workdir / "cert.json").read_text())
         assert run(["verify", "cert.json", *in_args]) == 0
+        types.add(cert["result"]["type"])
         paths = list(_numeric_leaves(cert["result"]))
         assert paths
         for path in paths:
@@ -665,6 +738,7 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
                 accepted.append((argv[1], path))
     capsys.readouterr()
     assert accepted == []
+    assert types == set(cli.VERIFIERS)
 
 
 @pytest.fixture(scope="module")
@@ -1113,7 +1187,12 @@ def test_reduce_rejects_non_finite_weights(workdir, capsys, bad):
 
 @pytest.mark.parametrize(
     "spectrum, error",
-    [("[1.0]", "DimensionMismatch"), ("[NaN, NaN, NaN]", "NotFinite"), ("[0.5, 0.5]", "DimensionMismatch")],
+    [
+        ("[1.0]", "DimensionMismatch"),
+        ("[NaN, NaN, NaN]", "NotFinite"),
+        ("[0.5, 0.5]", "DimensionMismatch"),
+        ("[0.5, 0.25, 0.5]", "NotStochastic"),
+    ],
 )
 def test_replacer_spectrum_is_checked(workdir, capsys, spectrum, error):
     # a short spectrum ended in an IndexError, and NaN reached the JSON writer

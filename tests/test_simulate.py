@@ -580,6 +580,7 @@ def test_reduce_rows_with_zero_weights(rng):
         result = reduce_rows(a, p)
         kept = np.flatnonzero(p > 1e-12)
         assert [w for w, _ in result.terms] == list(p[kept])
+        assert result.zero_rows.tolist() == kept.tolist()
         for (_, b), v in zip(result.terms, kept):
             assert np.all(b.matrix[v] == 0.0)
             assert np.max(np.abs(b.matrix.sum(axis=0) - 1.0)) < 1e-9
