@@ -148,7 +148,7 @@ def noisy_signalling_dimension(n: int, delta: Rational) -> int:
     return _ceil(delta, n, delta)
 
 
-def permutohedron_simulable_by_d(mu, d: int, tol: float = SLACK) -> BinomialWitness | None:
+def permutohedron_simulable_by_d(mu, d: int) -> BinomialWitness | None:
     """Prefix-sum criterion for simulating the permutohedron of mu with d
     noiseless states: ascending prefix sums must dominate C(r,d)/C(n,d).
 
@@ -162,7 +162,7 @@ def permutohedron_simulable_by_d(mu, d: int, tol: float = SLACK) -> BinomialWitn
     total = math.comb(n, d)
     for r in range(n - 1, d - 1, -1):
         bound = math.comb(r, d) / total
-        if prefix[r - 1] < bound - tol:
+        if prefix[r - 1] < bound - SLACK:
             return BinomialWitness(r=r, prefix_sum=float(prefix[r - 1]), bound=bound, d=d, n=n)
     return None
 
@@ -181,16 +181,14 @@ def replacer_bounds(
     m-dimensional input embedded in dimension n (n = m when not given).
 
     ``exact`` is the lower bound when m = n and the replacement state's
-    ascending spectrum, a probability vector of length n, satisfies
-    delta * prefix_r >= C(r, lower)/C(n, lower) for r = lower .. n-1 (in
-    particular for the maximally mixed state).
+    spectrum, a probability vector of length n, scaled by delta passes the
+    prefix-sum criterion of ``permutohedron_simulable_by_d`` with d = lower
+    (in particular for the maximally mixed state).
     """
     dim = m if n is None else n
     if not 1 <= m <= dim:
         raise BadRange(f"need 1 <= m <= n, got m={m}, n={n}")
-    if not 0 <= float(delta) <= 1:
-        raise BadDelta(f"delta={delta!r} outside [0, 1]")
-    lower = noisy_signalling_dimension(m, delta)
+    lower = noisy_signalling_dimension(m, delta)  # checks delta
     upper = min(m, _ceil(delta, m, 1))
 
     exact = None
@@ -199,11 +197,7 @@ def replacer_bounds(
         if vec.shape != (dim,):
             raise DimensionMismatch(f"spectrum has shape {vec.shape}, expected ({dim},)")
         require_column_stochastic(vec[:, None], "spectrum")
-        prefix, total = np.cumsum(vec), math.comb(dim, lower)
-        if m == dim and all(
-            float(delta) * prefix[r - 1] >= math.comb(r, lower) / total - SLACK
-            for r in range(lower, dim)
-        ):
+        if m == dim and permutohedron_simulable_by_d(float(delta) * vec, lower) is None:
             exact = lower
     return ReplacerBounds(lower=lower, upper=upper, exact=exact)
 
@@ -231,15 +225,15 @@ class Polytope:
         return self.vertices.shape[1]
 
 
-def validate_polytope(p: Polytope, tol: float = SLACK, directions: int = 8) -> None:
+def validate_polytope(p: Polytope) -> None:
     """Vertices must satisfy every facet; spot-check that both descriptions
     bound the same body by comparing support values along sampled
-    directions (facet normals plus a few seeded random ones)."""
+    directions (facet normals plus 8 seeded random ones)."""
     slack = p.normals @ p.vertices.T - p.offsets[:, None]
-    if np.max(slack) > tol:
+    if np.max(slack) > SLACK:
         raise ValueError(f"a vertex violates a facet by {float(np.max(slack)):.3e}")
     rng = np.random.default_rng(0)
-    dirs = list(p.normals) + list(rng.normal(size=(directions, p.dim)))
+    dirs = list(p.normals) + list(rng.normal(size=(8, p.dim)))
     for direction in dirs:
         vertex_support = float(np.max(p.vertices @ direction))
         program = lp.LinearProgram(num_vars=p.dim, objective=direction, maximize=True)

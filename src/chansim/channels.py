@@ -129,6 +129,8 @@ def noise_bases(spec: NoiseSpec, n: int, l: int | None = None) -> np.ndarray:
     ``Permutohedron``, and for ``PerColumn`` those of its exactly l specs.
     With l None, the one base (1, n) of a spec that serves every column, and
     ``PerColumn`` raises PerColumnNoise."""
+    if n < 1:
+        raise BadRange(f"need n >= 1 states, got {n}")
     if isinstance(spec, PerColumn):
         if l is None:
             raise PerColumnNoise("per-column noise where one noise set must serve every column")
@@ -152,12 +154,12 @@ def noise_bases(spec: NoiseSpec, n: int, l: int | None = None) -> np.ndarray:
     return base[None].repeat(1 if l is None else l, axis=0)
 
 
-def satisfies_noise(x, spec: NoiseSpec, tol: float = STOCHASTIC_TOL) -> bool:
+def satisfies_noise(x, spec: NoiseSpec) -> bool:
     """Membership of a probability vector in the state set declared by spec,
     the permutation hull of its base; a ``PerColumn`` spec raises
     PerColumnNoise, a TypeError."""
     v = np.asarray(x, dtype=float)
-    return bool(majorized_by_permutohedron(v, noise_bases(spec, len(v))[0], tol))
+    return bool(majorized_by_permutohedron(v, noise_bases(spec, len(v))[0], STOCHASTIC_TOL))
 
 
 def _checked_protocols(decoders, states, num_outputs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,26 +367,19 @@ def bracket(effects: Sequence[BallEffect]) -> float:
     return float(c_prod - v_prod.sum())
 
 
-def validate_partition_of_unity(effects: Sequence[BallEffect], tol: float = STOCHASTIC_TOL) -> None:
-    c_total = sum(e.c for e in effects)
-    v_total = sum(e.v for e in effects)
-    if abs(c_total - 1.0) > tol or np.max(np.abs(v_total)) > tol:
-        raise NotPartitionOfUnity(
-            f"effects sum to c={c_total!r}, |v|_max={float(np.max(np.abs(v_total))):.3e}"
-        )
-
-
 def ball_born_matrix(
     effects: Sequence[BallEffect],
     states: Sequence[BallState],
     delta: Rational = 0.0,
-    tol: float = STOCHASTIC_TOL,
 ) -> TransitionMatrix:
     """Entries e_i((1-delta) x_j) for a partition of unity on the ball."""
-    validate_partition_of_unity(effects, tol)
-    d = float(delta)
-    if not 0 <= d <= 1:
-        raise BadDelta(f"delta={delta!r} outside [0, 1]")
+    c_total = sum(e.c for e in effects)
+    v_total = sum(e.v for e in effects)
+    if abs(c_total - 1.0) > STOCHASTIC_TOL or np.max(np.abs(v_total)) > STOCHASTIC_TOL:
+        raise NotPartitionOfUnity(
+            f"effects sum to c={c_total!r}, |v|_max={float(np.max(np.abs(v_total))):.3e}"
+        )
+    d = float(Delta(delta).delta)  # checks delta
     out = np.empty((len(effects), len(states)))
     for j, s in enumerate(states):
         for i, e in enumerate(effects):

@@ -50,6 +50,7 @@ from .jsonio import (
     polytope_from_json,
     quantum_instance_from_json,
     rational_from_json,
+    real_from_json,
     real_matrix_from_json,
     row_reduction_from_json,
     write_atomic,
@@ -102,23 +103,23 @@ def _simulate_quantum(args, payload):
     povm, states = quantum_instance_from_json(payload)
     spec = parse_noise(args.noise)
     if isinstance(spec, Noiseless):
-        result = simulate.simulate_quantum_noiseless(povm, states, tol=args.tol, cap=args.cap)
+        result = simulate.simulate_quantum_noiseless(povm, states, cap=args.cap)
     else:
-        result = simulate.simulate_quantum_noisy(povm, states, spec, tol=args.tol, cap=args.cap)
+        result = simulate.simulate_quantum_noisy(povm, states, spec, cap=args.cap)
     return payload, jsonio.simulation_to_json(result)
 
 
 def _simulate_ball(args, payload):
     effects, states = ball_instance_from_json(payload)
     delta = rational_from_json(args.delta)
-    result = simulate.simulate_ball(effects, states, delta=delta, tol=args.tol, cap=args.cap)
+    result = simulate.simulate_ball(effects, states, delta=delta, cap=args.cap)
     return payload, jsonio.simulation_to_json(result)
 
 
 def _simulate_reduce(args, payload):
     matrix = real_matrix_from_json(payload["matrix"])
     weights = np.array(json.loads(args.p), dtype=float) if args.p else None
-    result = simulate.reduce_rows(matrix, weights, tol=args.tol)
+    result = simulate.reduce_rows(matrix, weights)
     return payload, jsonio.row_reduction_to_json(result)
 
 
@@ -132,7 +133,7 @@ def _noisy_target(payload):
 def _simulate_noisy_to_noiseless(args, payload):
     target = _noisy_target(payload)
     spec = parse_noise(args.noise)
-    result = simulate.simulate_noisy_by_noiseless(spec, target, args.d, tol=args.tol)
+    result = simulate.simulate_noisy_by_noiseless(spec, target, args.d)
     if isinstance(result, BinomialWitness):
         return payload, jsonio.binomial_witness_to_json(result, spec)
     return payload, jsonio.simulation_to_json(result)
@@ -201,7 +202,7 @@ def _certify_replacer(args, payload):
 
 def _certify_holevo(args, payload):
     states = [jsonio.complex_matrix_from_json(s) for s in payload["states"]]
-    weights = np.array(payload["weights"], dtype=float)
+    weights = real_matrix_from_json(payload["weights"])
     result = {"type": "holevo", "chi": float(certify.holevo_chi(states, weights)), "info": None}
     if "povm" in payload:
         povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
@@ -231,17 +232,18 @@ def _verify_row_reduction(result: dict) -> list[str]:
     except (ChanSimError, ValueError) as exc:
         return [f"terms invalid: {exc}"]
     recon = simulate.row_reduction_matrix(reduction.weights, reduction.matrices)
-    return _residual_problems(recon, reduction.target.matrix, reduction.residual)
+    return _residual_problems(recon, reduction.target.matrix, result["residual"])
 
 
 def _residual_problems(recon: np.ndarray, target: np.ndarray, stored) -> list[str]:
     """A recomposition against its target, and its error against the
     residual that the certificate states."""
+    stored = real_from_json(stored, "residual")
     problems = []
     residual = float(np.max(np.abs(recon - target)))
     if residual > RESIDUAL_TOL:
         problems.append(f"recomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    if abs(residual - float(stored)) > 1e-6:
+    if abs(residual - stored) > 1e-6:
         problems.append("stored residual does not match recomputation")
     return problems
 
@@ -278,7 +280,7 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
 
 def _verify_witness(result: dict) -> list[str]:
     kind, passed = result["kind"], bool(result["passed"])
-    value, bound = float(result["value"]), float(result["bound"])
+    value, bound = (real_from_json(result[key], key) for key in ("value", "bound"))
     if kind == "subset":
         recomputed = value >= bound - 1e-9
     elif kind == "pairwise":
@@ -291,13 +293,14 @@ def _verify_witness(result: dict) -> list[str]:
 
 
 def _verify_asymmetry(result: dict) -> list[str]:
-    consistent = abs(float(result["infstor"]) - float(result["m"]) - 1.0) <= 1e-9
+    infstor, m = (real_from_json(result[key], key) for key in ("infstor", "m"))
+    consistent = abs(infstor - m - 1.0) <= 1e-9
     return [] if consistent else ["infstor is not m + 1"]
 
 
 def _verify_holevo(result: dict) -> list[str]:
-    info = result.get("info")
-    if info is not None and float(info) > float(result["chi"]) + 1e-9:
+    info, chi = result.get("info"), real_from_json(result["chi"], "chi")
+    if info is not None and real_from_json(info, "info") > chi + 1e-9:
         return ["mutual information exceeds the Holevo quantity"]
     return []
 
@@ -320,14 +323,15 @@ RERUNS = {
 def _rerun(result: dict, payload: dict | None = None) -> list[str]:
     """Recompute a closed-form result with the handler that wrote it, on the
     input if one is given; numbers must match within 1e-9, every other value
-    (strings, parameters, null) exactly."""
+    (booleans, strings, parameters, null) exactly and in type, so that
+    neither stands for the other."""
     _, fresh = RERUNS[result["type"]](argparse.Namespace(**result), payload)
     for key, value in fresh.items():
         stored = result[key]
-        if isinstance(value, (int, float)):
-            same = isinstance(stored, (int, float)) and abs(stored - value) <= 1e-9
+        if type(value) in (int, float):
+            same = type(stored) in (int, float) and abs(stored - value) <= 1e-9
         else:
-            same = stored == value
+            same = type(stored) is type(value) and stored == value
         if not same:
             source = "on a rerun" if payload is None else "on the input"
             return [f"{key} is {value!r} {source}, not {stored!r}"]
@@ -434,7 +438,6 @@ def cmd_fixtures_emit(args) -> int:
 # -- the command table ----------------------------------------------------------
 
 IN = ("--in", {"dest": "infile", "required": True})
-TOL = ("--tol", {"type": float, "default": 1e-9, "help": "validation tolerance"})
 CAP = ("--cap", {
     "type": int,
     "default": 10**6,
@@ -456,13 +459,13 @@ GROUPS = {
 # ``_certify`` and takes --out.
 COMMANDS = (
     ("simulate", "quantum", "simulate a (noisy) quantum channel classically",
-     [IN, ("--noise", {"default": "noiseless"}), TOL, CAP], _simulate_quantum),
+     [IN, ("--noise", {"default": "noiseless"}), CAP], _simulate_quantum),
     ("simulate", "ball", "simulate a delta-noisy ball channel",
-     [IN, ("--delta", {"default": "0"}), TOL, CAP], _simulate_ball),
+     [IN, ("--delta", {"default": "0"}), CAP], _simulate_ball),
     ("simulate", "reduce", "row-reduction decomposition of a matrix",
-     [IN, ("--p", {"help": "JSON list of row weights"}), TOL], _simulate_reduce),
+     [IN, ("--p", {"help": "JSON list of row weights"})], _simulate_reduce),
     ("simulate", "noisy-to-noiseless", "simulate a noisy channel with d noiseless states",
-     [IN, ("--noise", {"required": True}), ("--d", {"type": int, "required": True}), TOL],
+     [IN, ("--noise", {"required": True}), ("--d", {"type": int, "required": True})],
      _simulate_noisy_to_noiseless),
     ("certify", "storability", "sum of row maxima", [IN], _certify_storability),
     ("certify", "subset", "subset-sum simulability witness",

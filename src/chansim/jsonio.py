@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -171,7 +172,28 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-# -- complex matrices ---------------------------------------------------------
+# -- numbers and matrices -----------------------------------------------------
+
+
+def _array(data, dtype=float) -> np.ndarray:
+    """``data`` as an array of ``dtype``; a JSON boolean is not a number, so
+    one anywhere in it raises TypeError (numpy would read it as 0 or 1), and
+    lists of different lengths raise DimensionMismatch."""
+    leaves = np.array(data, dtype=object)
+    types = set(map(type, leaves.ravel()))
+    if bool in types:
+        raise TypeError("a boolean where a number belongs")
+    if list in types:
+        raise DimensionMismatch("lists of different lengths where an array belongs")
+    return leaves.astype(dtype)
+
+
+def real_from_json(data, what: str) -> float:
+    """A finite number; a boolean, NaN, an infinity or any other value
+    raises ValueError that names ``what``."""
+    if isinstance(data, bool) or not isinstance(data, (int, float)) or not math.isfinite(data):
+        raise ValueError(f"{what} is not a finite number: {data!r}")
+    return float(data)
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
@@ -181,10 +203,7 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 def complex_matrix_from_json(data) -> np.ndarray:
     """An r x c complex matrix from its r x c x 2 array of [re, im] pairs."""
-    try:
-        pairs = np.array(data, dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch(f"complex matrix is not an array of [re, im] pairs: {exc}") from exc
+    pairs = _array(data)
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise DimensionMismatch(f"complex matrix has shape {pairs.shape}, not r x c x 2")
     return require_finite(pairs.view(complex)[..., 0], "complex matrix")
@@ -195,7 +214,7 @@ def real_matrix_to_json(m: np.ndarray) -> list:
 
 
 def real_matrix_from_json(data) -> np.ndarray:
-    return require_finite(np.array(data, dtype=float), "real matrix")
+    return require_finite(_array(data), "real matrix")
 
 
 # -- rationals ----------------------------------------------------------------
@@ -245,7 +264,7 @@ def noise_from_json(data) -> NoiseSpec:
     if kind == "delta":
         return Delta(delta=rational_from_json(data["delta"]))
     if kind == "permutohedron":
-        return Permutohedron(base=tuple(float(x) for x in data["base"]))
+        return Permutohedron(base=_array(data["base"]))
     if kind == "per_column":
         specs = tuple(noise_from_json(s) for s in data["specs"])
         if any(isinstance(s, PerColumn) for s in specs):
@@ -259,7 +278,7 @@ def noise_from_json(data) -> NoiseSpec:
 
 def protocol_from_json(data) -> ClassicalProtocol:
     return ClassicalProtocol(
-        decoder=np.array(data["decoder"], dtype=int),
+        decoder=_array(data["decoder"], int),
         states=real_matrix_from_json(data["states"]),
         num_outputs=int(data["num_outputs"]),
     )
@@ -281,16 +300,10 @@ def mixture_from_json(data) -> ClassicalMixture:
     outputs = {p["num_outputs"] for p in protocols}
     if len(outputs) > 1:
         raise InvalidCertificate(f"protocols differ in their number of outputs: {sorted(outputs)}")
-    try:
-        weights = np.array([t["weight"] for t in data["terms"]], dtype=float)
-        decoders = np.array([p["decoder"] for p in protocols], dtype=int)
-        states = np.array([p["states"] for p in protocols], dtype=float)
-    except ValueError as exc:
-        raise InvalidCertificate(f"protocols differ in shape: {exc}") from exc
     return ClassicalMixture(
-        weights=weights,
-        decoders=decoders,
-        states=states,
+        weights=_array([t["weight"] for t in data["terms"]]),
+        decoders=_array([p["decoder"] for p in protocols], int),
+        states=_array([p["states"] for p in protocols]),
         num_outputs=int(outputs.pop()) if outputs else 0,
         num_states=int(data["num_states"]),
         noise=noise_from_json(data["noise"]),
@@ -303,12 +316,10 @@ def mixture_from_json(data) -> ClassicalMixture:
 def ball_instance_from_json(data) -> tuple[list[BallEffect], list[BallState]]:
     n = int(data["norm_index"])
     effects = [
-        BallEffect(c=float(e["c"]), v=np.array(e["v"], dtype=float), norm_index=n)
+        BallEffect(c=real_from_json(e["c"], "effect constant"), v=_array(e["v"]), norm_index=n)
         for e in data["effects"]
     ]
-    states = [
-        BallState(x=np.array(x, dtype=float), norm_index=n) for x in data["ball_states"]
-    ]
+    states = [BallState(x=_array(x), norm_index=n) for x in data["ball_states"]]
     return effects, states
 
 
@@ -333,8 +344,8 @@ def quantum_instance_from_json(data) -> tuple[list[np.ndarray], list[np.ndarray]
 
 def polytope_from_json(data) -> Polytope:
     vertices = real_matrix_from_json(data["vertices"])
-    normals = np.array([f["normal"] for f in data["facets"]], dtype=float)
-    offsets = np.array([f["offset"] for f in data["facets"]], dtype=float)
+    normals = _array([f["normal"] for f in data["facets"]])
+    offsets = _array([f["offset"] for f in data["facets"]])
     return Polytope(vertices=vertices, normals=normals, offsets=offsets)
 
 
@@ -366,18 +377,12 @@ def row_reduction_to_json(result: RowReduction) -> dict:
 
 def row_reduction_from_json(data) -> RowReduction:
     """The row reduction of a certificate's result, one array per field;
-    the terms must share their shape."""
-    try:
-        weights = np.array([t["weight"] for t in data["terms"]], dtype=float)
-        matrices = np.array([t["matrix"] for t in data["terms"]], dtype=float)
-    except ValueError as exc:
-        raise InvalidCertificate(f"terms are not arrays of one shape: {exc}") from exc
+    the terms must share their shape. The stated residual is not read."""
     return RowReduction(
         target=TransitionMatrix(real_matrix_from_json(data["target"])),
-        weights=weights,
-        zero_rows=np.array(data["zero_rows"]),
-        matrices=matrices,
-        residual=float(data["residual"]),
+        weights=_array([t["weight"] for t in data["terms"]]),
+        zero_rows=data["zero_rows"],
+        matrices=_array([t["matrix"] for t in data["terms"]]),
     )
 
 

@@ -36,24 +36,24 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted ascending.
 
     Raises NotHermitian if the input deviates from self-adjointness by more
-    than ``tol`` in any entry.
+    than DEFAULT_TOL in any entry.
     """
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    if defect > DEFAULT_TOL:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {DEFAULT_TOL:.3e}")
     return np.linalg.eigvalsh(a)
 
 
-def validate_povm(outcomes: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> None:
+def validate_povm(outcomes: Sequence[np.ndarray]) -> None:
     """Check that ``outcomes`` form a POVM; raise a specific error if not.
 
-    Each element must be psdh (min eigenvalue >= -tol) and the elementwise
-    sum must match the identity within ``tol``.
+    Each element must be psdh (min eigenvalue >= -DEFAULT_TOL) and the
+    elementwise sum must match the identity within DEFAULT_TOL.
     """
     if len(outcomes) == 0:
         raise DimensionMismatch("a POVM needs at least one outcome")
@@ -62,27 +62,24 @@ def validate_povm(outcomes: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> N
     for i, e in enumerate(mats):
         if e.shape[0] != n:
             raise DimensionMismatch(f"outcome {i} is {e.shape[0]}-square, expected {n}")
-        if hermiticity_defect(e) > tol:
+        if hermiticity_defect(e) > DEFAULT_TOL:
             raise NotHermitian(f"outcome {i} is not Hermitian", index=i)
         low = float(np.linalg.eigvalsh(e)[0])
-        if low < -tol:
+        if low < -DEFAULT_TOL:
             raise NotPsd(f"outcome {i} has eigenvalue {low:.3e} < -tol", index=i)
     total = sum(mats)
     defect = float(np.max(np.abs(total - np.eye(n))))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise SumNotIdentity(f"sum deviates from identity by {defect:.3e}")
 
 
-def validate_density(rho, tol: float = DEFAULT_TOL) -> None:
-    """Check Hermitian, positive semidefinite, and unit trace within ``tol``."""
-    a = as_complex_matrix(rho)
-    if hermiticity_defect(a) > tol:
-        raise NotHermitian("density matrix is not Hermitian within tol")
-    low = float(np.linalg.eigvalsh(a)[0])
-    if low < -tol:
-        raise NotPsd(f"density matrix has eigenvalue {low:.3e} < -tol")
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > tol:
+def validate_density(rho) -> None:
+    """Check Hermitian, positive semidefinite, and unit trace within DEFAULT_TOL."""
+    spectrum = hermitian_eigenvalues(rho)
+    if spectrum[0] < -DEFAULT_TOL:
+        raise NotPsd(f"density matrix has eigenvalue {spectrum[0]:.3e} < -tol")
+    tr = float(spectrum.sum())
+    if abs(tr - 1.0) > DEFAULT_TOL:
         raise TraceNotOne(f"trace is {tr!r}, expected 1")
 
 
@@ -103,20 +100,19 @@ def born_matrix(outcomes: Sequence[np.ndarray], states: Sequence[np.ndarray]) ->
     return out
 
 
-def shannon_entropy(p: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def shannon_entropy(p: np.ndarray) -> float:
     """Base-2 Shannon entropy with the 0 log 0 = 0 convention.
 
-    Entries in [-tol, 0) are clamped to zero; anything more negative is an
-    input error.
+    Entries in [-DEFAULT_TOL, 0) count as zero; anything more negative is
+    an input error.
     """
     q = np.asarray(p, dtype=float).ravel()
-    if np.any(q < -tol):
+    if np.any(q < -DEFAULT_TOL):
         raise ValueError("entropy of a vector with negative entries")
-    q = np.clip(q, 0.0, None)
     q = q[q > 0.0]
     return float(-(q * np.log2(q)).sum()) if q.size else 0.0
 
 
-def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """Base-2 entropy of the spectrum of a density matrix."""
-    return shannon_entropy(hermitian_eigenvalues(rho, tol), tol)
+    return shannon_entropy(hermitian_eigenvalues(rho))

@@ -22,9 +22,11 @@ candidates unchanged, so their states stay in the noise set. That reduction
 walks an SVD null basis and clamps no weight, so it moves no mass beyond
 round-off; still, a certificate whose recomposition misses its target by more
 than RESIDUAL_TOL is never returned: ``NumericalBreakdown`` names the stage
-instead. Classes and subsets are processed in lexicographic order
-throughout, and the reduction is deterministic, so certificates are
-reproducible byte for byte.
+instead. Inputs and noise sets are checked at the fixed tolerances that
+``verify`` checks a certificate with; no entry point takes a tolerance.
+Classes and subsets are processed in lexicographic order throughout, and
+the reduction is deterministic, so certificates are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 from .certify import BinomialWitness, permutohedron_simulable_by_d
 from .channels import (
     ENTRY_TOL,
+    STOCHASTIC_TOL,
     BallEffect,
     BallState,
     ClassicalMixture,
@@ -68,7 +71,6 @@ from .errors import (
 from .linalg import (
     born_matrix,
     hermitian_eigenvalues,
-    require_finite,
     validate_density,
     validate_povm,
 )
@@ -111,18 +113,17 @@ class SimulationResult:
 class RowReduction:
     """Decomposition of a k x l target as sum_t p_t B_t, held as arrays:
     ``weights`` (T,) the p_t, ``matrices`` (T, k, l) the B_t, and row
-    ``zero_rows[t]`` of B_t is zero; ``residual`` is the stated
-    recomposition error. Construction validates all terms once, as for
-    ``ClassicalMixture``: convex weights, column-stochastic terms of the
-    target's shape, and distinct row indices that are zero in their terms.
-    The arrays are copied and stored read-only.
+    ``zero_rows[t]`` of B_t is zero. Construction validates all terms once,
+    as for ``ClassicalMixture``: convex weights, column-stochastic terms of
+    the target's shape, and distinct row indices (integers, not booleans)
+    that are zero in their terms. The arrays are copied and stored
+    read-only.
     """
 
     target: TransitionMatrix
     weights: np.ndarray
     zero_rows: np.ndarray
     matrices: np.ndarray
-    residual: float
 
     def __post_init__(self):
         b = np.array(self.matrices, dtype=float)
@@ -131,21 +132,29 @@ class RowReduction:
                 f"terms are {b.shape[1:]} matrices, the target is {self.target.matrix.shape}"
             )
         require_column_stochastic(b, "row-reduction term")
-        z = np.array(self.zero_rows)
-        if z.shape != (len(b),):
-            raise DimensionMismatch(f"{z.size} zero rows for {len(b)} terms")
-        rows, k = z.tolist(), self.target.num_outputs
+        # as objects, so that a boolean stays one
+        rows = np.array(self.zero_rows, dtype=object)
+        if rows.shape != (len(b),):
+            raise DimensionMismatch(f"{rows.size} zero rows for {len(b)} terms")
+        rows, k = rows.tolist(), self.target.num_outputs
         outside = [r for r in rows if type(r) is not int or not 0 <= r < k]
         if outside:
             raise BadRange(f"claimed zero row {outside[0]!r} is not a row index")
         if len(set(rows)) != len(rows):
             raise InvalidCertificate(f"zero rows {rows} repeat a row")
+        z = np.array(rows, dtype=np.intp)
         nonzero = np.abs(b[np.arange(len(b)), z]).max(axis=1, initial=0.0) > ENTRY_TOL
         if nonzero.any():
             raise InvalidCertificate(f"claimed zero row {z[nonzero][0]} is nonzero in its term")
         object.__setattr__(self, "weights", convex_weights(self.weights, len(b)))
         object.__setattr__(self, "zero_rows", read_only(z))
         object.__setattr__(self, "matrices", read_only(b))
+
+    @property
+    def residual(self) -> float:
+        """The largest entrywise error of the recomposition."""
+        recon = row_reduction_matrix(self.weights, self.matrices)
+        return float(np.max(np.abs(recon - self.target.matrix)))
 
     @property
     def terms(self) -> tuple[tuple[float, TransitionMatrix], ...]:
@@ -283,14 +292,13 @@ def simulate_quantum_noiseless(
     povm: Sequence[np.ndarray],
     states: Sequence[np.ndarray],
     *,
-    tol: float = 1e-9,
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
     channel with n states."""
-    validate_povm(povm, tol)
+    validate_povm(povm)
     for rho in states:
-        validate_density(rho, tol)
+        validate_density(rho)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
     values = _class_values(dist, a, noise_bases(Noiseless(), dist.n, a.shape[1]))
@@ -303,13 +311,12 @@ def simulate_ball(
     delta: Rational = 0.0,
     norm_index: int | None = None,
     *,
-    tol: float = 1e-9,
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
     channel with n states (n the even norm index)."""
     n, c, v = _ball_arrays(effects, states, norm_index)
-    target = ball_born_matrix(effects, states, delta=delta, tol=tol)
+    target = ball_born_matrix(effects, states, delta=delta)
 
     def brackets(classes: np.ndarray) -> np.ndarray:
         # channels.bracket per row, multiplied slot by slot in its order
@@ -344,7 +351,6 @@ def simulate_quantum_noisy(
     states: Sequence[np.ndarray],
     spec: NoiseSpec,
     *,
-    tol: float = 1e-9,
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate a noisy quantum channel by the equally noisy classical one.
@@ -352,13 +358,13 @@ def simulate_quantum_noisy(
     Each state must have its spectrum inside the declared noise set; the
     produced mixture's state columns land in the same set.
     """
-    validate_povm(povm, tol)
+    validate_povm(povm)
     for rho in states:
-        validate_density(rho, tol)
+        validate_density(rho)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    mus = np.array([hermitian_eigenvalues(rho, tol) for rho in states])
-    inside = majorized_by_permutohedron(mus, noise_bases(spec, dist.n, len(mus)), tol)
+    mus = np.array([hermitian_eigenvalues(rho) for rho in states])
+    inside = majorized_by_permutohedron(mus, noise_bases(spec, dist.n, len(mus)), STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"state {np.argmin(inside)}: spectrum violates the declared noise set")
     values = _class_values(dist, a, np.clip(mus, 0.0, None))
@@ -369,14 +375,11 @@ def simulate_noisy_by_noiseless(
     spec: NoiseSpec,
     target: Union[ClassicalProtocol, TransitionMatrix, np.ndarray],
     d: int,
-    *,
-    tol: float = 1e-9,
 ) -> Union[SimulationResult, BinomialWitness]:
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable, tested at the fixed tolerance that ``verify``
-    reruns it with, whatever ``tol`` is. Otherwise every input column is decomposed
+    itself is not d-simulable. Otherwise every input column is decomposed
     over at most n permutations of the max-of-a-random-d-subset
     distribution, and each of the C(n,d) subsets becomes one candidate
     d-state protocol, of which at most l(k-1) + 1 are kept. A ``PerColumn``
@@ -400,11 +403,11 @@ def simulate_noisy_by_noiseless(
     if witness is not None:
         return witness
 
-    inside = majorized_by_permutohedron(x.T, base, tol)
+    inside = majorized_by_permutohedron(x.T, base, STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
     nu = max_subset_distribution(n, d)
-    col_mixes = [hlp_decompose(x[:, j], nu, tol=4 * tol) for j in range(l)]
+    col_mixes = [hlp_decompose(x[:, j], nu, tol=4 * STOCHASTIC_TOL) for j in range(l)]
 
     subsets = np.array(list(combinations(range(n), d)), dtype=np.intp)
     rows = np.arange(len(subsets))
@@ -421,7 +424,7 @@ def simulate_noisy_by_noiseless(
     return _finalize(TransitionMatrix(e @ x), weights, decoder[subsets], xs, Noiseless())
 
 
-def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
+def reduce_rows(m, p=None) -> RowReduction:
     """Write A as sum p_i B(i) where B(i) is column-stochastic with its
     i-th row zero; requires the row slacks 1 - max_j a_ij to sum to >= 1.
     Raises NumericalBreakdown when the terms miss A by more than
@@ -432,18 +435,14 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
     slack = 1.0 - a.max(axis=1)
     if p is None:
         total = float(slack.sum())
-        if total < 1.0 - tol:
+        if total < 1.0 - STOCHASTIC_TOL:
             raise PreconditionViolated(
                 f"row slacks sum to {total!r} < 1; no valid row weighting exists"
             )
         weights = slack / total
     else:
-        weights = require_finite(np.asarray(p, dtype=float), "row weights")
-        if weights.shape != (k,):
-            raise DimensionMismatch(f"weights shape {weights.shape}, expected ({k},)")
-        if np.any(weights < -tol) or abs(weights.sum() - 1.0) > tol:
-            raise PreconditionViolated("weights must form a probability vector")
-        if np.any(weights > slack + tol):
+        weights = convex_weights(p, k)
+        if np.any(weights > slack + STOCHASTIC_TOL):
             raise PreconditionViolated("some weight exceeds its row slack 1 - max_j a_ij")
 
     # transposed transport: each kept row v sends its weight p_v to the
@@ -468,8 +467,5 @@ def reduce_rows(m, p=None, *, tol: float = 1e-9) -> RowReduction:
         dust = result.flow.sum(axis=1) <= 0.0
         result.flow[dust] = capacity[dust] > 0.0
         columns[:, :, j] = conditional_columns(result)
-    recon = row_reduction_matrix(weights[kept], columns)
-    residual = _checked_residual("row reduction", recon, a)
-    return RowReduction(
-        target=t, weights=weights[kept], zero_rows=kept, matrices=columns, residual=residual
-    )
+    _checked_residual("row reduction", row_reduction_matrix(weights[kept], columns), a)
+    return RowReduction(target=t, weights=weights[kept], zero_rows=kept, matrices=columns)

@@ -83,6 +83,22 @@ def test_simulate_verify_roundtrip_and_tamper(workdir, capsys):
     assert run(["verify", "tampered.json"]) == 2
 
 
+def test_state_just_outside_the_noise_set_is_never_written(workdir, capsys):
+    # spectrum (0.2495, 0.7505) against the base (1/4, 3/4) of delta 1/2: out
+    # by 5e-4; a looser validation tolerance once wrote this certificate,
+    # which verify then rejected
+    run(["fixtures", "emit", "--dir", "."])
+    payload = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
+    states = [np.diag([0.7505, 0.2495]), np.eye(2) / 2]
+    (workdir / "outside.json").write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
+    capsys.readouterr()
+    argv = ["simulate", "quantum", "--in", "outside.json", "--noise", "delta:1/2"]
+    assert run(argv + ["--out", "cert.json"]) == 1
+    assert "NotMajorized" in capsys.readouterr().err
+    assert not (workdir / "cert.json").exists()
+
+
 def test_verify_ignores_tolerances_stored_in_the_certificate(workdir, capsys):
     # a forged mixture with a loose stored residual tolerance and a stored
     # residual that matches it: verify must hold it to its own threshold
@@ -141,8 +157,8 @@ def test_out_abbreviations_leave_the_certificate_unchanged(workdir, capsys):
 
 
 def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
-    # --tol on the simulate rows, --cap where an outcome distribution is
-    # built, --json-errors everywhere, --out on simulate and certify
+    # no --tol anywhere, --cap where an outcome distribution is built,
+    # --json-errors everywhere, --out on simulate and certify
     from chansim.cli import COMMANDS
 
     for group, name, _, _, _ in COMMANDS:
@@ -151,7 +167,7 @@ def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
         usage = capsys.readouterr().out
         flags = set(usage.replace("[", " ").replace("]", " ").split())
         assert "--json-errors" in flags
-        assert ("--tol" in flags) == (group == "simulate")
+        assert "--tol" not in flags
         assert ("--cap" in flags) == (name in ("quantum", "ball"))
         assert ("--out" in flags) == (group in ("simulate", "certify"))
 
@@ -161,6 +177,7 @@ def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
         ["verify", "c.json", "--tol", "0.5"],
         ["fixtures", "emit", "--cap", "0"],
         ["simulate", "reduce", "--in", "m.json", "--cap", "3"],
+        ["simulate", "quantum", "--in", "q.json", "--tol", "1e-3"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -337,16 +354,18 @@ def test_noisy_to_noiseless_witness_exit_code(workdir, capsys):
 
 def test_binomial_witness_under_a_loose_tolerance_verifies(workdir, capsys):
     # prefix sums (0.04, 0.09, 0.3, 0.5995) against C(r,2)/C(5,2) = (0.1, 0.3,
-    # 0.6) at r = 2, 3, 4: r = 4 misses by 5e-4 only, and a witness tested at
-    # --tol 1e-3 named r = 2, which verify's rerun does not reproduce
+    # 0.6) at r = 2, 3, 4: r = 4 misses by 5e-4 only, which a loose tolerance
+    # once let pass so that the witness named r = 2; the witness names the
+    # largest failing r, 4, and verify's rerun finds the same r
     base = [0.04, 0.05, 0.21, 0.2995, 0.4005]
-    (workdir / "target.json").write_text(json.dumps({"matrix": [[b] for b in base]}))
+    (workdir / "base.json").write_text(json.dumps({"matrix": [[b] for b in base]}))
     assert run([
-        "simulate", "noisy-to-noiseless", "--in", "target.json", "--noise",
-        f"permutohedron:{json.dumps(base)}", "--d", "2", "--tol", "1e-3", "--out", "w.json",
+        "simulate", "noisy-to-noiseless", "--in", "base.json", "--noise",
+        f"permutohedron:{json.dumps(base)}", "--d", "2", "--out", "b.json",
     ]) == 2
-    assert json.loads((workdir / "w.json").read_text())["result"]["r"] == 4
-    assert run(["verify", "w.json", "--in", "target.json"]) == 0
+    assert json.loads((workdir / "b.json").read_text())["result"]["r"] == 4
+    assert run(["verify", "b.json", "--in", "base.json"]) == 0
+    capsys.readouterr()
 
 
 def test_reduce_and_verify(workdir, capsys):
@@ -804,10 +823,10 @@ def _not_a_rational(text):
     return False
 
 _words = st.text(max_size=3).filter(_not_a_rational)
-# a value with no number in it: null, a string that is not a rational, or a
-# list or object of these
+# a value with no number in it: null, a boolean, a string that is not a
+# rational, or a list or object of these
 _junk = st.recursive(
-    st.none() | _words,
+    st.none() | st.booleans() | _words,
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_words, inner, max_size=2),
     max_leaves=3,
 )
@@ -844,6 +863,10 @@ def test_verify_rejects_every_malformed_field(pinned_certificates, data):
         (["certify", "storability"], "octahedron_matrix.json", (), []),
         (["simulate", "quantum"], "depolarizing_qubit.json", ("mixture",), []),
         (["simulate", "reduce"], "octahedron_matrix.json", ("terms",), 5),
+        # the residual was read with the terms and reported as "terms invalid"
+        (["simulate", "reduce"], "octahedron_matrix.json", ("residual",), "x"),
+        # a NaN residual matched every recomputation and verified ok
+        (["simulate", "reduce"], "octahedron_matrix.json", ("residual",), float("nan")),
     ],
 )
 def test_verify_rejects_malformed_certificate(workdir, capsys, argv, infile, path, value):
@@ -858,6 +881,50 @@ def test_verify_rejects_malformed_certificate(workdir, capsys, argv, infile, pat
     assert run(["verify", "tampered.json", "--in", infile]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err and all(line.startswith("verify: ") for line in err)
+    if path == ("residual",):
+        assert any(f"residual is not a finite number: {value!r}" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["simulate", "reduce"], ("zero_rows", 1)),
+        (["simulate", "reduce"], ("terms", 0, "matrix", 1, 0)),
+        (["simulate", "quantum", "--noise", "delta:1/2"], ("mixture", "terms", 0, "protocol",
+                                                           "decoder", 1)),
+    ],
+)
+def test_verify_rejects_a_boolean_where_a_number_belongs(workdir, capsys, argv, path):
+    # numpy reads true as 1, and each of these verified ok
+    run(["fixtures", "emit", "--dir", "."])
+    infile = "octahedron_matrix.json" if argv[1] == "reduce" else "depolarizing_qubit.json"
+    run(argv + ["--in", infile, "--out", "cert.json"])
+    cert = json.loads((workdir / "cert.json").read_text())
+    assert functools.reduce(operator.getitem, path, cert["result"]) == 1
+    _tamper(cert, ("result", *path), True)
+    (workdir / "tampered.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "tampered.json"]) == 2
+    assert run(["verify", "tampered.json", "--in", infile]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, infile, path",
+    [
+        (["simulate", "reduce"], "octahedron_matrix.json", ("matrix", 0, 0)),
+        (["simulate", "quantum"], "depolarizing_qubit.json", ("states", 0, 0, 0, 0)),
+        (["certify", "asymmetry"], "octahedron_polytope.json", ("facets", 0, "offset")),
+    ],
+)
+def test_a_boolean_in_an_input_file_is_an_input_error(workdir, capsys, argv, infile, path):
+    run(["fixtures", "emit", "--dir", "."])
+    payload = json.loads((workdir / infile).read_text())
+    _tamper(payload, path, True)
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(argv + ["--in", "bad.json", "--out", "cert.json"]) == 1
+    assert "a boolean where a number belongs" in capsys.readouterr().err
+    assert not (workdir / "cert.json").exists()
 
 
 # sha256 of the certificate text of each command that

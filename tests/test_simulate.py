@@ -772,16 +772,23 @@ def test_a_pruning_that_misses_the_target_is_never_written(rng, monkeypatch, tmp
     assert not cert.exists()
 
 
-def test_a_row_reduction_that_misses_the_matrix_is_never_written(tmp_path):
-    # weights summing to 1 + 5e-4 pass a loose --tol, but the terms then
-    # recompose 1.0005 times the matrix
+def test_a_row_reduction_that_misses_the_matrix_is_never_written(monkeypatch, tmp_path):
     from chansim.cli import main
 
     a = np.full((3, 2), 1.0 / 3.0)
+    exact = simulate.conditional_columns
+
+    def off_by_a_micro(result):
+        # move 1e-6 within the first term's column, off its zero row 0: the
+        # term stays stochastic, and the recomposition misses by 1e-6 / 3
+        columns = exact(result)
+        columns[0, 1:] += [1e-6, -1e-6]
+        return columns
+
+    monkeypatch.setattr(simulate, "conditional_columns", off_by_a_micro)
     with pytest.raises(NumericalBreakdown, match="row reduction: recomposition residual"):
-        reduce_rows(a, np.array([0.3, 0.3, 0.4005]), tol=1e-3)
+        reduce_rows(a)
     source, cert = tmp_path / "in.json", tmp_path / "cert.json"
     source.write_text(json.dumps({"matrix": a.tolist()}))
-    args = ["simulate", "reduce", "--in", str(source), "--p", "[0.3, 0.3, 0.4005]", "--tol", "1e-3"]
-    assert main(args + ["--out", str(cert)]) == 1
+    assert main(["simulate", "reduce", "--in", str(source), "--out", str(cert)]) == 1
     assert not cert.exists()
