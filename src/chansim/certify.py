@@ -236,14 +236,12 @@ def validate_polytope(p: Polytope) -> None:
     dirs = list(p.normals) + list(rng.normal(size=(8, p.dim)))
     for direction in dirs:
         vertex_support = float(np.max(p.vertices @ direction))
-        program = lp.LinearProgram(num_vars=p.dim, objective=direction, maximize=True)
+        program = lp.LinearProgram(num_vars=p.dim, objective=direction)
         for a, b in zip(p.normals, p.offsets):
             program.add(a, lp.LE, b)
         result = lp.solve(program)
         if isinstance(result, lp.Unbounded):
             raise ValueError("facet description is unbounded; not the hull of the vertices")
-        if not isinstance(result, lp.Optimal):
-            raise ValueError("facet description is infeasible")
         if abs(result.value - vertex_support) > 1e-6:
             raise ValueError(
                 "vertex and facet descriptions disagree "
@@ -266,11 +264,9 @@ def minkowski_asymmetry(p: Polytope) -> float:
     if np.linalg.matrix_rank(p.vertices - center, tol=1e-9) < p.dim:
         raise NotFullDimensional("polytope is not full-dimensional")
     d = p.dim
-    program = lp.LinearProgram(num_vars=d + 1)
     obj = np.zeros(d + 1)
     obj[d] = 1.0
-    program.objective = obj
-    program.maximize = True
+    program = lp.LinearProgram(num_vars=d + 1, objective=obj)
     h = (p.normals @ p.vertices.T).min(axis=1)
     for a, b, h_j in zip(p.normals, p.offsets, h):
         program.add(np.append(a, -h_j), lp.LE, b)

@@ -90,7 +90,11 @@ def _emit(args, cert: dict) -> None:
 
 def _certify(handler, args) -> int:
     """The driver of every ``simulate`` and ``certify`` command."""
-    payload = _load_json(args.infile) if getattr(args, "infile", None) else None
+    payload = None
+    if getattr(args, "infile", None):
+        payload = _load_json(args.infile)
+        if not isinstance(payload, dict):
+            raise TypeError(f"{args.infile}: the input is not a JSON object")
     payload, result = handler(args, payload)
     _emit(args, certificate(args.command_echo, payload, result))
     return 2 if result["type"] == "binomial_witness" or result.get("passed") is False else 0
@@ -158,8 +162,8 @@ def _binomial_witness(args, payload):
 
 
 def _certify_storability(args, payload):
-    mats = [real_matrix_from_json(m) for m in payload.get("matrices", [payload.get("matrix")])]
-    value = certify.storability(mats)
+    mats = payload["matrices"] if "matrices" in payload else [payload["matrix"]]
+    value = certify.storability([real_matrix_from_json(m) for m in mats])
     return payload, {"type": "scalar", "name": "storability", "value": float(value)}
 
 
@@ -352,8 +356,11 @@ VERIFIERS = {
 }
 
 # what a command reports as a failure instead of a traceback: chansim's own
-# errors, and what a document of the wrong shape raises when it is read
-MALFORMED = (ChanSimError, ValueError, KeyError, TypeError, IndexError, AttributeError)
+# errors, and what a document of the wrong shape, or with an integer too large
+# for a float, raises when it is read
+MALFORMED = (
+    ChanSimError, ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError
+)
 
 
 def cmd_verify(args) -> int:

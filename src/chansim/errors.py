@@ -109,8 +109,8 @@ class NumericalBreakdown(ChanSimError):
 
 
 class LpInfeasible(ChanSimError):
-    """The polytope asymmetry LP did not reach an optimum, or reached no
-    positive one (a degenerate body)."""
+    """A linear program has no feasible point, or the polytope asymmetry LP
+    reached no positive optimum (a degenerate body) or none at all."""
 
 
 class WeightSumNotOne(ChanSimError):

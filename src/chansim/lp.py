@@ -1,91 +1,48 @@
-"""Dense two-phase primal simplex with Farkas infeasibility certificates.
+"""Dense two-phase primal simplex for "max c.x subject to <= and = rows".
 
-Bland's anti-cycling rule is used throughout, all comparisons run against a
-single pivot tolerance, and every verdict is certified: feasible answers
-carry a point that satisfies the constraints, infeasible answers carry
-multipliers whose re-multiplication yields an impossible inequality.
+Bland's anti-cycling rule is used throughout and all comparisons run against
+a single pivot tolerance. An optimum carries its point, re-checked against
+every row; a program with no feasible point raises ``LpInfeasible``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import LpInfeasible, NumericalBreakdown
 
 PIVOT_TOL = 1e-9
 RELAXED_PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-8
 MAX_ITERS = 100_000
 
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 
 
 @dataclass
 class LinearProgram:
-    """min/max c.x subject to rows of (coeffs, relation, rhs).
+    """max c.x subject to rows of (coeffs, relation, rhs).
 
-    Variables are free unless flagged nonnegative; ``objective=None`` asks
-    only for feasibility.
+    Variables are free, or all nonnegative with ``nonneg=True``;
+    ``objective=None`` means c = 0, so any feasible point is optimal.
     """
 
     num_vars: int
     constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     objective: np.ndarray | None = None
-    maximize: bool = False
-    nonneg: bool | Sequence[bool] = False
+    nonneg: bool = False
 
     def add(self, coeffs, rel: str, rhs: float) -> None:
         row = np.asarray(coeffs, dtype=float)
         if row.shape != (self.num_vars,):
             raise ValueError(f"coefficient vector has shape {row.shape}, expected ({self.num_vars},)")
-        if rel not in (LE, EQ, GE):
+        if rel not in (LE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
         if not np.all(np.isfinite(row)) or not np.isfinite(rhs):
             raise ValueError("constraint entries must be finite")
         self.constraints.append((row, rel, float(rhs)))
-
-    def nonneg_flags(self) -> np.ndarray:
-        if isinstance(self.nonneg, bool):
-            return np.full(self.num_vars, self.nonneg)
-        flags = np.asarray(self.nonneg, dtype=bool)
-        if flags.shape != (self.num_vars,):
-            raise ValueError("nonneg flag vector has the wrong length")
-        return flags
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Multipliers over the constraints, >= 0 on inequalities.
-
-    Applying multiplier i to constraint i written in >=-form (<= rows are
-    negated first, = rows keep their sign) combines the system into
-    0 >= gap with gap > 0.
-    """
-
-    multipliers: np.ndarray
-
-    def combination(self, lp: LinearProgram) -> tuple[np.ndarray, float]:
-        combo = np.zeros(lp.num_vars)
-        gap = 0.0
-        for lam, (row, rel, rhs) in zip(self.multipliers, lp.constraints):
-            sign = -1.0 if rel == LE else 1.0
-            combo += lam * sign * row
-            gap += lam * sign * rhs
-        return combo, gap
-
-    def verify(self, lp: LinearProgram, tol: float = FEAS_TOL) -> bool:
-        for lam, (_, rel, _) in zip(self.multipliers, lp.constraints):
-            if rel != EQ and lam < -tol:
-                return False
-        combo, gap = self.combination(lp)
-        flags = lp.nonneg_flags()
-        scale = max(1.0, float(np.max(np.abs(self.multipliers)))) if len(self.multipliers) else 1.0
-        ok_free = np.all(np.abs(combo[~flags]) <= tol * scale)
-        ok_nonneg = np.all(combo[flags] <= tol * scale)
-        return bool(ok_free and ok_nonneg and gap > tol)
 
 
 @dataclass(frozen=True)
@@ -95,79 +52,47 @@ class Optimal:
 
 
 @dataclass(frozen=True)
-class Feasible:
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    certificate: FarkasCertificate
-
-
-@dataclass(frozen=True)
 class Unbounded:
-    x: np.ndarray
-    ray: np.ndarray
+    """The objective grows without bound over the feasible points."""
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint violation at x (0 means all satisfied)."""
     worst = 0.0
     for row, rel, rhs in lp.constraints:
-        val = float(row @ x)
-        if rel == LE:
-            worst = max(worst, val - rhs)
-        elif rel == GE:
-            worst = max(worst, rhs - val)
-        else:
-            worst = max(worst, abs(val - rhs))
-    flags = lp.nonneg_flags()
-    if flags.any():
-        worst = max(worst, float(np.max(np.clip(-x[flags], 0.0, None), initial=0.0)))
+        gap = float(row @ x) - rhs
+        worst = max(worst, gap if rel == LE else abs(gap))
+    if lp.nonneg:
+        worst = max(worst, float(np.max(-x, initial=0.0)))
     return worst
 
 
 class _Tableau:
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        flags = lp.nonneg_flags()
         m = len(lp.constraints)
         n = lp.num_vars
 
-        # structural columns: one per nonneg var, a (pos, neg) pair per free var
-        self.pos_col = np.empty(n, dtype=int)
-        self.neg_col = np.full(n, -1, dtype=int)
-        cols = 0
-        for v in range(n):
-            self.pos_col[v] = cols
-            cols += 1
-            if not flags[v]:
-                self.neg_col[v] = cols
-                cols += 1
-        self.n_struct = cols
-        n_slack = sum(1 for _, rel, _ in lp.constraints if rel != EQ)
-        self.n_total = self.n_struct + n_slack + m  # artificials on every row
+        # structural columns: one per variable if all are nonnegative, else a
+        # (pos, neg) pair per free variable
+        self.free = not lp.nonneg
+        self.pos_col = np.arange(n) * (2 if self.free else 1)
+        self.neg_col = self.pos_col + 1
+        n_struct = 2 * n if self.free else n
+        is_le = np.array([rel == LE for _, rel, _ in lp.constraints], dtype=bool)
+        self.art_start = n_struct + int(is_le.sum())
+        self.n_total = self.art_start + m  # artificials on every row
 
         a = np.zeros((m, self.n_total))
-        b = np.empty(m)
-        self.row_sign = np.ones(m)
-        slack_idx = self.n_struct
-        for i, (row, rel, rhs) in enumerate(lp.constraints):
-            for v in range(n):
-                a[i, self.pos_col[v]] = row[v]
-                if self.neg_col[v] >= 0:
-                    a[i, self.neg_col[v]] = -row[v]
-            if rel != EQ:
-                a[i, slack_idx] = 1.0 if rel == LE else -1.0
-                slack_idx += 1
-            b[i] = rhs
-            if rhs < 0:
-                a[i, :] *= -1.0
-                b[i] *= -1.0
-                self.row_sign[i] = -1.0
-        self.art_start = self.n_struct + n_slack
-        for i in range(m):
-            a[i, self.art_start + i] = 1.0
+        coeffs = np.array([row for row, _, _ in lp.constraints]).reshape(m, n)
+        a[:, self.pos_col] = coeffs
+        if self.free:
+            a[:, self.neg_col] = -coeffs
+        a[is_le, np.arange(n_struct, self.art_start)] = 1.0
+        b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+        flip = b < 0
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        a[:, self.art_start:] = np.eye(m)
 
         self.t = np.hstack([a, b[:, None]])
         self.basis = [self.art_start + i for i in range(m)]
@@ -216,63 +141,35 @@ class _Tableau:
         for i, col in enumerate(self.basis):
             x_std[col] = self.t[i, -1]
         x = x_std[self.pos_col]
-        free = self.neg_col >= 0
-        x[free] -= x_std[self.neg_col[free]]
+        if self.free:
+            x -= x_std[self.neg_col]
         return x
 
 
-def solve(lp: LinearProgram):
-    """Two-phase simplex; returns Optimal, Feasible, Infeasible, or Unbounded."""
-    if not lp.constraints:
-        x = np.zeros(lp.num_vars)
-        if lp.objective is None:
-            return Feasible(x=x)
-        c = np.asarray(lp.objective, dtype=float)
-        if np.any(np.abs(c) > PIVOT_TOL):
-            direction = np.sign(c) * (1.0 if lp.maximize else -1.0)
-            flags = lp.nonneg_flags()
-            direction[flags & (direction < 0)] = 0.0
-            if np.any(np.abs(direction) > 0):
-                return Unbounded(x=x, ray=direction)
-        return Optimal(x=x, value=0.0)
-
+def solve(lp: LinearProgram) -> Optimal | Unbounded:
+    """Two-phase simplex; returns Optimal or Unbounded, and raises
+    LpInfeasible when no point satisfies the rows."""
     tab = _Tableau(lp)
     m, n_total = tab.m, tab.n_total
 
     # phase-1 objective (min sum of artificials), pre-reduced for the
-    # artificial basis; the phase-2 row rides along through the pivots
+    # artificial basis; the phase-2 row (-c, for max c.x) rides along
     z1 = np.zeros(n_total + 1)
     z1[:n_total] = -tab.t[:, :n_total].sum(axis=0)
     z1[tab.art_start:n_total] += 1.0
     z1[-1] = -tab.t[:, -1].sum()
 
+    c = np.zeros(lp.num_vars) if lp.objective is None else np.asarray(lp.objective, dtype=float)
     z2 = np.zeros(n_total + 1)
-    if lp.objective is not None:
-        c = np.asarray(lp.objective, dtype=float)
-        sign = -1.0 if lp.maximize else 1.0
-        for v in range(lp.num_vars):
-            z2[tab.pos_col[v]] = sign * c[v]
-            if tab.neg_col[v] >= 0:
-                z2[tab.neg_col[v]] = -sign * c[v]
+    z2[tab.pos_col] = -c
+    if tab.free:
+        z2[tab.neg_col] = c
 
-    allowed = np.ones(n_total, dtype=bool)
-    status = tab.run(z1, [z2], allowed)
+    status = tab.run(z1, [z2], np.ones(n_total, dtype=bool))
     if status == "unbounded":
         raise NumericalBreakdown("phase 1 reported unbounded; no usable pivot found")
-    phase1_value = -z1[-1]
-    if phase1_value > FEAS_TOL:
-        y = 1.0 - z1[tab.art_start:n_total]
-        lams = np.empty(m)
-        for i, (_, rel, _) in enumerate(lp.constraints):
-            mult = tab.row_sign[i] * y[i]
-            lams[i] = -mult if rel == LE else mult
-        for i, (_, rel, _) in enumerate(lp.constraints):
-            if rel != EQ and -PIVOT_TOL * 10 < lams[i] < 0:
-                lams[i] = 0.0
-        cert = FarkasCertificate(multipliers=lams)
-        if not cert.verify(lp):
-            raise NumericalBreakdown("infeasibility certificate failed re-verification")
-        return Infeasible(certificate=cert)
+    if -z1[-1] > FEAS_TOL:
+        raise LpInfeasible("no point satisfies the constraints")
 
     # drive artificials out of the basis; redundant rows stay with a zeroed row
     for i in range(m):
@@ -284,34 +181,11 @@ def solve(lp: LinearProgram):
 
     allowed = np.zeros(n_total, dtype=bool)
     allowed[: tab.art_start] = True
-
-    if lp.objective is None:
-        x = tab.solution()
-        _check_point(lp, x)
-        return Feasible(x=x)
-
-    status = tab.run(z2, [z1], allowed)
-    if status == "unbounded":
-        candidates = np.nonzero((z2[:-1] < -PIVOT_TOL) & allowed)[0]
-        pcol = int(candidates[0])
-        ray_std = np.zeros(n_total)
-        ray_std[pcol] = 1.0
-        for i, col in enumerate(tab.basis):
-            ray_std[col] = -tab.t[i, pcol]
-        ray = ray_std[tab.pos_col]
-        free = tab.neg_col >= 0
-        ray -= np.where(free, ray_std[np.clip(tab.neg_col, 0, None)], 0.0)
-        x = tab.solution()
-        _check_point(lp, x)
-        return Unbounded(x=x, ray=ray)
+    if tab.run(z2, [z1], allowed) == "unbounded":
+        return Unbounded()
 
     x = tab.solution()
-    _check_point(lp, x)
-    value = float(np.asarray(lp.objective, dtype=float) @ x)
-    return Optimal(x=x, value=value)
-
-
-def _check_point(lp: LinearProgram, x: np.ndarray) -> None:
     worst = residuals(lp, x)
     if worst > FEAS_TOL:
         raise NumericalBreakdown(f"solver point violates constraints by {worst:.3e}")
+    return Optimal(x=x, value=float(c @ x))

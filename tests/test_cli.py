@@ -843,7 +843,10 @@ def test_verify_rejects_every_malformed_field(pinned_certificates, data):
     tampered = copy.deepcopy(cert)
     path = data.draw(st.sampled_from(list(_sites(tampered["result"], ("result",)))))
     parent = functools.reduce(operator.getitem, path[:-1], tampered)
-    new = data.draw(st.just(DELETE) | _junk if isinstance(parent, dict) else _junk)
+    # a float may also become an integer too large for a float, which ended
+    # in an OverflowError traceback (a storability value, a reduce residual)
+    values = _junk | st.just(10**400) if isinstance(parent[path[-1]], float) else _junk
+    new = data.draw(st.just(DELETE) | values if isinstance(parent, dict) else values)
     assume(new is DELETE or new != parent[path[-1]])
     _tamper(tampered, path, new)
     (directory / "tampered.json").write_text(json.dumps(tampered))
@@ -1224,19 +1227,34 @@ def test_verify_rejects_ball_noise_delta_that_does_not_parse(workdir, capsys, ba
         (["certify", "storability"], {"matrices": 5}),
         (["simulate", "reduce"], [[0.5, 0.5], [0.5, 0.5]]),
         (["certify", "asymmetry"], [[1.0, 0.0], [-1.0, 0.0]]),
+        (["simulate", "quantum"], [[1.0]]),
+        # reported "real matrix has a non-finite entry"
+        (["certify", "storability"], {}),
+        # an integer too large for a float ended in an OverflowError traceback
+        (["certify", "storability"], {"matrix": [[10**400], [0.0]]}),
     ],
 )
 def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, json_errors):
-    # each of these ended in an uncaught TypeError that ignored --json-errors
+    # each of these ended in an uncaught error that ignored --json-errors
     (workdir / "in.json").write_text(json.dumps(payload))
     flags = ["--json-errors"] * json_errors
     assert run(argv + ["--in", "in.json", "--out", "cert.json", *flags]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     if json_errors:
-        assert json.loads(err[0])["error"]["type"] == "TypeError"
+        error = json.loads(err[0])["error"]
+        kind, message = error["type"], error["message"]
     else:
-        assert err[0].startswith("chansim: TypeError: ")
+        assert err[0].startswith("chansim: ")
+        kind, message = err[0][len("chansim: "):].split(": ", 1)
+    if payload == {}:
+        assert (kind, message) == ("KeyError", "'matrix'")
+    elif "matrix" in payload:
+        assert kind == "OverflowError"
+    else:
+        assert kind == "TypeError"
+    if isinstance(payload, list):
+        assert message == "in.json: the input is not a JSON object"
     assert not (workdir / "cert.json").exists()
 
 
