@@ -67,13 +67,17 @@ def _load_json(path: str):
 def parse_noise(text: str | None) -> NoiseSpec:
     if text is None or text == "noiseless":
         return Noiseless()
-    if text.startswith("@"):
-        return noise_from_json(_load_json(text[1:]))
-    if text.startswith("delta:"):
-        return Delta(delta=rational_from_json(text[len("delta:"):]))
-    if text.startswith("permutohedron:"):
-        base = json.loads(text[len("permutohedron:"):])
-        return Permutohedron(base=tuple(float(x) for x in base))
+    try:
+        if text.startswith("@"):
+            return noise_from_json(_load_json(text[1:]))
+        if text.startswith("delta:"):
+            return Delta(delta=rational_from_json(text[len("delta:"):]))
+        if text.startswith("permutohedron:"):
+            base = json.loads(text[len("permutohedron:"):])
+            return Permutohedron(base=tuple(float(x) for x in base))
+    except (TypeError, AttributeError) as exc:
+        # a TypeError would be taken for a wrong field of the input file
+        raise ValueError(f"option value {text!r}: {exc}") from exc
     raise ValueError(
         f"cannot parse noise spec {text!r}; use noiseless, delta:<d>, "
         "permutohedron:<json list>, or @file.json"
@@ -95,7 +99,14 @@ def _certify(handler, args) -> int:
         payload = _load_json(args.infile)
         if not isinstance(payload, dict):
             raise TypeError(f"{args.infile}: the input is not a JSON object")
-    payload, result = handler(args, payload)
+    try:
+        payload, result = handler(args, payload)
+    except (TypeError, AttributeError) as exc:
+        # options raise ValueError, so this is a field of the input file
+        # with the wrong type, such as a number where a list belongs
+        if payload is None or isinstance(exc, ChanSimError):
+            raise
+        raise TypeError(f"{args.infile}: {exc}") from exc
     _emit(args, certificate(args.command_echo, payload, result))
     return 2 if result["type"] == "binomial_witness" or result.get("passed") is False else 0
 
@@ -122,7 +133,10 @@ def _simulate_ball(args, payload):
 
 def _simulate_reduce(args, payload):
     matrix = real_matrix_from_json(payload["matrix"])
-    weights = np.array(json.loads(args.p), dtype=float) if args.p else None
+    try:
+        weights = np.array(json.loads(args.p), dtype=float) if args.p else None
+    except TypeError as exc:
+        raise ValueError(f"option value {args.p!r}: {exc}") from exc
     result = simulate.reduce_rows(matrix, weights)
     return payload, jsonio.row_reduction_to_json(result)
 
@@ -254,8 +268,9 @@ def _residual_problems(recon: np.ndarray, target: np.ndarray, stored) -> list[st
 
 def _input_problems(result: dict, payload: dict) -> list[str]:
     """Compare the target of a simulation or row reduction with the channel
-    the input file describes, and a quantum or ball mixture's state count
-    with the input's dimension or norm index."""
+    the input file describes, and a mixture's state count with the input's
+    dimension or norm index, or for a matrix or protocol input (simulated
+    by d noiseless states) with the decoders' width d."""
     mixture = result.get("mixture", {})
     num_states = None
     if "povm" in payload:
@@ -273,6 +288,8 @@ def _input_problems(result: dict, payload: dict) -> list[str]:
         channel = _noisy_target(payload)
         if isinstance(channel, ClassicalProtocol):
             channel = channel.decoder_matrix() @ channel.states
+        if mixture:
+            num_states = len(mixture["terms"][0]["protocol"]["decoder"])
     problems = []
     target = real_matrix_from_json(result["target"])
     if channel.shape != target.shape or np.max(np.abs(channel - target)) > RESIDUAL_TOL:

@@ -1,7 +1,10 @@
 """Majorization tests, constructive permutation-mixture decompositions and
 Carathéodory reduction.
 
-``hlp_decompose`` writes a probability vector inside the permutohedron of
+No construction calls the permutation-mixture decompositions
+(``hlp_decompose``, ``birkhoff``, ``max_subset_distribution``); they are
+kept for the tests and because the benchmark's trace hooks patch them by
+name. ``hlp_decompose`` writes a probability vector inside the permutohedron of
 another as an explicit convex combination of at most n of its coordinate
 permutations: a chain of pairwise-averaging transfers produces a doubly
 stochastic matrix connecting the two vectors, a greedy Birkhoff extraction

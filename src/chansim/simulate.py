@@ -11,9 +11,8 @@ per-class state columns of all three (noiseless, noisy and ball) come from
 one layered transport per input column, which keeps every class's slot
 vector in the permutation hull of the state's spectrum and so inside the
 declared noise set. The noisy-to-noiseless construction has one candidate
-per d-subset; each input column is a mixture of at most n permutations of
-the max-of-a-random-d-subset distribution (``majorize.hlp_decompose``), so
-the subsets are gathered at most n times per column.
+per d-subset, and the same transport solver gives its states: per input
+column, each subset sends an equal share of the column into its own members.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
@@ -74,12 +73,9 @@ from .linalg import (
     validate_density,
     validate_povm,
 )
-from .majorize import (
-    caratheodory,
-    hlp_decompose,
-    majorized_by_permutohedron,
-    max_subset_distribution,
-)
+from .majorize import caratheodory, majorized_by_permutohedron
+# no caller here: kept importable because the bench trace hooks patch them by name
+from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .mixdisc import (
     DEFAULT_CAP,
     OutcomeDistribution,
@@ -91,6 +87,7 @@ from .transport import (
     DROP_TOL,
     HallViolator,
     TransportInstance,
+    TransportPlan,
     conditional_columns,
     feasible_transport,
 )
@@ -216,6 +213,25 @@ def _finalize(
     return SimulationResult(target=target, mixture=mixture, residual=residual)
 
 
+def _transport(
+    column: int, stage: str, supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
+) -> TransportPlan:
+    """A plan sending ``supply`` to input column ``column``'s ``demand``
+    through ``capacity``. The supplies and the column are each stochastic
+    only within tolerance, so supplies that do not balance the column are
+    scaled to its total. Raises TransportInfeasible, naming the column and
+    ``stage``, with the Hall violator when no plan exists."""
+    total = demand.sum()
+    if abs(supply.sum() - total) > BALANCE_TOL:
+        supply = supply * (total / supply.sum())
+    result = feasible_transport(TransportInstance(supply, demand, capacity))
+    if isinstance(result, HallViolator):
+        raise TransportInfeasible(
+            f"column {column}: {stage} infeasible by {result.deficit:.3e}", violator=result
+        )
+    return result
+
+
 def _class_values(
     dist: OutcomeDistribution, a: np.ndarray, mus: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -258,12 +274,7 @@ def _class_values(
         layered = depth[:, None] * np.repeat(counts, len(layers), axis=0) / n
         keep = supply > DROP_TOL
         demand = a[:, j] - floor * slots - weight[~keep] @ layered[~keep]
-        result = feasible_transport(TransportInstance(supply[keep], demand, capacity[keep]))
-        if isinstance(result, HallViolator):
-            raise TransportInfeasible(
-                f"column {j}: transport infeasible by {result.deficit:.3e}",
-                violator=result,
-            )
+        result = _transport(j, "transport", supply[keep], demand, capacity[keep])
         # each kept layer's depth, spread by its flow and shared among the
         # c_M(i) slots that carry output i
         layered[keep] = conditional_columns(result) * depth[keep, None]
@@ -379,11 +390,13 @@ def simulate_noisy_by_noiseless(
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable. Otherwise every input column is decomposed
-    over at most n permutations of the max-of-a-random-d-subset
-    distribution, and each of the C(n,d) subsets becomes one candidate
-    d-state protocol, of which at most l(k-1) + 1 are kept. A ``PerColumn``
-    spec raises PerColumnNoise, since the witness names no column.
+    itself is not d-simulable. Otherwise each of the C(n,d) subsets becomes
+    one candidate d-state protocol of weight 1/C(n,d), which decodes its
+    members as the target does. Its state for input column j is its row of
+    one transport per column: every subset supplies 1/C(n,d) and may send
+    it only into its own members, and the states demand the column. Of the
+    candidates at most l(k-1) + 1 are kept. A ``PerColumn`` spec raises
+    PerColumnNoise, since the witness names no column.
     """
     if isinstance(target, ClassicalProtocol):
         decoder = target.decoder
@@ -406,21 +419,20 @@ def simulate_noisy_by_noiseless(
     inside = majorized_by_permutohedron(x.T, base, STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
-    nu = max_subset_distribution(n, d)
-    col_mixes = [hlp_decompose(x[:, j], nu, tol=4 * STOCHASTIC_TOL) for j in range(l)]
-
+    # each subset sends its share of column j into its own members; by Gale's
+    # theorem this is feasible when every r states carry at least
+    # C(r,d)/C(n,d) of the column, which the base's threshold guarantees
     subsets = np.array(list(combinations(range(n), d)), dtype=np.intp)
-    rows = np.arange(len(subsets))
-    xs = np.zeros((len(subsets), d, l))
-    for j, mix in enumerate(col_mixes):
-        for w, perm in mix.terms:
-            # in every subset, the element whose permuted rank is largest
-            # receives this term's mass; this is exactly the distribution
-            # whose prefix sums are C(r,d)/C(n,d)
-            xs[rows, np.argmax(np.asarray(perm)[subsets], axis=1), j] += w
+    rows = np.arange(len(subsets))[:, None]
+    capacity = np.zeros((len(subsets), n))
+    capacity[rows, subsets] = np.inf
+    weights = np.full(len(subsets), 1.0 / len(subsets))
+    xs = np.empty((len(subsets), d, l))
+    for j in range(l):
+        result = _transport(j, "subset transport", weights, x[:, j], capacity)
+        xs[:, :, j] = conditional_columns(result)[rows, subsets]
     e = np.zeros((k_out, n))
     e[decoder, np.arange(n)] = 1.0
-    weights = np.full(len(subsets), 1.0 / len(subsets))
     return _finalize(TransitionMatrix(e @ x), weights, decoder[subsets], xs, Noiseless())
 
 
@@ -446,22 +458,12 @@ def reduce_rows(m, p=None) -> RowReduction:
             raise PreconditionViolated("some weight exceeds its row slack 1 - max_j a_ij")
 
     # transposed transport: each kept row v sends its weight p_v to the
-    # other rows u, output u taking a_uj; B(v)'s column j is v's flow. The
-    # weights and the column are each stochastic only within tolerance, so
-    # supplies that do not balance the column are scaled to its total
+    # other rows u, output u taking a_uj; B(v)'s column j is v's flow
     kept = np.flatnonzero(weights > 1e-12)
     capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
     columns = np.empty((len(kept), k, l))
     for j in range(l):
-        supply, total = weights[kept], a[:, j].sum()
-        if abs(supply.sum() - total) > BALANCE_TOL:
-            supply = supply * (total / supply.sum())
-        result = feasible_transport(TransportInstance(supply, a[:, j], capacity))
-        if isinstance(result, HallViolator):
-            raise TransportInfeasible(
-                f"column {j}: row reduction transport infeasible by {result.deficit:.3e}",
-                violator=result,
-            )
+        result = _transport(j, "row reduction transport", weights[kept], a[:, j], capacity)
         # a dust weight may receive no flow within the feasibility tolerance:
         # any stochastic column with a zero v-th entry works for it
         dust = result.flow.sum(axis=1) <= 0.0

@@ -257,6 +257,14 @@ def test_verify_in_recomputes_ball_and_noisy_targets(workdir, capsys):
     assert run(["verify", "m.cert.json", "--in", "m.json"]) == 0
     capsys.readouterr()
 
+    # a state count other than the decoders' width d = 3 verified ok
+    for num_states in (6, 100):
+        cert = json.loads((workdir / "m.cert.json").read_text())
+        cert["result"]["mixture"]["num_states"] = num_states
+        (workdir / "m2.json").write_text(json.dumps(cert))
+        assert run(["verify", "m2.json", "--in", "m.json"]) == 2
+        assert f"declares {num_states} states, the input has 3" in capsys.readouterr().err
+
     # the ball certificate with the delta of another run: the recomputed
     # target moves, so verify rejects it
     cert = json.loads((workdir / "b.json").read_text())
@@ -960,7 +968,7 @@ PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum"], "six_outcome_qubit.json",
      "058cf17deac23d6531c3cc271ec31496466b78f4329d324c66e9e1e82ac18e52"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
-     "964c5d5059b7245dba7ba2f97b5a8a047260092f88b405ed23912b03da285e00"),
+     "6fbfb646abd3f48cba5b35dae0650626a03c1caf54668e6b5ba8a9effff986a0"),
 ]
 
 # jsonio.digest of the list of every input payload (None for a command
@@ -1232,6 +1240,9 @@ def test_verify_rejects_ball_noise_delta_that_does_not_parse(workdir, capsys, ba
         (["certify", "storability"], {}),
         # an integer too large for a float ended in an OverflowError traceback
         (["certify", "storability"], {"matrix": [[10**400], [0.0]]}),
+        # a field of the wrong type reported a TypeError without the file
+        (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "2"], {"protocol": 5}),
+        (["certify", "holevo"], {"states": 5, "weights": [1.0]}),
     ],
 )
 def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, json_errors):
@@ -1255,7 +1266,24 @@ def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, 
         assert kind == "TypeError"
     if isinstance(payload, list):
         assert message == "in.json: the input is not a JSON object"
+    elif kind == "TypeError":
+        assert message.startswith("in.json: ")
     assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "reduce", "--p", '{"a": 1}'],
+        ["simulate", "noisy-to-noiseless", "--noise", "permutohedron:5", "--d", "2"],
+    ],
+)
+def test_option_of_the_wrong_type_is_not_blamed_on_the_input_file(workdir, capsys, argv):
+    run(["fixtures", "emit", "--dir", "."])
+    assert run(argv + ["--in", "octahedron_matrix.json", "--out", "cert.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chansim: ValueError: option value ")
+    assert "octahedron_matrix.json" not in err
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])

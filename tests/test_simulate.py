@@ -501,29 +501,57 @@ def test_noisy_by_noiseless_protocol_target(rng):
     check_simulation(result, max_states=d)
 
 
-def test_noisy_by_noiseless_matches_per_subset_loop(rng):
-    # reference: the per-subset loop, in which the subset element of largest
-    # permuted rank receives each permutation term's mass; the arithmetic
-    # is the same, so the states must be equal exactly
+def _n2n_case(rng, case):
+    """(spec, n x l columns, d) of a noisy-to-noiseless instance."""
+    from chansim.majorize import max_subset_distribution
+
+    if case == "delta":
+        return Delta(0.5), 0.5 / 6 + 0.5 * random_stochastic(rng, 6, 3), 4
+    if case == "d_equals_n":
+        return Noiseless(), random_stochastic(rng, 5, 3), 5
+    if case == "d_1_uniform":
+        return Delta(1), np.full((4, 3), 0.25), 1
+    n, d = 5, 3
+    nu = max_subset_distribution(n, d)
+    if case == "vertex_columns":
+        # permutations of nu: every Hall bound of the transport is tight
+        return Permutohedron(tuple(nu)), np.column_stack([rng.permutation(nu) for _ in range(3)]), d
+    base = np.sort(0.5 * nu + 0.5 / n)
+    cols = [sum(w * rng.permutation(base) for w in rng.dirichlet(np.ones(4))) for _ in range(3)]
+    return Permutohedron(tuple(base)), np.column_stack(cols), d
+
+
+@pytest.mark.parametrize(
+    "case", ["delta", "d_equals_n", "d_1_uniform", "vertex_columns", "permutohedron"]
+)
+def test_noisy_by_noiseless_is_one_subset_transport_per_column(rng, monkeypatch, case):
+    # before pruning: one term of weight 1/C(n,d) per lexicographic subset S,
+    # decoding as the target does on S, with stochastic state columns, whose
+    # uniform mixture puts back every column of the target's states
     from itertools import combinations
 
-    from chansim.majorize import hlp_decompose, max_subset_distribution
-
-    n, d, delta = 6, 4, 0.5
-    x = delta / n + (1 - delta) * random_stochastic(rng, n, 3)
-    result = simulate_noisy_by_noiseless(Delta(delta), x, d)
+    spec, x, d = _n2n_case(rng, case)
+    n, l = x.shape
+    decoder = rng.permutation(np.arange(n) % 3)
+    protocol = ClassicalProtocol(decoder=decoder, states=x, num_outputs=3)
+    result = simulate_noisy_by_noiseless(spec, protocol, d)
     check_simulation(result, max_states=d)
-    nu = max_subset_distribution(n, d)
-    mixes = [hlp_decompose(x[:, j], nu, tol=4e-9) for j in range(3)]
+    monkeypatch.setattr(simulate, "caratheodory", lambda w, points: (np.arange(len(w)), w))
+    full = simulate_noisy_by_noiseless(spec, protocol, d).mixture
     subsets = list(combinations(range(n), d))
-    assert len(result.mixture.terms) == len(subsets)
-    for s, (_, prot) in zip(subsets, result.mixture.terms):
-        want = np.zeros((d, 3))
-        for j, mix in enumerate(mixes):
-            for w, perm in mix.terms:
-                want[max(range(d), key=lambda t: perm[s[t]]), j] += w
-        assert list(prot.decoder) == list(s)
-        assert np.array_equal(prot.states, want)
+    assert len(full.weights) == len(subsets)
+    assert np.max(np.abs(full.weights - 1.0 / len(subsets))) <= 1e-15
+    recon = np.zeros((n, l))
+    for s, dec, states in zip(subsets, full.decoders, full.states):
+        assert np.array_equal(dec, decoder[list(s)])
+        assert np.all(states >= 0.0)
+        assert np.max(np.abs(states.sum(axis=0) - 1.0)) <= 1e-12
+        recon[list(s)] += states / len(subsets)
+    assert np.max(np.abs(recon - x)) <= 1e-12
+    # the pruned certificate keeps candidates unchanged
+    candidates = list(zip(full.decoders, full.states))
+    for dec, states in zip(result.mixture.decoders, result.mixture.states):
+        assert any(np.array_equal(f, dec) and np.array_equal(g, states) for f, g in candidates)
 
 
 def test_noisy_by_noiseless_column_violation_raises():
