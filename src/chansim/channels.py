@@ -273,11 +273,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
 def protocol_matrices(decoders: np.ndarray, states: np.ndarray, num_outputs: int) -> np.ndarray:
     """The (T, k, l) stack of protocol matrices E_t X_t for decoders (T, n)
     and states (T, n, l): row i of E_t X_t adds up, in state order, the
-    rows of X_t whose state decodes to i."""
+    rows of X_t whose state decodes to i. Decoder values must lie in
+    range(num_outputs), as ``_checked_protocols`` ensures: the sums are one
+    weighted bincount over flat (term, output, column) bins."""
     num_terms, _, l = states.shape
-    matrices = np.zeros((num_terms, num_outputs, l))
-    np.add.at(matrices, (np.arange(num_terms)[:, None], decoders), states)
-    return matrices
+    size = num_terms * num_outputs * l
+    bins = (np.arange(num_terms)[:, None] * num_outputs + decoders)[:, :, None] * l + np.arange(l)
+    sums = np.bincount(bins.ravel(), weights=states.ravel(), minlength=size)
+    return sums.reshape(num_terms, num_outputs, l)
 
 
 def mixture_matrix(m: ClassicalMixture) -> TransitionMatrix:

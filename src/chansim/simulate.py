@@ -10,9 +10,11 @@ same protocol matrix, and each class is one candidate protocol. The
 per-class state columns of all three (noiseless, noisy and ball) come from
 one layered transport per input column, which keeps every class's slot
 vector in the permutation hull of the state's spectrum and so inside the
-declared noise set. The noisy-to-noiseless construction has one candidate
-per d-subset, and the same transport solver gives its states: per input
-column, each subset sends an equal share of the column into its own members.
+declared noise set. In the noisy-to-noiseless construction the same
+transport solver gives each d-subset its states: per input column, each
+subset sends an equal share of the column into its own members. Subsets
+whose protocol matrices are equal are one candidate, the first of them
+weighted by their total, so the candidates are the distinct protocols.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
@@ -390,11 +392,13 @@ def simulate_noisy_by_noiseless(
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable. Otherwise each of the C(n,d) subsets becomes
-    one candidate d-state protocol of weight 1/C(n,d), which decodes its
-    members as the target does. Its state for input column j is its row of
-    one transport per column: every subset supplies 1/C(n,d) and may send
-    it only into its own members, and the states demand the column. Of the
+    itself is not d-simulable. Otherwise each of the C(n,d) subsets gives a
+    d-state protocol of weight 1/C(n,d), which decodes its members as the
+    target does. Its state for input column j is its row of one transport
+    per column: every subset supplies 1/C(n,d) and may send it only into its
+    own members, and the states demand the column. Subsets with equal
+    protocol matrices merge into one candidate: the protocol of the first in
+    lexicographic order, weighted by their number / C(n,d). Of the distinct
     candidates at most l(k-1) + 1 are kept. A ``PerColumn`` spec raises
     PerColumnNoise, since the witness names no column.
     """
@@ -433,7 +437,27 @@ def simulate_noisy_by_noiseless(
         xs[:, :, j] = conditional_columns(result)[rows, subsets]
     e = np.zeros((k_out, n))
     e[decoder, np.arange(n)] = 1.0
-    return _finalize(TransitionMatrix(e @ x), weights, decoder[subsets], xs, Noiseless())
+    matrices = protocol_matrices(decoder[subsets], xs, k_out)
+    weights, first = _distinct_protocols(weights, matrices)
+    return _finalize(
+        TransitionMatrix(e @ x), weights, decoder[subsets[first]], xs[first], Noiseless()
+    )
+
+
+def _distinct_protocols(weights: np.ndarray, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group T candidates, weights (T,), by exact equality of their protocol
+    matrices (T, k, l). Returns each group's weight, the sum of its members'
+    weights, and the index of its first member, with groups in the order of
+    their first members. One stable lexsort puts equal matrices next to each
+    other, members in index order, so no step depends on hashing."""
+    flat = matrices.reshape(len(matrices), -1)
+    order = np.lexsort(flat.T)
+    ranked = flat[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+    sums = np.add.reduceat(weights[order], starts)
+    first = order[starts]
+    by_first = np.argsort(first)
+    return sums[by_first], first[by_first]
 
 
 def reduce_rows(m, p=None) -> RowReduction:

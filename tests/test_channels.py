@@ -18,6 +18,7 @@ from chansim.channels import (
     mixture_matrix,
     noise_bases,
     noisy_classical_extremals,
+    protocol_matrices,
     protocol_matrix,
     satisfies_noise,
     validate_mixture,
@@ -351,7 +352,7 @@ def test_mixture_keeps_its_own_copies_of_the_arrays():
 
 
 def test_mixture_matrix_equals_the_per_term_products(rng):
-    # one np.add.at and a sum in term order against the weighted sum of the
+    # one bincount and a sum in term order against the weighted sum of the
     # products E_t X_t taken term by term; BLAS may add the n states of an
     # entry in another order, so each entry may differ by n roundings
     for _ in range(200):
@@ -369,6 +370,20 @@ def test_mixture_matrix_equals_the_per_term_products(rng):
             term = w * protocol_matrix(p).matrix
             total = term if total is None else total + term
         assert np.max(np.abs(mixture_matrix(mix).matrix - total)) <= n * np.finfo(float).eps
+
+
+def test_protocol_matrices_match_an_add_at_reference(rng):
+    # the weighted bincount over (term, output, column) bins adds each bin's
+    # states in state order, as np.add.at does, so the stacks are equal bit
+    # for bit; few outputs make decoders repeat outputs within a term
+    for _ in range(200):
+        num_terms, n, l = (int(x) for x in rng.integers(1, 9, size=3))
+        k = int(rng.integers(1, 4))
+        decoders = rng.integers(0, k, size=(num_terms, n))
+        states = rng.random((num_terms, n, l))
+        reference = np.zeros((num_terms, k, l))
+        np.add.at(reference, (np.arange(num_terms)[:, None], decoders), states)
+        assert np.array_equal(protocol_matrices(decoders, states, k), reference)
 
 
 def test_bracket_unit_effects():

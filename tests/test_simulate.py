@@ -525,10 +525,14 @@ def _n2n_case(rng, case):
     "case", ["delta", "d_equals_n", "d_1_uniform", "vertex_columns", "permutohedron"]
 )
 def test_noisy_by_noiseless_is_one_subset_transport_per_column(rng, monkeypatch, case):
-    # before pruning: one term of weight 1/C(n,d) per lexicographic subset S,
-    # decoding as the target does on S, with stochastic state columns, whose
-    # uniform mixture puts back every column of the target's states
+    # before merging: one candidate per lexicographic subset S, decoding as
+    # the target does on S, with stochastic state columns, whose uniform
+    # mixture puts back every column of the target's states; then one term
+    # per distinct protocol matrix, its first subset's candidate weighted by
+    # the number of subsets that share its matrix
     from itertools import combinations
+
+    from chansim.channels import protocol_matrices
 
     spec, x, d = _n2n_case(rng, case)
     n, l = x.shape
@@ -537,21 +541,92 @@ def test_noisy_by_noiseless_is_one_subset_transport_per_column(rng, monkeypatch,
     result = simulate_noisy_by_noiseless(spec, protocol, d)
     check_simulation(result, max_states=d)
     monkeypatch.setattr(simulate, "caratheodory", lambda w, points: (np.arange(len(w)), w))
+    stacks = []
+
+    def spy(decoders, states, k):
+        stacks.append((decoders, states))
+        return protocol_matrices(decoders, states, k)
+
+    # the first stack of protocol matrices taken is the per-subset one
+    monkeypatch.setattr(simulate, "protocol_matrices", spy)
     full = simulate_noisy_by_noiseless(spec, protocol, d).mixture
-    subsets = list(combinations(range(n), d))
-    assert len(full.weights) == len(subsets)
-    assert np.max(np.abs(full.weights - 1.0 / len(subsets))) <= 1e-15
+    subsets = [list(s) for s in combinations(range(n), d)]
+    decoders, xs = stacks[0]
+    assert len(decoders) == len(subsets)
     recon = np.zeros((n, l))
-    for s, dec, states in zip(subsets, full.decoders, full.states):
-        assert np.array_equal(dec, decoder[list(s)])
+    for s, dec, states in zip(subsets, decoders, xs):
+        assert np.array_equal(dec, decoder[s])
         assert np.all(states >= 0.0)
         assert np.max(np.abs(states.sum(axis=0) - 1.0)) <= 1e-12
-        recon[list(s)] += states / len(subsets)
+        recon[s] += states / len(subsets)
     assert np.max(np.abs(recon - x)) <= 1e-12
+    # the merged terms: distinct matrices, each its first subset's candidate
+    per_subset = protocol_matrices(decoders, xs, 3)
+    merged = protocol_matrices(full.decoders, full.states, 3)
+    assert len(np.unique(merged.reshape(len(merged), -1), axis=0)) == len(merged)
+    firsts = []
+    for w, dec, states, m in zip(full.weights, full.decoders, full.states, merged):
+        members = np.flatnonzero((per_subset == m).all(axis=(1, 2)))
+        firsts.append(members[0])
+        assert np.array_equal(dec, decoder[subsets[members[0]]])
+        assert np.array_equal(states, xs[members[0]])
+        assert abs(w - len(members) / len(subsets)) <= 1e-15
+    assert np.all(np.diff(firsts) > 0)
+    assert abs(full.weights.sum() - 1.0) <= 1e-15
+    e = np.zeros((3, n))
+    e[decoder, np.arange(n)] = 1.0
+    assert np.max(np.abs(mixture_matrix(full).matrix - e @ x)) <= 1e-12
     # the pruned certificate keeps candidates unchanged
     candidates = list(zip(full.decoders, full.states))
     for dec, states in zip(result.mixture.decoders, result.mixture.states):
         assert any(np.array_equal(f, dec) and np.array_equal(g, states) for f, g in candidates)
+
+
+def _largest_noisy_to_noiseless(bench_workloads):
+    """The first of the bench's two largest ``gpt_channels`` instances,
+    (n, d, l, k) = (12, 6, 3, 8) at delta = 3/5, as built at seed 1."""
+    rng = bench_workloads._rng(1, "gpt_channels", 5)
+    return bench_workloads._noisy_to_noiseless_instance(rng, 12, 6, 3, 8, Fraction(3, 5))
+
+
+def test_noisy_to_noiseless_merges_subsets_with_equal_protocols(
+    bench_workloads, tmp_path, monkeypatch
+):
+    # a sorted decoder and mostly one-hot subset states give the 924 subsets
+    # of the bench's largest shape far fewer distinct protocol matrices
+    sizes = []
+    finalize = simulate._finalize
+
+    def spy(target, weights, decoders, states, noise):
+        sizes.append(len(weights))
+        return finalize(target, weights, decoders, states, noise)
+
+    monkeypatch.setattr(simulate, "_finalize", spy)
+    result = _certify_and_verify(tmp_path, _largest_noisy_to_noiseless(bench_workloads))
+    assert len(sizes) == 1 and sizes[0] < 924
+    assert result["residual"] <= 1e-8
+
+
+def test_noisy_to_noiseless_certificates_do_not_depend_on_hash_order(bench_workloads, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    inst = _largest_noisy_to_noiseless(bench_workloads)
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps(inst.payload))
+    package_root = str(Path(simulate.__file__).resolve().parent.parent)
+    certificates = []
+    for hash_seed in ("1", "2"):
+        cert = tmp_path / f"cert_{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "chansim", *inst.certify_argv(str(source), str(cert))]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        certificates.append(cert.read_bytes())
+    assert certificates[0] == certificates[1]
 
 
 def test_noisy_by_noiseless_column_violation_raises():
