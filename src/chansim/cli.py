@@ -26,14 +26,13 @@ import sys
 
 import numpy as np
 
-from . import certify, jsonio, simulate
+from . import certify, jsonio, mixdisc, simulate
 from .certify import BinomialWitness
 from .channels import (
     ClassicalProtocol,
     Delta,
     Noiseless,
     NoiseSpec,
-    Permutohedron,
     ball_born_matrix,
     mixture_matrix,
     noise_bases,
@@ -74,14 +73,24 @@ def parse_noise(text: str | None) -> NoiseSpec:
             return Delta(delta=rational_from_json(text[len("delta:"):]))
         if text.startswith("permutohedron:"):
             base = json.loads(text[len("permutohedron:"):])
-            return Permutohedron(base=tuple(float(x) for x in base))
-    except (TypeError, AttributeError) as exc:
+            return noise_from_json({"kind": "permutohedron", "base": base})
+    except (TypeError, AttributeError, IndexError) as exc:
         # a TypeError would be taken for a wrong field of the input file
         raise ValueError(f"option value {text!r}: {exc}") from exc
     raise ValueError(
         f"cannot parse noise spec {text!r}; use noiseless, delta:<d>, "
         "permutohedron:<json list>, or @file.json"
     )
+
+
+def _option_array(value) -> np.ndarray:
+    """A JSON list given as an option, text on the command line or a list in
+    a certificate, read as the input file's arrays are."""
+    try:
+        return jsonio._array(json.loads(value) if isinstance(value, str) else value)
+    except TypeError as exc:
+        # a TypeError would be taken for a wrong field of the input file
+        raise ValueError(f"option value {value!r}: {exc}") from exc
 
 
 def _emit(args, cert: dict) -> None:
@@ -133,10 +142,7 @@ def _simulate_ball(args, payload):
 
 def _simulate_reduce(args, payload):
     matrix = real_matrix_from_json(payload["matrix"])
-    try:
-        weights = np.array(json.loads(args.p), dtype=float) if args.p else None
-    except TypeError as exc:
-        raise ValueError(f"option value {args.p!r}: {exc}") from exc
+    weights = _option_array(args.p) if args.p else None
     result = simulate.reduce_rows(matrix, weights)
     return payload, jsonio.row_reduction_to_json(result)
 
@@ -205,8 +211,7 @@ def _certify_signalling(args, payload):
 
 def _certify_replacer(args, payload):
     delta = rational_from_json(args.delta)
-    # JSON text on the command line, a list in a certificate
-    spectrum = json.loads(args.spectrum) if isinstance(args.spectrum, str) else args.spectrum
+    spectrum = None if args.spectrum is None else _option_array(args.spectrum)
     bounds = certify.replacer_bounds(args.m, delta, spectrum=spectrum, n=args.n)
     payload = {
         "m": args.m,
@@ -464,7 +469,7 @@ def cmd_fixtures_emit(args) -> int:
 IN = ("--in", {"dest": "infile", "required": True})
 CAP = ("--cap", {
     "type": int,
-    "default": 10**6,
+    "default": mixdisc.DEFAULT_CAP,
     "help": "cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
     "then takes at most cap * 2^n determinants",
 })

@@ -4,9 +4,10 @@ The mixed discriminant is the symmetric multilinear extension of the
 determinant, so D(E, ..., E) = det E. For a POVM E_1..E_k the values
 p_I = D(E_{i_1}, ..., E_{i_n}) over I in [k]^n form a probability
 distribution. It is symmetric in the entries of I, so it is computed and
-stored once per multiset class, as one table: the sorted multisets as rows
-of an integer array in lexicographic order, and their class totals, p_I
-times the number of orderings of I.
+stored once per multiset class, as one table (``class_table``, which can
+also bound the copies of each outcome): the sorted multisets as rows of an
+integer array in lexicographic order, and their class totals, p_I times
+the number of orderings of I.
 
 The class totals are the coefficients of the degree-n polynomial
 det(sum_i s_i E_i) (Bapat 1989): the total of the class with c_i copies
@@ -18,17 +19,16 @@ determinants and the coefficients carry absolute error near machine
 epsilon. When the grid has more points than C(n+k-1, n) 2^n (large k,
 small n), each class is evaluated on its own by polarization over the
 2^n subsets. Other symmetric weights (the ball pairing) enter through
-``distribution_from_class_values``, which evaluates the whole table at
-once. Determinants are taken in blocks of ``_BLOCK_POINTS``
-matrices, so beyond one value per grid point memory does not grow with
-the number of points.
+``distribution_from_class_values``. Determinants are taken in blocks of
+``_BLOCK_POINTS`` matrices, so beyond one value per grid point memory
+does not grow with the number of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -136,22 +136,16 @@ def _grid_class_totals(stack: np.ndarray) -> np.ndarray:
     return coefficients.real
 
 
-def _class_counts(classes: np.ndarray, k: int) -> np.ndarray:
-    """counts[c, i]: the copies of outcome i in class c, from the (C, n)
-    class table."""
-    rows = np.arange(len(classes))[:, None] * k
-    return np.bincount((rows + classes).ravel(), minlength=len(classes) * k).reshape(-1, k)
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Probability weights over the multiset classes of [k]^n, as a table.
 
     Row c of ``classes`` (C, n) is a sorted index multiset, the rows in
-    lexicographic order, and ``weights[c]`` is its class total: p_I times
-    the number of orderings of I. Zero classes are omitted; stored weights
-    are positive and sum to 1. ``counts`` (C, k) holds the copies of each
-    outcome in each class.
+    lexicographic order, and ``weights[c]`` its class weight: p_I times the
+    number of orderings of I for a POVM, the share of the d-subsets that
+    decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d).
+    Zero classes are omitted; stored weights are positive and sum to 1.
+    ``counts`` (C, k) holds the copies of each outcome in each class.
     """
 
     n: int
@@ -161,22 +155,43 @@ class OutcomeDistribution:
 
     @property
     def counts(self) -> np.ndarray:
-        return _class_counts(self.classes, self.k)
+        bins = np.arange(len(self.classes))[:, None] * self.k + self.classes
+        return np.bincount(bins.ravel(), minlength=len(bins) * self.k).reshape(-1, self.k)
 
 
-def _class_table(k: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every sorted multiset of length n over range(k) in lexicographic
-    order, (C, n), with its counts (C, k) and its number of orderings (C,),
-    exact integers converted to float. ``cap`` bounds C = C(n+k-1, n)."""
-    size = math.comb(n + k - 1, n)
-    if size > cap:
-        raise EnumerationCapExceeded(f"C(n+k-1, n) = {size} multiset classes exceed cap {cap}")
-    flat = chain.from_iterable(combinations_with_replacement(range(k), n))
-    classes = np.fromiter(flat, dtype=np.intp, count=size * n).reshape(size, n)
-    counts = _class_counts(classes, k)
+def class_table(
+    n: int, bounds: Sequence[int], cap: int = DEFAULT_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every sorted multiset of length n over range(k), k = len(bounds), with
+    at most bounds[i] copies of i, in lexicographic order: the (C, n) table
+    and its counts (C, k); bounds of n give all C(n+k-1, n) multisets. C is
+    counted exactly and checked against ``cap`` before any row is made.
+    Count vectors grow one output at a time, each count in descending order,
+    which keeps the multisets ascending; a count that leaves the later
+    outputs too few copies is never made, so no partial table outgrows the
+    full one."""
+    ways = [1] + [0] * n  # ways[s]: count vectors of the outputs so far summing to s
+    for b in bounds:
+        prefix = list(accumulate(ways, initial=0))
+        ways = [prefix[s + 1] - prefix[max(s - b, 0)] for s in range(n + 1)]
+    if ways[n] > cap:
+        raise EnumerationCapExceeded(f"{ways[n]} multiset classes exceed cap {cap}")
+    room = np.append(np.cumsum(np.minimum(bounds, n)[::-1])[::-1], 0)  # copies i.. can take
+    counts, rest = np.zeros((1, 0), dtype=np.intp), np.array([n])
+    for i, b in enumerate(bounds):
+        c = np.arange(min(b, n), -1, -1)  # descending, so the rows stay in order
+        parent, j = np.nonzero((c <= rest[:, None]) & (c >= rest[:, None] - room[i + 1]))
+        counts, rest = np.column_stack([counts[parent], c[j]]), rest[parent] - c[j]
+    outputs = np.tile(np.arange(len(bounds)), len(counts))
+    return np.repeat(outputs, counts.ravel()).reshape(-1, n), counts
+
+
+def _all_classes(k: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unbounded ``class_table`` over k outcomes and the number of
+    orderings of each class, n! / prod_i c_i!, exact and then a float."""
+    classes, counts = class_table(n, [n] * k, cap)
     factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=object)
-    orderings = (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)
-    return classes, counts, orderings
+    return classes, counts, (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)
 
 
 def _distribution(
@@ -206,16 +221,12 @@ def _distribution(
 def distribution_from_class_values(
     k: int, n: int, class_values: Callable[[np.ndarray], np.ndarray], cap: int = DEFAULT_CAP
 ) -> OutcomeDistribution:
-    """Build an OutcomeDistribution from a symmetric evaluator.
-
-    ``class_values(classes)`` is given the (C, n) table of sorted multisets
-    and must return, per row, the common weight of every ordering of that
-    multiset. Weights in [-1e-9, 0) are clamped to zero, anything more
-    negative is an error, and the total mass is renormalized when it drifts
-    from 1 by at most 1e-7. ``cap`` bounds the number of classes,
-    C(n+k-1, n).
-    """
-    classes, _, orderings = _class_table(k, n, cap)
+    """Build an OutcomeDistribution from a symmetric evaluator:
+    ``class_values(classes)`` is given the (C, n) table of all sorted
+    multisets and returns, per row, the common weight of every ordering of
+    that multiset, clamped and renormalized as in ``_distribution``. ``cap``
+    bounds the number of classes, C(n+k-1, n)."""
+    classes, _, orderings = _all_classes(k, n, cap)
     values = np.asarray(class_values(classes), dtype=float)
     return _distribution(k, n, classes, orderings, values)
 
@@ -231,7 +242,7 @@ def outcome_distribution(
     """
     stack = _stack_square(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
-    classes, counts, orderings = _class_table(k, n, cap)
+    classes, counts, orderings = _all_classes(k, n, cap)
     if (n + 1) ** (k - 1) > len(classes) * 2**n:
         discriminants = [mixed_discriminant(stack[ms]) for ms in classes]
         totals = np.array(discriminants, dtype=float) * orderings

@@ -2,19 +2,15 @@
 
 Each simulator returns an explicit convex-mixture certificate: a weighted
 list of classical protocols whose mixture reproduces the target transition
-matrix. Quantum and ball targets are decomposed along the outcome
-distribution induced by mixed discriminants (or the ball pairing). That
-distribution and every state column built from it are symmetric under
-reordering an outcome tuple, so all orderings of a multiset class give the
-same protocol matrix, and each class is one candidate protocol. The
-per-class state columns of all three (noiseless, noisy and ball) come from
-one layered transport per input column, which keeps every class's slot
-vector in the permutation hull of the state's spectrum and so inside the
-declared noise set. In the noisy-to-noiseless construction the same
-transport solver gives each d-subset its states: per input column, each
-subset sends an equal share of the column into its own members. Subsets
-whose protocol matrices are equal are one candidate, the first of them
-weighted by their total, so the candidates are the distinct protocols.
+matrix. Every construction takes one path with data per multiset class.
+Quantum and ball targets are decomposed along the outcome distribution
+induced by mixed discriminants (or the ball pairing), which is symmetric
+under reordering an outcome tuple; noisy-to-noiseless targets along the
+outputs that a random d-subset of the states decodes to. All orderings of
+a class give the same protocol matrix, so each class is one candidate
+protocol, and its state columns come from one layered transport per input
+column, which keeps its slot vector in the permutation hull of the state's
+spectrum and so inside the declared noise set.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
@@ -25,15 +21,14 @@ round-off; still, a certificate whose recomposition misses its target by more
 than RESIDUAL_TOL is never returned: ``NumericalBreakdown`` names the stage
 instead. Inputs and noise sets are checked at the fixed tolerances that
 ``verify`` checks a certificate with; no entry point takes a tolerance.
-Classes and subsets are processed in lexicographic order throughout, and
-the reduction is deterministic, so certificates are reproducible byte for
-byte.
+Classes are processed in lexicographic order throughout, and the reduction
+is deterministic, so certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,6 +52,7 @@ from .channels import (
     mixture_matrix,
     noise_bases,
     protocol_matrices,
+    protocol_matrix,
     read_only,
     require_column_stochastic,
 )
@@ -69,18 +65,14 @@ from .errors import (
     PreconditionViolated,
     TransportInfeasible,
 )
-from .linalg import (
-    born_matrix,
-    hermitian_eigenvalues,
-    validate_density,
-    validate_povm,
-)
+from .linalg import born_matrix, hermitian_eigenvalues, validate_density, validate_povm
 from .majorize import caratheodory, majorized_by_permutohedron
 # no caller here: kept importable because the bench trace hooks patch them by name
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .mixdisc import (
     DEFAULT_CAP,
     OutcomeDistribution,
+    class_table,
     distribution_from_class_values,
     outcome_distribution,
 )
@@ -322,13 +314,20 @@ def simulate_ball(
     effects: Sequence[BallEffect],
     states: Sequence[BallState],
     delta: Rational = 0.0,
-    norm_index: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
-    channel with n states (n the even norm index)."""
-    n, c, v = _ball_arrays(effects, states, norm_index)
+    channel with n states, n the even norm index; DimensionMismatch unless
+    every effect and state has norm index n and one dimension."""
+    if not effects:
+        raise DimensionMismatch("need at least one effect")
+    n = effects[0].norm_index
+    if {p.norm_index for p in [*effects, *states]} != {n}:
+        raise DimensionMismatch(f"every effect and state must have norm index {n}")
+    if len({len(e.v) for e in effects} | {len(s.x) for s in states}) > 1:
+        raise DimensionMismatch("effects and states must share one dimension")
+    c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
     target = ball_born_matrix(effects, states, delta=delta)
 
     def brackets(classes: np.ndarray) -> np.ndarray:
@@ -341,22 +340,6 @@ def simulate_ball(
     dist = distribution_from_class_values(len(effects), n, brackets, cap=cap)
     values = _class_values(dist, target.matrix, noise_bases(Delta(delta), n, len(states)))
     return _finalize(target, *_class_terms(dist, values), Delta(delta))
-
-
-def _ball_arrays(
-    effects: Sequence[BallEffect], states: Sequence[BallState], norm_index: int | None
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """The norm index n of a ball instance, its effects' constants (k,) and
-    vectors (k, dim). Raises DimensionMismatch unless every effect and state
-    has norm index n (``norm_index`` when given) and one dimension dim."""
-    if not effects:
-        raise DimensionMismatch("need at least one effect")
-    n = effects[0].norm_index if norm_index is None else norm_index
-    if {p.norm_index for p in [*effects, *states]} != {n}:
-        raise DimensionMismatch(f"every effect and state must have norm index {n}")
-    if len({len(e.v) for e in effects} | {len(s.x) for s in states}) > 1:
-        raise DimensionMismatch("effects and states must share one dimension")
-    return n, np.array([e.c for e in effects]), np.array([e.v for e in effects])
 
 
 def simulate_quantum_noisy(
@@ -392,25 +375,24 @@ def simulate_noisy_by_noiseless(
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable. Otherwise each of the C(n,d) subsets gives a
-    d-state protocol of weight 1/C(n,d), which decodes its members as the
-    target does. Its state for input column j is its row of one transport
-    per column: every subset supplies 1/C(n,d) and may send it only into its
-    own members, and the states demand the column. Subsets with equal
-    protocol matrices merge into one candidate: the protocol of the first in
-    lexicographic order, weighted by their number / C(n,d). Of the distinct
-    candidates at most l(k-1) + 1 are kept. A ``PerColumn`` spec raises
-    PerColumnNoise, since the witness names no column.
+    itself is not d-simulable. Otherwise each d-subset of the n states,
+    decoded as the target decodes them (state m to output m for a matrix),
+    is a d-state protocol. The subsets that decode to one multiset of
+    outputs form one class (``_subset_classes``), and the classes are mixed
+    along the quantum path's noiseless layered transport. By Gale's theorem
+    the subsets have a feasible transport, each sending 1/C(n,d) of a column
+    only into its own members, when every r states carry at least
+    C(r,d)/C(n,d) of the column, which the base's threshold guarantees; that
+    flow, summed over each class, is a feasible class transport. Classes
+    with equal protocol matrices merge into one candidate, the first one
+    weighted by their total, and at most l(k-1) + 1 candidates are kept. A
+    ``PerColumn`` spec raises PerColumnNoise, since the witness names no
+    column.
     """
-    if isinstance(target, ClassicalProtocol):
-        decoder = target.decoder
-        x = target.states
-        k_out = target.num_outputs
-    else:
-        t = as_transition(target)
-        x = t.matrix
-        decoder = np.arange(x.shape[0])
-        k_out = x.shape[0]
+    if not isinstance(target, ClassicalProtocol):
+        x = as_transition(target).matrix
+        target = ClassicalProtocol(decoder=np.arange(len(x)), states=x, num_outputs=len(x))
+    decoder, x, k = target.decoder, target.states, target.num_outputs
     n, l = x.shape
     if not 1 <= d <= n:
         raise BadRange(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -423,25 +405,26 @@ def simulate_noisy_by_noiseless(
     inside = majorized_by_permutohedron(x.T, base, STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
-    # each subset sends its share of column j into its own members; by Gale's
-    # theorem this is feasible when every r states carry at least
-    # C(r,d)/C(n,d) of the column, which the base's threshold guarantees
-    subsets = np.array(list(combinations(range(n), d)), dtype=np.intp)
-    rows = np.arange(len(subsets))[:, None]
-    capacity = np.zeros((len(subsets), n))
-    capacity[rows, subsets] = np.inf
-    weights = np.full(len(subsets), 1.0 / len(subsets))
-    xs = np.empty((len(subsets), d, l))
-    for j in range(l):
-        result = _transport(j, "subset transport", weights, x[:, j], capacity)
-        xs[:, :, j] = conditional_columns(result)[rows, subsets]
-    e = np.zeros((k_out, n))
-    e[decoder, np.arange(n)] = 1.0
-    matrices = protocol_matrices(decoder[subsets], xs, k_out)
-    weights, first = _distinct_protocols(weights, matrices)
-    return _finalize(
-        TransitionMatrix(e @ x), weights, decoder[subsets[first]], xs[first], Noiseless()
-    )
+    a = protocol_matrix(target)
+    dist = _subset_classes(np.bincount(decoder, minlength=k), d)
+    values = _class_values(dist, a.matrix, noise_bases(Noiseless(), d, l))
+    weights, decoders, states = _class_terms(dist, values)
+    weights, first = _distinct_protocols(weights, protocol_matrices(decoders, states, k))
+    return _finalize(a, weights, decoders[first], states[first], Noiseless())
+
+
+def _subset_classes(sizes: np.ndarray, d: int) -> OutcomeDistribution:
+    """The outputs that a uniformly random d-subset of the states decodes
+    to, as classes: with n_i = sizes[i] states decoding to output i, the
+    class with c_i copies of i holds prod_i C(n_i, c_i) of the C(n, d)
+    subsets, an exact integer divided once."""
+    classes, counts = class_table(d, sizes)
+    subsets = np.ones(len(classes), dtype=object)
+    for i in np.flatnonzero(sizes > 1):  # C(1, c) = C(0, 0) = 1
+        ways = np.array([math.comb(int(sizes[i]), c) for c in range(d + 1)], dtype=object)
+        subsets *= ways[counts[:, i]]
+    weights = (subsets / math.comb(int(sizes.sum()), d)).astype(float)
+    return OutcomeDistribution(n=d, k=len(sizes), classes=classes, weights=weights)
 
 
 def _distinct_protocols(weights: np.ndarray, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1274,16 +1274,46 @@ def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "reduce", "--p", '{"a": 1}'],
-        ["simulate", "noisy-to-noiseless", "--noise", "permutohedron:5", "--d", "2"],
+        ["simulate", "reduce", "--in", "octahedron_matrix.json", "--p", '{"a": 1}'],
+        ["simulate", "noisy-to-noiseless", "--in", "octahedron_matrix.json",
+         "--noise", "permutohedron:5", "--d", "2"],
+        # booleans, which the input file's arrays reject, were read as 1 and 0
+        ["simulate", "reduce", "--in", "octahedron_matrix.json",
+         "--p", "[true, false, false, false]"],
+        ["simulate", "noisy-to-noiseless", "--in", "octahedron_matrix.json",
+         "--noise", "permutohedron:[true, false, false, false]", "--d", "2"],
+        ["certify", "replacer", "--m", "2", "--delta", "1/2", "--spectrum", "[true, false]"],
     ],
 )
 def test_option_of_the_wrong_type_is_not_blamed_on_the_input_file(workdir, capsys, argv):
     run(["fixtures", "emit", "--dir", "."])
-    assert run(argv + ["--in", "octahedron_matrix.json", "--out", "cert.json"]) == 1
+    assert run(argv + ["--out", "cert.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("chansim: ValueError: option value ")
     assert "octahedron_matrix.json" not in err
+    assert not (workdir / "cert.json").exists()
+
+
+def test_noisy_to_noiseless_past_the_class_cap_fails_fast(workdir, capsys):
+    # 24 states with distinct outputs: every one of the C(24, 12) = 2,704,156
+    # subsets of d = 12 is its own class; enumerating them took about 30 s
+    # and 4.4 GB before the cap was checked
+    import time
+
+    from chansim.errors import EnumerationCapExceeded
+    from chansim.simulate import simulate_noisy_by_noiseless
+
+    rng = np.random.default_rng(24)
+    matrix = 0.6 / 24 + 0.4 * rng.dirichlet(np.ones(24), size=3).T
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded):
+        simulate_noisy_by_noiseless(Delta(0.6), matrix, 12)
+    (workdir / "in.json").write_text(json.dumps({"matrix": matrix.tolist()}))
+    argv = ["simulate", "noisy-to-noiseless", "--in", "in.json", "--noise", "delta:3/5"]
+    assert run(argv + ["--d", "12", "--out", "cert.json"]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 2704156 ")
+    assert not (workdir / "cert.json").exists()
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -1312,3 +1342,16 @@ def test_replacer_spectrum_is_checked(workdir, capsys, spectrum, error):
     argv = ["certify", "replacer", "--m", "3", "--n", "3", "--delta", "1/2"]
     assert run(argv + ["--spectrum", spectrum]) == 1
     assert capsys.readouterr().err.startswith(f"chansim: {error}: ")
+
+
+def test_replacer_certificate_with_a_boolean_spectrum_fails_verify(workdir, capsys):
+    # the rerun read [true, false] as the spectrum (1, 0), so the edited
+    # certificate verified
+    argv = ["certify", "replacer", "--m", "2", "--delta", "1/2", "--spectrum", "[0.25, 0.75]"]
+    assert run(argv + ["--out", "cert.json"]) == 0
+    cert = json.loads((workdir / "cert.json").read_text())
+    cert["result"]["spectrum"] = [True, False]
+    (workdir / "cert.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "cert.json"]) == 2
+    assert "a boolean where a number belongs" in capsys.readouterr().err

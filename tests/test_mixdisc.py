@@ -326,3 +326,35 @@ def test_class_table_matches_the_bracket_oracle(rng, monkeypatch, k, dim, norm_i
         ]
         simulate.simulate_ball(effects, states, delta=0.5)
         assert_class_table(tables[-1], lambda ms: bracket([effects[i] for i in ms]))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (4, 1), (3, 4), (5, 3), (2, 7)])
+def test_unbounded_class_table_is_every_multiset(n, k):
+    classes, counts = mixdisc.class_table(n, [n] * k)
+    rows = list(multiset_classes(k, n))
+    assert classes.tolist() == [list(ms) for ms in rows]
+    assert counts.tolist() == [[ms.count(i) for i in range(k)] for ms in rows]
+
+
+@pytest.mark.parametrize(
+    "n, k, d", [(6, 3, 3), (5, 5, 2), (6, 1, 4), (7, 4, 1), (6, 3, 6), (8, 8, 8)]
+)
+def test_bounded_class_table_is_the_decoded_outputs_of_the_subsets(rng, n, k, d):
+    # bounds n_i: the states that a decoder sends to output i; the rows are
+    # the sorted outputs of the d-subsets of the states, each once
+    from itertools import combinations
+
+    for _ in range(5):
+        decoder = rng.integers(0, k, size=n)
+        classes, counts = mixdisc.class_table(d, np.bincount(decoder, minlength=k))
+        rows = sorted({tuple(sorted(decoder[list(s)])) for s in combinations(range(n), d)})
+        assert classes.tolist() == [list(ms) for ms in rows]
+        assert counts.tolist() == [[ms.count(i) for i in range(k)] for ms in rows]
+
+
+def test_class_table_is_counted_against_the_cap():
+    # C(24, 12) = 2,704,156 subsets of 24 states with distinct outputs
+    with pytest.raises(EnumerationCapExceeded, match="2704156 multiset classes"):
+        mixdisc.class_table(12, [1] * 24)
+    with pytest.raises(EnumerationCapExceeded, match="6188 multiset classes exceed cap 6187"):
+        mixdisc.class_table(12, [12] * 6, cap=6187)

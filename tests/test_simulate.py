@@ -524,12 +524,16 @@ def _n2n_case(rng, case):
 @pytest.mark.parametrize(
     "case", ["delta", "d_equals_n", "d_1_uniform", "vertex_columns", "permutohedron"]
 )
-def test_noisy_by_noiseless_is_one_subset_transport_per_column(rng, monkeypatch, case):
-    # before merging: one candidate per lexicographic subset S, decoding as
-    # the target does on S, with stochastic state columns, whose uniform
-    # mixture puts back every column of the target's states; then one term
-    # per distinct protocol matrix, its first subset's candidate weighted by
-    # the number of subsets that share its matrix
+def test_noisy_by_noiseless_is_one_candidate_per_class_of_decoded_outputs(
+    rng, monkeypatch, case
+):
+    # before merging: one candidate per multiset of outputs that a d-subset
+    # decodes to, in lexicographic order, weighted by its share of the
+    # C(n, d) subsets, with stochastic state columns whose mixture is the
+    # target; then one term per distinct protocol matrix, its first
+    # candidate weighted by the total of the candidates that share it
+    import math
+    from collections import Counter
     from itertools import combinations
 
     from chansim.channels import protocol_matrices
@@ -541,43 +545,45 @@ def test_noisy_by_noiseless_is_one_subset_transport_per_column(rng, monkeypatch,
     result = simulate_noisy_by_noiseless(spec, protocol, d)
     check_simulation(result, max_states=d)
     monkeypatch.setattr(simulate, "caratheodory", lambda w, points: (np.arange(len(w)), w))
-    stacks = []
+    candidates = []
+    class_terms = simulate._class_terms
 
-    def spy(decoders, states, k):
-        stacks.append((decoders, states))
-        return protocol_matrices(decoders, states, k)
+    def spy(dist, values):
+        candidates.append(class_terms(dist, values))
+        return candidates[-1]
 
-    # the first stack of protocol matrices taken is the per-subset one
-    monkeypatch.setattr(simulate, "protocol_matrices", spy)
+    monkeypatch.setattr(simulate, "_class_terms", spy)
     full = simulate_noisy_by_noiseless(spec, protocol, d).mixture
-    subsets = [list(s) for s in combinations(range(n), d)]
-    decoders, xs = stacks[0]
-    assert len(decoders) == len(subsets)
-    recon = np.zeros((n, l))
-    for s, dec, states in zip(subsets, decoders, xs):
-        assert np.array_equal(dec, decoder[s])
-        assert np.all(states >= 0.0)
-        assert np.max(np.abs(states.sum(axis=0) - 1.0)) <= 1e-12
-        recon[s] += states / len(subsets)
-    assert np.max(np.abs(recon - x)) <= 1e-12
-    # the merged terms: distinct matrices, each its first subset's candidate
-    per_subset = protocol_matrices(decoders, xs, 3)
+    weights, decoders, xs = candidates[0]
+    # the oracle: every d-subset's decoded outputs, sorted and counted
+    subsets = Counter(tuple(sorted(decoder[list(s)])) for s in combinations(range(n), d))
+    assert [tuple(c) for c in decoders.tolist()] == sorted(subsets)
+    sizes = np.bincount(decoder, minlength=3)
+    for w, c in zip(weights, decoders.tolist()):
+        ways = math.prod(math.comb(int(sizes[i]), c.count(i)) for i in range(3))
+        assert ways == subsets[tuple(c)]
+        assert w == ways / math.comb(n, d)
+    assert abs(weights.sum() - 1.0) <= 1e-15
+    assert np.all(xs >= 0.0)
+    assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-12
+    e = np.zeros((3, n))
+    e[decoder, np.arange(n)] = 1.0
+    per_class = protocol_matrices(decoders, xs, 3)
+    assert np.max(np.abs(np.einsum("t,tkl->kl", weights, per_class) - e @ x)) <= 1e-12
+    # the merged terms: distinct matrices, each its first candidate
     merged = protocol_matrices(full.decoders, full.states, 3)
     assert len(np.unique(merged.reshape(len(merged), -1), axis=0)) == len(merged)
     firsts = []
     for w, dec, states, m in zip(full.weights, full.decoders, full.states, merged):
-        members = np.flatnonzero((per_subset == m).all(axis=(1, 2)))
+        members = np.flatnonzero((per_class == m).all(axis=(1, 2)))
         firsts.append(members[0])
-        assert np.array_equal(dec, decoder[subsets[members[0]]])
+        assert np.array_equal(dec, decoders[members[0]])
         assert np.array_equal(states, xs[members[0]])
-        assert abs(w - len(members) / len(subsets)) <= 1e-15
+        assert abs(w - weights[members].sum()) <= 1e-15
     assert np.all(np.diff(firsts) > 0)
-    assert abs(full.weights.sum() - 1.0) <= 1e-15
-    e = np.zeros((3, n))
-    e[decoder, np.arange(n)] = 1.0
     assert np.max(np.abs(mixture_matrix(full).matrix - e @ x)) <= 1e-12
     # the pruned certificate keeps candidates unchanged
-    candidates = list(zip(full.decoders, full.states))
+    candidates = list(zip(decoders, xs))
     for dec, states in zip(result.mixture.decoders, result.mixture.states):
         assert any(np.array_equal(f, dec) and np.array_equal(g, states) for f, g in candidates)
 
@@ -848,6 +854,17 @@ def test_pruning_meets_its_bound_at_a_formerly_failing_noisy_to_noiseless_instan
     # kept 23 protocols against the bound of 3 * (8 - 1) + 1 = 22
     rng = np.random.default_rng([3, 16])
     inst = bench_workloads._noisy_to_noiseless_instance(rng, 16, 8, 3, 8, Fraction(3, 5))
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (8 - 1) + 1
+
+
+def test_noisy_to_noiseless_at_a_scale_past_the_subset_enumeration(bench_workloads, tmp_path):
+    # (n, d, l, k) = (20, 10, 3, 8): 184,756 subsets, one transport per
+    # column over all of them took 1.5 s and about 290 MiB; the subsets fall
+    # into at most C(17, 10) = 19,448 classes of decoded outputs
+    rng = np.random.default_rng([3, 20])
+    inst = bench_workloads._noisy_to_noiseless_instance(rng, 20, 10, 3, 8, Fraction(3, 5))
     result = _certify_and_verify(tmp_path, inst)
     assert result["residual"] <= 1e-8
     assert len(result["mixture"]["terms"]) <= 3 * (8 - 1) + 1
