@@ -27,6 +27,7 @@ from .errors import (
     EmptyInput,
     LpInfeasible,
     NotFullDimensional,
+    PolytopeMismatch,
 )
 from .linalg import require_finite, shannon_entropy, von_neumann_entropy
 
@@ -214,6 +215,9 @@ class Polytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         a = np.atleast_2d(np.asarray(self.normals, dtype=float))
         b = np.asarray(self.offsets, dtype=float).ravel()
+        require_finite(v, "polytope vertices")
+        require_finite(a, "polytope facet normals")
+        require_finite(b, "polytope facet offsets")
         if a.shape[0] != b.shape[0] or a.shape[1] != v.shape[1]:
             raise DimensionMismatch("facet normals, offsets, and vertices disagree in shape")
         object.__setattr__(self, "vertices", v)
@@ -228,24 +232,33 @@ class Polytope:
 def validate_polytope(p: Polytope) -> None:
     """Vertices must satisfy every facet; spot-check that both descriptions
     bound the same body by comparing support values along sampled
-    directions (facet normals plus 8 seeded random ones)."""
+    directions (facet normals plus 8 seeded random ones).
+
+    The facet program is written about the vertex centroid c, as max w.y
+    over A y <= b - A c, whose right-hand sides are nonnegative up to
+    SLACK, so y = 0 with every slack basic starts it without a phase 1.
+    It is built once and re-optimised for each direction w from the
+    previous optimum; the support along w is the optimum plus w.c.
+    """
     slack = p.normals @ p.vertices.T - p.offsets[:, None]
     if np.max(slack) > SLACK:
-        raise ValueError(f"a vertex violates a facet by {float(np.max(slack)):.3e}")
-    rng = np.random.default_rng(0)
-    dirs = list(p.normals) + list(rng.normal(size=(8, p.dim)))
-    for direction in dirs:
-        vertex_support = float(np.max(p.vertices @ direction))
-        program = lp.LinearProgram(num_vars=p.dim, objective=direction)
-        for a, b in zip(p.normals, p.offsets):
-            program.add(a, lp.LE, b)
-        result = lp.solve(program)
+        raise PolytopeMismatch(f"a vertex violates a facet by {float(np.max(slack)):.3e}")
+    center = p.vertices.mean(axis=0)
+    program = lp.LinearProgram(num_vars=p.dim)
+    for a, b in zip(p.normals, p.offsets - p.normals @ center):
+        program.add(a, lp.LE, b)
+    directions = np.vstack([p.normals, np.random.default_rng(0).normal(size=(8, p.dim))])
+    vertex_supports = (directions @ p.vertices.T).max(axis=1).tolist()
+    shifts = (directions @ center).tolist()
+    results = lp.maximize_each(program, directions)
+    for result, vertex_support, shift in zip(results, vertex_supports, shifts):
         if isinstance(result, lp.Unbounded):
-            raise ValueError("facet description is unbounded; not the hull of the vertices")
-        if abs(result.value - vertex_support) > 1e-6:
-            raise ValueError(
+            raise PolytopeMismatch("facet description is unbounded; not the hull of the vertices")
+        facet_support = result.value + shift
+        if abs(facet_support - vertex_support) > 1e-6:
+            raise PolytopeMismatch(
                 "vertex and facet descriptions disagree "
-                f"(support {vertex_support!r} vs {result.value!r})"
+                f"(support {vertex_support!r} vs {facet_support!r})"
             )
 
 
@@ -258,6 +271,11 @@ def minkowski_asymmetry(p: Polytope) -> float:
     is that of the program with one row per facet and vertex,
     a_j . u - t (a_j . v_i) <= b_j: (centre, 0) is feasible, so t* >= 0,
     and for t >= 0 the binding vertex of facet j is the argmin.
+
+    The program is written about the vertex centroid c, with
+    u = (1 + t) c + u', as a_j . u' - t (h_j - a_j . c) <= b_j - a_j . c.
+    Its right-hand sides are nonnegative up to SLACK, so (u', t) = 0 with
+    every slack basic starts the simplex without a phase 1.
     """
     validate_polytope(p)
     center = p.vertices.mean(axis=0)
@@ -267,8 +285,9 @@ def minkowski_asymmetry(p: Polytope) -> float:
     obj = np.zeros(d + 1)
     obj[d] = 1.0
     program = lp.LinearProgram(num_vars=d + 1, objective=obj)
+    at_center = p.normals @ center
     h = (p.normals @ p.vertices.T).min(axis=1)
-    for a, b, h_j in zip(p.normals, p.offsets, h):
+    for a, b, h_j in zip(p.normals, p.offsets - at_center, h - at_center):
         program.add(np.append(a, -h_j), lp.LE, b)
     result = lp.solve(program)
     if not isinstance(result, lp.Optimal):

@@ -22,6 +22,7 @@ from .errors import (
     BadRange,
     DimensionMismatch,
     LengthMismatch,
+    NotAList,
     NotPartitionOfUnity,
     NotStochastic,
     PerColumnNoise,
@@ -99,6 +100,9 @@ class Permutohedron(NoiseSpec):
 
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
+        if b.ndim != 1:
+            what = "a number" if b.ndim == 0 else "a nested list"
+            raise NotAList(f"permutohedron base must be a list of numbers, not {what}")
         require_column_stochastic(b[:, None], "permutohedron base")
         object.__setattr__(self, "base", tuple(float(x) for x in b))
 

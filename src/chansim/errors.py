@@ -96,6 +96,10 @@ class PerColumnNoise(ChanSimError, TypeError):
     """A per-column noise spec where one noise set must serve every column."""
 
 
+class NotAList(ChanSimError, TypeError):
+    """A value that must be a flat list of numbers is a number or a nested list."""
+
+
 class BadRange(ChanSimError):
     pass
 
@@ -119,6 +123,10 @@ class WeightSumNotOne(ChanSimError):
 
 class NotStochastic(ChanSimError, ValueError):
     """A matrix is not column-stochastic, or a vector not a probability vector."""
+
+
+class PolytopeMismatch(ChanSimError, ValueError):
+    """A polytope's vertex and facet descriptions do not bound the same body."""
 
 
 class NotPartitionOfUnity(ChanSimError):

@@ -343,7 +343,7 @@ def quantum_instance_from_json(data) -> tuple[list[np.ndarray], list[np.ndarray]
 
 
 def polytope_from_json(data) -> Polytope:
-    vertices = real_matrix_from_json(data["vertices"])
+    vertices = _array(data["vertices"])
     normals = _array([f["normal"] for f in data["facets"]])
     offsets = _array([f["offset"] for f in data["facets"]])
     return Polytope(vertices=vertices, normals=normals, offsets=offsets)

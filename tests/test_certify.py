@@ -32,6 +32,7 @@ from chansim.errors import (
     NotFinite,
     NotFullDimensional,
     NotStochastic,
+    PolytopeMismatch,
 )
 from chansim.linalg import born_matrix
 from conftest import random_density, random_povm, random_stochastic
@@ -276,6 +277,103 @@ def test_validate_polytope_catches_mismatch():
     )
     with pytest.raises(ValueError):
         validate_polytope(bad)
+
+
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_validate_polytope_catches_a_mismatch_only_random_directions_see():
+    # the unit square's facets: along each of their normals the triangle
+    # reaches the same support, so only a sampled direction tells them apart
+    square = Polytope(
+        vertices=TRIANGLE,
+        normals=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        offsets=np.array([1.0, 0.0, 1.0, 0.0]),
+    )
+    with pytest.raises(PolytopeMismatch, match=r"support 0\.6404\d* vs 0\.7453\d*"):
+        validate_polytope(square)
+
+
+def test_validate_polytope_accepts_a_redundant_facet():
+    redundant = Polytope(
+        vertices=TRIANGLE,
+        normals=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [1.0, 1.0]]),
+        offsets=np.array([0.0, 0.0, 1.0, 2.0]),
+    )
+    validate_polytope(redundant)
+    assert minkowski_asymmetry(redundant) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_validate_polytope_rejects_an_unbounded_facet_description():
+    wedge = Polytope(
+        vertices=TRIANGLE, normals=np.array([[-1.0, 0.0], [0.0, -1.0]]), offsets=np.zeros(2)
+    )
+    with pytest.raises(PolytopeMismatch, match="unbounded"):
+        validate_polytope(wedge)
+
+
+@pytest.mark.parametrize("field", ["vertices", "normals", "offsets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polytope_rejects_non_finite_entries(field, bad):
+    parts = {
+        "vertices": TRIANGLE.copy(),
+        "normals": np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+        "offsets": np.array([0.0, 0.0, 1.0]),
+    }
+    parts[field].flat[1] = bad
+    with pytest.raises(NotFinite, match=field):
+        Polytope(**parts)
+
+
+def moved_polytope(p, seed):
+    """p under a random invertible affine map, which keeps its asymmetry."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(p.dim, p.dim)))[0]
+    lin = q @ np.diag(rng.uniform(0.5, 2.0, size=p.dim))
+    shift = rng.normal(size=p.dim)
+    normals = p.normals @ np.linalg.inv(lin)
+    return Polytope(
+        vertices=p.vertices @ lin.T + shift,
+        normals=normals,
+        offsets=p.offsets + normals @ shift,
+    )
+
+
+def prism_polytope(sides):
+    """A regular polygon times [-1, 1]: sides + 2 facets, centrally symmetric."""
+    angles = 2 * np.pi * np.arange(sides) / sides
+    mids = angles + np.pi / sides
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    return Polytope(
+        vertices=np.vstack([np.column_stack([ring, np.full(sides, z)]) for z in (-1.0, 1.0)]),
+        normals=np.vstack([
+            np.column_stack([np.cos(mids), np.sin(mids), np.zeros(sides)]),
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+        ]),
+        offsets=np.concatenate([np.full(sides, np.cos(np.pi / sides)), [1.0, 1.0]]),
+    )
+
+
+def cross_polytope(d):
+    return Polytope(
+        vertices=np.vstack([np.eye(d), -np.eye(d)]),
+        normals=np.array(list(product([-1.0, 1.0], repeat=d))),
+        offsets=np.ones(2**d),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, m",
+    [
+        (lambda: moved_polytope(prism_polytope(60), 1), 1.0),
+        (lambda: moved_polytope(cross_polytope(5), 2), 1.0),
+        (lambda: simplex_polytope(6), 6.0),
+    ],
+    ids=["prism62", "cross5", "simplex6"],
+)
+def test_minkowski_asymmetry_of_larger_polytopes(make, m):
+    poly = make()
+    assert minkowski_asymmetry(poly) == pytest.approx(m, abs=1e-9)
 
 
 def test_mutual_information_values():

@@ -19,6 +19,7 @@ import chansim
 from chansim import jsonio
 from chansim.cli import main, parse_noise
 from chansim.channels import Delta, Noiseless, Permutohedron
+from chansim.errors import NotAList
 
 
 @pytest.fixture
@@ -1355,3 +1356,43 @@ def test_replacer_certificate_with_a_boolean_spectrum_fails_verify(workdir, caps
     capsys.readouterr()
     assert run(["verify", "cert.json"]) == 2
     assert "a boolean where a number belongs" in capsys.readouterr().err
+
+
+def test_infinite_facet_normal_is_one_input_error_line(workdir):
+    # a JSON Infinity in a normal printed two numpy RuntimeWarnings before
+    # the simplex's own "constraint entries must be finite"
+    polytope = {
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        "facets": [
+            {"normal": [-1.0, 0.0], "offset": 0.0},
+            {"normal": [0.0, float("inf")], "offset": 0.0},
+            {"normal": [1.0, 1.0], "offset": 1.0},
+        ],
+    }
+    (workdir / "poly.json").write_text(json.dumps(polytope))
+    assert "Infinity" in (workdir / "poly.json").read_text()
+    package_root = str(Path(chansim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chansim", "certify", "asymmetry", "--in", "poly.json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "chansim: NotFinite: polytope facet normals has a non-finite entry"
+    ]
+
+
+def test_permutohedron_base_that_is_a_number_is_a_typed_error(workdir, capsys):
+    # numpy's IndexError ("too many indices for array") was the message
+    with pytest.raises(NotAList, match="must be a list"):
+        jsonio.noise_from_json({"kind": "permutohedron", "base": 5})
+    run(["fixtures", "emit", "--dir", "."])
+    capsys.readouterr()
+    argv = ["simulate", "noisy-to-noiseless", "--in", "octahedron_matrix.json", "--d", "2"]
+    assert run(argv + ["--noise", "permutohedron:5"]) == 1
+    assert capsys.readouterr().err == (
+        "chansim: ValueError: option value 'permutohedron:5': "
+        "permutohedron base must be a list of numbers, not a number\n"
+    )

@@ -177,3 +177,73 @@ def test_determinism(rng):
     assert type(first) is type(second)
     if isinstance(first, Optimal):
         assert np.array_equal(first.x, second.x)
+
+
+def random_program_through_a_point(rng, n_vars, n_rows, open_top):
+    """Box bounds |x_v| <= 3, except that x_0 has no upper bound when
+    ``open_top``, plus random rows through a point of the box: each an
+    equality one time in five, else a <= row with a little room. Many
+    right-hand sides are negative, so phase 1 runs."""
+    program = LinearProgram(num_vars=n_vars)
+    for v, e in enumerate(np.eye(n_vars)):
+        if not (open_top and v == 0):
+            program.add(e, LE, 3.0)
+        program.add(-e, LE, 3.0)
+    point = rng.uniform(-2.0, 2.0, size=n_vars)
+    for _ in range(n_rows):
+        row = rng.normal(size=n_vars)
+        if rng.random() < 0.2:
+            program.add(row, EQ, float(row @ point))
+        else:
+            program.add(row, LE, float(row @ point + rng.uniform(0.0, 0.5)))
+    return program
+
+
+def test_maximize_each_matches_one_solve_per_objective_and_scipy(rng):
+    statuses, phase_one = [], 0
+    for trial in range(40):
+        n_vars = int(rng.integers(2, 7))
+        program = random_program_through_a_point(rng, n_vars, int(rng.integers(1, 7)), trial % 2)
+        # e_0 first: unbounded whenever no row caps x_0, then bounded ones
+        objectives = [np.eye(n_vars)[0], *rng.normal(size=(4, n_vars))]
+        phase_one += any(rel == EQ or rhs < 0 for _, rel, rhs in program.constraints)
+        results = lp.maximize_each(program, objectives)
+        assert len(results) == len(objectives)
+        for c, result in zip(objectives, results):
+            program.objective = c
+            alone = solve(program)
+            ref = scipy.optimize.linprog(-c, **scipy_rows(program), bounds=[(None, None)] * n_vars)
+            statuses.append(ref.status)
+            if ref.status == 3:
+                assert result == Unbounded() and alone == Unbounded()
+                continue
+            assert ref.status == 0
+            assert isinstance(result, Optimal) and isinstance(alone, Optimal)
+            assert result.value == pytest.approx(-ref.fun, abs=1e-6)
+            assert result.value == pytest.approx(alone.value, abs=1e-9)
+            assert lp.residuals(program, result.x) < 1e-8
+    # most programs needed phase 1, and both kinds of result occurred, so an
+    # optimum after an unbounded objective was checked
+    assert phase_one >= 30 and 0 in statuses and 3 in statuses
+
+
+def test_maximize_each_resumes_after_an_unbounded_objective():
+    # x_0 >= 1 (a negative right-hand side) and x_0 + x_1 = 2 need phase 1
+    program = LinearProgram(num_vars=2)
+    program.add(np.array([-1.0, 0.0]), LE, -1.0)
+    program.add(np.array([1.0, 1.0]), EQ, 2.0)
+    first, second, third = lp.maximize_each(
+        program, [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0])]
+    )
+    assert first == Unbounded()
+    assert isinstance(second, Optimal) and second.value == pytest.approx(-1.0)
+    assert np.allclose(second.x, [1.0, 1.0])
+    assert isinstance(third, Optimal) and third.value == pytest.approx(1.0)
+
+
+def test_maximize_each_raises_once_when_infeasible():
+    program = LinearProgram(num_vars=1)
+    program.add(np.array([-1.0]), LE, -1.0)
+    program.add(np.array([1.0]), LE, 0.0)
+    with pytest.raises(LpInfeasible):
+        lp.maximize_each(program, [np.array([1.0]), np.array([-1.0])])
