@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .channels import Rational, as_transition, require_column_stochastic
+from .channels import Rational, as_transition, convex_weights, require_column_stochastic
 from .errors import (
     BadDelta,
     BadRange,
@@ -29,7 +29,7 @@ from .errors import (
     NotFullDimensional,
     PolytopeMismatch,
 )
-from .linalg import require_finite, shannon_entropy, von_neumann_entropy
+from .linalg import require_finite, shannon_entropy, validate_density, von_neumann_entropy
 
 SLACK = 1e-9
 BOUNDARY_GUARD = 1e-12
@@ -113,6 +113,8 @@ def pairwise_witness(m, d: int) -> WitnessReport:
     k = a.shape[0]
     if k < 2:
         raise BadRange("need at least two output rows")
+    if not 1 <= d <= k:
+        raise BadRange(f"need 1 <= d <= k, got d={d}, k={k}")
     value = 0.0
     for i, ip in combinations(range(k), 2):
         value += float((a[i, :] + a[ip, :]).max())
@@ -299,13 +301,10 @@ def minkowski_asymmetry(p: Polytope) -> float:
 
 
 def mutual_information(m, q) -> float:
-    """Info(A, q) in bits: H(inputs) + H(outputs) - H(joint)."""
+    """Info(A, q) in bits: H(inputs) + H(outputs) - H(joint), for an input
+    distribution q."""
     a = as_transition(m).matrix
-    weights = np.asarray(q, dtype=float)
-    if weights.shape != (a.shape[1],):
-        raise DimensionMismatch(
-            f"input distribution has length {weights.shape}, matrix has {a.shape[1]} columns"
-        )
+    weights = convex_weights(q, a.shape[1])
     joint = a * weights[None, :]
     return (
         shannon_entropy(weights)
@@ -315,10 +314,11 @@ def mutual_information(m, q) -> float:
 
 
 def holevo_chi(states: Sequence[np.ndarray], q) -> float:
-    """Entropy of the average state minus the average state entropy, bits."""
-    weights = np.asarray(q, dtype=float)
-    if len(states) != len(weights):
-        raise DimensionMismatch("need one weight per state")
+    """Entropy of the average state minus the average state entropy, bits,
+    for density matrices ``states`` and probability weights ``q``."""
+    weights = convex_weights(q, len(states))
+    for rho in states:
+        validate_density(rho)
     avg = sum(w * np.asarray(rho, dtype=complex) for w, rho in zip(weights, states))
     return von_neumann_entropy(avg) - float(
         sum(w * von_neumann_entropy(rho) for w, rho in zip(weights, states))

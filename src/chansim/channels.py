@@ -265,7 +265,7 @@ def convex_weights(weights, count: int) -> np.ndarray:
         raise DimensionMismatch(f"weights {w.shape} for {count} terms")
     require_finite(w, "weights")
     if np.any(w < -STOCHASTIC_TOL) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-        raise WeightSumNotOne(f"weights sum to {w.sum()!r}")
+        raise WeightSumNotOne(f"weights sum to {float(w.sum())!r}")
     return read_only(w)
 
 

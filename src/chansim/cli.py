@@ -54,7 +54,7 @@ from .jsonio import (
     row_reduction_from_json,
     write_atomic,
 )
-from .linalg import born_matrix
+from .linalg import born_matrix, validate_povm
 from .simulate import RESIDUAL_TOL
 
 
@@ -229,6 +229,7 @@ def _certify_holevo(args, payload):
     result = {"type": "holevo", "chi": float(certify.holevo_chi(states, weights)), "info": None}
     if "povm" in payload:
         povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
+        validate_povm(povm)
         result["info"] = float(certify.mutual_information(born_matrix(povm, states), weights))
     return payload, result
 
@@ -470,8 +471,8 @@ IN = ("--in", {"dest": "infile", "required": True})
 CAP = ("--cap", {
     "type": int,
     "default": mixdisc.DEFAULT_CAP,
-    "help": "cap on outcome multiset classes C(n+k-1, n); the outcome distribution "
-    "then takes at most cap * 2^n determinants",
+    "help": "cap on outcome multiset classes C(n+k-1, n), the one size limit of the "
+    "outcome distribution (1 to 3 determinants per class in practice)",
 })
 JSON_ERRORS = ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"})
 OUT = ("--out", {"help": "write the certificate here (default: stdout)"})

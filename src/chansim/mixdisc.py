@@ -11,24 +11,25 @@ the number of orderings of I.
 
 The class totals are the coefficients of the degree-n polynomial
 det(sum_i s_i E_i) (Bapat 1989): the total of the class with c_i copies
-of outcome i is the coefficient of s^c. With s_1 = 1 the polynomial is
-evaluated on the torus grid of (n+1)-th roots of unity, (n+1)^(k-1)
-points, and one inverse DFT returns every coefficient; no exponent
-exceeds n, so none aliases. On that grid ||sum_i z_i E_i|| <= 1, so the
-determinants and the coefficients carry absolute error near machine
-epsilon. When the grid has more points than C(n+k-1, n) 2^n (large k,
-small n), each class is evaluated on its own by polarization over the
-2^n subsets. Other symmetric weights (the ball pairing) enter through
-``distribution_from_class_values``. Determinants are taken in blocks of
-``_BLOCK_POINTS`` matrices, so beyond one value per grid point memory
-does not grow with the number of points.
+of outcome i is the coefficient of s^c. With s_1 = 1 they are read off
+rank-1 lattices (Kaemmerer 2018): for a prime P above the number of classes
+and a vector b, one DFT of the values at z_i = exp(2 pi i b_i j / P), j < P,
+gives in bucket h the sum of the totals of the classes with c.b = h mod P.
+A bucket with one class not yet known gives that total once the known ones
+are subtracted; this peeling (the FFAST sparse DFT, Pawar and Ramchandran
+2013) adds lattices from a fixed seed until every class is known, 1-3 in
+practice. On the torus ||sum_i z_i E_i|| <= 1, so the totals carry error
+near machine epsilon. Other symmetric weights (the ball pairing) enter
+through ``distribution_from_class_values``. Determinants are taken in
+blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value
+per lattice point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
     MassDriftExceeded,
     NegativeWeight,
     NonRealResult,
+    NumericalBreakdown,
 )
 from .linalg import as_complex_matrix
 
@@ -51,6 +53,7 @@ IMAG_TOL = 1e-8
 ROUNDOFF_FLOOR = 1e-12
 DEFAULT_CAP = 10**6
 _BLOCK_POINTS = 4096
+_MAX_LATTICES = 64
 
 
 def _stack_square(matrices: Sequence[np.ndarray], what: str) -> np.ndarray:
@@ -86,7 +89,8 @@ def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
     Evaluated by polarization, (1/n!) sum over nonempty S of [n] of
     (-1)^(n-|S|) det(sum_{i in S} E_i); the inputs are expected Hermitian
     so the result is real (NonRealResult if the imaginary part survives
-    above 1e-8).
+    above 1e-8). No construction calls it: it is the reference that the
+    class totals of ``outcome_distribution`` are tested against.
     """
     stack = _stack_square(matrices, "matrix")
     n = stack.shape[1]
@@ -106,7 +110,7 @@ def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
 
 
 def symmetric_mixed(f: np.ndarray, q: int, n: int) -> float:
-    """D(F, ..., F, 1-F, ..., 1-F) with n-q copies of F and q of 1-F."""
+    """D(F, ..., F, 1-F, ..., 1-F), n-q copies of F and q of 1-F; a test oracle."""
     a = as_complex_matrix(f)
     if a.shape[0] != n:
         raise DimensionMismatch(f"matrix is {a.shape[0]}-square, expected {n}")
@@ -116,24 +120,44 @@ def symmetric_mixed(f: np.ndarray, q: int, n: int) -> float:
     return mixed_discriminant([a] * (n - q) + [comp] * q)
 
 
-def _grid_class_totals(stack: np.ndarray) -> np.ndarray:
-    """Coefficients of det(E_1 + sum_{i>=2} z_i E_i), indexed by the
-    exponents (c_2, ..., c_k), each in 0..n."""
-    k, n = stack.shape[0], stack.shape[1]
-    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    place = (n + 1) ** np.arange(k - 2, -1, -1)
+def _lattice_class_totals(stack: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The coefficient of z^e in det(E_1 + sum_{i>=2} z_i E_i) for each row
+    e of ``exponents``, every monomial being one row, peeled from the DFTs
+    of rank-1 lattices of the smallest prime size P > len(exponents)."""
+    k, size = stack.shape[0], len(exponents)
+    p = next(q for q in count(size + 1) if all(q % d for d in range(2, math.isqrt(q) + 1)))
+    rng = np.random.default_rng(0)  # a fixed seed keeps certificates byte-stable
+    totals, unknown = np.zeros(size, dtype=complex), np.ones(size, dtype=bool)
+    residuals = np.empty(0, dtype=complex)  # every lattice's buckets less the known totals
+    cells = np.empty((0, size), dtype=np.intp)  # cells[l, c]: class c's bucket in residuals
+    found = np.empty(0, dtype=np.intp)
+    while unknown.any():
+        if not len(found):  # peeling is stuck: add a lattice
+            if len(cells) == _MAX_LATTICES:
+                raise NumericalBreakdown(
+                    f"{unknown.sum()} of {size} classes unknown after {_MAX_LATTICES} lattices"
+                )
+            b = np.append(0, rng.integers(1, p, size=k - 1))  # z_1 = 1
 
-    def torus(points: np.ndarray) -> np.ndarray:
-        z = roots[points[:, None] // place % (n + 1)]
-        return np.hstack([np.ones((len(points), 1)), z])
+            def lattice(points: np.ndarray) -> np.ndarray:
+                return np.exp(2j * np.pi * (np.outer(points, b) % p) / p)
 
-    shape = (n + 1,) * (k - 1)
-    values = _determinants(stack, (n + 1) ** (k - 1), torus).reshape(shape)
-    coefficients = np.fft.fftn(values) / values.size
-    worst = float(np.max(np.abs(coefficients.imag)))
+            cells = np.vstack([cells, exponents @ b[1:] % p + len(residuals)])
+            residuals = np.append(residuals, np.fft.fft(_determinants(stack, p, lattice)) / p)
+            np.subtract.at(residuals, cells[-1, ~unknown], totals[~unknown])
+        # a class alone among the unknown in a bucket has the bucket's residual as total
+        load = np.bincount(cells[:, unknown].ravel(), minlength=len(residuals))
+        alone = unknown & (load[cells] == 1)
+        found = np.flatnonzero(alone.any(axis=0))
+        totals[found] = residuals[cells[alone.argmax(axis=0)[found], found]]
+        unknown[found] = False
+        # values in full: numpy 2.4's ufunc.at misreads them broadcast to 2-d indices
+        hit = cells[:, found]
+        np.subtract.at(residuals, hit, np.broadcast_to(totals[found], hit.shape))
+    worst = float(np.max(np.abs(totals.imag)))
     if worst > IMAG_TOL:
         raise NonRealResult(f"imaginary part {worst:.3e} exceeds {IMAG_TOL:g}")
-    return coefficients.real
+    return totals.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,17 +260,14 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Class totals of p_I = D(E_{i_1}, ..., E_{i_n}) over a POVM.
 
-    Taken from one DFT of det(sum_i z_i E_i) on the torus grid, or class by
-    class through ``mixed_discriminant`` when the grid is larger than
-    C(n+k-1, n) 2^n points; either way at most that many determinants.
+    Peeled from the DFTs of det(E_1 + sum_{i>=2} z_i E_i) on rank-1
+    lattices of the smallest prime size P above C = C(n+k-1, n): P
+    determinants per lattice, usually 1-3 lattices. ``cap`` bounds C, the
+    one size limit; NumericalBreakdown if 64 lattices leave a class unknown.
     """
     stack = _stack_square(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
     classes, counts, orderings = _all_classes(k, n, cap)
-    if (n + 1) ** (k - 1) > len(classes) * 2**n:
-        discriminants = [mixed_discriminant(stack[ms]) for ms in classes]
-        totals = np.array(discriminants, dtype=float) * orderings
-    else:
-        totals = _grid_class_totals(stack)[tuple(counts[:, 1:].T)]
+    totals = _lattice_class_totals(stack, counts[:, 1:])
     values = np.where(np.abs(totals) < ROUNDOFF_FLOOR, 0.0, totals / orderings)
     return _distribution(k, n, classes, orderings, values)

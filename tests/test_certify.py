@@ -33,6 +33,8 @@ from chansim.errors import (
     NotFullDimensional,
     NotStochastic,
     PolytopeMismatch,
+    TraceNotOne,
+    WeightSumNotOne,
 )
 from chansim.linalg import born_matrix
 from conftest import random_density, random_povm, random_stochastic
@@ -119,6 +121,13 @@ def test_pairwise_witness_flat_matrix():
     assert report.value == pytest.approx(math.comb(k, 2) * 2.0 / k)
     assert report.bound == pytest.approx(k - 1.0)
     assert report.passed
+
+
+@pytest.mark.parametrize("d", [-3, 0, 5])
+def test_pairwise_witness_requires_d_from_one_to_k(d):
+    # d = -3 and d = 0 gave violated witnesses with bounds -15 and 0
+    with pytest.raises(BadRange, match=f"got d={d}, k=4"):
+        pairwise_witness(OCTAHEDRON_MATRIX, d=d)
 
 
 def test_subset_witness_identity():
@@ -392,6 +401,17 @@ def test_holevo_chi_values(rng):
     assert holevo_chi(pure, np.array([0.5, 0.5])) == pytest.approx(1.0)
     rho = random_density(rng, 2)
     assert holevo_chi([rho, rho], np.array([0.3, 0.7])) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_holevo_chi_requires_probability_weights_and_density_matrices(rng):
+    # weights (0.7, 0.7) gave chi = -0.54, and a trace-2.5 state a chi at all
+    rho = random_density(rng, 2)
+    with pytest.raises(WeightSumNotOne):
+        holevo_chi([rho, rho], np.array([0.7, 0.7]))
+    with pytest.raises(TraceNotOne):
+        holevo_chi([rho, 2.5 * rho], np.array([0.5, 0.5]))
+    with pytest.raises(DimensionMismatch):
+        holevo_chi([rho, rho], np.array([0.2, 0.3, 0.5]))
 
 
 def test_holevo_bound_random_ensembles(rng):

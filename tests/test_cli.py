@@ -494,6 +494,41 @@ def test_verify_in_reruns_storability_and_holevo(workdir, capsys):
     assert "chi is" in capsys.readouterr().err
 
 
+def test_certify_holevo_rejects_an_invalid_ensemble(workdir, capsys, rng):
+    # weights (0.7, 0.7) exited 0 with chi -0.544 and info -0.622, and a
+    # trace-2.5 state without a POVM got a certificate that verify accepted
+    from conftest import random_density, random_povm
+
+    states = [random_density(rng, 2) for _ in range(2)]
+    povm = random_povm(rng, 2, 3)
+    cases = {
+        "weights.json": (povm, states, [0.7, 0.7], "WeightSumNotOne"),
+        "trace.json": (None, [states[0], 2.5 * states[1]], [0.5, 0.5], "TraceNotOne"),
+        "povm.json": ([2 * e for e in povm], states, [0.5, 0.5], "SumNotIdentity"),
+    }
+    for name, (outcomes, rhos, weights, error) in cases.items():
+        payload = jsonio.quantum_instance_to_json(outcomes or [], rhos)
+        if outcomes is None:
+            del payload["povm"]
+        payload["weights"] = weights
+        (workdir / name).write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["certify", "holevo", "--in", name, "--out", "h.json"]) == 1
+        assert error in capsys.readouterr().err
+        assert not (workdir / "h.json").exists()
+
+
+@pytest.mark.parametrize("d", ["-3", "0"])
+def test_certify_pairwise_rejects_d_outside_one_to_k(workdir, capsys, d):
+    # both wrote a violated witness (bounds -15 and 0) and exited 2
+    run(["fixtures", "emit", "--dir", "."])
+    capsys.readouterr()
+    argv = ["certify", "pairwise", "--in", "octahedron_matrix.json", "--d", d]
+    assert run(argv + ["--out", "w.json"]) == 1
+    assert "BadRange" in capsys.readouterr().err
+    assert not (workdir / "w.json").exists()
+
+
 def test_shared_parser_carries_no_state_between_calls(workdir, capsys):
     from chansim import cli
 
@@ -941,12 +976,15 @@ def test_a_boolean_in_an_input_file_is_an_input_error(workdir, capsys, argv, inf
 
 # sha256 of the certificate text of each command that
 # test_verify_rejects_every_single_leaf_tamper checks, as written before the
-# mixture moved to arrays: certificates must stay byte-identical
+# mixture moved to arrays: certificates must stay byte-identical. The three
+# quantum simulations with mixed POVMs were re-pinned when the class totals
+# moved to rank-1 lattices: their floats moved by at most 5e-16, and one
+# six-outcome term sends a state that carries no mass to another output.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
-     "ddb44f9daf30f47947a4828567d33cee4afa14d27f5bb4ca46086824b9fb372e"),
+     "e2ec0e65d9108ae93c43f6b764e789d917b457fe6cb3b334a3b60595d03b8d9a"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
-     "a1f645fe1477be12fe3471eb864cebbf5dc8859e3c5ca6459e31e7f7de5f4ed1"),
+     "1c2c7685fec0b032bf10bf5770a834b12548956cb699521847bc72d7abf16884"),
     (["simulate", "quantum"], "projective.json",
      "4c8a7246fe20234a3ad1aea6884be337b692bb0c48efb737e8037aa58285607c"),
     (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
@@ -965,9 +1003,9 @@ PINNED_CERTIFICATE_DIGESTS = [
      "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
      "61322182b6021ae3cb3190df62049914498b6fae8f6a19e2ecb42430c6bb3e46"),
-    # (n+1)^(k-1) = 243 > C(7, 2) 2^2 = 84: the per-class route
+    # 21 classes, resolved by three lattices of 23 points
     (["simulate", "quantum"], "six_outcome_qubit.json",
-     "058cf17deac23d6531c3cc271ec31496466b78f4329d324c66e9e1e82ac18e52"),
+     "7fb0426a2324d8bb6979b11c030acbe46f6ef33c3ca9385f833ea7e7e5e601d2"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
      "6fbfb646abd3f48cba5b35dae0650626a03c1caf54668e6b5ba8a9effff986a0"),
 ]

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import permutations
 
@@ -5,7 +6,12 @@ import numpy as np
 import pytest
 
 from chansim import mixdisc
-from chansim.errors import DimensionMismatch, EnumerationCapExceeded, NegativeWeight
+from chansim.errors import (
+    DimensionMismatch,
+    EnumerationCapExceeded,
+    NegativeWeight,
+    NumericalBreakdown,
+)
 from conftest import (
     multiplicity,
     multiset_classes,
@@ -232,28 +238,44 @@ def test_grid_class_totals_match_permutation_expansion(rng):
             assert_class_totals(povm, dist, permutation_expansion, 1e-12)
 
 
-def test_per_class_route_for_large_k(rng, monkeypatch):
-    # (n+1)^(k-1) grid points exceed C(n+k-1, n) 2^n determinants, so every
-    # class is evaluated on its own; the grid must not be built
-    def no_grid(stack):
-        raise AssertionError("grid built for a large-k POVM")
-
-    monkeypatch.setattr(mixdisc, "_grid_class_totals", no_grid)
+def test_class_totals_for_large_k(rng):
+    # many outcomes on few dimensions: 364 and 465 classes
     for n, k in [(3, 12), (2, 30)]:
-        assert (n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n
         povm = random_povm(rng, n, k)
         dist = mixdisc.outcome_distribution(povm)
         assert abs(dist.weights.sum() - 1.0) < 1e-12
         assert_class_totals(povm, dist, permutation_expansion, 1e-12)
 
 
-def test_grid_spanning_several_blocks(rng):
-    n, k = 6, 6
-    assert (n + 1) ** (k - 1) > 4 * mixdisc._BLOCK_POINTS
+def test_grid_spanning_several_blocks(rng, monkeypatch):
+    # each lattice of 127 points is evaluated in 16-point blocks
+    monkeypatch.setattr(mixdisc, "_BLOCK_POINTS", 16)
+    n, k = 5, 5
+    assert math.comb(n + k - 1, n) > 4 * mixdisc._BLOCK_POINTS
     povm = random_povm(rng, n, k)
     dist = mixdisc.outcome_distribution(povm)
     assert abs(dist.weights.sum() - 1.0) < 1e-12
     assert_class_totals(povm, dist, mixdisc.mixed_discriminant, 1e-12)
+
+
+def test_lattices_running_out_is_a_numerical_breakdown(rng, monkeypatch, tmp_path, capsys):
+    # (3, 3) has 10 classes; the first lattice of 11 points resolves only
+    # some of them, so one lattice is not enough
+    from chansim import jsonio
+    from chansim.cli import main
+
+    monkeypatch.setattr(mixdisc, "_MAX_LATTICES", 1)
+    povm = random_povm(rng, 3, 3)
+    with pytest.raises(NumericalBreakdown, match="after 1 lattices"):
+        mixdisc.outcome_distribution(povm)
+    instance = jsonio.quantum_instance_to_json(povm, [np.eye(3) / 3])
+    (tmp_path / "povm.json").write_text(json.dumps(instance))
+    argv = ["simulate", "quantum", "--in", str(tmp_path / "povm.json")]
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
+    assert "NumericalBreakdown" in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+    monkeypatch.setattr(mixdisc, "_MAX_LATTICES", 2)
+    assert_class_totals(povm, mixdisc.outcome_distribution(povm), permutation_expansion, 1e-12)
 
 
 def test_single_outcome_is_exact():
@@ -296,8 +318,7 @@ def assert_class_table(dist, value, tol=1e-12):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (3, 4), (4, 3), (2, 6), (3, 8)])
 def test_class_table_matches_the_discriminant_oracle(rng, n, k):
-    # (2, 6) and (3, 8) take the per-class route, the others the grid
-    assert ((n + 1) ** (k - 1) > math.comb(n + k - 1, n) * 2**n) == (k >= 6)
+    # one lattice resolves (1, 3), two (3, 4), (4, 3) and (3, 8), three (2, 6)
     for _ in range(3):
         povm = random_povm(rng, n, k)
         dist = mixdisc.outcome_distribution(povm)

@@ -613,13 +613,14 @@ def test_noisy_to_noiseless_merges_subsets_with_equal_protocols(
     assert result["residual"] <= 1e-8
 
 
-def test_noisy_to_noiseless_certificates_do_not_depend_on_hash_order(bench_workloads, tmp_path):
+def _certificates_under_two_hash_seeds(tmp_path, inst) -> list[bytes]:
+    """The bytes that a bench instance's certify command writes in two
+    processes, started with PYTHONHASHSEED 1 and 2."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    inst = _largest_noisy_to_noiseless(bench_workloads)
     source = tmp_path / "in.json"
     source.write_text(json.dumps(inst.payload))
     package_root = str(Path(simulate.__file__).resolve().parent.parent)
@@ -632,7 +633,22 @@ def test_noisy_to_noiseless_certificates_do_not_depend_on_hash_order(bench_workl
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         certificates.append(cert.read_bytes())
-    assert certificates[0] == certificates[1]
+    return certificates
+
+
+def test_noisy_to_noiseless_certificates_do_not_depend_on_hash_order(bench_workloads, tmp_path):
+    inst = _largest_noisy_to_noiseless(bench_workloads)
+    first, second = _certificates_under_two_hash_seeds(tmp_path, inst)
+    assert first == second
+
+
+@pytest.mark.parametrize("noise", ["noiseless", "delta:1/2"])
+def test_quantum_certificates_do_not_depend_on_hash_order(bench_workloads, tmp_path, noise):
+    # 126 classes of (5, 5), resolved by three lattices drawn from one seed
+    rng = np.random.default_rng([3, 5, 5])
+    inst = bench_workloads._quantum_instance(rng, 5, 5, 3, noise)
+    first, second = _certificates_under_two_hash_seeds(tmp_path, inst)
+    assert first == second
 
 
 def test_noisy_by_noiseless_column_violation_raises():
@@ -782,6 +798,14 @@ def _certify_and_verify(tmp_path, inst) -> dict:
     assert main(inst.certify_argv(str(source), str(cert))) == 0
     assert main(["verify", str(cert), "--in", str(source)]) == 0
     return json.loads(cert.read_text())["result"]
+
+
+def test_noiseless_quantum_at_twelve_states_and_six_outcomes(bench_workloads, tmp_path):
+    # 6188 classes, resolved by three lattices of 6197 points
+    rng = np.random.default_rng([1, 12, 6])
+    inst = bench_workloads._quantum_instance(rng, 12, 6, 3, "noiseless")
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
 
 
 # noiseless simulations whose pruning, a Gauss-Jordan tableau that ignored
