@@ -23,6 +23,13 @@ near machine epsilon. Other symmetric weights (the ball pairing) enter
 through ``distribution_from_class_values``. Determinants are taken in
 blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value
 per lattice point.
+
+A consumer that needs only each class's support, the set of outcomes it
+carries, takes ``support_totals`` instead: with E_T the sum of E_i over i
+in T, det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of the
+classes whose support lies inside T. So the 2^k - 1 determinants, Moebius
+inverted over subsets, give every support's total, with no class table and
+no lattice; supports of more than n outcomes must come out zero.
 """
 
 from __future__ import annotations
@@ -83,6 +90,13 @@ def _determinants(
     return out
 
 
+def _subset_rows(m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Coefficients for ``_determinants`` over the nonempty subsets of m
+    matrices: point p is the subset with bit mask p + 1."""
+    bits = np.arange(m)
+    return lambda points: ((points[:, None] + 1) >> bits & 1).astype(float)
+
+
 def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
     """D(E_1, ..., E_n) for exactly n matrices of dimension n.
 
@@ -96,12 +110,7 @@ def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
     n = stack.shape[1]
     if len(stack) != n:
         raise DimensionMismatch(f"need exactly {n} matrices of dimension {n}, got {len(stack)}")
-    bits = np.arange(n)
-
-    def subsets(points: np.ndarray) -> np.ndarray:  # point p is the subset with mask p + 1
-        return ((points[:, None] + 1) >> bits & 1).astype(float)
-
-    dets = _determinants(stack, 2**n - 1, subsets)
+    dets = _determinants(stack, 2**n - 1, _subset_rows(n))
     signs = np.array([(-1) ** (n - mask.bit_count()) for mask in range(1, 2**n)])
     value = signs @ dets / math.factorial(n)
     if abs(value.imag) > IMAG_TOL:
@@ -167,7 +176,8 @@ class OutcomeDistribution:
     Row c of ``classes`` (C, n) is a sorted index multiset, the rows in
     lexicographic order, and ``weights[c]`` its class weight: p_I times the
     number of orderings of I for a POVM, the share of the d-subsets that
-    decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d).
+    decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d), the
+    total of one output support for ``simulate_quantum_noiseless``.
     Zero classes are omitted; stored weights are positive and sum to 1.
     ``counts`` (C, k) holds the copies of each outcome in each class.
     """
@@ -212,9 +222,11 @@ def class_table(
 
 def _all_classes(k: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unbounded ``class_table`` over k outcomes and the number of
-    orderings of each class, n! / prod_i c_i!, exact and then a float."""
+    orderings of each class, n! / prod_i c_i!, exact and then a float:
+    in int64 up to n = 20 (20! < 2^63), as Python integers above."""
     classes, counts = class_table(n, [n] * k, cap)
-    factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=object)
+    exact = np.int64 if n <= 20 else object
+    factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=exact)
     return classes, counts, (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)
 
 
@@ -262,8 +274,8 @@ def outcome_distribution(
 
     Peeled from the DFTs of det(E_1 + sum_{i>=2} z_i E_i) on rank-1
     lattices of the smallest prime size P above C = C(n+k-1, n): P
-    determinants per lattice, usually 1-3 lattices. ``cap`` bounds C, the
-    one size limit; NumericalBreakdown if 64 lattices leave a class unknown.
+    determinants per lattice, usually 1-3 lattices. ``cap`` bounds C;
+    NumericalBreakdown if 64 lattices leave a class unknown.
     """
     stack = _stack_square(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
@@ -271,3 +283,59 @@ def outcome_distribution(
     totals = _lattice_class_totals(stack, counts[:, 1:])
     values = np.where(np.abs(totals) < ROUNDOFF_FLOOR, 0.0, totals / orderings)
     return _distribution(k, n, classes, orderings, values)
+
+
+def support_sizes(k: int) -> np.ndarray:
+    """The number of outcomes in each support S < 2^k, bit i for outcome i."""
+    sizes = np.zeros(2**k, dtype=np.intp)
+    for i in range(k):
+        sizes.reshape(-1, 2, 2**i)[:, 1] += 1
+    return sizes
+
+
+def support_totals(outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The class totals of a POVM summed by support: entry S of the (2^k,)
+    array, bit i of S standing for outcome i, is the total of the classes
+    that carry exactly the outcomes in S.
+
+    The total of the classes whose support lies inside T is det(E_T), E_T
+    the sum of the E_i over i in T, so the 2^k - 1 determinants give every
+    support's total after k in-place passes of Moebius inversion. ``cap``
+    bounds 2^k - 1 and is checked before any determinant is taken. A class
+    carries at most n outcomes, so NumericalBreakdown if a larger support
+    comes out above 1e-9 in modulus; they are all set to zero. Totals are
+    then floored, clamped and renormalized as class totals are.
+    """
+    stack = _stack_square(outcomes, "POVM outcome")
+    k, n = stack.shape[0], stack.shape[1]
+    if 2**k - 1 > cap:
+        raise EnumerationCapExceeded(f"{2**k - 1} output supports exceed cap {cap}")
+    totals = np.append(0.0, _determinants(stack, 2**k - 1, _subset_rows(k)))
+    for i in range(k):  # T with outcome i loses the total of T without it
+        pairs = totals.reshape(-1, 2, 2**i)
+        pairs[:, 1] -= pairs[:, 0]
+    worst = float(np.max(np.abs(totals.imag)))
+    if worst > IMAG_TOL:
+        raise NonRealResult(f"imaginary part {worst:.3e} exceeds {IMAG_TOL:g}")
+    totals, sizes = totals.real, support_sizes(k)
+
+    def outcomes_of(s: int) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(s >> np.arange(k) & 1).tolist())
+
+    excess = np.flatnonzero((sizes > n) & (np.abs(totals) > CLAMP_TOL))
+    if len(excess):
+        s = excess[0]
+        raise NumericalBreakdown(
+            f"support {outcomes_of(s)} of more than {n} outcomes has total {totals[s]:.3e}"
+        )
+    totals[(sizes > n) | (np.abs(totals) < ROUNDOFF_FLOOR)] = 0.0
+    negative = np.flatnonzero(totals < -CLAMP_TOL)
+    if len(negative):
+        s = negative[0]
+        raise NegativeWeight(f"total {totals[s]:.3e} at support {outcomes_of(s)} below -1e-9")
+    totals = np.maximum(totals, 0.0)
+    mass = float(totals.sum())
+    drift = abs(mass - 1.0)
+    if drift > MASS_DRIFT_TOL:
+        raise MassDriftExceeded(f"total mass {mass!r} drifts from 1 by {drift:.3e}")
+    return totals / mass

@@ -10,7 +10,10 @@ outputs that a random d-subset of the states decodes to. All orderings of
 a class give the same protocol matrix, so each class is one candidate
 protocol, and its state columns come from one layered transport per input
 column, which keeps its slot vector in the permutation hull of the state's
-spectrum and so inside the declared noise set.
+spectrum and so inside the declared noise set. The noiseless quantum
+transport sees a class only through its support, the outputs it carries,
+so that simulation takes one class per support from the support totals
+(``mixdisc.support_totals``): 2^k - 1 determinants, whatever n is.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
@@ -75,6 +78,8 @@ from .mixdisc import (
     class_table,
     distribution_from_class_values,
     outcome_distribution,
+    support_sizes,
+    support_totals,
 )
 from .transport import (
     BALANCE_TOL,
@@ -300,14 +305,81 @@ def simulate_quantum_noiseless(
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
-    channel with n states."""
+    channel with n states.
+
+    The noiseless transport has one layer of height 1, in which a class
+    may send any mass to the outputs it carries and none elsewhere, so it
+    depends on each class only through its support: one candidate per
+    support (``support_totals``, ``cap`` bounding the 2^k - 1 supports)
+    carries the whole of it. Equal protocol matrices merge before
+    ``_finalize``."""
     validate_povm(povm)
     for rho in states:
         validate_density(rho)
     a = born_matrix(povm, states)
-    dist = outcome_distribution(povm, cap=cap)
+    dist = _support_classes(support_totals(povm, cap=cap), np.shape(povm[0])[0])
     values = _class_values(dist, a, noise_bases(Noiseless(), dist.n, a.shape[1]))
-    return _finalize(TransitionMatrix(a), *_class_terms(dist, values), Noiseless())
+    weights, decoders, x = _support_terms(dist, values)
+    weights, first = _distinct_protocols(weights, protocol_matrices(decoders, x, dist.k))
+    return _finalize(TransitionMatrix(a), weights, decoders[first], x[first], Noiseless())
+
+
+def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
+    """One class per support S of positive total, totals[S] as in
+    ``support_totals``: the outputs of S once each and n - |S| more copies
+    of the smallest, rows in lexicographic order. ``_finalize`` would drop a
+    dust support, at or below WEIGHT_FLOOR, with its mass, so first, smaller
+    supports first, each dust support of fewer than n outputs moves its
+    total to its heaviest proper superset of at most n outputs (the lowest
+    on ties). Capacities only grow, so the transport stays feasible."""
+    k = len(totals).bit_length() - 1
+    sizes = support_sizes(k)
+    totals = totals.copy()
+    if np.any((totals > 0.0) & (totals <= WEIGHT_FLOOR) & (sizes < n)):
+        heir = _heaviest_superset(totals, sizes, n)
+        for size in range(1, min(n, k)):
+            dust = (sizes == size) & (totals > 0.0) & (totals <= WEIGHT_FLOOR)
+            np.add.at(totals, heir[dust], totals[dust])
+            totals[dust] = 0.0
+    masks = np.flatnonzero(totals > 0.0)
+    counts = masks[:, None] >> np.arange(k) & 1
+    counts[np.arange(len(masks)), counts.argmax(axis=1)] += n - sizes[masks]
+    classes = np.repeat(np.tile(np.arange(k), len(masks)), counts.ravel()).reshape(-1, n)
+    order = np.lexsort(classes.T[::-1])
+    return OutcomeDistribution(n=n, k=k, classes=classes[order], weights=totals[masks][order])
+
+
+def _heaviest_superset(totals: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """Per support S < 2^k of fewer than min(n, k) outputs, the heaviest
+    support of at most n outputs that strictly contains S, the lowest on
+    ties; other entries are unused."""
+    k = len(sizes).bit_length() - 1
+    order = np.argsort(np.where(sizes <= n, -totals, np.inf), kind="stable")
+    best = np.empty_like(order)
+    best[order] = np.arange(len(order))  # rank 0 is the heaviest
+    for i in range(k):  # then best[S] is the best rank of a superset of S
+        pairs = best.reshape(-1, 2, 2**i)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    proper = np.full_like(best, len(best) - 1)  # the full support keeps a dummy
+    for i in range(k):  # then proper[S] is the best over S plus one output
+        without, with_i = proper.reshape(-1, 2, 2**i)[:, 0], best.reshape(-1, 2, 2**i)[:, 1]
+        np.minimum(without, with_i, out=without)
+    return order[proper]
+
+
+def _support_terms(
+    dist: OutcomeDistribution, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As ``_class_terms`` for the classes of ``_support_classes``, except
+    that each output's whole share, values[j, c, i] times its copies, goes
+    on its first slot and the extra copies of the smallest output hold 0.0:
+    still a noiseless column, and a shorter certificate."""
+    decoders = dist.classes
+    first = np.diff(decoders, axis=1, prepend=-1) != 0
+    shares = (values * dist.counts)[:, np.arange(len(decoders))[:, None], decoders]
+    x = np.where(first, shares, 0.0)
+    x /= x.sum(axis=2, keepdims=True)
+    return dist.weights, decoders, x.transpose(1, 2, 0)
 
 
 def simulate_ball(

@@ -980,11 +980,14 @@ def test_a_boolean_in_an_input_file_is_an_input_error(workdir, capsys, argv, inf
 # quantum simulations with mixed POVMs were re-pinned when the class totals
 # moved to rank-1 lattices: their floats moved by at most 5e-16, and one
 # six-outcome term sends a state that carries no mass to another output.
+# The two noiseless ones with mixed POVMs were re-pinned when that
+# simulation moved to one candidate per output support: weights and states
+# moved in the last bits, and the six-outcome mixture keeps other terms.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
      "e2ec0e65d9108ae93c43f6b764e789d917b457fe6cb3b334a3b60595d03b8d9a"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
-     "1c2c7685fec0b032bf10bf5770a834b12548956cb699521847bc72d7abf16884"),
+     "048b2ae383089391aac738cc907efb8f8589190c9245c07d9b5dcdfbec986a55"),
     (["simulate", "quantum"], "projective.json",
      "4c8a7246fe20234a3ad1aea6884be337b692bb0c48efb737e8037aa58285607c"),
     (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
@@ -1003,9 +1006,9 @@ PINNED_CERTIFICATE_DIGESTS = [
      "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
      "61322182b6021ae3cb3190df62049914498b6fae8f6a19e2ecb42430c6bb3e46"),
-    # 21 classes, resolved by three lattices of 23 points
+    # 21 supports of at most 2 of the 6 outputs
     (["simulate", "quantum"], "six_outcome_qubit.json",
-     "7fb0426a2324d8bb6979b11c030acbe46f6ef33c3ca9385f833ea7e7e5e601d2"),
+     "ee85643cd938ae1ab7a9ab76a559d14a31271ac4ddd8bbd496b2952985b0c4fc"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
      "6fbfb646abd3f48cba5b35dae0650626a03c1caf54668e6b5ba8a9effff986a0"),
 ]

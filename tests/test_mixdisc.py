@@ -132,6 +132,45 @@ def test_outcome_distribution_cap():
         mixdisc.outcome_distribution([np.eye(4) / 4] * 4, cap=10)
 
 
+@pytest.mark.parametrize("n, k", [(3, 6), (5, 5), (8, 8), (12, 6)])
+def test_support_totals_sum_the_class_totals_by_support(rng, n, k):
+    povm = random_povm(rng, n, k)
+    totals = mixdisc.support_totals(povm)
+    dist = mixdisc.outcome_distribution(povm)
+    masks = (dist.counts > 0) @ (1 << np.arange(k))
+    summed = np.bincount(masks, weights=dist.weights, minlength=2**k)
+    assert np.max(np.abs(totals - summed)) <= 1e-12
+    assert not totals[mixdisc.support_sizes(k) > n].any()
+
+
+def test_support_beyond_the_dimension_must_come_out_zero(rng, monkeypatch):
+    # 1e-6 added to every determinant gives every support +-1e-6, also
+    # those of more outcomes than the dimension, which carry no class
+    exact = mixdisc._determinants
+    monkeypatch.setattr(mixdisc, "_determinants", lambda *args: exact(*args) + 1e-6)
+    with pytest.raises(NumericalBreakdown, match=r"support \(0, 1, 2\) of more than 2 outcomes"):
+        mixdisc.support_totals(random_povm(rng, 2, 4))
+
+
+def test_support_cap_is_checked_before_any_determinant(rng, monkeypatch, tmp_path, capsys):
+    from chansim import jsonio
+    from chansim.cli import main
+
+    def no_determinants(*args):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(mixdisc, "_determinants", no_determinants)
+    povm = random_povm(rng, 2, 5)
+    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
+        mixdisc.support_totals(povm, cap=30)
+    instance = jsonio.quantum_instance_to_json(povm, [np.eye(2) / 2])
+    (tmp_path / "povm.json").write_text(json.dumps(instance))
+    argv = ["simulate", "quantum", "--cap", "30", "--in", str(tmp_path / "povm.json")]
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
+    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         mixdisc.distribution_from_class_values(
@@ -268,9 +307,11 @@ def test_lattices_running_out_is_a_numerical_breakdown(rng, monkeypatch, tmp_pat
     povm = random_povm(rng, 3, 3)
     with pytest.raises(NumericalBreakdown, match="after 1 lattices"):
         mixdisc.outcome_distribution(povm)
+    # the noiseless simulation takes support totals, not lattices; the
+    # delta-noisy one still reads class totals
     instance = jsonio.quantum_instance_to_json(povm, [np.eye(3) / 3])
     (tmp_path / "povm.json").write_text(json.dumps(instance))
-    argv = ["simulate", "quantum", "--in", str(tmp_path / "povm.json")]
+    argv = ["simulate", "quantum", "--noise", "delta:1/2", "--in", str(tmp_path / "povm.json")]
     assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
     assert "NumericalBreakdown" in capsys.readouterr().err
     assert not (tmp_path / "cert.json").exists()

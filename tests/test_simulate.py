@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -16,12 +17,14 @@ from chansim.channels import (
     Permutohedron,
     ball_born_matrix,
     mixture_matrix,
+    protocol_matrices,
     satisfies_noise,
     validate_mixture,
 )
 from chansim.certify import BinomialWitness
 from chansim.errors import NotFinite, NotMajorized, NumericalBreakdown, PreconditionViolated
 from chansim.linalg import born_matrix
+from chansim.mixdisc import DEFAULT_CAP
 from chansim.simulate import (
     SimulationResult,
     reduce_rows,
@@ -78,8 +81,6 @@ def test_one_protocol_per_multiset_class(rng, monkeypatch):
     # every ordering of a multiset gives the same protocol, so each
     # construction has at most C(n+k-1, n) candidates, one per sorted class;
     # the certificate keeps at most l(k-1) + 1 of them, each unchanged
-    import math
-
     n, k, l = 3, 3, 2
     povm = random_povm(rng, n, k)
     effects = [
@@ -532,11 +533,8 @@ def test_noisy_by_noiseless_is_one_candidate_per_class_of_decoded_outputs(
     # C(n, d) subsets, with stochastic state columns whose mixture is the
     # target; then one term per distinct protocol matrix, its first
     # candidate weighted by the total of the candidates that share it
-    import math
     from collections import Counter
     from itertools import combinations
-
-    from chansim.channels import protocol_matrices
 
     spec, x, d = _n2n_case(rng, case)
     n, l = x.shape
@@ -808,6 +806,52 @@ def test_noiseless_quantum_at_twelve_states_and_six_outcomes(bench_workloads, tm
     assert result["residual"] <= 1e-8
 
 
+def test_noiseless_quantum_past_the_class_cap(bench_workloads, tmp_path):
+    # C(31, 20) = 84,672,315 classes, far over the cap of 10^6, but only
+    # 2^12 - 1 = 4,095 supports
+    rng = np.random.default_rng([1, 20, 12])
+    inst = bench_workloads._quantum_instance(rng, 20, 12, 3, "noiseless")
+    assert math.comb(20 + 12 - 1, 20) > DEFAULT_CAP
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
+
+
+def test_noiseless_candidates_have_distinct_protocol_matrices(rng, monkeypatch):
+    povm, states = random_povm(rng, 4, 5), [random_density(rng, 4) for _ in range(2)]
+    seen = []
+
+    def spy(target, weights, decoders, states, noise):
+        seen.append(protocol_matrices(decoders, states, 5))
+        return finalize(target, weights, decoders, states, noise)
+
+    finalize = simulate._finalize
+    monkeypatch.setattr(simulate, "_finalize", spy)
+    simulate_quantum_noiseless(povm, states)
+    flat = seen[0].reshape(len(seen[0]), -1)
+    assert len(np.unique(flat, axis=0)) == len(flat)
+
+
+def test_dust_supports_move_to_their_heaviest_superset(rng):
+    from chansim.mixdisc import support_sizes
+
+    k, n = 6, 4
+    sizes = support_sizes(k)
+    totals = rng.integers(0, 4, size=2**k) / 4.0  # many ties
+    heir = simulate._heaviest_superset(totals, sizes, n)
+    for s in np.flatnonzero(sizes < n):
+        supersets = [t for t in range(2**k) if t & s == s and t != s and sizes[t] <= n]
+        assert heir[s] == min(supersets, key=lambda t: (-totals[t], t))
+    # dust on supports of every size: only supports of n outputs keep theirs
+    totals = np.where(sizes <= n, rng.random(2**k) * (rng.random(2**k) < 0.5), 0.0)
+    totals[1:] = np.where(rng.random(2**k - 1) < 0.3, simulate.WEIGHT_FLOOR / 2, totals[1:])
+    totals[sizes > n] = 0.0
+    dist = simulate._support_classes(totals / totals.sum(), n)
+    assert dist.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    support_size = (dist.counts > 0).sum(axis=1)
+    assert np.all((dist.weights > simulate.WEIGHT_FLOOR) | (support_size == n))
+
+
 # noiseless simulations whose pruning, a Gauss-Jordan tableau that ignored
 # small negative coefficients and clamped the weights they drove negative,
 # left residuals of 1.95e-6, 2.86e-2, 2.64e-4 and 7.80e-2
@@ -898,7 +942,9 @@ def test_a_pruning_that_misses_the_target_is_never_written(rng, monkeypatch, tmp
     from chansim import jsonio
     from chansim.cli import main
 
-    povm, states = random_povm(rng, 3, 3), [random_density(rng, 3) for _ in range(2)]
+    # 13 distinct support candidates for at most 2 * (5 - 1) + 1 = 9 terms,
+    # so the pruning runs
+    povm, states = random_povm(rng, 4, 5), [random_density(rng, 4) for _ in range(2)]
     exact = simulate.caratheodory
 
     def off_by_a_micro(weights, points):
