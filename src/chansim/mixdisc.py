@@ -25,11 +25,13 @@ blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value
 per lattice point.
 
 A consumer that needs only each class's support, the set of outcomes it
-carries, takes ``support_totals`` instead: with E_T the sum of E_i over i
-in T, det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of the
-classes whose support lies inside T. So the 2^k - 1 determinants, Moebius
-inverted over subsets, give every support's total, with no class table and
-no lattice; supports of more than n outcomes must come out zero.
+carries, takes ``support_totals`` instead; the noiseless and delta-noisy
+quantum simulations do. With E_T the sum of E_i over i in T,
+det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of the classes
+whose support lies inside T. So the 2^k - 1 determinants, Moebius inverted
+over subsets, give every support's total, with no class table and no
+lattice; supports of more than n outcomes must come out zero. Class totals
+remain for the permutohedron- and per-column-noisy and the ball simulations.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ class OutcomeDistribution:
     lexicographic order, and ``weights[c]`` its class weight: p_I times the
     number of orderings of I for a POVM, the share of the d-subsets that
     decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d), the
-    total of one output support for ``simulate_quantum_noiseless``.
+    total of one output support for the noiseless and delta-noisy quantum
+    simulations.
     Zero classes are omitted; stored weights are positive and sum to 1.
     ``counts`` (C, k) holds the copies of each outcome in each class.
     """

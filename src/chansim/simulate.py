@@ -10,10 +10,15 @@ outputs that a random d-subset of the states decodes to. All orderings of
 a class give the same protocol matrix, so each class is one candidate
 protocol, and its state columns come from one layered transport per input
 column, which keeps its slot vector in the permutation hull of the state's
-spectrum and so inside the declared noise set. The noiseless quantum
-transport sees a class only through its support, the outputs it carries,
-so that simulation takes one class per support from the support totals
-(``mixdisc.support_totals``): 2^k - 1 determinants, whatever n is.
+spectrum and so inside the declared noise set. The noiseless and
+delta-noisy quantum simulations take another route, through output
+supports: with rho = (1 - delta) sigma + delta I / n, the noiseless
+transport for the sigma-channel sees a class only through its support, the
+outputs it carries, so it runs on the support totals
+(``mixdisc.support_totals``): 2^k - 1 determinants, whatever n is. For
+delta > 0 one more transport decides which output each support's extra
+copies decode to, so that output i is expected tr E_i times, and every
+slot then gets delta / n on top of (1 - delta) times its noiseless share.
 
 A k x l target lies in an l(k-1)-dimensional affine space, so every
 certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
@@ -213,21 +218,19 @@ def _finalize(
 
 
 def _transport(
-    column: int, stage: str, supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
+    where: str, supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
 ) -> TransportPlan:
-    """A plan sending ``supply`` to input column ``column``'s ``demand``
-    through ``capacity``. The supplies and the column are each stochastic
-    only within tolerance, so supplies that do not balance the column are
-    scaled to its total. Raises TransportInfeasible, naming the column and
-    ``stage``, with the Hall violator when no plan exists."""
+    """A plan sending ``supply`` to ``demand`` through ``capacity``. The
+    supplies and demands each balance only within tolerance, so supplies
+    that do not balance the demands are scaled to their total. Raises
+    TransportInfeasible, prefixed by ``where``, with the Hall violator when
+    no plan exists."""
     total = demand.sum()
     if abs(supply.sum() - total) > BALANCE_TOL:
         supply = supply * (total / supply.sum())
     result = feasible_transport(TransportInstance(supply, demand, capacity))
     if isinstance(result, HallViolator):
-        raise TransportInfeasible(
-            f"column {column}: {stage} infeasible by {result.deficit:.3e}", violator=result
-        )
+        raise TransportInfeasible(f"{where} infeasible by {result.deficit:.3e}", violator=result)
     return result
 
 
@@ -273,7 +276,7 @@ def _class_values(
         layered = depth[:, None] * np.repeat(counts, len(layers), axis=0) / n
         keep = supply > DROP_TOL
         demand = a[:, j] - floor * slots - weight[~keep] @ layered[~keep]
-        result = _transport(j, "transport", supply[keep], demand, capacity[keep])
+        result = _transport(f"column {j}: transport", supply[keep], demand, capacity[keep])
         # each kept layer's depth, spread by its flow and shared among the
         # c_M(i) slots that carry output i
         layered[keep] = conditional_columns(result) * depth[keep, None]
@@ -305,23 +308,66 @@ def simulate_quantum_noiseless(
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
-    channel with n states.
+    channel with n states: the support route of ``_simulate_by_supports``
+    at delta = 0, ``cap`` bounding the 2^k - 1 supports."""
+    return _simulate_by_supports(povm, states, Noiseless(), cap)
 
-    The noiseless transport has one layer of height 1, in which a class
-    may send any mass to the outputs it carries and none elsewhere, so it
-    depends on each class only through its support: one candidate per
-    support (``support_totals``, ``cap`` bounding the 2^k - 1 supports)
-    carries the whole of it. Equal protocol matrices merge before
-    ``_finalize``."""
+
+def _simulate_by_supports(
+    povm: Sequence[np.ndarray],
+    states: Sequence[np.ndarray],
+    spec: Union[Noiseless, Delta],
+    cap: int,
+) -> SimulationResult:
+    """Simulate the delta-noisy quantum channel, delta in [0, 1] (0 for
+    ``Noiseless``), by the equally noisy classical one, through the
+    supports of the outcome distribution.
+
+    Write rho_j = (1 - delta) sigma_j + delta I / n. sigma_j is a density
+    matrix exactly when rho_j's spectrum lies in the Delta set (checked for
+    a ``Delta`` spec), and then the target is A = (1 - delta) B + delta
+    (tr E_i / n)_i, with B_ij = tr(E_i sigma_j). The noiseless transport
+    for B has one layer, in which a class may send any mass to the outputs
+    it carries and none elsewhere, so it depends on each class only
+    through its support: one left node per support (``support_totals``,
+    ``cap`` bounding the 2^k - 1 supports). With delta > 0,
+    ``_copy_candidates`` decides which output each support's extra copies
+    decode to. A candidate's state for input j is (1 - delta) times its
+    support's shares of column j of B (``_first_slot_states``) plus
+    delta / n on every slot: every entry is at least delta / n, so the
+    column lies in the Delta set, and the candidates recompose A. At
+    delta = 1 every state is uniform and B is not needed; at delta = 0
+    where the extra copies go does not change a protocol matrix, and they
+    stay on each support's smallest output. Equal protocol matrices merge
+    before ``_finalize``."""
     validate_povm(povm)
     for rho in states:
         validate_density(rho)
     a = born_matrix(povm, states)
-    dist = _support_classes(support_totals(povm, cap=cap), np.shape(povm[0])[0])
-    values = _class_values(dist, a, noise_bases(Noiseless(), dist.n, a.shape[1]))
-    weights, decoders, x = _support_terms(dist, values)
+    n, l = np.shape(povm[0])[0], a.shape[1]
+    delta = 0.0 if isinstance(spec, Noiseless) else float(spec.delta)
+    if isinstance(spec, Delta):
+        _spectra_inside(states, spec, n)
+    dist = _support_classes(support_totals(povm, cap=cap), n)
+    if delta > 0.0:
+        traces = np.trace(np.asarray(povm, dtype=complex), axis1=1, axis2=2).real
+        support, decoders, weights = _copy_candidates(dist, traces)
+    else:
+        support, decoders, weights = np.arange(len(dist.weights)), dist.classes, dist.weights
+    if delta < 1.0:
+        # B's transport scaled by 1 - delta: demand (1 - delta) B and one
+        # layer of height 1 - delta, because dividing by 1 - delta would
+        # blow up round-off near delta = 1. Entries below zero are round-off
+        # or within the spectrum check's tolerance.
+        b = a if delta == 0.0 else np.maximum(a - delta / n * traces[:, None], 0.0)
+        values = _class_values(dist, b, (1.0 - delta) * noise_bases(Noiseless(), n, l))
+        x = _first_slot_states(dist, values, support, decoders)
+    else:
+        x = np.zeros((len(decoders), n, l))
+    if delta > 0.0:
+        x = (1.0 - delta) * x + delta / n
     weights, first = _distinct_protocols(weights, protocol_matrices(decoders, x, dist.k))
-    return _finalize(TransitionMatrix(a), weights, decoders[first], x[first], Noiseless())
+    return _finalize(TransitionMatrix(a), weights, decoders[first], x[first], spec)
 
 
 def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
@@ -367,19 +413,59 @@ def _heaviest_superset(totals: np.ndarray, sizes: np.ndarray, n: int) -> np.ndar
     return order[proper]
 
 
-def _support_terms(
-    dist: OutcomeDistribution, values: np.ndarray
+def _copy_candidates(
+    dist: OutcomeDistribution, traces: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """As ``_class_terms`` for the classes of ``_support_classes``, except
-    that each output's whole share, values[j, c, i] times its copies, goes
-    on its first slot and the extra copies of the smallest output hold 0.0:
-    still a noiseless column, and a shorter certificate."""
-    decoders = dist.classes
+    """Candidates whose expected copies of output i are traces[i] = tr E_i,
+    from the supports of ``_support_classes``. Support S, of total t_S,
+    carries its outputs once each and n - |S| extra copies. One transport
+    sends t_S (n - |S|) from each S to its own outputs, uncapped, to meet
+    output i's demand tr E_i - sum_{S carrying i} t_S: the extra copies of
+    the classes with support S are such a flow, since the expected count of
+    i under the outcome distribution is n D(E_i, I, ..., I) = tr E_i, so
+    the transport is feasible. Candidate (S, i) is S's outputs once each
+    plus n - |S| copies of i, weighted by t_S times S's share of its flow
+    into i. A support of n outputs, or one whose supply is at most
+    DROP_TOL, stays as its class row, extra copies on its smallest output,
+    which that output's demand gives up. Returns per candidate the row of
+    its support in ``dist``, its decoder and its weight, in lexicographic
+    order of the decoders."""
+    n, k, w = dist.n, dist.k, dist.weights
+    member = np.minimum(dist.counts, 1)
+    extra = n - member.sum(axis=1)
+    moved = w * extra > DROP_TOL
+    demand = traces - w @ np.where(moved[:, None], member, dist.counts)
+    capacity = np.where(member[moved] > 0, np.inf, 0.0)
+    plan = _transport("copy-count transport", (w * extra)[moved], demand, capacity)
+    shares = conditional_columns(plan)
+    rows, outputs = np.nonzero(shares)
+    flowing = np.flatnonzero(moved)[rows]
+    placed = member[flowing] + extra[flowing, None] * (outputs[:, None] == np.arange(k))
+    support = np.r_[flowing, np.flatnonzero(~moved)]
+    counts = np.vstack([placed, dist.counts[~moved]])
+    weights = np.r_[w[flowing] * shares[rows, outputs], w[~moved]]
+    decoders = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(-1, n)
+    order = np.lexsort(decoders.T[::-1])
+    return support[order], decoders[order], weights[order]
+
+
+def _first_slot_states(
+    dist: OutcomeDistribution, values: np.ndarray, support: np.ndarray, decoders: np.ndarray
+) -> np.ndarray:
+    """States (T, n, l) for T candidates of the noiseless support transport
+    ``values`` over the classes of ``_support_classes``: candidate c
+    decodes by decoders[c], a multiset over the outputs of its support
+    dist.classes[support[c]], and for input j puts each output's whole
+    share, values[j, support[c], i] times its copies in the support's class,
+    on the first slot that decodes to i and 0.0 on the others: still a
+    noiseless column, and a shorter certificate. Each column is rescaled to
+    sum to 1, because transport meets its demands only up to float
+    rounding."""
     first = np.diff(decoders, axis=1, prepend=-1) != 0
-    shares = (values * dist.counts)[:, np.arange(len(decoders))[:, None], decoders]
+    shares = (values * dist.counts)[:, support[:, None], decoders]
     x = np.where(first, shares, 0.0)
     x /= x.sum(axis=2, keepdims=True)
-    return dist.weights, decoders, x.transpose(1, 2, 0)
+    return x.transpose(1, 2, 0)
 
 
 def simulate_ball(
@@ -424,19 +510,33 @@ def simulate_quantum_noisy(
     """Simulate a noisy quantum channel by the equally noisy classical one.
 
     Each state must have its spectrum inside the declared noise set; the
-    produced mixture's state columns land in the same set.
+    produced mixture's state columns land in the same set. A ``Delta`` spec
+    takes the support route (``_simulate_by_supports``, ``cap`` bounding
+    the 2^k - 1 supports). A ``Permutohedron`` or ``PerColumn`` spec reads
+    the class totals (``outcome_distribution``, ``cap`` bounding the
+    C(n+k-1, n) classes) and runs the layered transport, which keeps every
+    slot vector in the permutation hull of its state's spectrum.
     """
+    if isinstance(spec, Delta):
+        return _simulate_by_supports(povm, states, spec, cap)
     validate_povm(povm)
     for rho in states:
         validate_density(rho)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    mus = np.array([hermitian_eigenvalues(rho) for rho in states])
-    inside = majorized_by_permutohedron(mus, noise_bases(spec, dist.n, len(mus)), STOCHASTIC_TOL)
-    if not inside.all():
-        raise NotMajorized(f"state {np.argmin(inside)}: spectrum violates the declared noise set")
+    mus = _spectra_inside(states, spec, dist.n)
     values = _class_values(dist, a, np.clip(mus, 0.0, None))
     return _finalize(TransitionMatrix(a), *_class_terms(dist, values), spec)
+
+
+def _spectra_inside(states: Sequence[np.ndarray], spec: NoiseSpec, n: int) -> np.ndarray:
+    """The ascending spectra (l, n) of the l states; NotMajorized unless
+    each lies in its column's noise set."""
+    mus = np.array([hermitian_eigenvalues(rho) for rho in states])
+    inside = majorized_by_permutohedron(mus, noise_bases(spec, n, len(mus)), STOCHASTIC_TOL)
+    if not inside.all():
+        raise NotMajorized(f"state {np.argmin(inside)}: spectrum violates the declared noise set")
+    return mus
 
 
 def simulate_noisy_by_noiseless(
@@ -542,7 +642,8 @@ def reduce_rows(m, p=None) -> RowReduction:
     capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
     columns = np.empty((len(kept), k, l))
     for j in range(l):
-        result = _transport(j, "row reduction transport", weights[kept], a[:, j], capacity)
+        where = f"column {j}: row reduction transport"
+        result = _transport(where, weights[kept], a[:, j], capacity)
         # a dust weight may receive no flow within the feasibility tolerance:
         # any stochastic column with a zero v-th entry works for it
         dust = result.flow.sum(axis=1) <= 0.0

@@ -985,7 +985,7 @@ def test_a_boolean_in_an_input_file_is_an_input_error(workdir, capsys, argv, inf
 # moved in the last bits, and the six-outcome mixture keeps other terms.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
-     "e2ec0e65d9108ae93c43f6b764e789d917b457fe6cb3b334a3b60595d03b8d9a"),
+     "35431fc46b25f65fdb14992d1bdd7e74cbc6a5f57a9c6ef74bd466705762dc74"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
      "048b2ae383089391aac738cc907efb8f8589190c9245c07d9b5dcdfbec986a55"),
     (["simulate", "quantum"], "projective.json",

@@ -171,6 +171,28 @@ def test_support_cap_is_checked_before_any_determinant(rng, monkeypatch, tmp_pat
     assert not (tmp_path / "cert.json").exists()
 
 
+def test_delta_support_cap_is_checked_before_any_determinant(rng, monkeypatch, tmp_path, capsys):
+    from chansim import jsonio
+    from chansim.channels import Delta
+    from chansim.cli import main
+    from chansim.simulate import simulate_quantum_noisy
+
+    def no_determinants(*args):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(mixdisc, "_determinants", no_determinants)
+    povm, states = random_povm(rng, 2, 5), [np.eye(2) / 2]
+    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
+        simulate_quantum_noisy(povm, states, Delta(0.5), cap=30)
+    instance = jsonio.quantum_instance_to_json(povm, states)
+    (tmp_path / "povm.json").write_text(json.dumps(instance))
+    argv = ["simulate", "quantum", "--noise", "delta:1/2", "--cap", "30"]
+    argv += ["--in", str(tmp_path / "povm.json"), "--out", str(tmp_path / "cert.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         mixdisc.distribution_from_class_values(
@@ -307,11 +329,12 @@ def test_lattices_running_out_is_a_numerical_breakdown(rng, monkeypatch, tmp_pat
     povm = random_povm(rng, 3, 3)
     with pytest.raises(NumericalBreakdown, match="after 1 lattices"):
         mixdisc.outcome_distribution(povm)
-    # the noiseless simulation takes support totals, not lattices; the
-    # delta-noisy one still reads class totals
+    # the noiseless and delta-noisy simulations take support totals, not
+    # lattices; a permutohedron spec still reads class totals
     instance = jsonio.quantum_instance_to_json(povm, [np.eye(3) / 3])
     (tmp_path / "povm.json").write_text(json.dumps(instance))
-    argv = ["simulate", "quantum", "--noise", "delta:1/2", "--in", str(tmp_path / "povm.json")]
+    noise = "permutohedron:[0.2, 0.3, 0.5]"
+    argv = ["simulate", "quantum", "--noise", noise, "--in", str(tmp_path / "povm.json")]
     assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
     assert "NumericalBreakdown" in capsys.readouterr().err
     assert not (tmp_path / "cert.json").exists()

@@ -232,11 +232,17 @@ def test_noisy_dimension_four(rng):
 
 
 def test_noisy_columns_satisfy_full_subset_system(rng):
-    # the returned per-tuple columns satisfy every subset-sum constraint of
-    # the original (unaggregated) feasibility system; cases: a random
-    # spectrum, n = 7 (beyond the old submultiset enumeration), and the
-    # degenerate spectrum of (1 - delta)|psi><psi| + delta I/n
+    # the layered transport's columns satisfy every subset-sum constraint of
+    # the original (unaggregated) feasibility system: they lie in the
+    # permutation hull of the state's spectrum. A Delta spec takes the
+    # support route instead, whose columns lie in the declared set, every
+    # entry at least delta/n; the same set declared as a permutohedron
+    # still takes the layered transport. Cases: a random spectrum, n = 7
+    # (beyond the old submultiset enumeration), and the degenerate spectrum
+    # of (1 - delta)|psi><psi| + delta I/n
     from itertools import combinations as subsets
+
+    from chansim.channels import noise_bases
 
     delta = 0.25
 
@@ -253,7 +259,8 @@ def test_noisy_columns_satisfy_full_subset_system(rng):
     for n, k, make_state in cases:
         povm = random_povm(rng, n, k)
         states = [make_state(n) for _ in range(2)]
-        result = simulate_quantum_noisy(povm, states, Delta(delta))
+        base = Permutohedron(base=tuple(noise_bases(Delta(delta), n)[0]))
+        result = simulate_quantum_noisy(povm, states, base)
         check_simulation(result)
         for j, rho in enumerate(states):
             mu = np.sort(np.linalg.eigvalsh(rho))
@@ -264,6 +271,10 @@ def test_noisy_columns_satisfy_full_subset_system(rng):
                 for h in range(1, n + 1):
                     for sub in subsets(range(n), h):
                         assert sum(col[list(sub)]) >= prefix[h - 1] - 1e-8
+        result = simulate_quantum_noisy(povm, states, Delta(delta))
+        check_simulation(result)
+        assert result.mixture.states.shape[1] == n
+        assert np.min(result.mixture.states) >= delta / n - 1e-9
 
 
 def test_class_values_match_prefix_sum_inequalities(rng):
@@ -905,6 +916,100 @@ def test_a_class_below_the_transport_drop_keeps_a_valid_column():
     w, decoders, states = simulate._class_terms(dist, values)
     assert w[-1] == dust and decoders[-1].tolist() == [1, 1]
     assert np.allclose(states.sum(axis=1), 1.0)
+
+
+# the same instances at delta = 1/2: each has supports at or below
+# WEIGHT_FLOOR, and their copies must not be lost either
+@pytest.mark.parametrize("n, k, seed", [(10, 5, 1), (10, 5, 2), (12, 5, 0)])
+def test_delta_dust_supports_reach_the_pruning(bench_workloads, n, k, seed):
+    from chansim import jsonio
+    from chansim.mixdisc import support_totals
+
+    rng = np.random.default_rng([seed, n, k])
+    inst = bench_workloads._quantum_instance(rng, n, k, 3, "delta:1/2")
+    povm, states = jsonio.quantum_instance_from_json(inst.payload)
+    totals = support_totals(povm)
+    assert np.any((totals > 0.0) & (totals <= simulate.WEIGHT_FLOOR))
+    assert simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2))).residual <= 1e-13
+
+
+def test_delta_noisy_quantum_past_the_class_cap(bench_workloads, tmp_path):
+    # C(31, 20) = 84,672,315 classes, which the layered transport would
+    # need, but only 2^12 - 1 = 4,095 supports
+    rng = np.random.default_rng([1, 20, 12])
+    inst = bench_workloads._quantum_instance(rng, 20, 12, 3, "delta:1/2")
+    assert math.comb(20 + 12 - 1, 20) > DEFAULT_CAP
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (4, 6), (6, 3), (5, 8)])
+def test_copy_candidates_expect_tr_e_copies_of_each_output(rng, n, k):
+    from chansim.mixdisc import support_totals
+
+    povm = random_povm(rng, n, k)
+    dist = simulate._support_classes(support_totals(povm), n)
+    traces = np.array([np.trace(e).real for e in povm])
+    support, decoders, weights = simulate._copy_candidates(dist, traces)
+    counts = np.array([np.bincount(d, minlength=k) for d in decoders])
+    assert np.max(np.abs(weights @ counts - traces)) <= 1e-12
+    # each candidate carries exactly its support's outputs, and each
+    # support's candidates share out its total
+    assert np.array_equal(counts > 0, dist.counts[support] > 0)
+    by_support = np.bincount(support, weights=weights, minlength=len(dist.weights))
+    assert np.max(np.abs(by_support - dist.weights)) <= 1e-15
+    assert [tuple(d) for d in decoders.tolist()] == sorted(map(tuple, decoders.tolist()))
+
+
+def _one_candidate_per_support(povm, states):
+    """The noiseless support construction as it stood before the delta-noisy
+    route joined it: one candidate per support, extra copies on the
+    smallest output, each output's share on its first slot."""
+    from chansim.channels import TransitionMatrix, noise_bases
+    from chansim.mixdisc import support_totals
+
+    a = born_matrix(povm, states)
+    n = len(povm[0])
+    dist = simulate._support_classes(support_totals(povm), n)
+    values = simulate._class_values(dist, a, noise_bases(Noiseless(), n, a.shape[1]))
+    decoders = dist.classes
+    first = np.diff(decoders, axis=1, prepend=-1) != 0
+    shares = (values * dist.counts)[:, np.arange(len(decoders))[:, None], decoders]
+    x = np.where(first, shares, 0.0)
+    x /= x.sum(axis=2, keepdims=True)
+    x = x.transpose(1, 2, 0)
+    matrices = protocol_matrices(decoders, x, dist.k)
+    weights, keep = simulate._distinct_protocols(dist.weights, matrices)
+    target = TransitionMatrix(a)
+    return simulate._finalize(target, weights, decoders[keep], x[keep], Noiseless()).mixture
+
+
+def test_support_route_at_delta_zero_is_one_candidate_per_support(rng):
+    # bit for bit, through the noiseless entry point and a Delta(0) spec
+    for _ in range(12):
+        n, k = int(rng.integers(2, 11)), int(rng.integers(2, 13))
+        povm, states = random_povm(rng, n, k), [random_density(rng, n) for _ in range(3)]
+        expected = _one_candidate_per_support(povm, states)
+        for mixture in (
+            simulate_quantum_noiseless(povm, states).mixture,
+            simulate_quantum_noisy(povm, states, Delta(0)).mixture,
+        ):
+            assert np.array_equal(mixture.weights, expected.weights)
+            assert np.array_equal(mixture.decoders, expected.decoders)
+            assert np.array_equal(mixture.states, expected.states)
+
+
+def test_delta_near_one_does_not_divide_by_one_minus_delta():
+    # {0, 1} has det(E_0 + E_1) = 0.3 = <1|E_0 + E_1|1>, so sigma = |1><1|
+    # leaves its transport no slack; B = (A - delta tr(E_i)/n) / (1 - delta)
+    # turned round-off of 1e-16 into a deficit of 2.8e-5 at delta = 1 - 1e-12
+    povm = [np.diag([0.5, 0.15]), np.diag([0.5, 0.15]), np.diag([0.0, 0.7])]
+    for delta in (1 - 1e-8, 1 - 1e-10, 1 - 1e-12):
+        rho = (1 - delta) * np.diag([0.0, 1.0]) + delta * np.eye(2) / 2
+        result = simulate_quantum_noisy(povm, [rho, np.eye(2) / 2], Delta(delta))
+        check_simulation(result)
+        assert np.min(result.mixture.states) >= delta / 2
 
 
 def test_noisy_simulation_at_a_lifted_size(bench_workloads, tmp_path):
