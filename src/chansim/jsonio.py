@@ -209,6 +209,18 @@ def complex_matrix_from_json(data) -> np.ndarray:
     return require_finite(pairs.view(complex)[..., 0], "complex matrix")
 
 
+def complex_matrices_from_json(data) -> np.ndarray:
+    """An (m, r, c) complex stack from a list of m r x c x 2 arrays of
+    [re, im] pairs; matrices of different shapes raise DimensionMismatch,
+    and an empty list gives a (0, 0, 0) stack."""
+    pairs = _array(data)
+    if pairs.shape == (0,):
+        return np.empty((0, 0, 0), dtype=complex)
+    if pairs.ndim != 4 or pairs.shape[3] != 2:
+        raise DimensionMismatch(f"complex matrices have shape {pairs.shape}, not m x r x c x 2")
+    return require_finite(pairs.view(complex)[..., 0], "complex matrix")
+
+
 def real_matrix_to_json(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
@@ -333,10 +345,13 @@ def quantum_instance_to_json(povm, states) -> dict:
     }
 
 
-def quantum_instance_from_json(data) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    povm = [complex_matrix_from_json(e) for e in data["povm"]["outcomes"]]
-    states = [complex_matrix_from_json(s) for s in data["states"]]
-    return povm, states
+def quantum_instance_from_json(data) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes (k, n, n) and the states (l, m, m), one complex array
+    each; the sizes are checked by the simulation, which validates both."""
+    return (
+        complex_matrices_from_json(data["povm"]["outcomes"]),
+        complex_matrices_from_json(data["states"]),
+    )
 
 
 # -- polytopes ----------------------------------------------------------------

@@ -52,7 +52,7 @@ from .errors import (
     NonRealResult,
     NumericalBreakdown,
 )
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, as_complex_stack
 
 CLAMP_TOL = 1e-9
 MASS_DRIFT_TOL = 1e-7
@@ -67,13 +67,9 @@ _MAX_LATTICES = 64
 
 def _stack_square(matrices: Sequence[np.ndarray], what: str) -> np.ndarray:
     """Stack finite square matrices of one common dimension into (m, n, n)."""
-    mats = [as_complex_matrix(m) for m in matrices]
-    if not mats:
+    if len(matrices) == 0:
         raise DimensionMismatch(f"need at least one {what}")
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise DimensionMismatch(f"every {what} must be {n}-square")
-    return np.stack(mats)
+    return as_complex_stack(matrices, what)
 
 
 def _determinants(

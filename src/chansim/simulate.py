@@ -8,11 +8,13 @@ induced by mixed discriminants (or the ball pairing), which is symmetric
 under reordering an outcome tuple; noisy-to-noiseless targets along the
 outputs that a random d-subset of the states decodes to. All orderings of
 a class give the same protocol matrix, so each class is one candidate
-protocol, and its state columns come from one layered transport per input
-column, which keeps its slot vector in the permutation hull of the state's
-spectrum and so inside the declared noise set. The noiseless and
-delta-noisy quantum simulations take another route, through output
-supports: with rho = (1 - delta) sigma + delta I / n, the noiseless
+protocol, and its state columns come from a layered transport, one
+instance per input column, which keeps its slot vector in the permutation
+hull of the state's spectrum and so inside the declared noise set. The
+columns that share a noise base share the transport's left nodes, supplies
+and edges and differ only in demand, so they are solved as one stack. The
+noiseless and delta-noisy quantum simulations take another route, through
+output supports: with rho = (1 - delta) sigma + delta I / n, the noiseless
 transport for the sigma-channel sees a class only through its support, the
 outputs it carries, so it runs on the support totals
 (``mixdisc.support_totals``): 2^k - 1 determinants, whatever n is. For
@@ -73,7 +75,9 @@ from .errors import (
     PreconditionViolated,
     TransportInfeasible,
 )
-from .linalg import born_matrix, hermitian_eigenvalues, validate_density, validate_povm
+from .linalg import born_matrix, validate_density, validate_povm
+# no caller here: kept importable because the bench trace hooks patch it by name
+from .linalg import hermitian_eigenvalues  # noqa: F401
 from .majorize import caratheodory, majorized_by_permutohedron
 # no caller here: kept importable because the bench trace hooks patch them by name
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
@@ -218,30 +222,39 @@ def _finalize(
 
 
 def _transport(
-    where: str, supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
+    where: Sequence[str], supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
 ) -> TransportPlan:
-    """A plan sending ``supply`` to ``demand`` through ``capacity``. The
-    supplies and demands each balance only within tolerance, so supplies
-    that do not balance the demands are scaled to their total. Raises
-    TransportInfeasible, prefixed by ``where``, with the Hall violator when
-    no plan exists."""
-    total = demand.sum()
-    if abs(supply.sum() - total) > BALANCE_TOL:
-        supply = supply * (total / supply.sum())
-    result = feasible_transport(TransportInstance(supply, demand, capacity))
-    if isinstance(result, HallViolator):
-        raise TransportInfeasible(f"{where} infeasible by {result.deficit:.3e}", violator=result)
-    return result
+    """The stacked plan (b, L, R) sending supply[i] to demand[i] through
+    ``capacity`` (shared, or one per instance) for each of b instances, in
+    one solve. Each instance's supplies and demands balance only within
+    tolerance, so supplies that do not balance their demands are scaled to
+    their total. Raises TransportInfeasible, prefixed by where[i], with the
+    Hall violator of the first infeasible instance i."""
+    total, sums = demand.sum(axis=1), supply.sum(axis=1)
+    off = np.abs(sums - total) > BALANCE_TOL
+    if off.any():
+        scale = np.ones(len(sums))
+        scale[off] = total[off] / sums[off]
+        supply = supply * scale[:, None]
+    results = feasible_transport(TransportInstance(supply, demand, capacity))
+    for label, result in zip(where, results):
+        if isinstance(result, HallViolator):
+            raise TransportInfeasible(
+                f"{label} infeasible by {result.deficit:.3e}", violator=result
+            )
+    flows = [plan.flow for plan in results]
+    # the flows are views of one stack; a stack of one needs no copy
+    return TransportPlan(flow=flows[0][None] if len(flows) == 1 else np.stack(flows))
 
 
 def _class_values(
-    dist: OutcomeDistribution, a: np.ndarray, mus: Sequence[np.ndarray]
+    dist: OutcomeDistribution, a: np.ndarray, mus: np.ndarray
 ) -> np.ndarray:
     """Array (l, classes, k): per input column j and multiset class M (in
     sorted order), the value of each slot that carries output i, such that
     the classes reproduce column j and every class's slot vector lies in the
-    permutation hull of the ascending vector mus[j]. Entries for outputs
-    that M does not carry are unused.
+    permutation hull of the ascending vector mus[j] (mus is (l, n)). Entries
+    for outputs that M does not carry are unused.
 
     Layer cake: every slot holds the floor mu[0]. Each gap
     g = mu[t] - mu[t-1] (0-based t >= 1) is a layer of at most g per slot
@@ -251,15 +264,23 @@ def _class_values(
     feasible exactly when a(T) >= sum_M w_M P(c_M(T)) for every output set
     T, P the ascending prefix sums of mu; otherwise its min cut is raised.
     When some output cannot hold the floor, the floor is 0 and mu[0] is
-    routed as the layer t = 0.
+    routed as the layer t = 0. Columns with the same floor and base share
+    their left nodes, supplies and capacities and differ only in demand, so
+    each such group is built once and solved as one stack of transports.
     """
     n, k, w = dist.n, dist.k, dist.weights
     counts = dist.counts.astype(float)
     num_classes = len(w)
     slots = w @ counts  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
+    mus = np.asarray(mus, dtype=float)
+    holds = np.all(a - slots[:, None] * mus[:, 0] >= -BALANCE_TOL, axis=0)
+    floors = np.where(holds, mus[:, 0], 0.0)
+    groups: dict[bytes, list[int]] = {}
+    for j, key in enumerate(np.column_stack([floors, mus])):
+        groups.setdefault(key.tobytes(), []).append(j)
     values = np.empty((len(mus), num_classes, k))
-    for j, mu in enumerate(mus):
-        floor = mu[0] if np.all(a[:, j] - mu[0] * slots >= -BALANCE_TOL) else 0.0
+    for columns in groups.values():
+        floor, mu = floors[columns[0]], mus[columns[0]]
         gaps = np.diff(mu, prepend=floor)
         layers = np.flatnonzero(gaps > 0.0)
         heights, gap = n - layers, gaps[layers]
@@ -272,16 +293,27 @@ def _class_values(
         capacity[counts[:, None, :] >= heights[:, None]] = np.inf
         capacity = capacity.reshape(len(supply), k)
         # a dust layer stays out of the transport: it is spread evenly over
-        # its class's n slots, and the transport meets the rest of column j
+        # its class's n slots, and the transport meets the rest of each column
         layered = depth[:, None] * np.repeat(counts, len(layers), axis=0) / n
-        keep = supply > DROP_TOL
-        demand = a[:, j] - floor * slots - weight[~keep] @ layered[~keep]
-        result = _transport(f"column {j}: transport", supply[keep], demand, capacity[keep])
+        dust = supply <= DROP_TOL
+        demand = a.T[columns] - floor * slots - weight[dust] @ layered[dust]
+        keep = np.flatnonzero(~dust) if dust.any() else slice(None)
+        plan = _transport(
+            [f"column {j}: transport" for j in columns],
+            np.broadcast_to(supply[keep], (len(columns),) + supply[keep].shape),
+            demand,
+            capacity[keep],
+        )
         # each kept layer's depth, spread by its flow and shared among the
-        # c_M(i) slots that carry output i
-        layered[keep] = conditional_columns(result) * depth[keep, None]
-        per_class = layered.reshape(num_classes, len(layers), k).sum(axis=1)
-        values[j] = floor + per_class / np.maximum(counts, 1.0)
+        # c_M(i) slots that carry output i; a dust layer keeps its even spread
+        spread = conditional_columns(plan)
+        spread *= depth[keep, None]
+        if dust.any():
+            full = np.repeat(layered[None], len(columns), axis=0)
+            full[:, keep] = spread
+            spread = full
+        per_class = spread.reshape(len(columns), num_classes, len(layers), k).sum(axis=2)
+        values[columns] = floor + per_class / np.maximum(counts, 1.0)
     return values
 
 
@@ -340,17 +372,16 @@ def _simulate_by_supports(
     where the extra copies go does not change a protocol matrix, and they
     stay on each support's smallest output. Equal protocol matrices merge
     before ``_finalize``."""
-    validate_povm(povm)
-    for rho in states:
-        validate_density(rho)
+    povm = validate_povm(povm)
+    spectra = validate_density(states)
     a = born_matrix(povm, states)
-    n, l = np.shape(povm[0])[0], a.shape[1]
+    n, l = povm.shape[1], a.shape[1]
     delta = 0.0 if isinstance(spec, Noiseless) else float(spec.delta)
     if isinstance(spec, Delta):
-        _spectra_inside(states, spec, n)
+        _check_spectra(spectra, spec)
     dist = _support_classes(support_totals(povm, cap=cap), n)
     if delta > 0.0:
-        traces = np.trace(np.asarray(povm, dtype=complex), axis1=1, axis2=2).real
+        traces = np.trace(povm, axis1=1, axis2=2).real
         support, decoders, weights = _copy_candidates(dist, traces)
     else:
         support, decoders, weights = np.arange(len(dist.weights)), dist.classes, dist.weights
@@ -436,8 +467,8 @@ def _copy_candidates(
     moved = w * extra > DROP_TOL
     demand = traces - w @ np.where(moved[:, None], member, dist.counts)
     capacity = np.where(member[moved] > 0, np.inf, 0.0)
-    plan = _transport("copy-count transport", (w * extra)[moved], demand, capacity)
-    shares = conditional_columns(plan)
+    plan = _transport(["copy-count transport"], (w * extra)[moved][None], demand[None], capacity)
+    shares = conditional_columns(plan)[0]
     rows, outputs = np.nonzero(shares)
     flowing = np.flatnonzero(moved)[rows]
     placed = member[flowing] + extra[flowing, None] * (outputs[:, None] == np.arange(k))
@@ -519,24 +550,22 @@ def simulate_quantum_noisy(
     """
     if isinstance(spec, Delta):
         return _simulate_by_supports(povm, states, spec, cap)
-    validate_povm(povm)
-    for rho in states:
-        validate_density(rho)
+    povm = validate_povm(povm)
+    spectra = validate_density(states)
     a = born_matrix(povm, states)
     dist = outcome_distribution(povm, cap=cap)
-    mus = _spectra_inside(states, spec, dist.n)
-    values = _class_values(dist, a, np.clip(mus, 0.0, None))
+    _check_spectra(spectra, spec)
+    values = _class_values(dist, a, np.clip(spectra, 0.0, None))
     return _finalize(TransitionMatrix(a), *_class_terms(dist, values), spec)
 
 
-def _spectra_inside(states: Sequence[np.ndarray], spec: NoiseSpec, n: int) -> np.ndarray:
-    """The ascending spectra (l, n) of the l states; NotMajorized unless
-    each lies in its column's noise set."""
-    mus = np.array([hermitian_eigenvalues(rho) for rho in states])
-    inside = majorized_by_permutohedron(mus, noise_bases(spec, n, len(mus)), STOCHASTIC_TOL)
+def _check_spectra(spectra: np.ndarray, spec: NoiseSpec) -> None:
+    """NotMajorized unless each of the l ascending state spectra (l, n)
+    lies in its column's noise set."""
+    l, n = spectra.shape
+    inside = majorized_by_permutohedron(spectra, noise_bases(spec, n, l), STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"state {np.argmin(inside)}: spectrum violates the declared noise set")
-    return mus
 
 
 def simulate_noisy_by_noiseless(
@@ -640,14 +669,17 @@ def reduce_rows(m, p=None) -> RowReduction:
     # other rows u, output u taking a_uj; B(v)'s column j is v's flow
     kept = np.flatnonzero(weights > 1e-12)
     capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
-    columns = np.empty((len(kept), k, l))
-    for j in range(l):
-        where = f"column {j}: row reduction transport"
-        result = _transport(where, weights[kept], a[:, j], capacity)
-        # a dust weight may receive no flow within the feasibility tolerance:
-        # any stochastic column with a zero v-th entry works for it
-        dust = result.flow.sum(axis=1) <= 0.0
-        result.flow[dust] = capacity[dust] > 0.0
-        columns[:, :, j] = conditional_columns(result)
+    # one contiguous demand row per column, summed as the column alone is
+    plan = _transport(
+        [f"column {j}: row reduction transport" for j in range(l)],
+        np.broadcast_to(weights[kept], (l, len(kept))),
+        np.ascontiguousarray(a.T),
+        capacity,
+    )
+    # a dust weight may receive no flow within the feasibility tolerance:
+    # any stochastic column with a zero v-th entry works for it
+    dust = plan.flow.sum(axis=2) <= 0.0
+    plan.flow[dust] = np.broadcast_to(capacity > 0.0, plan.flow.shape)[dust]
+    columns = conditional_columns(plan).transpose(1, 2, 0)
     _checked_residual("row reduction", row_reduction_matrix(weights[kept], columns), a)
     return RowReduction(target=t, weights=weights[kept], zero_rows=kept, matrices=columns)

@@ -1,25 +1,34 @@
-"""Supply-demand feasibility on bipartite graphs.
+"""Supply-demand feasibility on bipartite graphs, for stacks of instances.
 
 A transport instance routes probability mass from L left nodes (supplies)
 to R right nodes (demands) through an (L, R) capacity matrix: an entry of 0
 means no edge, ``inf`` an uncapped edge, and any other value the most that
-edge carries. Feasibility is decided by a max flow (source -> left ->
-right -> sink) held as the (L, R) flow matrix itself, next to the unused
-supply per left node and the unmet demand per right node; every step is a
-few numpy operations on whole columns, not one interpreter step per edge.
-The networks here have many left nodes and few right ones, and bipartite
-max flow can be driven by the small side (Ahuja, Orlin, Stein and Tarjan,
-SIAM J. Comput. 23, 1994):
+edge carries. A stack holds b such instances on the same nodes, supplies
+(b, L) and demands (b, R), with one (L, R) capacity matrix for all of them
+or a (b, L, R) stack; a single instance is a stack of one. The stack is
+validated once, at construction, and solved in one call. Feasibility is
+decided by a max flow (source -> left -> right -> sink) held as the
+(b, L, R) flow array itself, next to the unused supply per left node and
+the unmet demand per right node; every step is a few numpy operations on
+whole columns, not one interpreter step per edge. The networks here have
+many left nodes and few right ones, and bipartite max flow can be driven by
+the small side (Ahuja, Orlin, Stein and Tarjan, SIAM J. Comput. 23, 1994):
 
 - Greedy start: each right node in turn takes its demand from the left
-  nodes, each giving at most its unused supply and its capacity into that
-  node (one cumsum and clip per column). The left nodes with the least
-  room to place their supply in the right nodes still to come give first,
-  so most solves at the sizes used here end right there.
-- Array levels: Dinic then routes the remainder. Each phase levels the
-  residual network by a BFS over the matrices, forward where
-  capacity - flow > RESIDUAL_EPS and backward where flow > RESIDUAL_EPS,
-  so left nodes get odd levels and right nodes even ones.
+  nodes, in every instance of the stack at once: the left nodes with an
+  edge into it and unused supply in some instance, each giving at most its
+  unused supply and its capacity into that node (one stable argsort, one
+  cumsum and one clip over the stack). The left nodes with the least room
+  to place their supply in the right nodes still to come give first, so
+  most solves at the sizes used here end right there. A node gives exactly
+  0 in an instance where it has no room, and each instance totals its own
+  gifts alone, so every instance of a stack gets, bit for bit, the flow
+  that it gets when it is solved alone.
+- Array levels: Dinic then routes the remainder, for each instance that
+  still has unmet demand. Each phase levels the residual network by a BFS
+  over the matrices, forward where capacity - flow > RESIDUAL_EPS and
+  backward where flow > RESIDUAL_EPS, so left nodes get odd levels and
+  right nodes even ones.
 - Hop pushes: the blocking flow walks level-increasing paths over right
   nodes only. A hop a -> b runs through the left nodes one level above a;
   pushing x over it spreads x across them by cumsum and clip, moving flow
@@ -38,6 +47,7 @@ SIAM J. Comput. 23, 1994):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -51,8 +61,11 @@ RESIDUAL_EPS = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class TransportInstance:
-    """Supplies (L,), demands (R,) and capacities (L, R); capacity 0 is no
-    edge and ``inf`` an uncapped one."""
+    """One instance, supplies (L,), demands (R,) and capacities (L, R), or
+    a stack of b: supplies (b, L), demands (b, R) and capacities (L, R)
+    shared by all b or (b, L, R); capacity 0 is no edge and ``inf`` an
+    uncapped one. Finiteness, signs and each instance's balance are checked
+    here, once for the whole stack."""
 
     supply: np.ndarray
     demand: np.ndarray
@@ -62,10 +75,17 @@ class TransportInstance:
         supply = np.asarray(self.supply, dtype=float)
         demand = np.asarray(self.demand, dtype=float)
         capacity = np.asarray(self.capacity, dtype=float)
-        if supply.ndim != 1 or demand.ndim != 1 or capacity.shape != supply.shape + demand.shape:
+        if not (
+            supply.ndim in (1, 2)
+            and demand.ndim == supply.ndim
+            and supply.shape[:-1] == demand.shape[:-1]
+            and capacity.shape[-2:] == supply.shape[-1:] + demand.shape[-1:]
+            and capacity.shape[:-2] in ((), supply.shape[:-1])
+        ):
             raise DimensionMismatch(
                 f"supply {supply.shape}, demand {demand.shape} and capacity "
-                f"{capacity.shape} do not form an (L,), (R,), (L, R) instance"
+                f"{capacity.shape} form neither an (L,), (R,), (L, R) instance "
+                "nor a (b, L), (b, R), (L, R) or (b, L, R) stack"
             )
         if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
             raise NotFinite("transport supply or demand has a non-finite entry")
@@ -77,10 +97,14 @@ class TransportInstance:
             raise UnbalancedInstance("negative demand")
         if np.any(capacity < 0.0):
             raise UnbalancedInstance("negative capacity")
-        total_s, total_d = float(supply.sum()), float(demand.sum())
-        if abs(total_s - total_d) > BALANCE_TOL:
+        total_s, total_d = supply.sum(axis=-1).reshape(-1), demand.sum(axis=-1).reshape(-1)
+        off = np.abs(total_s - total_d) > BALANCE_TOL
+        if off.any():
+            i = int(off.argmax())
+            where = f"instance {i}: " if supply.ndim == 2 else ""
             raise UnbalancedInstance(
-                f"supply {total_s!r} and demand {total_d!r} differ by more than 1e-9"
+                f"{where}supply {float(total_s[i])!r} and demand {float(total_d[i])!r} "
+                "differ by more than 1e-9"
             )
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
@@ -88,13 +112,15 @@ class TransportInstance:
 
     @property
     def edges(self) -> np.ndarray:
-        """The (u, v) pairs with positive capacity, one per row, row-major."""
+        """The (u, v) pairs with positive capacity, one per row, row-major;
+        (i, u, v) triples for a (b, L, R) capacity stack."""
         return np.argwhere(self.capacity > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Flow (L, R) meeting the supplies and demands within FEAS_TOL."""
+    """Flow (L, R) meeting the supplies and demands within FEAS_TOL, or a
+    stack (b, L, R) of such flows."""
 
     flow: np.ndarray
 
@@ -116,11 +142,12 @@ class HallViolator:
 SOURCE = -1  # the source, as a path node next to the right nodes
 
 
-def _spread(room: np.ndarray, amount: float) -> np.ndarray:
-    """Split ``amount`` over nodes in order, each taking at most its room:
-    the first nodes fill up and at most one is filled in part."""
-    before = np.cumsum(room) - room
-    return np.clip(amount - before, 0.0, room)
+def _spread(room: np.ndarray, amount) -> np.ndarray:
+    """Split ``amount`` over nodes in order along the last axis, each taking
+    at most its room: the first nodes fill up and at most one is filled in
+    part."""
+    before = room.cumsum(axis=-1) - room
+    return np.minimum(np.maximum(0.0, amount - before), room)
 
 
 def _levels(
@@ -232,63 +259,123 @@ def _blocking_flow(
 
 def _max_flow(
     capacity: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (L, R) flow of a maximum flow, and the right-node levels of the
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """For capacities (1, L, R) shared by b instances or (b, L, R),
+    supplies (b, L) and demands (b, R): the (b, L, R) flows of a maximum
+    flow of each instance, and per instance the right-node levels of its
     final BFS (-1 for nodes on the sink side of a minimum cut), or None
     when every demand is met. A greedy start fills each right node in turn,
-    first from the left nodes with the least room to place their supply in
-    the right nodes after it; Dinic phases then route the remainder."""
-    flow = np.zeros(capacity.shape)
+    in every instance, first from the left nodes with the least room to
+    place their supply in the right nodes after it; Dinic phases then route
+    the remainder of each instance."""
+    (b, num_left), num_right = supply.shape, demand.shape[1]
+    flow = np.zeros((b, num_left, num_right))
     spare, unmet = supply.copy(), demand.copy()
+    # capacities (R, 1 or b, L) and needs right node first, so that each
+    # right node's columns are one contiguous block; instances with the
+    # same supplies and capacities share their need
+    by_right = capacity.transpose(2, 0, 1).copy()
+    shared = len(capacity) == 1 and (b == 1 or bool((supply == supply[0]).all()))
+    rows = supply[:1] if shared else supply
     # need: a left node's room in the right nodes after the current one,
     # less its supply; below 0 it cannot place all of it later. Leaving up
     # to FEAS_TOL unplaced is within tolerance, so that shortfall is none
-    share = np.minimum(supply[:, None], capacity)
-    need = share[:, ::-1].cumsum(axis=1)[:, ::-1] - share - supply[:, None]
+    share = np.minimum(rows, by_right)
+    need = share[::-1].cumsum(axis=0)[::-1] - share - rows
     need[(-FEAS_TOL <= need) & (need < 0.0)] = 0.0
-    for v in range(len(unmet)):
-        room = np.minimum(spare, capacity[:, v])
-        u = np.flatnonzero(room)
-        u = u[np.argsort(need[u, v], kind="stable")]
-        give = _spread(room[u], unmet[v])
-        flow[u, v] = give
-        spare[u] -= give
-        unmet[v] -= give.sum()
-    right = None
-    while np.any(unmet > RESIDUAL_EPS):
-        left, right, sink = _levels(capacity, flow, spare, unmet)
-        if sink < 0:
-            break
-        _blocking_flow(capacity, flow, spare, unmet, left, right, sink)
-    return flow, right
+    # instance i's left node u is entry i L + u of the flattened stack
+    offset = np.arange(b)[:, None] * num_left
+    by_left = flow.reshape(b * num_left, num_right)
+    for v in range(num_right):
+        room = np.minimum(spare, by_right[v])
+        has = room > 0.0
+        u = has.any(axis=0).nonzero()[0]
+        if not u.size:
+            continue
+        # the left nodes with room in some instance, in the order of each
+        # instance's need; one without room in an instance gives exactly 0
+        # there, and each instance totals its own gifts alone, so it gets
+        # the flow that it gets when it is solved alone
+        at = offset + u[need[v][:, u].argsort(axis=1, kind="stable")]
+        give = _spread(room.reshape(-1)[at], unmet[:, v, None])
+        by_left[:, v][at] = give
+        spare.reshape(-1)[at] -= give
+        # when every instance has room at all of u, each totals its whole
+        # row, as a lone instance always does
+        if b == 1 or (has.sum(axis=1) == u.size).all():
+            unmet[:, v] -= give.sum(axis=1)
+            continue
+        own = has.sum(axis=1)
+        # instances in order of their number of own nodes m: each run of
+        # equal m is one (instances, m) block of gifts, summed by rows
+        order = np.argsort(own, kind="stable")
+        gifts = give[order][has.reshape(-1)[at[order]]]
+        totals, start = [], 0
+        for m, run in groupby(own[order].tolist()):
+            alike = len(list(run))
+            block = gifts[start : start + m * alike]
+            totals.append(block.reshape(alike, m).sum(axis=1) if m else np.zeros(alike))
+            start += m * alike
+        unmet[order, v] -= np.concatenate(totals)
+    rights: list[np.ndarray | None] = [None] * b
+    for i in (unmet > RESIDUAL_EPS).any(axis=1).nonzero()[0]:
+        # views: the pushes land in the stack
+        args = capacity[i % len(capacity)], flow[i], spare[i], unmet[i]
+        while np.any(unmet[i] > RESIDUAL_EPS):
+            left, rights[i], sink = _levels(*args)
+            if sink < 0:
+                break
+            _blocking_flow(*args, left, rights[i], sink)
+    return flow, rights
 
 
-def feasible_transport(inst: TransportInstance) -> TransportPlan | HallViolator:
-    """Either a plan meeting both marginals or a Hall violator set.
+def feasible_transport(
+    inst: TransportInstance,
+) -> TransportPlan | HallViolator | tuple[TransportPlan | HallViolator, ...]:
+    """Per instance, either a plan meeting both marginals or a Hall
+    violator set: a tuple of b results for a stack, the one result for a
+    single instance.
 
     Supplies at or below DROP_TOL are dropped before solving (their mass is
     discarded; it is within the balance tolerance by construction).
     """
-    supply = np.where(inst.supply > DROP_TOL, inst.supply, 0.0)
-    flow, right = _max_flow(inst.capacity, supply, inst.demand)
-    if flow.sum() >= inst.demand.sum() - FEAS_TOL:
-        return TransportPlan(flow=flow)
+    stacked = inst.supply.ndim == 2
+    supply = inst.supply if stacked else inst.supply[None]
+    demand = inst.demand if stacked else inst.demand[None]
+    capacity = inst.capacity if inst.capacity.ndim == 3 else inst.capacity[None]
+    flow, rights = _max_flow(capacity, np.where(supply > DROP_TOL, supply, 0.0), demand)
+    met = flow.sum(axis=(1, 2)) >= demand.sum(axis=1) - FEAS_TOL
+    results = tuple(
+        TransportPlan(flow=flow[i])
+        if met[i]
+        else _violator(supply[i], demand[i], capacity[i % len(capacity)], rights[i])
+        for i in range(len(supply))
+    )
+    return results if stacked else results[0]
 
-    t = np.flatnonzero((inst.demand > 0.0) & (right < 0))
-    into = inst.capacity[:, t].sum(axis=1)
+
+def _violator(
+    supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray, right: np.ndarray
+) -> HallViolator:
+    """The Hall violator of one instance: the right nodes with demand that
+    its final BFS did not reach."""
+    t = np.flatnonzero((demand > 0.0) & (right < 0))
+    into = capacity[:, t].sum(axis=1)
     return HallViolator(
         right_set=frozenset(t.tolist()),
-        demand=float(inst.demand[t].sum()),
-        neighborhood_supply=float(np.minimum(inst.supply, into).sum()),
+        demand=float(demand[t].sum()),
+        neighborhood_supply=float(np.minimum(supply, into).sum()),
     )
 
 
 def conditional_columns(plan: TransportPlan) -> np.ndarray:
     """Per left node, its conditional distribution over right nodes: the
-    flow with each row normalised to sum exactly to 1. Weighting the rows
-    by the supplies reproduces the right demands within FEAS_TOL."""
-    mass = plan.flow.sum(axis=1, keepdims=True)
-    empty = np.flatnonzero(mass[:, 0] <= 0.0)
+    flow with each row normalised to sum exactly to 1, (L, R) or, for a
+    stack of flows, (b, L, R). Weighting the rows by the supplies
+    reproduces the right demands within FEAS_TOL."""
+    mass = plan.flow.sum(axis=-1, keepdims=True)
+    empty = np.argwhere(mass[..., 0] <= 0.0)
     if empty.size:
-        raise ZeroSupplyNode(f"left node {int(empty[0])} received no flow")
+        where = f"instance {empty[0, 0]}: " if plan.flow.ndim == 3 else ""
+        raise ZeroSupplyNode(f"{where}left node {int(empty[0, -1])} received no flow")
     return plan.flow / mass

@@ -123,3 +123,50 @@ def test_entropies():
     assert linalg.shannon_entropy(np.array([0.5, 0.5])) == pytest.approx(1.0)
     assert linalg.shannon_entropy(np.array([1.0, 0.0])) == 0.0
     assert linalg.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
+
+
+def test_stacked_born_matrix_equals_the_trace_of_each_product(rng):
+    # one stacked product and trace, bit for bit the per-pair tr(E rho)
+    for _ in range(60):
+        n, k, l = int(rng.integers(1, 13)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        povm = [random_hermitian(rng, n) for _ in range(k)]
+        states = [random_density(rng, n) for _ in range(l)]
+        direct = np.array([[np.trace(e @ r).real for r in states] for e in povm])
+        assert np.array_equal(linalg.born_matrix(povm, states), direct)
+    assert np.array_equal(linalg.born_matrix(povm, np.array(states)), direct)
+
+
+def test_the_first_faulty_outcome_is_reported():
+    # outcome 0 is not PSD and outcome 2 is not Hermitian: outcome 0 first
+    povm = [np.diag([-0.5, 0.5]), np.diag([1.0, 0.25]), np.array([[0.5, 0.25], [0.0, 0.25]])]
+    with pytest.raises(NotPsd) as exc:
+        linalg.validate_povm(povm)
+    assert exc.value.index == 0
+    with pytest.raises(NotHermitian) as exc:
+        linalg.validate_povm(povm[1:])
+    assert exc.value.index == 1
+
+
+def test_validate_povm_returns_the_stack(rng):
+    povm = random_povm(rng, 3, 4)
+    stack = linalg.validate_povm(povm)
+    assert stack.shape == (4, 3, 3) and np.array_equal(stack, np.array(povm))
+
+
+def test_validate_density_of_a_stack(rng):
+    states = [random_density(rng, 3) for _ in range(4)]
+    spectra = linalg.validate_density(states)
+    assert np.array_equal(spectra, [np.linalg.eigvalsh(r) for r in states])
+    assert np.array_equal(linalg.validate_density(states[2]), spectra[2])
+    skew = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    bad = [states[0], np.diag([1.5, -0.25, -0.25]), skew]
+    with pytest.raises(NotPsd, match="state 1") as exc:
+        linalg.validate_density(bad)
+    assert exc.value.index == 1
+    with pytest.raises(NotHermitian) as exc:
+        linalg.validate_density(bad[::2])
+    assert exc.value.index == 1
+    with pytest.raises(TraceNotOne, match="state 0"):
+        linalg.validate_density([np.diag([0.5, 0.5 + 1e-6]), np.eye(2) / 2])
+    with pytest.raises(DimensionMismatch, match="state 1 is 2-square, expected 3"):
+        linalg.validate_density([states[0], np.eye(2) / 2])

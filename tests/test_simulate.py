@@ -22,7 +22,15 @@ from chansim.channels import (
     validate_mixture,
 )
 from chansim.certify import BinomialWitness
-from chansim.errors import NotFinite, NotMajorized, NumericalBreakdown, PreconditionViolated
+from chansim.errors import (
+    DimensionMismatch,
+    NotFinite,
+    NotMajorized,
+    NotPsd,
+    NumericalBreakdown,
+    PreconditionViolated,
+    TraceNotOne,
+)
 from chansim.linalg import born_matrix
 from chansim.mixdisc import DEFAULT_CAP
 from chansim.simulate import (
@@ -1074,10 +1082,11 @@ def test_a_row_reduction_that_misses_the_matrix_is_never_written(monkeypatch, tm
     exact = simulate.conditional_columns
 
     def off_by_a_micro(result):
-        # move 1e-6 within the first term's column, off its zero row 0: the
-        # term stays stochastic, and the recomposition misses by 1e-6 / 3
+        # move 1e-6 within the first term's columns, off its zero row 0: the
+        # term stays stochastic, and the recomposition misses by 1e-6 / 3;
+        # the columns come as one (l, terms, k) stack
         columns = exact(result)
-        columns[0, 1:] += [1e-6, -1e-6]
+        columns[:, 0, 1:] += [1e-6, -1e-6]
         return columns
 
     monkeypatch.setattr(simulate, "conditional_columns", off_by_a_micro)
@@ -1087,3 +1096,123 @@ def test_a_row_reduction_that_misses_the_matrix_is_never_written(monkeypatch, tm
     source.write_text(json.dumps({"matrix": a.tolist()}))
     assert main(["simulate", "reduce", "--in", str(source), "--out", str(cert)]) == 1
     assert not cert.exists()
+
+
+def test_delta_simulation_decomposes_the_povm_and_the_states_once(rng, monkeypatch):
+    # one stacked eigvalsh validates the 4 outcomes, one the 3 states, and
+    # the states' spectra from it feed the noise-set test (k + 2l = 10 calls
+    # when each matrix was decomposed alone and each state twice)
+    povm = random_povm(rng, 3, 4)
+    states = [random_density_floor(rng, 3, 0.5) for _ in range(3)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    check_simulation(simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2))), Delta(0.5))
+    assert calls == [(4, 3, 3), (3, 3, 3)]
+
+
+def _boundary_case(name):
+    """A quantum input that fails validation, and the error it raises:
+    (outcomes, states, error class, error index or None)."""
+    half = np.eye(2) / 2
+    if name == "outcomes of different sizes":
+        return [half, half, np.zeros((3, 3))], [half], DimensionMismatch, None
+    if name == "a state of another dimension":
+        return [half, half], [half, np.eye(3) / 3], DimensionMismatch, None
+    if name == "outcome 0 not PSD, outcome 2 not Hermitian":
+        skew = np.array([[0.5, 0.25], [0.0, 0.25]])
+        return [np.diag([-0.5, 0.5]), np.diag([1.0, 0.25]), skew], [half], NotPsd, 0
+    assert name == "a state of trace 1 + 1e-6"
+    return [half, half], [half, np.diag([0.5, 0.5 + 1e-6])], TraceNotOne, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "outcomes of different sizes",
+        "a state of another dimension",
+        "outcome 0 not PSD, outcome 2 not Hermitian",
+        "a state of trace 1 + 1e-6",
+    ],
+)
+@pytest.mark.parametrize("noise", ["noiseless", "delta:1/2", "permutohedron:[0.25, 0.75]"])
+def test_quantum_input_errors_at_the_boundary(case, noise, tmp_path, capsys):
+    # the same typed error, with the same index, through the library (from
+    # the matrices and from the parsed file) and through the command line
+    from chansim import jsonio
+    from chansim.cli import main, parse_noise
+
+    povm, states, error, index = _boundary_case(case)
+    payload = jsonio.quantum_instance_to_json(povm, states)
+    spec = parse_noise(noise)
+
+    def simulate_from(outcomes, rhos):
+        if noise == "noiseless":
+            return simulate_quantum_noiseless(outcomes, rhos)
+        return simulate_quantum_noisy(outcomes, rhos, spec)
+
+    with pytest.raises(error) as exc:
+        simulate_from(povm, states)
+    assert getattr(exc.value, "index", None) == index
+    with pytest.raises(error) as exc:
+        simulate_from(*jsonio.quantum_instance_from_json(payload))
+    assert getattr(exc.value, "index", None) == index
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["simulate", "quantum", "--in", str(source), "--noise", noise]
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
+    assert f"chansim: {error.__name__}: " in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("noise", ["noiseless", "delta"])
+def test_class_values_of_many_columns_match_one_column_at_a_time(rng, noise):
+    # the columns that share a floor and a base are solved as one stack of
+    # transports: every value is the one its column gets alone, and an
+    # infeasible column is named, with the violator it has alone
+    from chansim.errors import TransportInfeasible
+    from chansim.mixdisc import outcome_distribution
+
+    raised = 0
+    for _ in range(15):
+        n, k, l = int(rng.integers(2, 5)), int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        povm = random_povm(rng, n, k)
+        dist = outcome_distribution(povm)
+        if noise == "noiseless":
+            rhos, base = [random_density(rng, n) for _ in range(l)], np.eye(n)[-1]
+        else:
+            rhos, base = [random_density_floor(rng, n, 0.5) for _ in range(l)], np.full(n, 0.5 / n)
+            base[-1] += 0.5
+        a = born_matrix(povm, rhos)
+        # pull some columns toward one output: some of them lose the floor,
+        # some become infeasible
+        for j in range(l):
+            if rng.random() < 0.4:
+                s = rng.uniform(0.0, 1.0)
+                a[:, j] = (1 - s) * a[:, j] + s * np.eye(k)[rng.integers(k)]
+        mus = np.tile(base, (l, 1))
+        alone = []
+        for j in range(l):
+            try:
+                alone.append(simulate._class_values(dist, a[:, [j]], mus[[j]])[0])
+            except TransportInfeasible as exc:
+                alone.append(exc)
+        failed = {j: r for j, r in enumerate(alone) if isinstance(r, TransportInfeasible)}
+        if not failed:
+            assert np.array_equal(simulate._class_values(dist, a, mus), np.array(alone))
+            continue
+        with pytest.raises(TransportInfeasible) as exc:
+            simulate._class_values(dist, a, mus)
+        # alone, each column is column 0
+        where, what = str(exc.value).split(": ", 1)
+        j = int(where.removeprefix("column "))
+        assert j in failed and str(failed[j]) == f"column 0: {what}"
+        assert exc.value.violator == failed[j].violator
+        raised += 1
+    assert raised >= 3

@@ -290,3 +290,129 @@ def test_reconstruction_residual(rng):
         cols = conditional_columns(plan)
         recon = np.array(list(supply.values())) @ cols
         assert np.max(np.abs(recon - list(demand.values()))) < 1e-8
+
+
+def _same_result(got, alone):
+    """A stacked instance's result against its solve as a stack of one:
+    the same flow bit for bit, or the same violator."""
+    assert type(got) is type(alone)
+    if isinstance(alone, TransportPlan):
+        assert np.array_equal(got.flow, alone.flow)
+    else:
+        assert got == alone
+
+
+def _random_stack(rng, b, nl, nr, shared, same):
+    """b instances on nl x nr nodes: random demands and random supplies,
+    all on one supply row when ``same`` and about half of them otherwise,
+    over one random capacity matrix or one per instance, with some finite
+    caps, so that some instances need Dinic and some are infeasible."""
+    def capacity():
+        cap = np.where(rng.random((nl, nr)) < 0.6, np.inf, 0.0)
+        capped = rng.random((nl, nr)) < 0.3
+        cap[capped] = rng.uniform(0.0, 0.4, size=capped.sum())
+        return cap
+
+    supply = rng.dirichlet(np.ones(nl), size=b)
+    supply[(rng.random(b) < 0.5) | same] = supply[0]
+    demand = rng.dirichlet(np.ones(nr), size=b)
+    cap = capacity() if shared else np.stack([capacity() for _ in range(b)])
+    return supply, demand, cap
+
+
+def test_stacks_match_their_stacks_of_one(rng, level_calls):
+    # up to 8 instances of up to 12 left nodes: each instance's greedy
+    # start takes only its own left nodes and totals them alone, so every
+    # flow and violator is the one it gets when solved alone, Dinic or not
+    dinic_stacks = infeasible = feasible = 0
+    for trial in range(240):
+        b, nl, nr = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        # one capacity matrix and one supply row for all, as for the
+        # columns of a simulation, in every fourth trial
+        shared, same = trial % 2 == 0, trial % 4 == 0
+        supply, demand, cap = _random_stack(rng, b, nl, nr, shared, same)
+        level_calls.clear()
+        results = feasible_transport(TransportInstance(supply, demand, cap))
+        dinic_stacks += bool(level_calls)
+        assert isinstance(results, tuple) and len(results) == b
+        for i, got in enumerate(results):
+            alone = feasible_transport(
+                TransportInstance(supply[i], demand[i], cap if shared else cap[i])
+            )
+            _same_result(got, alone)
+            infeasible += isinstance(got, HallViolator)
+            feasible += isinstance(got, TransportPlan)
+    assert dinic_stacks >= 20 and infeasible >= 20 and feasible >= 20
+
+
+def test_staircase_in_a_stack_runs_dinic_and_matches_its_solve_alone(level_calls):
+    # the staircase of the test above needs one Dinic phase after the greedy
+    # start; next to it in a stack, an instance on the same graph whose
+    # demands the greedy start meets alone
+    m = 12
+    capacity = np.zeros((m, m))
+    capacity[np.arange(1, m), np.arange(m - 1)] = np.inf
+    capacity[np.arange(m - 1), np.arange(m - 1)] = np.inf
+    capacity[0, m - 1] = np.inf
+    uniform = np.full(m, 1.0 / m)
+    easy = np.r_[2.0 / m, np.full(m - 2, 1.0 / m), 0.0]
+    supply, demand = np.stack([uniform, uniform]), np.stack([easy, uniform])
+    results = feasible_transport(TransportInstance(supply, demand, capacity))
+    assert len(level_calls) == 1  # only the staircase runs a phase
+    level_calls.clear()
+    for i in range(2):
+        alone = feasible_transport(TransportInstance(supply[i], demand[i], capacity))
+        _same_result(results[i], alone)
+    assert len(level_calls) == 1
+
+
+def test_an_infeasible_instance_in_a_stack_keeps_its_own_violator():
+    # the diagonal violator of test_diagonal_violator between two feasible
+    # instances on the same graph
+    capacity = np.diag([np.inf, np.inf])
+    supply = np.array([[0.5, 0.5], [0.7, 0.3], [0.4, 0.6]])
+    demand = np.array([[0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
+    first, middle, last = feasible_transport(TransportInstance(supply, demand, capacity))
+    assert isinstance(first, TransportPlan) and isinstance(last, TransportPlan)
+    alone = feasible_transport(TransportInstance(supply[1], demand[1], capacity))
+    assert isinstance(middle, HallViolator) and middle == alone
+    assert middle.right_set == frozenset({1})
+
+
+def test_a_stack_is_validated_as_a_whole():
+    supply, demand = np.full((3, 2), 0.5), np.full((3, 2), 0.5)
+    capacity = np.full((2, 2), np.inf)
+    TransportInstance(supply, demand, capacity)
+    TransportInstance(supply, demand, np.stack([capacity] * 3))
+    bad = supply.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(NotFinite):
+        TransportInstance(bad, demand, capacity)
+    bad[1] = [1.5, -0.5]
+    with pytest.raises(UnbalancedInstance, match="negative supply"):
+        TransportInstance(bad, demand, capacity)
+    bad[1] = [0.5, 0.6]
+    with pytest.raises(UnbalancedInstance, match="instance 1: supply"):
+        TransportInstance(bad, demand, capacity)
+    with pytest.raises(DimensionMismatch):
+        TransportInstance(supply, demand, np.stack([capacity] * 2))
+    with pytest.raises(DimensionMismatch):
+        TransportInstance(supply, demand[:2], capacity)
+
+
+def test_stacked_edges_and_conditional_columns():
+    capacity = np.array([[np.inf, 0.0], [np.inf, np.inf]])
+    supply, demand = np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.5, 0.5], [0.75, 0.25]])
+    assert TransportInstance(supply, demand, capacity).edges.tolist() == [[0, 0], [1, 0], [1, 1]]
+    assert len(TransportInstance(supply, demand, np.stack([capacity] * 2)).edges) == 6
+    plans = feasible_transport(TransportInstance(supply, demand, capacity))
+    stacked = conditional_columns(TransportPlan(flow=np.stack([p.flow for p in plans])))
+    for plan, columns in zip(plans, stacked):
+        assert np.array_equal(columns, conditional_columns(plan))
+    # no left nodes: every instance with no demand is feasible
+    no_left = TransportInstance(np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((0, 3)))
+    nothing = feasible_transport(no_left)
+    assert [p.flow.shape for p in nothing] == [(0, 3), (0, 3)]
+    empty = TransportPlan(flow=np.array([[[1.0, 0.0]], [[0.0, 0.0]]]))
+    with pytest.raises(ZeroSupplyNode, match="instance 1: left node 0"):
+        conditional_columns(empty)
