@@ -45,8 +45,10 @@ class TransitionMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
+        if a.ndim != 2 or 0 in a.shape:
+            raise DimensionMismatch(
+                f"expected a 2-d matrix with an output and an input, got shape {a.shape}"
+            )
         object.__setattr__(self, "matrix", require_column_stochastic(a, "transition matrix"))
 
     @property
@@ -382,10 +384,9 @@ def ball_born_matrix(
     """Entries e_i((1-delta) x_j) for a partition of unity on the ball."""
     c_total = sum(e.c for e in effects)
     v_total = sum(e.v for e in effects)
-    if abs(c_total - 1.0) > STOCHASTIC_TOL or np.max(np.abs(v_total)) > STOCHASTIC_TOL:
-        raise NotPartitionOfUnity(
-            f"effects sum to c={c_total!r}, |v|_max={float(np.max(np.abs(v_total))):.3e}"
-        )
+    v_max = float(np.max(np.abs(v_total), initial=0.0))
+    if abs(c_total - 1.0) > STOCHASTIC_TOL or v_max > STOCHASTIC_TOL:
+        raise NotPartitionOfUnity(f"effects sum to c={c_total!r}, |v|_max={v_max:.3e}")
     d = float(Delta(delta).delta)  # checks delta
     out = np.empty((len(effects), len(states)))
     for j, s in enumerate(states):

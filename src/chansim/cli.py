@@ -472,9 +472,9 @@ CAP = ("--cap", {
     "type": int,
     "default": mixdisc.DEFAULT_CAP,
     "help": "size cap: the 2^k - 1 output supports of a noiseless or delta-noisy quantum "
-    "simulation (one determinant each), the C(n+k-1, n) outcome multiset classes of a "
-    "permutohedron- or per-column-noisy one or a ball one (1 to 3 determinants per class "
-    "in practice)",
+    "simulation (one determinant each) or a ball one (one bracket each), the C(n+k-1, n) "
+    "outcome multiset classes of a permutohedron- or per-column-noisy one (1 to 3 "
+    "determinants per class in practice)",
 })
 JSON_ERRORS = ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"})
 OUT = ("--out", {"help": "write the certificate here (default: stdout)"})

@@ -27,16 +27,19 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def as_complex_stack(matrices, what: str) -> np.ndarray:
-    """Coerce a sequence of matrices, or an (m, n, n) array, to one finite
-    complex (m, n, n) stack; DimensionMismatch names the first ``what``
-    that is not square or not as large as the first."""
+    """Coerce a nonempty sequence of matrices, or an (m, n, n) array, to
+    one finite complex (m, n, n) stack; DimensionMismatch if there is no
+    ``what``, or names the first that is not square or not as large as the
+    first."""
+    if len(matrices) == 0:
+        raise DimensionMismatch(f"need at least one {what}")
     try:
         a = np.asarray(matrices, dtype=complex)
     except ValueError:  # matrices of different sizes
         a = None
     if a is None or a.ndim != 3 or a.shape[1] != a.shape[2]:
         mats = [as_complex_matrix(m) for m in matrices]
-        n = len(mats[0]) if mats else 0
+        n = len(mats[0])
         for i, m in enumerate(mats):
             if len(m) != n:
                 raise DimensionMismatch(f"{what} {i} is {len(m)}-square, expected {n}")
@@ -80,8 +83,6 @@ def validate_povm(outcomes: Sequence[np.ndarray]) -> np.ndarray:
     eigvalsh); a NotHermitian or NotPsd error names the first faulty
     outcome, with the first of the two checks that it fails.
     """
-    if len(outcomes) == 0:
-        raise DimensionMismatch("a POVM needs at least one outcome")
     mats = as_complex_stack(outcomes, "outcome")
     defect = hermiticity_defect(mats)
     low = np.linalg.eigvalsh(mats)[:, 0]
@@ -137,8 +138,6 @@ def validate_density(rho) -> np.ndarray:
 def born_matrix(outcomes: Sequence[np.ndarray], states: Sequence[np.ndarray]) -> np.ndarray:
     """Transition matrix (tr E_i rho_j): k x l, column-stochastic for valid
     inputs; one stacked product of every outcome with every state."""
-    if len(outcomes) == 0 or len(states) == 0:
-        raise DimensionMismatch("need at least one outcome and one state")
     mats = as_complex_stack(outcomes, "outcome")
     rhos = as_complex_stack(states, "state")
     if mats.shape[1] != rhos.shape[1]:

@@ -19,19 +19,21 @@ A bucket with one class not yet known gives that total once the known ones
 are subtracted; this peeling (the FFAST sparse DFT, Pawar and Ramchandran
 2013) adds lattices from a fixed seed until every class is known, 1-3 in
 practice. On the torus ||sum_i z_i E_i|| <= 1, so the totals carry error
-near machine epsilon. Other symmetric weights (the ball pairing) enter
-through ``distribution_from_class_values``. Determinants are taken in
-blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value
-per lattice point.
+near machine epsilon. ``distribution_from_class_values`` takes any other
+symmetric weight; no construction calls it. Determinants are taken in
+blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value per
+lattice point.
 
 A consumer that needs only each class's support, the set of outcomes it
-carries, takes ``support_totals`` instead; the noiseless and delta-noisy
-quantum simulations do. With E_T the sum of E_i over i in T,
-det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of the classes
-whose support lies inside T. So the 2^k - 1 determinants, Moebius inverted
-over subsets, give every support's total, with no class table and no
-lattice; supports of more than n outcomes must come out zero. Class totals
-remain for the permutohedron- and per-column-noisy and the ball simulations.
+carries, takes its support totals instead; the noiseless and delta-noisy
+quantum simulations and the ball simulations do. With E_T the sum of E_i
+over i in T, det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of
+the classes whose support lies inside T (``support_totals``); the ball
+pairing is multilinear too, and the bracket of n copies of e_T plays that
+part (``ball_support_totals``). So 2^k - 1 such values, Moebius inverted
+over subsets in one shared block, give every support's total, with no class
+table and no lattice; supports of more than n outcomes must come out zero.
+Class totals remain for the permutohedron- and per-column-noisy simulations.
 """
 
 from __future__ import annotations
@@ -63,13 +65,6 @@ ROUNDOFF_FLOOR = 1e-12
 DEFAULT_CAP = 10**6
 _BLOCK_POINTS = 4096
 _MAX_LATTICES = 64
-
-
-def _stack_square(matrices: Sequence[np.ndarray], what: str) -> np.ndarray:
-    """Stack finite square matrices of one common dimension into (m, n, n)."""
-    if len(matrices) == 0:
-        raise DimensionMismatch(f"need at least one {what}")
-    return as_complex_stack(matrices, what)
 
 
 def _determinants(
@@ -104,7 +99,7 @@ def mixed_discriminant(matrices: Sequence[np.ndarray]) -> float:
     above 1e-8). No construction calls it: it is the reference that the
     class totals of ``outcome_distribution`` are tested against.
     """
-    stack = _stack_square(matrices, "matrix")
+    stack = as_complex_stack(matrices, "matrix")
     n = stack.shape[1]
     if len(stack) != n:
         raise DimensionMismatch(f"need exactly {n} matrices of dimension {n}, got {len(stack)}")
@@ -175,8 +170,8 @@ class OutcomeDistribution:
     lexicographic order, and ``weights[c]`` its class weight: p_I times the
     number of orderings of I for a POVM, the share of the d-subsets that
     decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d), the
-    total of one output support for the noiseless and delta-noisy quantum
-    simulations.
+    total of one output support for the support route of the noiseless and
+    delta-noisy quantum and the ball simulations.
     Zero classes are omitted; stored weights are positive and sum to 1.
     ``counts`` (C, k) holds the copies of each outcome in each class.
     """
@@ -276,7 +271,7 @@ def outcome_distribution(
     determinants per lattice, usually 1-3 lattices. ``cap`` bounds C;
     NumericalBreakdown if 64 lattices leave a class unknown.
     """
-    stack = _stack_square(outcomes, "POVM outcome")
+    stack = as_complex_stack(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
     classes, counts, orderings = _all_classes(k, n, cap)
     totals = _lattice_class_totals(stack, counts[:, 1:])
@@ -293,23 +288,39 @@ def support_sizes(k: int) -> np.ndarray:
 
 
 def support_totals(outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP) -> np.ndarray:
-    """The class totals of a POVM summed by support: entry S of the (2^k,)
-    array, bit i of S standing for outcome i, is the total of the classes
-    that carry exactly the outcomes in S.
-
-    The total of the classes whose support lies inside T is det(E_T), E_T
-    the sum of the E_i over i in T, so the 2^k - 1 determinants give every
-    support's total after k in-place passes of Moebius inversion. ``cap``
-    bounds 2^k - 1 and is checked before any determinant is taken. A class
-    carries at most n outcomes, so NumericalBreakdown if a larger support
-    comes out above 1e-9 in modulus; they are all set to zero. Totals are
-    then floored, clamped and renormalized as class totals are.
-    """
-    stack = _stack_square(outcomes, "POVM outcome")
+    """A POVM's class totals summed by support (``_support_totals``): the
+    classes whose support lies inside T total det(E_T), E_T = sum_{i in T} E_i."""
+    stack = as_complex_stack(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
+    return _support_totals(k, n, cap, lambda: _determinants(stack, 2**k - 1, _subset_rows(k)))
+
+
+def ball_support_totals(
+    c: np.ndarray, v: np.ndarray, n: int, cap: int = DEFAULT_CAP
+) -> np.ndarray:
+    """The bracket's class totals summed by support (``_support_totals``)
+    for ball effects e_i = (c[i], v[i]) of norm index n: the classes whose
+    support lies inside T total the bracket of n copies of e_T = sum_{i in
+    T} e_i, which is c_T^n minus the sum over coordinates of v_T^n."""
+
+    def brackets() -> np.ndarray:
+        sums = _subset_rows(len(c))(np.arange(2 ** len(c) - 1)) @ np.column_stack([c, v])
+        return sums[:, 0] ** n - (sums[:, 1:] ** n).sum(axis=1)
+
+    return _support_totals(len(c), n, cap, brackets)
+
+
+def _support_totals(k: int, n: int, cap: int, inside: Callable[[], np.ndarray]) -> np.ndarray:
+    """The class totals of a multilinear distribution on the multisets of n
+    of k outcomes, summed by support S < 2^k (bit i for outcome i), Moebius
+    inverted from ``inside()``: per nonempty T in mask order, the total of
+    the classes whose support lies inside T. ``cap`` bounds 2^k - 1 before
+    ``inside`` is called. NumericalBreakdown if a support of more than n
+    outcomes is above 1e-9 in modulus; all such are then set to zero, and
+    the rest floored, clamped and renormalized as class totals are."""
     if 2**k - 1 > cap:
         raise EnumerationCapExceeded(f"{2**k - 1} output supports exceed cap {cap}")
-    totals = np.append(0.0, _determinants(stack, 2**k - 1, _subset_rows(k)))
+    totals = np.append(0.0, inside())
     for i in range(k):  # T with outcome i loses the total of T without it
         pairs = totals.reshape(-1, 2, 2**i)
         pairs[:, 1] -= pairs[:, 0]

@@ -2,28 +2,31 @@
 
 Each simulator returns an explicit convex-mixture certificate: a weighted
 list of classical protocols whose mixture reproduces the target transition
-matrix. Every construction takes one path with data per multiset class.
-Quantum and ball targets are decomposed along the outcome distribution
-induced by mixed discriminants (or the ball pairing), which is symmetric
-under reordering an outcome tuple; noisy-to-noiseless targets along the
-outputs that a random d-subset of the states decodes to. All orderings of
-a class give the same protocol matrix, so each class is one candidate
-protocol, and its state columns come from a layered transport, one
+matrix. Quantum and ball targets are decomposed along the outcome
+distribution induced by mixed discriminants or the ball pairing, which is
+symmetric under reordering an outcome tuple; noisy-to-noiseless targets
+along the outputs that a random d-subset of the states decodes to. All
+orderings of a multiset class give the same protocol matrix, so each class
+is one candidate protocol. Every delta-noisy quantum or ball channel (delta
+= 0 for a noiseless one) takes one route, through output supports
+(``_simulate_by_supports``): its target is (1 - delta) times a noiseless
+channel's plus delta times the expected copies of each output over n, and
+the noiseless transport sees a class only through its support, the outputs
+it carries, so it runs on the support totals (``mixdisc.support_totals``
+or ``mixdisc.ball_support_totals``): 2^k - 1 determinants or brackets,
+whatever n is. For delta > 0 one more transport decides which output each
+support's extra copies decode to, and every slot then gets delta / n on top
+of (1 - delta) times its noiseless share. Permutohedron- and
+per-column-noisy quantum targets and noisy-to-noiseless targets keep one
+candidate per class, with state columns from a layered transport, one
 instance per input column, which keeps its slot vector in the permutation
 hull of the state's spectrum and so inside the declared noise set. The
 columns that share a noise base share the transport's left nodes, supplies
-and edges and differ only in demand, so they are solved as one stack. The
-noiseless and delta-noisy quantum simulations take another route, through
-output supports: with rho = (1 - delta) sigma + delta I / n, the noiseless
-transport for the sigma-channel sees a class only through its support, the
-outputs it carries, so it runs on the support totals
-(``mixdisc.support_totals``): 2^k - 1 determinants, whatever n is. For
-delta > 0 one more transport decides which output each support's extra
-copies decode to, so that output i is expected tr E_i times, and every
-slot then gets delta / n on top of (1 - delta) times its noiseless share.
+and edges and differ only in demand, so they are solved as one stack.
 
-A k x l target lies in an l(k-1)-dimensional affine space, so every
-certificate keeps at most l(k-1) + 1 of its candidates, reweighted by
+Candidates with equal protocol matrices merge first. A k x l target lies
+in an l(k-1)-dimensional affine space, so every certificate keeps at most
+l(k-1) + 1 of its candidates, reweighted by
 ``majorize.caratheodory`` to the same mixture matrix; the survivors are
 candidates unchanged, so their states stay in the noise set. That reduction
 walks an SVD null basis and clamps no weight, so it moves no mass beyond
@@ -84,8 +87,9 @@ from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .mixdisc import (
     DEFAULT_CAP,
     OutcomeDistribution,
+    ball_support_totals,
     class_table,
-    distribution_from_class_values,
+    distribution_from_class_values,  # noqa: F401 (no caller; the bench hooks patch it)
     outcome_distribution,
     support_sizes,
     support_totals,
@@ -193,19 +197,20 @@ def _finalize(
     noise: NoiseSpec,
 ) -> SimulationResult:
     """The certificate for T candidate protocols given as arrays: weights
-    (T,), decoders (T, n) and states (T, n, l). A k x l column-stochastic
-    target lies in an l(k-1)-dimensional affine space, so when T exceeds
-    l(k-1) + 1 the mixture is cut to at most that many protocols with the
-    same matrix (``caratheodory`` on the T protocol matrices). Weights at or
-    below WEIGHT_FLOOR are then dropped, the rest renormalized, and the
-    survivors' rows, in candidate order, make the mixture. Raises
-    NumericalBreakdown when the survivors miss the target by more than
-    RESIDUAL_TOL."""
+    (T,), decoders (T, n) and states (T, n, l). Equal protocol matrices
+    merge into their first candidate (``_distinct_protocols``); a k x l
+    column-stochastic target lies in an l(k-1)-dimensional affine space, so
+    more than l(k-1) + 1 are cut to that many with the same matrix
+    (``caratheodory``). Weights at or below WEIGHT_FLOOR are then dropped,
+    the rest renormalized, and the survivors' rows, in candidate order, make
+    the mixture. NumericalBreakdown if the survivors miss the target by more
+    than RESIDUAL_TOL."""
     k, l = target.matrix.shape
-    keep, w = np.arange(len(weights)), weights
+    matrices = protocol_matrices(decoders, states, k)
+    w, keep = _distinct_protocols(weights, matrices)
     if len(w) > l * (k - 1) + 1:
-        matrices = protocol_matrices(decoders, states, k)
-        keep, w = caratheodory(w, matrices.reshape(len(w), -1))
+        chosen, w = caratheodory(w, matrices[keep].reshape(len(w), -1))
+        keep = keep[chosen]
     live = w > WEIGHT_FLOOR
     keep, w = keep[live], w[live] / w[live].sum()
     mixture = ClassicalMixture(
@@ -340,65 +345,86 @@ def simulate_quantum_noiseless(
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
-    channel with n states: the support route of ``_simulate_by_supports``
-    at delta = 0, ``cap`` bounding the 2^k - 1 supports."""
-    return _simulate_by_supports(povm, states, Noiseless(), cap)
+    channel with n states: the support route at delta = 0, ``cap`` bounding
+    the 2^k - 1 supports."""
+    return _simulate_quantum(povm, states, Noiseless(), cap)
+
+
+def simulate_quantum_noisy(
+    povm: Sequence[np.ndarray],
+    states: Sequence[np.ndarray],
+    spec: NoiseSpec,
+    *,
+    cap: int = DEFAULT_CAP,
+) -> SimulationResult:
+    """Simulate a noisy quantum channel by the equally noisy classical one.
+
+    Each state must have its spectrum inside the declared noise set; the
+    produced mixture's state columns land in the same set. A ``Delta`` or
+    ``Noiseless`` spec takes the support route (``_simulate_by_supports``)
+    through the determinants of ``support_totals`` (``cap`` bounding the
+    2^k - 1 supports); output i is expected n D(E_i, I, ..., I) = tr E_i
+    times. A ``Permutohedron`` or ``PerColumn`` spec reads the class totals
+    (``outcome_distribution``, ``cap`` bounding the C(n+k-1, n) classes) and
+    runs the layered transport, which keeps every slot vector in the
+    permutation hull of its state's spectrum.
+    """
+    return _simulate_quantum(povm, states, spec, cap)
+
+
+def _simulate_quantum(
+    povm: Sequence[np.ndarray], states: Sequence[np.ndarray], spec: NoiseSpec, cap: int
+) -> SimulationResult:
+    povm = validate_povm(povm)
+    spectra = validate_density(states)
+    target = TransitionMatrix(born_matrix(povm, states))
+    if isinstance(spec, (Noiseless, Delta)):
+        if isinstance(spec, Delta):
+            _check_spectra(spectra, spec)
+        totals, traces = support_totals(povm, cap=cap), np.trace(povm, axis1=1, axis2=2).real
+        return _simulate_by_supports(target, totals, traces, povm.shape[1], spec)
+    dist = outcome_distribution(povm, cap=cap)
+    _check_spectra(spectra, spec)
+    values = _class_values(dist, target.matrix, np.clip(spectra, 0.0, None))
+    return _finalize(target, *_class_terms(dist, values), spec)
 
 
 def _simulate_by_supports(
-    povm: Sequence[np.ndarray],
-    states: Sequence[np.ndarray],
-    spec: Union[Noiseless, Delta],
-    cap: int,
+    target: TransitionMatrix, totals: np.ndarray, copies: np.ndarray, n: int, spec: NoiseSpec
 ) -> SimulationResult:
-    """Simulate the delta-noisy quantum channel, delta in [0, 1] (0 for
-    ``Noiseless``), by the equally noisy classical one, through the
-    supports of the outcome distribution.
-
-    Write rho_j = (1 - delta) sigma_j + delta I / n. sigma_j is a density
-    matrix exactly when rho_j's spectrum lies in the Delta set (checked for
-    a ``Delta`` spec), and then the target is A = (1 - delta) B + delta
-    (tr E_i / n)_i, with B_ij = tr(E_i sigma_j). The noiseless transport
-    for B has one layer, in which a class may send any mass to the outputs
-    it carries and none elsewhere, so it depends on each class only
-    through its support: one left node per support (``support_totals``,
-    ``cap`` bounding the 2^k - 1 supports). With delta > 0,
-    ``_copy_candidates`` decides which output each support's extra copies
-    decode to. A candidate's state for input j is (1 - delta) times its
-    support's shares of column j of B (``_first_slot_states``) plus
-    delta / n on every slot: every entry is at least delta / n, so the
-    column lies in the Delta set, and the candidates recompose A. At
-    delta = 1 every state is uniform and B is not needed; at delta = 0
-    where the extra copies go does not change a protocol matrix, and they
-    stay on each support's smallest output. Equal protocol matrices merge
-    before ``_finalize``."""
-    povm = validate_povm(povm)
-    spectra = validate_density(states)
-    a = born_matrix(povm, states)
-    n, l = povm.shape[1], a.shape[1]
+    """Simulate a delta-noisy channel (delta = 0 for ``Noiseless``) by the
+    equally noisy classical one with n states, through the supports of its
+    outcome distribution: totals[S] as ``mixdisc.support_totals`` gives
+    them, and copies[i] the expected copies of output i in a class. The
+    target is A = (1 - delta) B + delta copies / n, B the noiseless
+    channel's matrix. The noiseless transport for B has one layer, in which
+    a class may send any mass to the outputs it carries and none elsewhere,
+    so it sees a class only through its support: one left node per support.
+    With delta > 0, ``_copy_candidates`` decides which output each support's
+    extra copies decode to. A candidate's state for input j is (1 - delta)
+    times its support's shares of column j of B (``_first_slot_states``)
+    plus delta / n on every slot, so the column lies in the Delta set and
+    the candidates recompose A. At delta = 1 every state is uniform; at
+    delta = 0 the extra copies stay on each support's smallest output."""
+    a, l = target.matrix, target.matrix.shape[1]
     delta = 0.0 if isinstance(spec, Noiseless) else float(spec.delta)
-    if isinstance(spec, Delta):
-        _check_spectra(spectra, spec)
-    dist = _support_classes(support_totals(povm, cap=cap), n)
+    dist = _support_classes(totals, n)
     if delta > 0.0:
-        traces = np.trace(povm, axis1=1, axis2=2).real
-        support, decoders, weights = _copy_candidates(dist, traces)
+        support, decoders, weights = _copy_candidates(dist, copies)
     else:
         support, decoders, weights = np.arange(len(dist.weights)), dist.classes, dist.weights
     if delta < 1.0:
-        # B's transport scaled by 1 - delta: demand (1 - delta) B and one
-        # layer of height 1 - delta, because dividing by 1 - delta would
-        # blow up round-off near delta = 1. Entries below zero are round-off
-        # or within the spectrum check's tolerance.
-        b = a if delta == 0.0 else np.maximum(a - delta / n * traces[:, None], 0.0)
+        # B's transport scaled by 1 - delta (demand (1 - delta) B, one layer
+        # of height 1 - delta): dividing by 1 - delta would blow up round-off
+        # near delta = 1. Entries below zero are round-off or input tolerance.
+        b = a if delta == 0.0 else np.maximum(a - delta / n * copies[:, None], 0.0)
         values = _class_values(dist, b, (1.0 - delta) * noise_bases(Noiseless(), n, l))
         x = _first_slot_states(dist, values, support, decoders)
     else:
         x = np.zeros((len(decoders), n, l))
     if delta > 0.0:
         x = (1.0 - delta) * x + delta / n
-    weights, first = _distinct_protocols(weights, protocol_matrices(decoders, x, dist.k))
-    return _finalize(TransitionMatrix(a), weights, decoders[first], x[first], spec)
+    return _finalize(target, weights, decoders, x, spec)
 
 
 def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
@@ -445,16 +471,15 @@ def _heaviest_superset(totals: np.ndarray, sizes: np.ndarray, n: int) -> np.ndar
 
 
 def _copy_candidates(
-    dist: OutcomeDistribution, traces: np.ndarray
+    dist: OutcomeDistribution, copies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates whose expected copies of output i are traces[i] = tr E_i,
-    from the supports of ``_support_classes``. Support S, of total t_S,
-    carries its outputs once each and n - |S| extra copies. One transport
-    sends t_S (n - |S|) from each S to its own outputs, uncapped, to meet
-    output i's demand tr E_i - sum_{S carrying i} t_S: the extra copies of
-    the classes with support S are such a flow, since the expected count of
-    i under the outcome distribution is n D(E_i, I, ..., I) = tr E_i, so
-    the transport is feasible. Candidate (S, i) is S's outputs once each
+    """Candidates whose expected copies of output i are copies[i], as the
+    outcome distribution's are, from the supports of ``_support_classes``.
+    Support S, of total t_S, carries its outputs once each and n - |S|
+    extra copies. One transport sends t_S (n - |S|) from each S to its own
+    outputs, uncapped, to meet output i's demand copies[i] - sum_{S carrying
+    i} t_S: the extra copies of the classes with support S are such a flow,
+    so the transport is feasible. Candidate (S, i) is S's outputs once each
     plus n - |S| copies of i, weighted by t_S times S's share of its flow
     into i. A support of n outputs, or one whose supply is at most
     DROP_TOL, stays as its class row, extra copies on its smallest output,
@@ -465,7 +490,7 @@ def _copy_candidates(
     member = np.minimum(dist.counts, 1)
     extra = n - member.sum(axis=1)
     moved = w * extra > DROP_TOL
-    demand = traces - w @ np.where(moved[:, None], member, dist.counts)
+    demand = copies - w @ np.where(moved[:, None], member, dist.counts)
     capacity = np.where(member[moved] > 0, np.inf, 0.0)
     plan = _transport(["copy-count transport"], (w * extra)[moved][None], demand[None], capacity)
     shares = conditional_columns(plan)[0]
@@ -507,8 +532,11 @@ def simulate_ball(
     cap: int = DEFAULT_CAP,
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
-    channel with n states, n the even norm index; DimensionMismatch unless
-    every effect and state has norm index n and one dimension."""
+    channel with n states, n the even norm index, through the supports of
+    its brackets (``ball_support_totals``, ``cap`` bounding the 2^k - 1
+    supports); output i is expected n bracket(e_i, u, ..., u) = n c_i times,
+    u = (1, 0) the unit effect. DimensionMismatch unless every effect and
+    state has norm index n and one dimension."""
     if not effects:
         raise DimensionMismatch("need at least one effect")
     n = effects[0].norm_index
@@ -518,45 +546,8 @@ def simulate_ball(
         raise DimensionMismatch("effects and states must share one dimension")
     c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
     target = ball_born_matrix(effects, states, delta=delta)
-
-    def brackets(classes: np.ndarray) -> np.ndarray:
-        # channels.bracket per row, multiplied slot by slot in its order
-        cs, vs = 1.0, 1.0
-        for slot in classes.T:
-            cs, vs = cs * c[slot], vs * v[slot]
-        return cs - vs.sum(axis=1)
-
-    dist = distribution_from_class_values(len(effects), n, brackets, cap=cap)
-    values = _class_values(dist, target.matrix, noise_bases(Delta(delta), n, len(states)))
-    return _finalize(target, *_class_terms(dist, values), Delta(delta))
-
-
-def simulate_quantum_noisy(
-    povm: Sequence[np.ndarray],
-    states: Sequence[np.ndarray],
-    spec: NoiseSpec,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> SimulationResult:
-    """Simulate a noisy quantum channel by the equally noisy classical one.
-
-    Each state must have its spectrum inside the declared noise set; the
-    produced mixture's state columns land in the same set. A ``Delta`` spec
-    takes the support route (``_simulate_by_supports``, ``cap`` bounding
-    the 2^k - 1 supports). A ``Permutohedron`` or ``PerColumn`` spec reads
-    the class totals (``outcome_distribution``, ``cap`` bounding the
-    C(n+k-1, n) classes) and runs the layered transport, which keeps every
-    slot vector in the permutation hull of its state's spectrum.
-    """
-    if isinstance(spec, Delta):
-        return _simulate_by_supports(povm, states, spec, cap)
-    povm = validate_povm(povm)
-    spectra = validate_density(states)
-    a = born_matrix(povm, states)
-    dist = outcome_distribution(povm, cap=cap)
-    _check_spectra(spectra, spec)
-    values = _class_values(dist, a, np.clip(spectra, 0.0, None))
-    return _finalize(TransitionMatrix(a), *_class_terms(dist, values), spec)
+    totals = ball_support_totals(c, v, n, cap=cap)
+    return _simulate_by_supports(target, totals, n * c, n, Delta(delta))
 
 
 def _check_spectra(spectra: np.ndarray, spec: NoiseSpec) -> None:
@@ -584,9 +575,7 @@ def simulate_noisy_by_noiseless(
     the subsets have a feasible transport, each sending 1/C(n,d) of a column
     only into its own members, when every r states carry at least
     C(r,d)/C(n,d) of the column, which the base's threshold guarantees; that
-    flow, summed over each class, is a feasible class transport. Classes
-    with equal protocol matrices merge into one candidate, the first one
-    weighted by their total, and at most l(k-1) + 1 candidates are kept. A
+    flow, summed over each class, is a feasible class transport. A
     ``PerColumn`` spec raises PerColumnNoise, since the witness names no
     column.
     """
@@ -609,9 +598,7 @@ def simulate_noisy_by_noiseless(
     a = protocol_matrix(target)
     dist = _subset_classes(np.bincount(decoder, minlength=k), d)
     values = _class_values(dist, a.matrix, noise_bases(Noiseless(), d, l))
-    weights, decoders, states = _class_terms(dist, values)
-    weights, first = _distinct_protocols(weights, protocol_matrices(decoders, states, k))
-    return _finalize(a, weights, decoders[first], states[first], Noiseless())
+    return _finalize(a, *_class_terms(dist, values), Noiseless())
 
 
 def _subset_classes(sizes: np.ndarray, d: int) -> OutcomeDistribution:

@@ -1005,7 +1005,7 @@ PINNED_CERTIFICATE_DIGESTS = [
     (["certify", "holevo"], "ensemble.json",
      "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
-     "61322182b6021ae3cb3190df62049914498b6fae8f6a19e2ecb42430c6bb3e46"),
+     "aa8659adfbea359801dd52248b12e25bba980aae2701bcaab8ac201931f1b52e"),
     # 21 supports of at most 2 of the 6 outputs
     (["simulate", "quantum"], "six_outcome_qubit.json",
      "ee85643cd938ae1ab7a9ab76a559d14a31271ac4ddd8bbd496b2952985b0c4fc"),

@@ -193,6 +193,34 @@ def test_delta_support_cap_is_checked_before_any_determinant(rng, monkeypatch, t
     assert not (tmp_path / "cert.json").exists()
 
 
+def test_ball_support_cap_is_checked_before_any_bracket(rng, monkeypatch, tmp_path, capsys):
+    from chansim.channels import BallEffect, BallState
+    from chansim.cli import main
+    from chansim.simulate import simulate_ball
+    from conftest import random_ball_effects
+
+    def no_brackets(*args):
+        raise AssertionError("a bracket was taken")
+
+    monkeypatch.setattr(mixdisc, "_subset_rows", no_brackets)
+    pairs = random_ball_effects(rng, 5, 2, 2)
+    effects = [BallEffect(c=c, v=v, norm_index=2) for c, v in pairs]
+    states = [BallState(x=np.array([0.1, 0.2]), norm_index=2)]
+    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
+        simulate_ball(effects, states, 0.5, cap=30)
+    instance = {
+        "norm_index": 2,
+        "effects": [{"c": c, "v": v.tolist()} for c, v in pairs],
+        "ball_states": [[0.1, 0.2]],
+    }
+    (tmp_path / "ball.json").write_text(json.dumps(instance))
+    argv = ["simulate", "ball", "--delta", "1/2", "--cap", "30"]
+    argv += ["--in", str(tmp_path / "ball.json"), "--out", str(tmp_path / "cert.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         mixdisc.distribution_from_class_values(
@@ -389,28 +417,32 @@ def test_class_table_matches_the_discriminant_oracle(rng, n, k):
         assert_class_table(dist, lambda ms: mixdisc.mixed_discriminant([povm[i] for i in ms]))
 
 
-@pytest.mark.parametrize("k, dim, norm_index", [(3, 2, 2), (4, 3, 4), (5, 2, 6)])
-def test_class_table_matches_the_bracket_oracle(rng, monkeypatch, k, dim, norm_index):
-    from chansim import simulate
-    from chansim.channels import BallEffect, BallState, bracket
-    from conftest import random_ball_effects, random_ball_states
+@pytest.mark.parametrize("n, k", [(2, 5), (4, 4), (6, 3), (6, 5)])
+def test_ball_support_totals_sum_the_bracket_class_totals_by_support(rng, n, k):
+    # the bracket is multilinear, as the mixed discriminant is: its class
+    # table, summed by support, is the Moebius inversion of the brackets
+    # of subset sums
+    from chansim.channels import BallEffect, bracket
+    from conftest import random_ball_effects
 
-    tables = []
-
-    def keep(*args, **kwargs):
-        tables.append(mixdisc.distribution_from_class_values(*args, **kwargs))
-        return tables[-1]
-
-    monkeypatch.setattr(simulate, "distribution_from_class_values", keep)
     for _ in range(3):
-        pairs = random_ball_effects(rng, k, dim, norm_index)
-        effects = [BallEffect(c=c, v=v, norm_index=norm_index) for c, v in pairs]
-        states = [
-            BallState(x=x, norm_index=norm_index)
-            for x in random_ball_states(rng, 2, dim, norm_index)
+        effects = [
+            BallEffect(c=c, v=v, norm_index=n) for c, v in random_ball_effects(rng, k, 3, n)
         ]
-        simulate.simulate_ball(effects, states, delta=0.5)
-        assert_class_table(tables[-1], lambda ms: bracket([effects[i] for i in ms]))
+
+        def value(ms):
+            return bracket([effects[i] for i in ms])
+
+        dist = mixdisc.distribution_from_class_values(
+            k, n, lambda classes: np.array([value(ms) for ms in classes])
+        )
+        assert_class_table(dist, value)
+        masks = (dist.counts > 0) @ (1 << np.arange(k))
+        summed = np.bincount(masks, weights=dist.weights, minlength=2**k)
+        c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
+        totals = mixdisc.ball_support_totals(c, v, n)
+        assert np.max(np.abs(totals - summed)) <= 1e-12
+        assert not totals[mixdisc.support_sizes(k) > n].any()
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (4, 1), (3, 4), (5, 3), (2, 7)])

@@ -458,7 +458,7 @@ _DISK_STATES = [BallState(x=np.array([0.6, 0.8]), norm_index=2)]
 
 @pytest.mark.parametrize("mismatch", ["effect_dimension", "state_dimension", "norm_index"])
 def test_ball_inputs_that_do_not_fit_raise_dimension_mismatch(monkeypatch, mismatch):
-    # the instance is checked once, before any class is evaluated
+    # the instance is checked once, before any support is evaluated
     from chansim.errors import DimensionMismatch
 
     effects, states = list(_DISK_EFFECTS), list(_DISK_STATES)
@@ -469,12 +469,81 @@ def test_ball_inputs_that_do_not_fit_raise_dimension_mismatch(monkeypatch, misma
     else:
         effects.append(BallEffect(c=0.0, v=np.zeros(2), norm_index=4))
 
-    def no_classes(*args, **kwargs):
-        raise AssertionError("classes evaluated before the inputs were checked")
+    def no_supports(*args, **kwargs):
+        raise AssertionError("supports evaluated before the inputs were checked")
 
-    monkeypatch.setattr(simulate, "distribution_from_class_values", no_classes)
+    monkeypatch.setattr(simulate, "ball_support_totals", no_supports)
     with pytest.raises(DimensionMismatch):
         simulate_ball(effects, states)
+
+
+# a channel with no input: a POVM with no state, a ball with no state and
+# 3 x 0 matrices
+_NO_STATE_POVM = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+_NO_COLUMNS = np.zeros((3, 0))
+_NO_INPUTS = {
+    "noiseless": (
+        lambda: simulate_quantum_noiseless(_NO_STATE_POVM, []),
+        ["simulate", "quantum"],
+    ),
+    "delta": (
+        lambda: simulate_quantum_noisy(_NO_STATE_POVM, [], Delta(0.5)),
+        ["simulate", "quantum", "--noise", "delta:1/2"],
+    ),
+    "permutohedron": (
+        lambda: simulate_quantum_noisy(_NO_STATE_POVM, [], Permutohedron((0.6, 0.4))),
+        ["simulate", "quantum", "--noise", "permutohedron:[0.6,0.4]"],
+    ),
+    "ball": (lambda: simulate_ball(_DISK_EFFECTS, [], 0.5), ["simulate", "ball", "--delta", "1/2"]),
+    "reduce": (lambda: reduce_rows(_NO_COLUMNS), ["simulate", "reduce"]),
+    "noisy-to-noiseless": (
+        lambda: simulate_noisy_by_noiseless(Delta(0.5), _NO_COLUMNS, 2),
+        ["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_NO_INPUTS))
+def test_a_channel_without_inputs_raises_dimension_mismatch(route, tmp_path, capsys):
+    from chansim import jsonio
+    from chansim.cli import main
+    from chansim.errors import DimensionMismatch
+
+    call, argv = _NO_INPUTS[route]
+    with pytest.raises(DimensionMismatch):
+        call()
+    if argv[1] == "quantum":
+        payload = jsonio.quantum_instance_to_json(_NO_STATE_POVM, [])
+    elif argv[1] == "ball":
+        effects = [{"c": e.c, "v": e.v.tolist()} for e in _DISK_EFFECTS]
+        payload = {"norm_index": 2, "effects": effects, "ball_states": []}
+    else:
+        payload = {"matrix": _NO_COLUMNS.tolist()}
+    (tmp_path / "in.json").write_text(json.dumps(payload))
+    argv = argv + ["--in", str(tmp_path / "in.json"), "--out", str(tmp_path / "cert.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("chansim: DimensionMismatch: ")
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_a_zero_dimensional_ball_certifies_and_verifies(tmp_path):
+    # dual_norm and state_norm accept empty vectors, and so does the target
+    from chansim.cli import main
+
+    effects = [BallEffect(c=c, v=np.zeros(0), norm_index=4) for c in (0.25, 0.75)]
+    result = simulate_ball(effects, [BallState(x=np.zeros(0), norm_index=4)], 0.5)
+    check_simulation(result, max_states=4)
+    assert result.target.matrix.tolist() == [[0.25], [0.75]]
+    payload = {
+        "norm_index": 4,
+        "effects": [{"c": 0.25, "v": []}, {"c": 0.75, "v": []}],
+        "ball_states": [[]],
+    }
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps(payload))
+    argv = ["simulate", "ball", "--delta", "1/2", "--in", str(source), "--out", str(cert)]
+    assert main(argv) == 0
+    assert main(["verify", str(cert), "--in", str(source)]) == 0
 
 
 def test_noisy_by_noiseless_delta_at_threshold():
@@ -836,19 +905,45 @@ def test_noiseless_quantum_past_the_class_cap(bench_workloads, tmp_path):
     assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
 
 
-def test_noiseless_candidates_have_distinct_protocol_matrices(rng, monkeypatch):
-    povm, states = random_povm(rng, 4, 5), [random_density(rng, 4) for _ in range(2)]
+def _one_column_instance(rng, route):
+    """A simulation of one input column for each construction: its
+    1 (k - 1) + 1 = k candidate bound sends every certificate of more
+    than k distinct candidates through the reduction."""
+    if route == "ball":
+        pairs = random_ball_effects(rng, 5, 2, 4)
+        effects = [BallEffect(c=c, v=v, norm_index=4) for c, v in pairs]
+        states = [BallState(x=np.array([0.3, -0.4]), norm_index=4)]
+        return lambda: simulate_ball(effects, states, 0.5)
+    if route == "noisy-to-noiseless":
+        x = 0.1 + 0.5 * random_stochastic(rng, 5, 1)
+        return lambda: simulate_noisy_by_noiseless(Delta(0.5), x, 3)
+    povm, sigma = random_povm(rng, 4, 5), random_density(rng, 4)
+    if route == "noiseless":
+        return lambda: simulate_quantum_noiseless(povm, [sigma])
+    if route == "delta":
+        return lambda: simulate_quantum_noisy(povm, [0.5 * sigma + np.eye(4) / 8], Delta(0.5))
+    spectrum = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
+    spec = Permutohedron(tuple(spectrum / spectrum.sum()))
+    return lambda: simulate_quantum_noisy(povm, [sigma], spec)
+
+
+@pytest.mark.parametrize(
+    "route", ["noiseless", "delta", "permutohedron", "ball", "noisy-to-noiseless"]
+)
+def test_the_reduction_sees_distinct_protocol_matrices(rng, monkeypatch, route):
+    # _finalize merges equal protocol matrices before caratheodory, for
+    # every construction
     seen = []
 
-    def spy(target, weights, decoders, states, noise):
-        seen.append(protocol_matrices(decoders, states, 5))
-        return finalize(target, weights, decoders, states, noise)
+    def spy(weights, points):
+        seen.append(points)
+        return reduce(weights, points)
 
-    finalize = simulate._finalize
-    monkeypatch.setattr(simulate, "_finalize", spy)
-    simulate_quantum_noiseless(povm, states)
-    flat = seen[0].reshape(len(seen[0]), -1)
-    assert len(np.unique(flat, axis=0)) == len(flat)
+    reduce = simulate.caratheodory
+    monkeypatch.setattr(simulate, "caratheodory", spy)
+    check_simulation(_one_column_instance(rng, route)())
+    assert len(seen) == 1
+    assert len(np.unique(seen[0], axis=0)) == len(seen[0]) > 5
 
 
 def test_dust_supports_move_to_their_heaviest_superset(rng):
@@ -947,6 +1042,17 @@ def test_delta_noisy_quantum_past_the_class_cap(bench_workloads, tmp_path):
     rng = np.random.default_rng([1, 20, 12])
     inst = bench_workloads._quantum_instance(rng, 20, 12, 3, "delta:1/2")
     assert math.comb(20 + 12 - 1, 20) > DEFAULT_CAP
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
+
+
+def test_delta_noisy_ball_past_the_class_cap(bench_workloads, tmp_path):
+    # C(41, 30) = 1,121,099,408 classes, but only 2^12 - 1 = 4,095 supports
+    inst = bench_workloads._ball_instance(
+        np.random.default_rng([1, 30, 12]), 30, 12, 3, 3, Fraction(1, 2)
+    )
+    assert math.comb(30 + 12 - 1, 30) > DEFAULT_CAP
     result = _certify_and_verify(tmp_path, inst)
     assert result["residual"] <= 1e-8
     assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
