@@ -296,13 +296,13 @@ def mixture_matrix(m: ClassicalMixture) -> TransitionMatrix:
     return TransitionMatrix((m.weights[:, None, None] * matrices).sum(axis=0))
 
 
-def validate_mixture(m: ClassicalMixture, tol: float = STOCHASTIC_TOL) -> None:
+def validate_mixture(m: ClassicalMixture) -> None:
     """Check every state column of every term against its column's base
     from ``noise_bases`` (the test of ``satisfies_noise``), all T x l
     columns at once; the rest is checked when the mixture is built."""
     _, n, l = m.states.shape
     columns = m.states.transpose(0, 2, 1)  # (T, l, n)
-    inside = majorized_by_permutohedron(columns, noise_bases(m.noise, n, l), tol)
+    inside = majorized_by_permutohedron(columns, noise_bases(m.noise, n, l), STOCHASTIC_TOL)
     if not inside.all():
         j = np.argwhere(~inside)[0, 1]
         raise ValueError(f"state column {j} violates the declared noise spec")

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import certify, jsonio, mixdisc, simulate
+from . import certify, jsonio, simulate
 from .certify import BinomialWitness
 from .channels import (
     ClassicalProtocol,
@@ -125,18 +125,14 @@ def _certify(handler, args) -> int:
 
 def _simulate_quantum(args, payload):
     povm, states = quantum_instance_from_json(payload)
-    spec = parse_noise(args.noise)
-    if isinstance(spec, Noiseless):
-        result = simulate.simulate_quantum_noiseless(povm, states, cap=args.cap)
-    else:
-        result = simulate.simulate_quantum_noisy(povm, states, spec, cap=args.cap)
+    result = simulate.simulate_quantum_noisy(povm, states, parse_noise(args.noise))
     return payload, jsonio.simulation_to_json(result)
 
 
 def _simulate_ball(args, payload):
     effects, states = ball_instance_from_json(payload)
     delta = rational_from_json(args.delta)
-    result = simulate.simulate_ball(effects, states, delta=delta, cap=args.cap)
+    result = simulate.simulate_ball(effects, states, delta=delta)
     return payload, jsonio.simulation_to_json(result)
 
 
@@ -468,14 +464,6 @@ def cmd_fixtures_emit(args) -> int:
 # -- the command table ----------------------------------------------------------
 
 IN = ("--in", {"dest": "infile", "required": True})
-CAP = ("--cap", {
-    "type": int,
-    "default": mixdisc.DEFAULT_CAP,
-    "help": "size cap: the 2^k - 1 output supports of a noiseless or delta-noisy quantum "
-    "simulation (one determinant each) or a ball one (one bracket each), the C(n+k-1, n) "
-    "outcome multiset classes of a permutohedron- or per-column-noisy one (1 to 3 "
-    "determinants per class in practice)",
-})
 JSON_ERRORS = ("--json-errors", {"action": "store_true", "help": "emit errors as JSON on stderr"})
 OUT = ("--out", {"help": "write the certificate here (default: stdout)"})
 
@@ -491,9 +479,9 @@ GROUPS = {
 # ``_certify`` and takes --out.
 COMMANDS = (
     ("simulate", "quantum", "simulate a (noisy) quantum channel classically",
-     [IN, ("--noise", {"default": "noiseless"}), CAP], _simulate_quantum),
+     [IN, ("--noise", {"default": "noiseless"})], _simulate_quantum),
     ("simulate", "ball", "simulate a delta-noisy ball channel",
-     [IN, ("--delta", {"default": "0"}), CAP], _simulate_ball),
+     [IN, ("--delta", {"default": "0"})], _simulate_ball),
     ("simulate", "reduce", "row-reduction decomposition of a matrix",
      [IN, ("--p", {"help": "JSON list of row weights"})], _simulate_reduce),
     ("simulate", "noisy-to-noiseless", "simulate a noisy channel with d noiseless states",

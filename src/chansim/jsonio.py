@@ -196,6 +196,22 @@ def real_from_json(data, what: str) -> float:
     return float(data)
 
 
+def int_from_json(data, what: str) -> int:
+    """An integer; a float, even an integral one, a boolean, a string or
+    any other value raises ValueError that names ``what``."""
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} is not an integer: {data!r}")
+    return data
+
+
+def _decoders(data) -> np.ndarray:
+    """An int array of decoder entries, each read by ``int_from_json``."""
+    entries = _array(data, object)
+    for x in entries.ravel():
+        int_from_json(x, "decoder entry")
+    return entries.astype(int)
+
+
 def complex_matrix_to_json(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
     return np.stack([a.real, a.imag], -1).tolist()
@@ -290,9 +306,9 @@ def noise_from_json(data) -> NoiseSpec:
 
 def protocol_from_json(data) -> ClassicalProtocol:
     return ClassicalProtocol(
-        decoder=_array(data["decoder"], int),
+        decoder=_decoders(data["decoder"]),
         states=real_matrix_from_json(data["states"]),
-        num_outputs=int(data["num_outputs"]),
+        num_outputs=int_from_json(data["num_outputs"], "num_outputs"),
     )
 
 
@@ -309,15 +325,15 @@ def mixture_from_json(data) -> ClassicalMixture:
     """The mixture of a certificate's ``terms``, one array per field; the
     protocols must share their number of outputs and their shape."""
     protocols = [t["protocol"] for t in data["terms"]]
-    outputs = {p["num_outputs"] for p in protocols}
+    outputs = {int_from_json(p["num_outputs"], "num_outputs") for p in protocols}
     if len(outputs) > 1:
         raise InvalidCertificate(f"protocols differ in their number of outputs: {sorted(outputs)}")
     return ClassicalMixture(
         weights=_array([t["weight"] for t in data["terms"]]),
-        decoders=_array([p["decoder"] for p in protocols], int),
+        decoders=_decoders([p["decoder"] for p in protocols]),
         states=_array([p["states"] for p in protocols]),
-        num_outputs=int(outputs.pop()) if outputs else 0,
-        num_states=int(data["num_states"]),
+        num_outputs=outputs.pop() if outputs else 0,
+        num_states=int_from_json(data["num_states"], "num_states"),
         noise=noise_from_json(data["noise"]),
     )
 
@@ -326,7 +342,7 @@ def mixture_from_json(data) -> ClassicalMixture:
 
 
 def ball_instance_from_json(data) -> tuple[list[BallEffect], list[BallState]]:
-    n = int(data["norm_index"])
+    n = int_from_json(data["norm_index"], "norm_index")
     effects = [
         BallEffect(c=real_from_json(e["c"], "effect constant"), v=_array(e["v"]), norm_index=n)
         for e in data["effects"]

@@ -34,6 +34,8 @@ part (``ball_support_totals``). So 2^k - 1 such values, Moebius inverted
 over subsets in one shared block, give every support's total, with no class
 table and no lattice; supports of more than n outcomes must come out zero.
 Class totals remain for the permutohedron- and per-column-noisy simulations.
+One fixed cap, ``DEFAULT_CAP``, bounds every count of classes or supports,
+checked before any row, determinant or bracket is made.
 """
 
 from __future__ import annotations
@@ -187,13 +189,11 @@ class OutcomeDistribution:
         return np.bincount(bins.ravel(), minlength=len(bins) * self.k).reshape(-1, self.k)
 
 
-def class_table(
-    n: int, bounds: Sequence[int], cap: int = DEFAULT_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def class_table(n: int, bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Every sorted multiset of length n over range(k), k = len(bounds), with
     at most bounds[i] copies of i, in lexicographic order: the (C, n) table
     and its counts (C, k); bounds of n give all C(n+k-1, n) multisets. C is
-    counted exactly and checked against ``cap`` before any row is made.
+    counted exactly and checked against ``DEFAULT_CAP`` before any row is made.
     Count vectors grow one output at a time, each count in descending order,
     which keeps the multisets ascending; a count that leaves the later
     outputs too few copies is never made, so no partial table outgrows the
@@ -202,8 +202,8 @@ def class_table(
     for b in bounds:
         prefix = list(accumulate(ways, initial=0))
         ways = [prefix[s + 1] - prefix[max(s - b, 0)] for s in range(n + 1)]
-    if ways[n] > cap:
-        raise EnumerationCapExceeded(f"{ways[n]} multiset classes exceed cap {cap}")
+    if ways[n] > DEFAULT_CAP:
+        raise EnumerationCapExceeded(f"{ways[n]} multiset classes exceed cap {DEFAULT_CAP}")
     room = np.append(np.cumsum(np.minimum(bounds, n)[::-1])[::-1], 0)  # copies i.. can take
     counts, rest = np.zeros((1, 0), dtype=np.intp), np.array([n])
     for i, b in enumerate(bounds):
@@ -214,11 +214,11 @@ def class_table(
     return np.repeat(outputs, counts.ravel()).reshape(-1, n), counts
 
 
-def _all_classes(k: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _all_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unbounded ``class_table`` over k outcomes and the number of
     orderings of each class, n! / prod_i c_i!, exact and then a float:
     in int64 up to n = 20 (20! < 2^63), as Python integers above."""
-    classes, counts = class_table(n, [n] * k, cap)
+    classes, counts = class_table(n, [n] * k)
     exact = np.int64 if n <= 20 else object
     factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=exact)
     return classes, counts, (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)
@@ -249,31 +249,29 @@ def _distribution(
 
 
 def distribution_from_class_values(
-    k: int, n: int, class_values: Callable[[np.ndarray], np.ndarray], cap: int = DEFAULT_CAP
+    k: int, n: int, class_values: Callable[[np.ndarray], np.ndarray]
 ) -> OutcomeDistribution:
     """Build an OutcomeDistribution from a symmetric evaluator:
     ``class_values(classes)`` is given the (C, n) table of all sorted
     multisets and returns, per row, the common weight of every ordering of
-    that multiset, clamped and renormalized as in ``_distribution``. ``cap``
-    bounds the number of classes, C(n+k-1, n)."""
-    classes, _, orderings = _all_classes(k, n, cap)
+    that multiset, clamped and renormalized as in ``_distribution``.
+    ``DEFAULT_CAP`` bounds the number of classes, C(n+k-1, n)."""
+    classes, _, orderings = _all_classes(k, n)
     values = np.asarray(class_values(classes), dtype=float)
     return _distribution(k, n, classes, orderings, values)
 
 
-def outcome_distribution(
-    outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP
-) -> OutcomeDistribution:
+def outcome_distribution(outcomes: Sequence[np.ndarray]) -> OutcomeDistribution:
     """Class totals of p_I = D(E_{i_1}, ..., E_{i_n}) over a POVM.
 
     Peeled from the DFTs of det(E_1 + sum_{i>=2} z_i E_i) on rank-1
     lattices of the smallest prime size P above C = C(n+k-1, n): P
-    determinants per lattice, usually 1-3 lattices. ``cap`` bounds C;
+    determinants per lattice, usually 1-3 lattices. ``DEFAULT_CAP`` bounds C;
     NumericalBreakdown if 64 lattices leave a class unknown.
     """
     stack = as_complex_stack(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
-    classes, counts, orderings = _all_classes(k, n, cap)
+    classes, counts, orderings = _all_classes(k, n)
     totals = _lattice_class_totals(stack, counts[:, 1:])
     values = np.where(np.abs(totals) < ROUNDOFF_FLOOR, 0.0, totals / orderings)
     return _distribution(k, n, classes, orderings, values)
@@ -287,17 +285,15 @@ def support_sizes(k: int) -> np.ndarray:
     return sizes
 
 
-def support_totals(outcomes: Sequence[np.ndarray], cap: int = DEFAULT_CAP) -> np.ndarray:
+def support_totals(outcomes: Sequence[np.ndarray]) -> np.ndarray:
     """A POVM's class totals summed by support (``_support_totals``): the
     classes whose support lies inside T total det(E_T), E_T = sum_{i in T} E_i."""
     stack = as_complex_stack(outcomes, "POVM outcome")
     k, n = stack.shape[0], stack.shape[1]
-    return _support_totals(k, n, cap, lambda: _determinants(stack, 2**k - 1, _subset_rows(k)))
+    return _support_totals(k, n, lambda: _determinants(stack, 2**k - 1, _subset_rows(k)))
 
 
-def ball_support_totals(
-    c: np.ndarray, v: np.ndarray, n: int, cap: int = DEFAULT_CAP
-) -> np.ndarray:
+def ball_support_totals(c: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The bracket's class totals summed by support (``_support_totals``)
     for ball effects e_i = (c[i], v[i]) of norm index n: the classes whose
     support lies inside T total the bracket of n copies of e_T = sum_{i in
@@ -307,19 +303,19 @@ def ball_support_totals(
         sums = _subset_rows(len(c))(np.arange(2 ** len(c) - 1)) @ np.column_stack([c, v])
         return sums[:, 0] ** n - (sums[:, 1:] ** n).sum(axis=1)
 
-    return _support_totals(len(c), n, cap, brackets)
+    return _support_totals(len(c), n, brackets)
 
 
-def _support_totals(k: int, n: int, cap: int, inside: Callable[[], np.ndarray]) -> np.ndarray:
+def _support_totals(k: int, n: int, inside: Callable[[], np.ndarray]) -> np.ndarray:
     """The class totals of a multilinear distribution on the multisets of n
     of k outcomes, summed by support S < 2^k (bit i for outcome i), Moebius
     inverted from ``inside()``: per nonempty T in mask order, the total of
-    the classes whose support lies inside T. ``cap`` bounds 2^k - 1 before
+    the classes whose support lies inside T. ``DEFAULT_CAP`` bounds 2^k - 1 before
     ``inside`` is called. NumericalBreakdown if a support of more than n
     outcomes is above 1e-9 in modulus; all such are then set to zero, and
     the rest floored, clamped and renormalized as class totals are."""
-    if 2**k - 1 > cap:
-        raise EnumerationCapExceeded(f"{2**k - 1} output supports exceed cap {cap}")
+    if 2**k - 1 > DEFAULT_CAP:
+        raise EnumerationCapExceeded(f"{2**k - 1} output supports exceed cap {DEFAULT_CAP}")
     totals = np.append(0.0, inside())
     for i in range(k):  # T with outcome i loses the total of T without it
         pairs = totals.reshape(-1, 2, 2**i)

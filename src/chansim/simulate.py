@@ -85,7 +85,6 @@ from .majorize import caratheodory, majorized_by_permutohedron
 # no caller here: kept importable because the bench trace hooks patch them by name
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .mixdisc import (
-    DEFAULT_CAP,
     OutcomeDistribution,
     ball_support_totals,
     class_table,
@@ -339,41 +338,32 @@ def _class_terms(
 
 
 def simulate_quantum_noiseless(
-    povm: Sequence[np.ndarray],
-    states: Sequence[np.ndarray],
-    *,
-    cap: int = DEFAULT_CAP,
+    povm: Sequence[np.ndarray], states: Sequence[np.ndarray]
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
-    channel with n states: the support route at delta = 0, ``cap`` bounding
-    the 2^k - 1 supports."""
-    return _simulate_quantum(povm, states, Noiseless(), cap)
+    channel with n states: the support route at delta = 0."""
+    return _simulate_quantum(povm, states, Noiseless())
 
 
 def simulate_quantum_noisy(
-    povm: Sequence[np.ndarray],
-    states: Sequence[np.ndarray],
-    spec: NoiseSpec,
-    *,
-    cap: int = DEFAULT_CAP,
+    povm: Sequence[np.ndarray], states: Sequence[np.ndarray], spec: NoiseSpec
 ) -> SimulationResult:
     """Simulate a noisy quantum channel by the equally noisy classical one.
 
     Each state must have its spectrum inside the declared noise set; the
     produced mixture's state columns land in the same set. A ``Delta`` or
     ``Noiseless`` spec takes the support route (``_simulate_by_supports``)
-    through the determinants of ``support_totals`` (``cap`` bounding the
-    2^k - 1 supports); output i is expected n D(E_i, I, ..., I) = tr E_i
-    times. A ``Permutohedron`` or ``PerColumn`` spec reads the class totals
-    (``outcome_distribution``, ``cap`` bounding the C(n+k-1, n) classes) and
-    runs the layered transport, which keeps every slot vector in the
-    permutation hull of its state's spectrum.
+    through the 2^k - 1 determinants of ``support_totals``; output i is
+    expected n D(E_i, I, ..., I) = tr E_i times. A ``Permutohedron`` or
+    ``PerColumn`` spec reads the C(n+k-1, n) class totals
+    (``outcome_distribution``) and runs the layered transport, which keeps
+    every slot vector in the permutation hull of its state's spectrum.
     """
-    return _simulate_quantum(povm, states, spec, cap)
+    return _simulate_quantum(povm, states, spec)
 
 
 def _simulate_quantum(
-    povm: Sequence[np.ndarray], states: Sequence[np.ndarray], spec: NoiseSpec, cap: int
+    povm: Sequence[np.ndarray], states: Sequence[np.ndarray], spec: NoiseSpec
 ) -> SimulationResult:
     povm = validate_povm(povm)
     spectra = validate_density(states)
@@ -381,9 +371,9 @@ def _simulate_quantum(
     if isinstance(spec, (Noiseless, Delta)):
         if isinstance(spec, Delta):
             _check_spectra(spectra, spec)
-        totals, traces = support_totals(povm, cap=cap), np.trace(povm, axis1=1, axis2=2).real
+        totals, traces = support_totals(povm), np.trace(povm, axis1=1, axis2=2).real
         return _simulate_by_supports(target, totals, traces, povm.shape[1], spec)
-    dist = outcome_distribution(povm, cap=cap)
+    dist = outcome_distribution(povm)
     _check_spectra(spectra, spec)
     values = _class_values(dist, target.matrix, np.clip(spectra, 0.0, None))
     return _finalize(target, *_class_terms(dist, values), spec)
@@ -525,18 +515,14 @@ def _first_slot_states(
 
 
 def simulate_ball(
-    effects: Sequence[BallEffect],
-    states: Sequence[BallState],
-    delta: Rational = 0.0,
-    *,
-    cap: int = DEFAULT_CAP,
+    effects: Sequence[BallEffect], states: Sequence[BallState], delta: Rational = 0.0
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
     channel with n states, n the even norm index, through the supports of
-    its brackets (``ball_support_totals``, ``cap`` bounding the 2^k - 1
-    supports); output i is expected n bracket(e_i, u, ..., u) = n c_i times,
-    u = (1, 0) the unit effect. DimensionMismatch unless every effect and
-    state has norm index n and one dimension."""
+    its 2^k - 1 brackets (``ball_support_totals``); output i is expected
+    n bracket(e_i, u, ..., u) = n c_i times, u = (1, 0) the unit effect.
+    DimensionMismatch unless every effect and state has norm index n and
+    one dimension."""
     if not effects:
         raise DimensionMismatch("need at least one effect")
     n = effects[0].norm_index
@@ -546,7 +532,7 @@ def simulate_ball(
         raise DimensionMismatch("effects and states must share one dimension")
     c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
     target = ball_born_matrix(effects, states, delta=delta)
-    totals = ball_support_totals(c, v, n, cap=cap)
+    totals = ball_support_totals(c, v, n)
     return _simulate_by_supports(target, totals, n * c, n, Delta(delta))
 
 

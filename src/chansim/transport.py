@@ -21,9 +21,9 @@ the small side (Ahuja, Orlin, Stein and Tarjan, SIAM J. Comput. 23, 1994):
   cumsum and one clip over the stack). The left nodes with the least room
   to place their supply in the right nodes still to come give first, so
   most solves at the sizes used here end right there. A node gives exactly
-  0 in an instance where it has no room, and each instance totals its own
-  gifts alone, so every instance of a stack gets, bit for bit, the flow
-  that it gets when it is solved alone.
+  0 in an instance where it has no room, so every instance of a stack gets
+  the flow that it gets when it is solved alone, up to the order in which
+  its gifts are summed.
 - Array levels: Dinic then routes the remainder, for each instance that
   still has unmet demand. Each phase levels the residual network by a BFS
   over the matrices, forward where capacity - flow > RESIDUAL_EPS and
@@ -47,7 +47,6 @@ the small side (Ahuja, Orlin, Stein and Tarjan, SIAM J. Comput. 23, 1994):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -288,35 +287,17 @@ def _max_flow(
     by_left = flow.reshape(b * num_left, num_right)
     for v in range(num_right):
         room = np.minimum(spare, by_right[v])
-        has = room > 0.0
-        u = has.any(axis=0).nonzero()[0]
+        u = (room > 0.0).any(axis=0).nonzero()[0]
         if not u.size:
             continue
         # the left nodes with room in some instance, in the order of each
         # instance's need; one without room in an instance gives exactly 0
-        # there, and each instance totals its own gifts alone, so it gets
-        # the flow that it gets when it is solved alone
+        # there
         at = offset + u[need[v][:, u].argsort(axis=1, kind="stable")]
         give = _spread(room.reshape(-1)[at], unmet[:, v, None])
         by_left[:, v][at] = give
         spare.reshape(-1)[at] -= give
-        # when every instance has room at all of u, each totals its whole
-        # row, as a lone instance always does
-        if b == 1 or (has.sum(axis=1) == u.size).all():
-            unmet[:, v] -= give.sum(axis=1)
-            continue
-        own = has.sum(axis=1)
-        # instances in order of their number of own nodes m: each run of
-        # equal m is one (instances, m) block of gifts, summed by rows
-        order = np.argsort(own, kind="stable")
-        gifts = give[order][has.reshape(-1)[at[order]]]
-        totals, start = [], 0
-        for m, run in groupby(own[order].tolist()):
-            alike = len(list(run))
-            block = gifts[start : start + m * alike]
-            totals.append(block.reshape(alike, m).sum(axis=1) if m else np.zeros(alike))
-            start += m * alike
-        unmet[order, v] -= np.concatenate(totals)
+        unmet[:, v] -= give.sum(axis=1)
     rights: list[np.ndarray | None] = [None] * b
     for i in (unmet > RESIDUAL_EPS).any(axis=1).nonzero()[0]:
         # views: the pushes land in the stack

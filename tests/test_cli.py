@@ -158,8 +158,8 @@ def test_out_abbreviations_leave_the_certificate_unchanged(workdir, capsys):
 
 
 def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
-    # no --tol anywhere, --cap where an outcome distribution is built,
-    # --json-errors everywhere, --out on simulate and certify
+    # no --tol and no --cap anywhere, --json-errors everywhere, --out on
+    # simulate and certify
     from chansim.cli import COMMANDS
 
     for group, name, _, _, _ in COMMANDS:
@@ -169,7 +169,7 @@ def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
         flags = set(usage.replace("[", " ").replace("]", " ").split())
         assert "--json-errors" in flags
         assert "--tol" not in flags
-        assert ("--cap" in flags) == (name in ("quantum", "ball"))
+        assert "--cap" not in flags
         assert ("--out" in flags) == (group in ("simulate", "certify"))
 
     run(["certify", "signalling", "--n", "5", "--delta", "1/2", "--out", "c.json"])
@@ -179,6 +179,8 @@ def test_each_command_takes_only_the_options_it_reads(workdir, capsys):
         ["fixtures", "emit", "--cap", "0"],
         ["simulate", "reduce", "--in", "m.json", "--cap", "3"],
         ["simulate", "quantum", "--in", "q.json", "--tol", "1e-3"],
+        ["simulate", "quantum", "--in", "q.json", "--cap", "30"],
+        ["simulate", "ball", "--in", "b.json", "--cap", "30"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -766,8 +768,10 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
     basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     projective = jsonio.quantum_instance_to_json(basis, [basis[0], np.eye(2) / 2])
     (workdir / "projective.json").write_text(json.dumps(projective))
+    (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
     commands = [
         (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json"),
+        (["simulate", "ball", "--delta", "1/3"], "ball.json"),
         (["simulate", "quantum"], "depolarizing_qubit.json"),
         (["simulate", "quantum"], "projective.json"),
         (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json"),
@@ -795,10 +799,13 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
             node = tampered["result"]
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] += 1 if isinstance(node[path[-1]], int) else 0.25
-            (workdir / "tampered.json").write_text(json.dumps(tampered))
-            if run(["verify", "tampered.json", *in_args]) != 2:
-                accepted.append((argv[1], path))
+            leaf = node[path[-1]]
+            # an integer leaf is also tampered into a float that truncates to it
+            for step in (1, 0.5) if isinstance(leaf, int) else (0.25,):
+                node[path[-1]] = leaf + step
+                (workdir / "tampered.json").write_text(json.dumps(tampered))
+                if run(["verify", "tampered.json", *in_args]) != 2:
+                    accepted.append((argv[1], path, step))
     capsys.readouterr()
     assert accepted == []
     assert types == set(cli.VERIFIERS)
@@ -1049,6 +1056,35 @@ PINNED_NOISY_MATRIX = [
     [0.15, 0.35, 0.2],
     [0.1, 0.1, 0.2],
 ]
+
+
+# a noisy-to-noiseless input: the decoder [0, 1] on two 1/2-noisy states
+PROTOCOL_INPUT = {"decoder": [0, 1], "states": [[0.75, 0.25], [0.25, 0.75]], "num_outputs": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "2"],
+         {"protocol": {**PROTOCOL_INPUT, "decoder": [0.5, 1]}},
+         "decoder entry is not an integer: 0.5"),
+        (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "2"],
+         {"protocol": {**PROTOCOL_INPUT, "num_outputs": 2.5}},
+         "num_outputs is not an integer: 2.5"),
+        (["simulate", "ball", "--delta", "1/3"], {**PINNED_BALL, "norm_index": 4.5},
+         "norm_index is not an integer: 4.5"),
+    ],
+    ids=["decoder", "num_outputs", "norm_index"],
+)
+def test_a_float_where_an_integer_belongs_is_an_input_error(
+    workdir, capsys, argv, payload, message
+):
+    # each was truncated to the integer below it and certified
+    (workdir / "in.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(argv + ["--in", "in.json", "--out", "cert.json"]) == 1
+    assert capsys.readouterr().err == f"chansim: ValueError: {message}\n"
+    assert not (workdir / "cert.json").exists()
 
 
 def test_certificates_match_pinned_digests(workdir, capsys):

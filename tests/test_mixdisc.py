@@ -127,9 +127,14 @@ def test_outcome_distribution_mass_one(rng):
         assert np.all(dist.weights > 0)
 
 
-def test_outcome_distribution_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        mixdisc.outcome_distribution([np.eye(4) / 4] * 4, cap=10)
+def test_outcome_distribution_cap(monkeypatch):
+    def no_determinants(*args):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(mixdisc, "_determinants", no_determinants)
+    # 12 outcomes of dimension 12: C(23, 12) = 1,352,078 classes
+    with pytest.raises(EnumerationCapExceeded, match="1352078 multiset classes exceed cap 1000000"):
+        mixdisc.outcome_distribution([np.eye(12) / 12] * 12)
 
 
 @pytest.mark.parametrize("n, k", [(3, 6), (5, 5), (8, 8), (12, 6)])
@@ -152,6 +157,11 @@ def test_support_beyond_the_dimension_must_come_out_zero(rng, monkeypatch):
         mixdisc.support_totals(random_povm(rng, 2, 4))
 
 
+# 20 outcomes: 2^20 - 1 = 1,048,575 supports
+SUPPORTS_PAST_THE_CAP = "1048575 output supports exceed cap 1000000"
+CLI_CAP_ERROR = f"chansim: EnumerationCapExceeded: {SUPPORTS_PAST_THE_CAP}\n"
+
+
 def test_support_cap_is_checked_before_any_determinant(rng, monkeypatch, tmp_path, capsys):
     from chansim import jsonio
     from chansim.cli import main
@@ -160,14 +170,14 @@ def test_support_cap_is_checked_before_any_determinant(rng, monkeypatch, tmp_pat
         raise AssertionError("a determinant was taken")
 
     monkeypatch.setattr(mixdisc, "_determinants", no_determinants)
-    povm = random_povm(rng, 2, 5)
-    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
-        mixdisc.support_totals(povm, cap=30)
+    povm = random_povm(rng, 2, 20)
+    with pytest.raises(EnumerationCapExceeded, match=SUPPORTS_PAST_THE_CAP):
+        mixdisc.support_totals(povm)
     instance = jsonio.quantum_instance_to_json(povm, [np.eye(2) / 2])
     (tmp_path / "povm.json").write_text(json.dumps(instance))
-    argv = ["simulate", "quantum", "--cap", "30", "--in", str(tmp_path / "povm.json")]
+    argv = ["simulate", "quantum", "--in", str(tmp_path / "povm.json")]
     assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 1
-    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert capsys.readouterr().err == CLI_CAP_ERROR
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -181,15 +191,15 @@ def test_delta_support_cap_is_checked_before_any_determinant(rng, monkeypatch, t
         raise AssertionError("a determinant was taken")
 
     monkeypatch.setattr(mixdisc, "_determinants", no_determinants)
-    povm, states = random_povm(rng, 2, 5), [np.eye(2) / 2]
-    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
-        simulate_quantum_noisy(povm, states, Delta(0.5), cap=30)
+    povm, states = random_povm(rng, 2, 20), [np.eye(2) / 2]
+    with pytest.raises(EnumerationCapExceeded, match=SUPPORTS_PAST_THE_CAP):
+        simulate_quantum_noisy(povm, states, Delta(0.5))
     instance = jsonio.quantum_instance_to_json(povm, states)
     (tmp_path / "povm.json").write_text(json.dumps(instance))
-    argv = ["simulate", "quantum", "--noise", "delta:1/2", "--cap", "30"]
+    argv = ["simulate", "quantum", "--noise", "delta:1/2"]
     argv += ["--in", str(tmp_path / "povm.json"), "--out", str(tmp_path / "cert.json")]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert capsys.readouterr().err == CLI_CAP_ERROR
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -203,21 +213,21 @@ def test_ball_support_cap_is_checked_before_any_bracket(rng, monkeypatch, tmp_pa
         raise AssertionError("a bracket was taken")
 
     monkeypatch.setattr(mixdisc, "_subset_rows", no_brackets)
-    pairs = random_ball_effects(rng, 5, 2, 2)
+    pairs = random_ball_effects(rng, 20, 2, 2)
     effects = [BallEffect(c=c, v=v, norm_index=2) for c, v in pairs]
     states = [BallState(x=np.array([0.1, 0.2]), norm_index=2)]
-    with pytest.raises(EnumerationCapExceeded, match="31 output supports exceed cap 30"):
-        simulate_ball(effects, states, 0.5, cap=30)
+    with pytest.raises(EnumerationCapExceeded, match=SUPPORTS_PAST_THE_CAP):
+        simulate_ball(effects, states, 0.5)
     instance = {
         "norm_index": 2,
         "effects": [{"c": c, "v": v.tolist()} for c, v in pairs],
         "ball_states": [[0.1, 0.2]],
     }
     (tmp_path / "ball.json").write_text(json.dumps(instance))
-    argv = ["simulate", "ball", "--delta", "1/2", "--cap", "30"]
+    argv = ["simulate", "ball", "--delta", "1/2"]
     argv += ["--in", str(tmp_path / "ball.json"), "--out", str(tmp_path / "cert.json")]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("chansim: EnumerationCapExceeded: 31 output supports")
+    assert capsys.readouterr().err == CLI_CAP_ERROR
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -471,7 +481,5 @@ def test_bounded_class_table_is_the_decoded_outputs_of_the_subsets(rng, n, k, d)
 
 def test_class_table_is_counted_against_the_cap():
     # C(24, 12) = 2,704,156 subsets of 24 states with distinct outputs
-    with pytest.raises(EnumerationCapExceeded, match="2704156 multiset classes"):
+    with pytest.raises(EnumerationCapExceeded, match="2704156 multiset classes exceed cap 1000000"):
         mixdisc.class_table(12, [1] * 24)
-    with pytest.raises(EnumerationCapExceeded, match="6188 multiset classes exceed cap 6187"):
-        mixdisc.class_table(12, [12] * 6, cap=6187)
