@@ -14,15 +14,16 @@ channel's plus delta times the expected copies of each output over n, and
 the noiseless transport sees a class only through its support, the outputs
 it carries, so it runs on the support totals (``mixdisc.support_totals``
 or ``mixdisc.ball_support_totals``): 2^k - 1 determinants or brackets,
-whatever n is. For delta > 0 one more transport decides which output each
-support's extra copies decode to, and every slot then gets delta / n on top
-of (1 - delta) times its noiseless share. Permutohedron- and
-per-column-noisy quantum targets and noisy-to-noiseless targets keep one
-candidate per class, with state columns from a layered transport, one
-instance per input column, which keeps its slot vector in the permutation
-hull of the state's spectrum and so inside the declared noise set. The
-columns that share a noise base share the transport's left nodes, supplies
-and edges and differ only in demand, so they are solved as one stack.
+whatever n is. For delta > 0 a copy-count instance decides which output
+each support's extra copies decode to, and every slot then gets delta / n
+on top of (1 - delta) times its noiseless share. Noisy-to-noiseless targets
+keep one candidate per class of decoded outputs. Both have a one-layer
+noiseless transport, solved as one stack (``_one_layer``): an instance per
+input column, and the copy-count one, on the same left nodes and edges.
+Permutohedron- and per-column-noisy quantum targets keep one candidate per
+class, with state columns from the layered transport (``_class_values``),
+which keeps each slot vector in the permutation hull of the state's
+spectrum and so inside the declared noise set.
 
 Candidates with equal protocol matrices merge first. A k x l target lies
 in an l(k-1)-dimensional affine space, so every certificate keeps at most
@@ -79,10 +80,9 @@ from .errors import (
     TransportInfeasible,
 )
 from .linalg import born_matrix, validate_density, validate_povm
-# no caller here: kept importable because the bench trace hooks patch it by name
+# no caller here: kept importable because the bench trace hooks patch them by name
 from .linalg import hermitian_eigenvalues  # noqa: F401
 from .majorize import caratheodory, majorized_by_permutohedron
-# no caller here: kept importable because the bench trace hooks patch them by name
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .mixdisc import (
     OutcomeDistribution,
@@ -246,9 +246,8 @@ def _transport(
             raise TransportInfeasible(
                 f"{label} infeasible by {result.deficit:.3e}", violator=result
             )
-    flows = [plan.flow for plan in results]
-    # the flows are views of one stack; a stack of one needs no copy
-    return TransportPlan(flow=flows[0][None] if len(flows) == 1 else np.stack(flows))
+    # the plans are views of one (b, L, R) stack: hand on the stack, not a copy
+    return TransportPlan(flow=results[0].flow.base)
 
 
 def _class_values(
@@ -353,11 +352,11 @@ def simulate_quantum_noisy(
     Each state must have its spectrum inside the declared noise set; the
     produced mixture's state columns land in the same set. A ``Delta`` or
     ``Noiseless`` spec takes the support route (``_simulate_by_supports``)
-    through the 2^k - 1 determinants of ``support_totals``; output i is
-    expected n D(E_i, I, ..., I) = tr E_i times. A ``Permutohedron`` or
-    ``PerColumn`` spec reads the C(n+k-1, n) class totals
-    (``outcome_distribution``) and runs the layered transport, which keeps
-    every slot vector in the permutation hull of its state's spectrum.
+    through the 2^k - 1 determinants of ``support_totals`` and one stacked
+    one-layer transport; output i is expected n D(E_i, I, ..., I) = tr E_i
+    times. A ``Permutohedron`` or ``PerColumn`` spec reads the C(n+k-1, n)
+    class totals (``outcome_distribution``) and runs the layered transport,
+    which keeps every slot vector in the permutation hull of its spectrum.
     """
     return _simulate_quantum(povm, states, spec)
 
@@ -387,34 +386,85 @@ def _simulate_by_supports(
     outcome distribution: totals[S] as ``mixdisc.support_totals`` gives
     them, and copies[i] the expected copies of output i in a class. The
     target is A = (1 - delta) B + delta copies / n, B the noiseless
-    channel's matrix. The noiseless transport for B has one layer, in which
-    a class may send any mass to the outputs it carries and none elsewhere,
-    so it sees a class only through its support: one left node per support.
-    With delta > 0, ``_copy_candidates`` decides which output each support's
-    extra copies decode to. A candidate's state for input j is (1 - delta)
-    times its support's shares of column j of B (``_first_slot_states``)
-    plus delta / n on every slot, so the column lies in the Delta set and
-    the candidates recompose A. At delta = 1 every state is uniform; at
-    delta = 0 the extra copies stay on each support's smallest output."""
+    channel's matrix. B's transport has one layer, in which a class sends
+    any mass to the outputs it carries, so it has one left node per support
+    and one instance per column, scaled by 1 - delta (dividing by it would
+    blow up round-off near delta = 1). For delta > 0 a copy-count instance
+    joins the stack (``_one_layer``): support S sends its extra copies,
+    t_S (n - |S|), to its outputs to meet copies[i] - sum_{S carrying i} t_S,
+    and candidate (S, i), with them on i, weighs t_S times S's share of that
+    flow into i (S keeps them on its smallest output if |S| = n or its supply
+    is dust). For input j each output's share goes on its first slot, times
+    1 - delta, plus delta / n on every slot: a Delta-set column."""
     a, l = target.matrix, target.matrix.shape[1]
     delta = 0.0 if isinstance(spec, Noiseless) else float(spec.delta)
     dist = _support_classes(totals, n)
+    w, k, counts = dist.weights, dist.k, dist.counts
+    member = counts > 0
+    extra = n - member.sum(axis=1)
+    copy = None
     if delta > 0.0:
-        support, decoders, weights = _copy_candidates(dist, copies)
+        moved = w * extra > DROP_TOL
+        copy = np.where(moved, w * extra, 0.0), copies - w @ np.where(moved[:, None], member, counts)
+    # entries below zero are round-off; at delta = 1 no column instance
+    b = a if delta == 0.0 else np.maximum(a - delta / n * copies[:, None], 0.0)
+    values, placement = _one_layer(dist, b if delta < 1.0 else b[:, :0], 1.0 - delta, copy)
+    if delta > 0.0:
+        support, outputs = np.nonzero(placement)
+        placed = member[support] + extra[support, None] * (outputs[:, None] == np.arange(k))
+        weights = w[support] * placement[support, outputs]
+        decoders = np.repeat(np.tile(np.arange(k), len(placed)), placed.ravel()).reshape(-1, n)
+        order = np.lexsort(decoders.T[::-1])
+        support, decoders, weights = support[order], decoders[order], weights[order]
     else:
-        support, decoders, weights = np.arange(len(dist.weights)), dist.classes, dist.weights
+        support, decoders, weights = np.arange(len(w)), dist.classes, w
     if delta < 1.0:
-        # B's transport scaled by 1 - delta (demand (1 - delta) B, one layer
-        # of height 1 - delta): dividing by 1 - delta would blow up round-off
-        # near delta = 1. Entries below zero are round-off or input tolerance.
-        b = a if delta == 0.0 else np.maximum(a - delta / n * copies[:, None], 0.0)
-        values = _class_values(dist, b, (1.0 - delta) * noise_bases(Noiseless(), n, l))
-        x = _first_slot_states(dist, values, support, decoders)
+        # rescaled, as transport meets its demands only up to rounding
+        x = values[:, support[:, None], decoders] * counts[support[:, None], decoders]
+        x[:, np.diff(decoders, axis=1, prepend=-1) == 0] = 0.0
+        x /= x.sum(axis=2, keepdims=True)
+        x = x.transpose(1, 2, 0)
     else:
         x = np.zeros((len(decoders), n, l))
-    if delta > 0.0:
-        x = (1.0 - delta) * x + delta / n
+    del values, placement
+    x *= 1.0 - delta
+    x += delta / n
     return _finalize(target, weights, decoders, x, spec)
+
+
+def _one_layer(
+    dist: OutcomeDistribution, a: np.ndarray, depth: float, copy: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Array (l, classes, k): per column j of a (k, l) and class M, the
+    value of each slot of M that carries output i under the base (0, ...,
+    0, depth), as ``_class_values`` (for n = 1 on M's outputs). Its one layer
+    sends w_M depth from M to its outputs, uncapped; a class of supply at
+    most DROP_TOL stays out, spread evenly and taken off the demand.
+    ``copy``, supplies (classes,) and demands (k,), is one more instance of
+    the stack; its conditional columns are returned too (else None), a
+    class with no supply there sent to its smallest output."""
+    n, w, l = dist.n, dist.weights, a.shape[1]
+    counts = dist.counts.astype(float)
+    layered = depth * counts / n
+    dust = w * depth <= DROP_TOL
+    supply = np.broadcast_to(np.where(dust, 0.0, w * depth), (l, len(w)))
+    demand = a.T - w[dust] @ layered[dust]
+    where = [f"column {j}: transport" for j in range(l)]
+    if copy is not None:
+        supply, demand = np.vstack([supply, copy[0]]), np.vstack([demand, copy[1]])
+        where.append("copy-count transport")
+    plan = _transport(where, supply, demand, np.where(counts > 0.0, np.inf, 0.0))
+    # any row on its edges serves a dust row without flow: its values are set below
+    plan.flow[:l, dust] = counts[dust]
+    if copy is not None:
+        idle = copy[0] == 0.0
+        plan.flow[l, idle] = np.eye(dist.k)[counts[idle].argmax(axis=1)]
+    spread = conditional_columns(plan)
+    values = spread[:l]
+    values *= depth
+    values[:, dust] = layered[dust]
+    values /= np.maximum(counts, 1.0)
+    return values, None if copy is None else spread[l]
 
 
 def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
@@ -460,60 +510,6 @@ def _heaviest_superset(totals: np.ndarray, sizes: np.ndarray, n: int) -> np.ndar
     return order[proper]
 
 
-def _copy_candidates(
-    dist: OutcomeDistribution, copies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates whose expected copies of output i are copies[i], as the
-    outcome distribution's are, from the supports of ``_support_classes``.
-    Support S, of total t_S, carries its outputs once each and n - |S|
-    extra copies. One transport sends t_S (n - |S|) from each S to its own
-    outputs, uncapped, to meet output i's demand copies[i] - sum_{S carrying
-    i} t_S: the extra copies of the classes with support S are such a flow,
-    so the transport is feasible. Candidate (S, i) is S's outputs once each
-    plus n - |S| copies of i, weighted by t_S times S's share of its flow
-    into i. A support of n outputs, or one whose supply is at most
-    DROP_TOL, stays as its class row, extra copies on its smallest output,
-    which that output's demand gives up. Returns per candidate the row of
-    its support in ``dist``, its decoder and its weight, in lexicographic
-    order of the decoders."""
-    n, k, w = dist.n, dist.k, dist.weights
-    member = np.minimum(dist.counts, 1)
-    extra = n - member.sum(axis=1)
-    moved = w * extra > DROP_TOL
-    demand = copies - w @ np.where(moved[:, None], member, dist.counts)
-    capacity = np.where(member[moved] > 0, np.inf, 0.0)
-    plan = _transport(["copy-count transport"], (w * extra)[moved][None], demand[None], capacity)
-    shares = conditional_columns(plan)[0]
-    rows, outputs = np.nonzero(shares)
-    flowing = np.flatnonzero(moved)[rows]
-    placed = member[flowing] + extra[flowing, None] * (outputs[:, None] == np.arange(k))
-    support = np.r_[flowing, np.flatnonzero(~moved)]
-    counts = np.vstack([placed, dist.counts[~moved]])
-    weights = np.r_[w[flowing] * shares[rows, outputs], w[~moved]]
-    decoders = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(-1, n)
-    order = np.lexsort(decoders.T[::-1])
-    return support[order], decoders[order], weights[order]
-
-
-def _first_slot_states(
-    dist: OutcomeDistribution, values: np.ndarray, support: np.ndarray, decoders: np.ndarray
-) -> np.ndarray:
-    """States (T, n, l) for T candidates of the noiseless support transport
-    ``values`` over the classes of ``_support_classes``: candidate c
-    decodes by decoders[c], a multiset over the outputs of its support
-    dist.classes[support[c]], and for input j puts each output's whole
-    share, values[j, support[c], i] times its copies in the support's class,
-    on the first slot that decodes to i and 0.0 on the others: still a
-    noiseless column, and a shorter certificate. Each column is rescaled to
-    sum to 1, because transport meets its demands only up to float
-    rounding."""
-    first = np.diff(decoders, axis=1, prepend=-1) != 0
-    shares = (values * dist.counts)[:, support[:, None], decoders]
-    x = np.where(first, shares, 0.0)
-    x /= x.sum(axis=2, keepdims=True)
-    return x.transpose(1, 2, 0)
-
-
 def simulate_ball(
     effects: Sequence[BallEffect], states: Sequence[BallState], delta: Rational = 0.0
 ) -> SimulationResult:
@@ -557,7 +553,8 @@ def simulate_noisy_by_noiseless(
     decoded as the target decodes them (state m to output m for a matrix),
     is a d-state protocol. The subsets that decode to one multiset of
     outputs form one class (``_subset_classes``), and the classes are mixed
-    along the quantum path's noiseless layered transport. By Gale's theorem
+    along the one-layer noiseless transport (``_one_layer``), one stacked
+    solve. By Gale's theorem
     the subsets have a feasible transport, each sending 1/C(n,d) of a column
     only into its own members, when every r states carry at least
     C(r,d)/C(n,d) of the column, which the base's threshold guarantees; that
@@ -569,7 +566,7 @@ def simulate_noisy_by_noiseless(
         x = as_transition(target).matrix
         target = ClassicalProtocol(decoder=np.arange(len(x)), states=x, num_outputs=len(x))
     decoder, x, k = target.decoder, target.states, target.num_outputs
-    n, l = x.shape
+    n = len(x)
     if not 1 <= d <= n:
         raise BadRange(f"need 1 <= d <= n, got d={d}, n={n}")
 
@@ -583,7 +580,7 @@ def simulate_noisy_by_noiseless(
         raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
     a = protocol_matrix(target)
     dist = _subset_classes(np.bincount(decoder, minlength=k), d)
-    values = _class_values(dist, a.matrix, noise_bases(Noiseless(), d, l))
+    values, _ = _one_layer(dist, a.matrix, 1.0)
     return _finalize(a, *_class_terms(dist, values), Noiseless())
 
 

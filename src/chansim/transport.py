@@ -271,16 +271,18 @@ def _max_flow(
     flow = np.zeros((b, num_left, num_right))
     spare, unmet = supply.copy(), demand.copy()
     # capacities (R, 1 or b, L) and needs right node first, so that each
-    # right node's columns are one contiguous block; instances with the
-    # same supplies and capacities share their need
+    # right node's columns are one contiguous block; with shared capacities,
+    # each run of instances with equal supplies shares one need row
     by_right = capacity.transpose(2, 0, 1).copy()
-    shared = len(capacity) == 1 and (b == 1 or bool((supply == supply[0]).all()))
-    rows = supply[:1] if shared else supply
+    first = np.r_[True, np.any(supply[1:] != supply[:-1], axis=1) | (len(capacity) > 1)]
+    rows, row_of = supply[first], np.cumsum(first) - 1
     # need: a left node's room in the right nodes after the current one,
     # less its supply; below 0 it cannot place all of it later. Leaving up
     # to FEAS_TOL unplaced is within tolerance, so that shortfall is none
     share = np.minimum(rows, by_right)
-    need = share[::-1].cumsum(axis=0)[::-1] - share - rows
+    need = share[::-1].cumsum(axis=0)[::-1]
+    need -= share
+    need -= rows
     need[(-FEAS_TOL <= need) & (need < 0.0)] = 0.0
     # instance i's left node u is entry i L + u of the flattened stack
     offset = np.arange(b)[:, None] * num_left
@@ -293,7 +295,7 @@ def _max_flow(
         # the left nodes with room in some instance, in the order of each
         # instance's need; one without room in an instance gives exactly 0
         # there
-        at = offset + u[need[v][:, u].argsort(axis=1, kind="stable")]
+        at = offset + u[need[v][:, u].argsort(axis=1, kind="stable")][row_of]
         give = _spread(room.reshape(-1)[at], unmet[:, v, None])
         by_left[:, v][at] = give
         spare.reshape(-1)[at] -= give
@@ -315,7 +317,7 @@ def feasible_transport(
 ) -> TransportPlan | HallViolator | tuple[TransportPlan | HallViolator, ...]:
     """Per instance, either a plan meeting both marginals or a Hall
     violator set: a tuple of b results for a stack, the one result for a
-    single instance.
+    single instance; a stack's plans are views of one (b, L, R) ``base``.
 
     Supplies at or below DROP_TOL are dropped before solving (their mass is
     discarded; it is within the balance tolerance by construction).

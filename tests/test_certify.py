@@ -321,6 +321,23 @@ def test_validate_polytope_rejects_an_unbounded_facet_description():
         validate_polytope(wedge)
 
 
+def test_validate_polytope_skips_the_facet_normals_a_vertex_touches(monkeypatch):
+    # every octahedron facet holds a vertex, so only the 8 random directions
+    # need a solve
+    from chansim import lp
+
+    solved = []
+    maximize_each = lp.maximize_each
+
+    def spy(program, objectives):
+        solved.append(len(objectives))
+        return maximize_each(program, objectives)
+
+    monkeypatch.setattr(lp, "maximize_each", spy)
+    validate_polytope(octahedron_polytope())
+    assert solved == [8]
+
+
 @pytest.mark.parametrize("field", ["vertices", "normals", "offsets"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_polytope_rejects_non_finite_entries(field, bad):

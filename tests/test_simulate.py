@@ -1059,18 +1059,31 @@ def test_delta_noisy_ball_past_the_class_cap(bench_workloads, tmp_path):
 
 
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (4, 6), (6, 3), (5, 8)])
-def test_copy_candidates_expect_tr_e_copies_of_each_output(rng, n, k):
+def test_copy_placements_expect_tr_e_copies_of_each_output(rng, monkeypatch, n, k):
+    # the candidates that the copy-count instance of the stacked transport
+    # places, as they reach _finalize
     from chansim.mixdisc import support_totals
 
     povm = random_povm(rng, n, k)
     dist = simulate._support_classes(support_totals(povm), n)
     traces = np.array([np.trace(e).real for e in povm])
-    support, decoders, weights = simulate._copy_candidates(dist, traces)
+    seen = []
+    finalize = simulate._finalize
+
+    def spy(target, weights, decoders, states, noise):
+        seen.append((weights, decoders))
+        return finalize(target, weights, decoders, states, noise)
+
+    monkeypatch.setattr(simulate, "_finalize", spy)
+    states = [random_density_floor(rng, n, 0.5) for _ in range(2)]
+    check_simulation(simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2))))
+    ((weights, decoders),) = seen
     counts = np.array([np.bincount(d, minlength=k) for d in decoders])
     assert np.max(np.abs(weights @ counts - traces)) <= 1e-12
-    # each candidate carries exactly its support's outputs, and each
+    # each candidate carries exactly the outputs of one support, and each
     # support's candidates share out its total
-    assert np.array_equal(counts > 0, dist.counts[support] > 0)
+    row = {tuple(m): r for r, m in enumerate((dist.counts > 0).tolist())}
+    support = np.array([row[tuple(m)] for m in (counts > 0).tolist()])
     by_support = np.bincount(support, weights=weights, minlength=len(dist.weights))
     assert np.max(np.abs(by_support - dist.weights)) <= 1e-15
     assert [tuple(d) for d in decoders.tolist()] == sorted(map(tuple, decoders.tolist()))
@@ -1112,6 +1125,49 @@ def test_support_route_at_delta_zero_is_one_candidate_per_support(rng):
             assert np.array_equal(mixture.weights, expected.weights)
             assert np.array_equal(mixture.decoders, expected.decoders)
             assert np.array_equal(mixture.states, expected.states)
+
+
+@pytest.mark.parametrize(
+    "route, instances",
+    [("noiseless", 3), ("delta_half", 4), ("delta_one", 1), ("ball_half", 4), ("noisy_to_noiseless", 3)],
+)
+def test_one_transport_per_one_layer_simulation(rng, monkeypatch, route, instances):
+    # the column instances and the copy-count instance are one stacked solve
+    n, k, l = 3, 4, 3
+    povm = random_povm(rng, n, k)
+    calls = []
+    solve = simulate.feasible_transport
+
+    def spy(inst):
+        calls.append(len(inst.supply))
+        return solve(inst)
+
+    monkeypatch.setattr(simulate, "feasible_transport", spy)
+    if route == "noiseless":
+        result = simulate_quantum_noiseless(povm, [random_density(rng, n) for _ in range(l)])
+    elif route == "delta_half":
+        states = [random_density_floor(rng, n, 0.5) for _ in range(l)]
+        result = simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2)))
+    elif route == "delta_one":
+        result = simulate_quantum_noisy(povm, [np.eye(n) / n] * l, Delta(1))
+    elif route == "ball_half":
+        effects = [BallEffect(c=c, v=v, norm_index=2) for c, v in random_ball_effects(rng, k, 2, 2)]
+        states = [BallState(x=x, norm_index=2) for x in random_ball_states(rng, l, 2, 2)]
+        result = simulate_ball(effects, states, delta=0.5)
+    else:
+        result = simulate_noisy_by_noiseless(*_n2n_case(rng, "delta"))
+    check_simulation(result)
+    assert calls == [instances]
+
+
+def test_delta_one_quantum_is_the_copy_count_instance_alone(rng):
+    # no column instance: every state is uniform, and the candidates place
+    # tr E_i copies of each output
+    n, k = 4, 5
+    povm = random_povm(rng, n, k)
+    result = simulate_quantum_noisy(povm, [np.eye(n) / n] * 2, Delta(1))
+    check_simulation(result)
+    assert np.array_equal(result.mixture.states, np.full(result.mixture.states.shape, 1 / n))
 
 
 def test_delta_near_one_does_not_divide_by_one_minus_delta():
