@@ -1,6 +1,6 @@
 """Classical simulation certificates for quantum and general-probabilistic channels."""
 
-from . import certify, channels, linalg, lp, majorize, mixdisc, simulate, transport
+from . import certify, channels, linalg, lp, majorize, minnorm, mixdisc, simulate, transport
 
 __all__ = [
     "certify",
@@ -8,6 +8,7 @@ __all__ = [
     "linalg",
     "lp",
     "majorize",
+    "minnorm",
     "mixdisc",
     "simulate",
     "transport",

@@ -21,8 +21,12 @@ keep one candidate per class of decoded outputs. Both have a one-layer
 noiseless transport, solved as one stack (``_one_layer``): an instance per
 input column, and the copy-count one, on the same left nodes and edges.
 Permutohedron- and per-column-noisy quantum targets keep one candidate per
-class, with state columns from the layered transport (``_class_values``),
-which keeps each slot vector in the permutation hull of the state's
+class and solve no transport: each column lies in the base polytope of a
+submodular function of output sets built from the class totals and the
+state's spectrum, and Wolfe's min-norm point over its greedy vertices
+(``minnorm.min_norm_point``) writes it as a mixture of output orders
+(``_corral_values``). Each order gives every class a permutation of the
+spectrum, so each slot vector stays in the permutation hull of the state's
 spectrum and so inside the declared noise set.
 
 Candidates with equal protocol matrices merge first. A k x l target lies
@@ -84,6 +88,7 @@ from .linalg import born_matrix, validate_density, validate_povm
 from .linalg import hermitian_eigenvalues  # noqa: F401
 from .majorize import caratheodory, majorized_by_permutohedron
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
+from .minnorm import min_norm_point
 from .mixdisc import (
     OutcomeDistribution,
     ball_support_totals,
@@ -105,6 +110,8 @@ from .transport import (
 
 RESIDUAL_TOL = 1e-8
 WEIGHT_FLOOR = 1e-10
+# the farthest a min-norm point may lie from a column it must reproduce
+CORRAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,74 +257,73 @@ def _transport(
     return TransportPlan(flow=results[0].flow.base)
 
 
-def _class_values(
-    dist: OutcomeDistribution, a: np.ndarray, mus: np.ndarray
-) -> np.ndarray:
-    """Array (l, classes, k): per input column j and multiset class M (in
-    sorted order), the value of each slot that carries output i, such that
-    the classes reproduce column j and every class's slot vector lies in the
-    permutation hull of the ascending vector mus[j] (mus is (l, n)). Entries
-    for outputs that M does not carry are unused.
+def _greedy_shares(counts: np.ndarray, top: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Array (k, classes): row p holds the mass that each class M puts on
+    output order[p] when its slots take the entries of a spectrum from the
+    largest down, output by output in ``order``: top[pre + c_M(i)] - top[pre],
+    top[r] the sum of the r largest entries, counts (k, classes) the c_M(i)
+    and pre the slots of the outputs before i."""
+    share = top[counts[order].cumsum(axis=0, dtype=counts.dtype)]
+    share[1:] -= share[:-1]
+    return share
 
-    Layer cake: every slot holds the floor mu[0]. Each gap
-    g = mu[t] - mu[t-1] (0-based t >= 1) is a layer of at most g per slot
-    over the top n - t slots: it leaves node (M, t) with supply
-    w_M g (n - t) and enters output i with capacity w_M g c_M(i), c_M(i) the
-    slots of M carrying i (no cap when c_M(i) >= n - t). This transport is
-    feasible exactly when a(T) >= sum_M w_M P(c_M(T)) for every output set
-    T, P the ascending prefix sums of mu; otherwise its min cut is raised.
-    When some output cannot hold the floor, the floor is 0 and mu[0] is
-    routed as the layer t = 0. Columns with the same floor and base share
-    their left nodes, supplies and capacities and differ only in demand, so
-    each such group is built once and solved as one stack of transports.
-    """
-    n, k, w = dist.n, dist.k, dist.weights
-    counts = dist.counts.astype(float)
-    num_classes = len(w)
-    slots = w @ counts  # sum_M w_M c_M(i): the floor puts floor * slots[i] on i
-    mus = np.asarray(mus, dtype=float)
-    holds = np.all(a - slots[:, None] * mus[:, 0] >= -BALANCE_TOL, axis=0)
-    floors = np.where(holds, mus[:, 0], 0.0)
-    groups: dict[bytes, list[int]] = {}
-    for j, key in enumerate(np.column_stack([floors, mus])):
-        groups.setdefault(key.tobytes(), []).append(j)
-    values = np.empty((len(mus), num_classes, k))
-    for columns in groups.values():
-        floor, mu = floors[columns[0]], mus[columns[0]]
-        gaps = np.diff(mu, prepend=floor)
-        layers = np.flatnonzero(gaps > 0.0)
-        heights, gap = n - layers, gaps[layers]
-        # left nodes (M, t) in row-major order over classes x layers; depth
-        # is a layer's slot mass per unit class weight
-        depth = np.tile(gap * heights, num_classes)
-        weight = np.repeat(w, len(layers))
-        supply = weight * depth
-        capacity = np.outer(w, gap)[:, :, None] * counts[:, None, :]
-        capacity[counts[:, None, :] >= heights[:, None]] = np.inf
-        capacity = capacity.reshape(len(supply), k)
-        # a dust layer stays out of the transport: it is spread evenly over
-        # its class's n slots, and the transport meets the rest of each column
-        layered = depth[:, None] * np.repeat(counts, len(layers), axis=0) / n
-        dust = supply <= DROP_TOL
-        demand = a.T[columns] - floor * slots - weight[dust] @ layered[dust]
-        keep = np.flatnonzero(~dust) if dust.any() else slice(None)
-        plan = _transport(
-            [f"column {j}: transport" for j in columns],
-            np.broadcast_to(supply[keep], (len(columns),) + supply[keep].shape),
-            demand,
-            capacity[keep],
-        )
-        # each kept layer's depth, spread by its flow and shared among the
-        # c_M(i) slots that carry output i; a dust layer keeps its even spread
-        spread = conditional_columns(plan)
-        spread *= depth[keep, None]
-        if dust.any():
-            full = np.repeat(layered[None], len(columns), axis=0)
-            full[:, keep] = spread
-            spread = full
-        per_class = spread.reshape(len(columns), num_classes, len(layers), k).sum(axis=2)
-        values[columns] = floor + per_class / np.maximum(counts, 1.0)
-    return values
+
+def _greedy_vertex(weights: np.ndarray, counts: np.ndarray, top: np.ndarray):
+    """The vertex oracle of the base polytope of g(U) = sum_M w_M top[c_M(U)],
+    weights (classes,), counts (k, classes) the c_M(i), and top (n + 1,)
+    concave with top[0] = 0, so g is submodular. For a direction y the order
+    sigma sorts y ascending, ties by output (a stable sort); the vertex puts
+    g(sigma_1..sigma_i) - g(sigma_1..sigma_(i-1)) on sigma_i, the classes'
+    ``_greedy_shares`` summed by weight, and the label is sigma."""
+
+    def vertex(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = direction.argsort(kind="stable")
+        v = np.empty(len(order))
+        v[order] = _greedy_shares(counts, top, order) @ weights
+        return order, v
+
+    return vertex
+
+
+def _corral_values(dist: OutcomeDistribution, a: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Array (l, classes, k): per input column j of a (k, l) and class M, the
+    value of each slot of M that carries output i, such that the classes
+    reproduce column j and every class's slot vector lies in the permutation
+    hull of spectra[j] (spectra is (l, n)), clipped at 0 and normalized.
+    Entries for outputs that M does not carry are 0.
+
+    With top[r] the sum of the r largest entries of that spectrum, column j
+    must lie in the base polytope of g(U) = sum_M w_M top[c_M(U)], c_M(U)
+    the slots of M carrying outputs in U. Wolfe's min-norm point over its
+    greedy vertices (``minnorm.min_norm_point``, ``_greedy_vertex``) writes
+    the column as sum_sigma lambda_sigma v_sigma over output orders sigma.
+    For order sigma the slots of each class take the spectrum's entries
+    from the largest down, output by output (``_greedy_shares``): a
+    permutation of the spectrum, averaged within each output. Each class
+    weighs these by lambda_sigma. NumericalBreakdown, naming the column, if
+    the min-norm point misses the column by more than CORRAL_TOL."""
+    # per output, a contiguous row over the classes, in the narrowest type
+    # that holds n, which the prefix sums then keep
+    counts = dist.counts.T.astype(np.min_scalar_type(dist.n))
+    spectra = np.clip(spectra, 0.0, None)
+    top = np.zeros((len(spectra), dist.n + 1))
+    top[:, 1:] = np.cumsum(spectra[:, ::-1], axis=1)
+    top /= top[:, -1:]
+    values = np.zeros((len(spectra), dist.k, len(dist.weights)))
+    for j, column in enumerate(a.T):
+        vertex = _greedy_vertex(dist.weights, counts, top[j])
+        corral = min_norm_point(vertex, column, f"column {j}")
+        if corral.distance > CORRAL_TOL:
+            raise NumericalBreakdown(
+                f"column {j}: min-norm point at distance {corral.distance:.3e} "
+                f"exceeds {CORRAL_TOL:.1e}"
+            )
+        for order, weight in zip(corral.labels, corral.weights):
+            share = _greedy_shares(counts, top[j], order)
+            share *= weight
+            values[j, order] += share
+    values /= np.maximum(counts, 1)
+    return values.transpose(0, 2, 1)
 
 
 def _class_terms(
@@ -326,7 +332,8 @@ def _class_terms(
     """One candidate protocol per class c = dist.classes[c], weighted by
     the class total: the decoder sends slot m to output c[m], and for input
     j the slot holds values[j, c, c[m]]. Each column is rescaled to sum to
-    1, because transport meets its demands only up to float rounding. Dust
+    1, because a corral's or a transport's weights are exact only up to
+    float rounding. Dust
     classes stay: ``_finalize`` drops weights only after pruning, so their
     mass reaches ``caratheodory``. Returns the weights, decoders and states
     that ``_finalize`` takes."""
@@ -355,8 +362,13 @@ def simulate_quantum_noisy(
     through the 2^k - 1 determinants of ``support_totals`` and one stacked
     one-layer transport; output i is expected n D(E_i, I, ..., I) = tr E_i
     times. A ``Permutohedron`` or ``PerColumn`` spec reads the C(n+k-1, n)
-    class totals (``outcome_distribution``) and runs the layered transport,
-    which keeps every slot vector in the permutation hull of its spectrum.
+    class totals (``outcome_distribution``) and finds, per column, Wolfe's
+    min-norm point over greedy vertices (``_corral_values``), which keeps
+    every slot vector in the permutation hull of its state's spectrum; no
+    transport is solved. On a 2-CPU host (one BLAS thread, instances as in
+    ``bench/workloads.py``, best of 3) permutohedron (n, k, l) = (10,10,3)
+    takes 1.66-1.70 s in 194 MiB and (8,8,12) 0.19-0.21 s, against 6.3 s in
+    865 MiB and 0.66-0.71 s through the layered transport it replaced.
     """
     return _simulate_quantum(povm, states, spec)
 
@@ -374,7 +386,7 @@ def _simulate_quantum(
         return _simulate_by_supports(target, totals, traces, povm.shape[1], spec)
     dist = outcome_distribution(povm)
     _check_spectra(spectra, spec)
-    values = _class_values(dist, target.matrix, np.clip(spectra, 0.0, None))
+    values = _corral_values(dist, target.matrix, spectra)
     return _finalize(target, *_class_terms(dist, values), spec)
 
 
@@ -437,18 +449,19 @@ def _one_layer(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Array (l, classes, k): per column j of a (k, l) and class M, the
     value of each slot of M that carries output i under the base (0, ...,
-    0, depth), as ``_class_values`` (for n = 1 on M's outputs). Its one layer
-    sends w_M depth from M to its outputs, uncapped; a class of supply at
-    most DROP_TOL stays out, spread evenly and taken off the demand.
+    0, depth), such that the classes reproduce column j. Its one layer
+    sends w_M depth from M to its outputs, uncapped, and M's flow into i is
+    shared among the c_M(i) slots that carry i; a class of supply at most
+    DROP_TOL stays out, spread evenly and taken off the demand.
     ``copy``, supplies (classes,) and demands (k,), is one more instance of
     the stack; its conditional columns are returned too (else None), a
     class with no supply there sent to its smallest output."""
     n, w, l = dist.n, dist.weights, a.shape[1]
     counts = dist.counts.astype(float)
-    layered = depth * counts / n
+    even = depth * counts / n
     dust = w * depth <= DROP_TOL
     supply = np.broadcast_to(np.where(dust, 0.0, w * depth), (l, len(w)))
-    demand = a.T - w[dust] @ layered[dust]
+    demand = a.T - w[dust] @ even[dust]
     where = [f"column {j}: transport" for j in range(l)]
     if copy is not None:
         supply, demand = np.vstack([supply, copy[0]]), np.vstack([demand, copy[1]])
@@ -462,7 +475,7 @@ def _one_layer(
     spread = conditional_columns(plan)
     values = spread[:l]
     values *= depth
-    values[:, dust] = layered[dust]
+    values[:, dust] = even[dust]
     values /= np.maximum(counts, 1.0)
     return values, None if copy is None else spread[l]
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from chansim import simulate
 from chansim.channels import Delta, Noiseless, PerColumn, Permutohedron
 
 # every property test draws the same examples on every run, writes no example
@@ -161,6 +162,32 @@ def oracle_satisfies_noise(x, spec, tol: float = 1e-9) -> bool:
             return False
         return bool(np.all(np.cumsum(xs)[:-1] >= np.cumsum(ms)[:-1] - tol))
     raise TypeError(f"no oracle for {type(spec).__name__}")
+
+
+# the end point every accepted min-norm point must reach; the simulation
+# itself refuses only points farther than simulate.CORRAL_TOL
+MIN_NORM_END = 1e-12
+
+
+@pytest.fixture(autouse=True)
+def min_norm_ends(monkeypatch):
+    """Every min-norm point that a permutohedron or per-column simulation
+    accepts, in any test, lies within MIN_NORM_END of its column. Yields
+    the (where, distance) of each accepted point; a point that the
+    simulation refuses (past CORRAL_TOL) is not recorded."""
+    accepted = []
+    solve = simulate.min_norm_point
+
+    def recorded(oracle, target, where):
+        corral = solve(oracle, target, where)
+        if corral.distance <= simulate.CORRAL_TOL:
+            accepted.append((where, corral.distance))
+        return corral
+
+    monkeypatch.setattr(simulate, "min_norm_point", recorded)
+    yield accepted
+    far = [(where, d) for where, d in accepted if d > MIN_NORM_END]
+    assert not far, f"min-norm points end past {MIN_NORM_END:g}: {far}"
 
 
 @pytest.fixture

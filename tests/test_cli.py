@@ -771,6 +771,7 @@ def test_verify_rejects_every_single_leaf_tamper(workdir, capsys):
     (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
     commands = [
         (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json"),
+        (["simulate", "quantum", "--noise", "permutohedron:[0.25, 0.75]"], "depolarizing_qubit.json"),
         (["simulate", "ball", "--delta", "1/3"], "ball.json"),
         (["simulate", "quantum"], "depolarizing_qubit.json"),
         (["simulate", "quantum"], "projective.json"),
@@ -829,12 +830,16 @@ def pinned_certificates(tmp_path_factory):
         ),
         "ball.json": PINNED_BALL,
         "noisy_matrix.json": {"matrix": PINNED_NOISY_MATRIX},
+        "percol.json": PINNED_PER_COLUMN,
     }
     for name, payload in inputs.items():
         (directory / name).write_text(json.dumps(payload))
     certificates = []
     for argv, infile, _ in PINNED_CERTIFICATE_DIGESTS:
         in_args = ["--in", str(directory / infile)] if infile else []
+        argv = [f"@{directory / a[1:]}" if a.startswith("@") else a for a in argv]
+        # a command that writes nothing must not pass on the last certificate
+        (directory / "cert.json").unlink(missing_ok=True)
         main(argv + in_args + ["--out", str(directory / "cert.json")])
         certificates.append((json.loads((directory / "cert.json").read_text()), in_args))
     return directory, certificates
@@ -1018,7 +1023,18 @@ PINNED_CERTIFICATE_DIGESTS = [
      "ee85643cd938ae1ab7a9ab76a559d14a31271ac4ddd8bbd496b2952985b0c4fc"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
      "6fbfb646abd3f48cba5b35dae0650626a03c1caf54668e6b5ba8a9effff986a0"),
+    # the min-norm route, first pinned when it replaced the layered transport
+    (["simulate", "quantum", "--noise", "permutohedron:[0.25, 0.75]"], "depolarizing_qubit.json",
+     "2329ffe9e5ce656dc46c1295e31e151249029ae25d9baebfea3fe44040d5df8a"),
+    (["simulate", "quantum", "--noise", "@percol.json"], "depolarizing_qubit.json",
+     "a4e5f2e5ca293c3a2099616d88fbb809bb3c474a569f6f88082186635aed084c"),
 ]
+
+# a permutohedron column and a delta column, each holding its fixture state
+PINNED_PER_COLUMN = {
+    "kind": "per_column",
+    "specs": [{"kind": "permutohedron", "base": [0.25, 0.75]}, {"kind": "delta", "delta": "1/2"}],
+}
 
 # jsonio.digest of the list of every input payload (None for a command
 # without one) of each benchmark workload at seed 1, as written before the
@@ -1104,6 +1120,7 @@ def test_certificates_match_pinned_digests(workdir, capsys):
     (workdir / "six_outcome_qubit.json").write_text(json.dumps(six))
     (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
     (workdir / "noisy_matrix.json").write_text(json.dumps({"matrix": PINNED_NOISY_MATRIX}))
+    (workdir / "percol.json").write_text(json.dumps(PINNED_PER_COLUMN))
     changed = []
     for argv, infile, expected in PINNED_CERTIFICATE_DIGESTS:
         in_args = ["--in", infile] if infile else []

@@ -483,3 +483,28 @@ def test_class_table_is_counted_against_the_cap():
     # C(24, 12) = 2,704,156 subsets of 24 states with distinct outputs
     with pytest.raises(EnumerationCapExceeded, match="2704156 multiset classes exceed cap 1000000"):
         mixdisc.class_table(12, [1] * 24)
+
+
+def test_class_totals_by_count_in_a_set_are_poisson_binomial(rng):
+    # putting z_i = x on U and 1 elsewhere in det(sum_i z_i E_i) gives
+    # det(I + (x - 1) E_U) = prod_alpha (1 - alpha + x alpha) over the
+    # eigenvalues alpha of E_U: the chance that c(U) = r, summed over the
+    # class totals, is its coefficient of x^r. These counts define the
+    # greedy vertices of the permutohedron route, checked here against the
+    # POVM alone, without the lattices
+    checked = 0
+    for _ in range(20):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        povm = random_povm(rng, n, k)
+        dist = mixdisc.outcome_distribution(povm)
+        for _ in range(5):
+            inside = rng.random(k) < 0.5
+            e_u = sum((e for e, u in zip(povm, inside) if u), np.zeros_like(povm[0]))
+            alphas = np.linalg.eigvalsh(e_u)
+            coefficients = np.ones(1)
+            for alpha in alphas:
+                coefficients = np.convolve(coefficients, [1.0 - alpha, alpha])
+            by_count = np.bincount(dist.counts[:, inside].sum(axis=1), dist.weights, n + 1)
+            assert np.max(np.abs(by_count - coefficients)) <= 1e-13
+            checked += 1
+    assert checked == 100

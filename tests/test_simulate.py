@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations as subsets
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -240,16 +241,14 @@ def test_noisy_dimension_four(rng):
 
 
 def test_noisy_columns_satisfy_full_subset_system(rng):
-    # the layered transport's columns satisfy every subset-sum constraint of
+    # the permutohedron route's columns satisfy every subset-sum constraint of
     # the original (unaggregated) feasibility system: they lie in the
     # permutation hull of the state's spectrum. A Delta spec takes the
     # support route instead, whose columns lie in the declared set, every
     # entry at least delta/n; the same set declared as a permutohedron
-    # still takes the layered transport. Cases: a random spectrum, n = 7
+    # still takes the min-norm route. Cases: a random spectrum, n = 7
     # (beyond the old submultiset enumeration), and the degenerate spectrum
     # of (1 - delta)|psi><psi| + delta I/n
-    from itertools import combinations as subsets
-
     from chansim.channels import noise_bases
 
     delta = 0.25
@@ -285,14 +284,29 @@ def test_noisy_columns_satisfy_full_subset_system(rng):
         assert np.min(result.mixture.states) >= delta / n - 1e-9
 
 
+def _decide(dist, a, mu):
+    """Wolfe's min-norm point of the base polytope of
+    g(U) = sum_M w_M Q(c_M(U)), Q(r) the sum of the r largest entries of
+    mu, nearest to the column a: the decider that the permutohedron route
+    runs per column."""
+    from chansim.minnorm import min_norm_point
+
+    top = np.concatenate(([0.0], np.cumsum(np.sort(mu)[::-1])))
+    vertex = simulate._greedy_vertex(dist.weights, dist.counts.T, top)
+    return min_norm_point(vertex, a, "column 0")
+
+
+def _violated_set(corral, a):
+    """U = {i : x_i < a_i} at the min-norm point x, as a bit mask."""
+    return sum(1 << i for i in np.flatnonzero(corral.point < a - 1e-12))
+
+
 def test_class_values_match_prefix_sum_inequalities(rng):
-    # the layered transport succeeds exactly when
+    # the min-norm point reaches the column exactly when
     # a(T) >= sum_M w_M P(c_M(T)) for every output set T, P the ascending
     # prefix sums of mu and c_M(T) the slots of class M carrying outputs in
-    # T; a failure names a set whose complement breaks that inequality
-    from itertools import combinations as subsets
-
-    from chansim.errors import TransportInfeasible
+    # T; otherwise U = {i : x_i < a_i} at the min-norm point x is the
+    # complement of a most violated T, and the class values are refused
     from chansim.majorize import majorized_by_permutohedron
     from chansim.mixdisc import OutcomeDistribution
 
@@ -327,22 +341,24 @@ def test_class_values_match_prefix_sum_inequalities(rng):
         worst = min((slack(t) for t in proper), default=1.0)
         if abs(worst) < 1e-7:
             continue
-        try:
-            (values,) = simulate._class_values(dist, a[:, None], [mu])
-        except TransportInfeasible as exc:
+        corral = _decide(dist, a, mu)
+        if corral.distance > 1e-12:
             assert worst < 0
-            complement = tuple(sorted(set(range(k)) - exc.violator.right_set))
-            assert slack(complement) < -1e-9
-            assert slack(complement) == pytest.approx(-exc.violator.deficit)
+            violated = _violated_set(corral, a)
+            complement = tuple(i for i in range(k) if not violated >> i & 1)
+            assert slack(complement) == pytest.approx(worst, abs=1e-12)
+            with pytest.raises(NumericalBreakdown, match="^column 0: min-norm point at distance"):
+                simulate._corral_values(dist, a[:, None], mu[None])
             verdicts.append(False)
             continue
         assert worst > 0
+        (values,) = simulate._corral_values(dist, a[:, None], mu[None])
         recon = np.zeros(k)
         for c, (ms, w) in enumerate(sorted(weights.items())):
             slot_values = values[c, list(ms)]
-            assert majorized_by_permutohedron(slot_values, mu, 1e-9)
+            assert majorized_by_permutohedron(slot_values, mu, 1e-12)
             np.add.at(recon, list(ms), w * slot_values)
-        assert np.max(np.abs(recon - a)) <= 1e-9
+        assert np.max(np.abs(recon - a)) <= 1e-12
         verdicts.append(True)
     assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
@@ -358,12 +374,12 @@ def _prefix_slack(dist, mu):
 
 
 @pytest.mark.parametrize("noise", ["noiseless", "delta"])
-def test_layered_transport_matches_the_prefix_sum_oracle(rng, noise):
-    # every _class_values solve on a random POVM with k <= 8 outcomes is
-    # checked against all 2^k inequalities of its docstring: the columns
-    # the POVM gives and the same columns pulled toward an output until
-    # one inequality fails, whose violator must carry the failing deficit
-    from chansim.errors import TransportInfeasible
+def test_min_norm_point_matches_the_prefix_sum_oracle(rng, noise):
+    # every min-norm point on a random POVM with k <= 8 outcomes is checked
+    # against all 2^k prefix-sum inequalities: the columns the POVM gives
+    # reach distance 1e-12, and the same columns pulled toward an output
+    # until one inequality fails stay away from it, their violated set
+    # carrying the largest deficit
     from chansim.majorize import majorized_by_permutohedron
     from chansim.mixdisc import outcome_distribution
 
@@ -384,22 +400,23 @@ def test_layered_transport_matches_the_prefix_sum_oracle(rng, noise):
             pulls = [(1 - s) * a + s * out for s in (0.2, 0.4, 0.6, 0.8, 1.0)]
             pulled = next((b for b in pulls if np.min(member @ b - need) < -1e-6), None)
             assert np.min(member @ a - need) > -1e-9
-            (values,) = simulate._class_values(dist, a[:, None], [mu])
+            assert _decide(dist, a, mu).distance <= 1e-12
+            (values,) = simulate._corral_values(dist, a[:, None], mu[None])
             recon = np.zeros(k)
             for c, ms in enumerate(dist.classes):
                 slot_values = values[c, ms]
-                assert majorized_by_permutohedron(slot_values, mu, 1e-9)
+                assert majorized_by_permutohedron(slot_values, mu, 1e-12)
                 np.add.at(recon, ms, dist.weights[c] * slot_values)
-            assert np.max(np.abs(recon - a)) <= 1e-9
+            assert np.max(np.abs(recon - a)) <= 1e-12
             solved += 1
             if pulled is None:
                 continue
-            with pytest.raises(TransportInfeasible) as exc:
-                simulate._class_values(dist, pulled[:, None], [mu])
-            violator = exc.value.violator
-            complement = sum(1 << i for i in range(k) if i not in violator.right_set)
-            slack = member[complement] @ pulled - need[complement]
-            assert slack == pytest.approx(-violator.deficit, abs=1e-12)
+            corral = _decide(dist, pulled, mu)
+            assert corral.distance > 1e-6
+            # the complement of U is the set T of a failing inequality
+            complement = (2**k - 1) & ~_violated_set(corral, pulled)
+            deficit = np.min(member @ pulled - need)
+            assert member[complement] @ pulled - need[complement] == pytest.approx(deficit, abs=1e-12)
             refused += 1
     assert solved == 24 and refused >= 12
 
@@ -1005,8 +1022,9 @@ def test_dust_layers_are_taken_off_the_transport_demand(bench_workloads, n, k):
 
 
 def test_a_class_below_the_transport_drop_keeps_a_valid_column():
-    # a class too light for the transport spreads its one layer evenly over
-    # its slots, so it stays a candidate with a column that sums to 1
+    # a class lighter than the transport's DROP_TOL still gets the slot
+    # values of every order in the corral, so it stays a candidate with a
+    # column that sums to 1
     from chansim.mixdisc import OutcomeDistribution
     from chansim.transport import DROP_TOL
 
@@ -1014,7 +1032,7 @@ def test_a_class_below_the_transport_drop_keeps_a_valid_column():
     classes = np.array([[0, 0], [0, 1], [1, 1]])
     dist = OutcomeDistribution(n=2, k=2, classes=classes, weights=np.array([0.5, 0.5 - dust, dust]))
     a = np.array([[0.75 - dust], [0.25 + dust]])
-    values = simulate._class_values(dist, a, [np.array([0.0, 1.0])])
+    values = simulate._corral_values(dist, a, np.array([[0.0, 1.0]]))
     assert values[0, 2, 1] == pytest.approx(0.5)
     w, decoders, states = simulate._class_terms(dist, values)
     assert w[-1] == dust and decoders[-1].tolist() == [1, 1]
@@ -1093,13 +1111,13 @@ def _one_candidate_per_support(povm, states):
     """The noiseless support construction as it stood before the delta-noisy
     route joined it: one candidate per support, extra copies on the
     smallest output, each output's share on its first slot."""
-    from chansim.channels import TransitionMatrix, noise_bases
+    from chansim.channels import TransitionMatrix
     from chansim.mixdisc import support_totals
 
     a = born_matrix(povm, states)
     n = len(povm[0])
     dist = simulate._support_classes(support_totals(povm), n)
-    values = simulate._class_values(dist, a, noise_bases(Noiseless(), n, a.shape[1]))
+    values, _ = simulate._one_layer(dist, a, 1.0)
     decoders = dist.classes
     first = np.diff(decoders, axis=1, prepend=-1) != 0
     shares = (values * dist.counts)[:, np.arange(len(decoders))[:, None], decoders]
@@ -1335,10 +1353,9 @@ def test_quantum_input_errors_at_the_boundary(case, noise, tmp_path, capsys):
 
 @pytest.mark.parametrize("noise", ["noiseless", "delta"])
 def test_class_values_of_many_columns_match_one_column_at_a_time(rng, noise):
-    # the columns that share a floor and a base are solved as one stack of
-    # transports: every value is the one its column gets alone, and an
-    # infeasible column is named, with the violator it has alone
-    from chansim.errors import TransportInfeasible
+    # each column runs its own min-norm point: every value is the one its
+    # column gets alone, and the first column that the corral misses is
+    # named, with the distance it has alone
     from chansim.mixdisc import outcome_distribution
 
     raised = 0
@@ -1352,8 +1369,7 @@ def test_class_values_of_many_columns_match_one_column_at_a_time(rng, noise):
             rhos, base = [random_density_floor(rng, n, 0.5) for _ in range(l)], np.full(n, 0.5 / n)
             base[-1] += 0.5
         a = born_matrix(povm, rhos)
-        # pull some columns toward one output: some of them lose the floor,
-        # some become infeasible
+        # pull some columns toward one output: some of them become infeasible
         for j in range(l):
             if rng.random() < 0.4:
                 s = rng.uniform(0.0, 1.0)
@@ -1362,19 +1378,54 @@ def test_class_values_of_many_columns_match_one_column_at_a_time(rng, noise):
         alone = []
         for j in range(l):
             try:
-                alone.append(simulate._class_values(dist, a[:, [j]], mus[[j]])[0])
-            except TransportInfeasible as exc:
+                alone.append(simulate._corral_values(dist, a[:, [j]], mus[[j]])[0])
+            except NumericalBreakdown as exc:
                 alone.append(exc)
-        failed = {j: r for j, r in enumerate(alone) if isinstance(r, TransportInfeasible)}
+        failed = {j: r for j, r in enumerate(alone) if isinstance(r, NumericalBreakdown)}
         if not failed:
-            assert np.array_equal(simulate._class_values(dist, a, mus), np.array(alone))
+            assert np.array_equal(simulate._corral_values(dist, a, mus), np.array(alone))
             continue
-        with pytest.raises(TransportInfeasible) as exc:
-            simulate._class_values(dist, a, mus)
+        with pytest.raises(NumericalBreakdown) as exc:
+            simulate._corral_values(dist, a, mus)
         # alone, each column is column 0
         where, what = str(exc.value).split(": ", 1)
-        j = int(where.removeprefix("column "))
-        assert j in failed and str(failed[j]) == f"column 0: {what}"
-        assert exc.value.violator == failed[j].violator
+        assert where == f"column {min(failed)}"
+        assert str(failed[min(failed)]) == f"column 0: {what}"
         raised += 1
     assert raised >= 3
+
+
+@pytest.mark.parametrize("noise", ["permutohedron", "per_column"])
+def test_permutohedron_and_per_column_simulations_solve_no_transport(
+    rng, monkeypatch, min_norm_ends, noise
+):
+    # each column is one min-norm point over greedy vertices; no
+    # feasible_transport call is made, and every point reaches its column
+    # (the autouse min_norm_ends fixture checks the distance)
+    n, k, l = 3, 4, 3
+    base = np.array([0.1, 0.3, 0.6])
+    povm = random_povm(rng, n, k)
+    states = [random_density_in_permutohedron(rng, base) for _ in range(l)]
+    if noise == "permutohedron":
+        spec = Permutohedron(base=tuple(base))
+    else:
+        states[1] = random_density_floor(rng, n, 0.5)
+        spec = PerColumn(specs=(Permutohedron(base=tuple(base)), Delta(0.5), Permutohedron(base=tuple(base))))
+
+    def no_transport(inst):
+        raise AssertionError("feasible_transport called")
+
+    monkeypatch.setattr(simulate, "feasible_transport", no_transport)
+    check_simulation(simulate_quantum_noisy(povm, states, spec))
+    assert [where for where, _ in min_norm_ends] == ["column 0", "column 1", "column 2"]
+
+
+def test_a_min_norm_point_past_its_cycle_cap_names_the_column(rng, monkeypatch):
+    from chansim import minnorm
+
+    monkeypatch.setattr(minnorm, "MAX_CYCLES", 1)
+    base = np.array([0.1, 0.3, 0.6])
+    povm = random_povm(rng, 3, 4)
+    states = [random_density_in_permutohedron(rng, base) for _ in range(2)]
+    with pytest.raises(NumericalBreakdown, match="^column 0: no min-norm point after 1 major cycles$"):
+        simulate_quantum_noisy(povm, states, Permutohedron(base=tuple(base)))
