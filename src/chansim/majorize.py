@@ -130,23 +130,23 @@ def _eliminate(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.
     a = np.vstack([points.T, np.ones(len(w))])
     _, s, vt = np.linalg.svd(a)
     rank = int(np.sum(s > s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps))
-    q = vt[rank:].T
-    while q.shape[1]:
-        v = q[:, 0]  # a unit null vector of the ones row has positive entries
+    qt = np.ascontiguousarray(vt[rank:])  # the columns of Q, one per row
+    while len(qt):
+        v = qt[0]  # a unit null vector of the ones row has positive entries
         up = np.nonzero(v > 0.0)[0]
         ratio = w[up] / v[up]
         step = ratio.min()
         w -= step * v
         w[up] = v[up] * (ratio - step)
         for z in up[ratio == step]:
-            u = q[z].copy()
+            u = qt[:, z].copy()
             norm = math.sqrt(u @ u)
             if norm == 0.0:  # a tie outside every vector left, or none left
                 continue
             u[0] += math.copysign(norm, u[0])
-            q -= (q @ u)[:, None] * (u * (2.0 / (u @ u)))
-            q = q[:, 1:]
-            q[z] = 0.0
+            qt -= np.multiply.outer(u * (2.0 / (u @ u)), u @ qt)
+            qt = qt[1:]
+            qt[:, z] = 0.0
     kept = np.flatnonzero(w > 0.0)
     return kept, w[kept]
 

@@ -233,21 +233,21 @@ def _finalize(
 
 
 def _transport(
-    where: Sequence[str], supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray
+    where: Sequence[str], supply: np.ndarray, demand: np.ndarray, adjacent: np.ndarray
 ) -> TransportPlan:
-    """The stacked plan (b, L, R) sending supply[i] to demand[i] through
-    ``capacity`` (shared, or one per instance) for each of b instances, in
-    one solve. Each instance's supplies and demands balance only within
-    tolerance, so supplies that do not balance their demands are scaled to
-    their total. Raises TransportInfeasible, prefixed by where[i], with the
-    Hall violator of the first infeasible instance i."""
+    """The stacked plan (b, L, R) sending supply[i] to demand[i] along the
+    edges of ``adjacent`` (L, R) for each of b instances, in one solve.
+    Each instance's supplies and demands balance only within tolerance, so
+    supplies that do not balance their demands are scaled to their total.
+    Raises TransportInfeasible, prefixed by where[i], with the Hall violator
+    of the first infeasible instance i."""
     total, sums = demand.sum(axis=1), supply.sum(axis=1)
     off = np.abs(sums - total) > BALANCE_TOL
     if off.any():
         scale = np.ones(len(sums))
         scale[off] = total[off] / sums[off]
         supply = supply * scale[:, None]
-    results = feasible_transport(TransportInstance(supply, demand, capacity))
+    results = feasible_transport(TransportInstance(supply, demand, adjacent))
     for label, result in zip(where, results):
         if isinstance(result, HallViolator):
             raise TransportInfeasible(
@@ -466,7 +466,7 @@ def _one_layer(
     if copy is not None:
         supply, demand = np.vstack([supply, copy[0]]), np.vstack([demand, copy[1]])
         where.append("copy-count transport")
-    plan = _transport(where, supply, demand, np.where(counts > 0.0, np.inf, 0.0))
+    plan = _transport(where, supply, demand, counts > 0.0)
     # any row on its edges serves a dust row without flow: its values are set below
     plan.flow[:l, dust] = counts[dust]
     if copy is not None:
@@ -487,7 +487,8 @@ def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
     dust support, at or below WEIGHT_FLOOR, with its mass, so first, smaller
     supports first, each dust support of fewer than n outputs moves its
     total to its heaviest proper superset of at most n outputs (the lowest
-    on ties). Capacities only grow, so the transport stays feasible."""
+    on ties). A superset has every edge of its subset, so the transport
+    stays feasible."""
     k = len(totals).bit_length() - 1
     sizes = support_sizes(k)
     totals = totals.copy()
@@ -651,18 +652,18 @@ def reduce_rows(m, p=None) -> RowReduction:
     # transposed transport: each kept row v sends its weight p_v to the
     # other rows u, output u taking a_uj; B(v)'s column j is v's flow
     kept = np.flatnonzero(weights > 1e-12)
-    capacity = np.where(np.eye(k, dtype=bool)[kept], 0.0, np.inf)
+    adjacent = ~np.eye(k, dtype=bool)[kept]
     # one contiguous demand row per column, summed as the column alone is
     plan = _transport(
         [f"column {j}: row reduction transport" for j in range(l)],
         np.broadcast_to(weights[kept], (l, len(kept))),
         np.ascontiguousarray(a.T),
-        capacity,
+        adjacent,
     )
     # a dust weight may receive no flow within the feasibility tolerance:
     # any stochastic column with a zero v-th entry works for it
     dust = plan.flow.sum(axis=2) <= 0.0
-    plan.flow[dust] = np.broadcast_to(capacity > 0.0, plan.flow.shape)[dust]
+    plan.flow[dust] = np.broadcast_to(adjacent, plan.flow.shape)[dust]
     columns = conditional_columns(plan).transpose(1, 2, 0)
     _checked_residual("row reduction", row_reduction_matrix(weights[kept], columns), a)
     return RowReduction(target=t, weights=weights[kept], zero_rows=kept, matrices=columns)

@@ -1,34 +1,31 @@
 """Supply-demand feasibility on bipartite graphs, for stacks of instances.
 
 A transport instance routes probability mass from L left nodes (supplies)
-to R right nodes (demands) through an (L, R) capacity matrix: an entry of 0
-means no edge, ``inf`` an uncapped edge, and any other value the most that
-edge carries. A stack holds b such instances on the same nodes, supplies
-(b, L) and demands (b, R), with one (L, R) capacity matrix for all of them
-or a (b, L, R) stack; a single instance is a stack of one. The stack is
-validated once, at construction, and solved in one call. Feasibility is
-decided by a max flow (source -> left -> right -> sink) held as the
-(b, L, R) flow array itself, next to the unused supply per left node and
-the unmet demand per right node; every step is a few numpy operations on
-whole columns, not one interpreter step per edge. The networks here have
-many left nodes and few right ones, and bipartite max flow can be driven by
-the small side (Ahuja, Orlin, Stein and Tarjan, SIAM J. Comput. 23, 1994):
+to R right nodes (demands) along the edges of a boolean (L, R) mask; an
+edge carries any amount. A stack holds b such instances on the same edges,
+supplies (b, L) and demands (b, R); a single instance is a stack of one.
+The stack is validated once, at construction, and solved in one call.
+Feasibility is decided by a max flow (source -> left -> right -> sink)
+held as the (b, L, R) flow array itself, next to the unused supply per
+left node and the unmet demand per right node; every step is a few numpy
+operations on whole columns, not one interpreter step per edge. The
+networks here have many left nodes and few right ones, and bipartite max
+flow can be driven by the small side (Ahuja, Orlin, Stein and Tarjan,
+SIAM J. Comput. 23, 1994):
 
 - Greedy start: each right node in turn takes its demand from the left
   nodes, in every instance of the stack at once: the left nodes with an
   edge into it and unused supply in some instance, each giving at most its
-  unused supply and its capacity into that node (one stable argsort, one
-  cumsum and one clip over the stack). The left nodes with the least room
-  to place their supply in the right nodes still to come give first, so
-  most solves at the sizes used here end right there. A node gives exactly
-  0 in an instance where it has no room, so every instance of a stack gets
-  the flow that it gets when it is solved alone, up to the order in which
-  its gifts are summed.
+  unused supply (one stable argsort, one cumsum and one clip over the
+  stack). The left nodes with the least room to place their supply in the
+  right nodes still to come give first, so most solves at the sizes used
+  here end right there. A node gives exactly 0 in an instance where it has
+  no room, so every instance of a stack gets the flow that it gets when it
+  is solved alone, up to the order in which its gifts are summed.
 - Array levels: Dinic then routes the remainder, for each instance that
   still has unmet demand. Each phase levels the residual network by a BFS
-  over the matrices, forward where capacity - flow > RESIDUAL_EPS and
-  backward where flow > RESIDUAL_EPS, so left nodes get odd levels and
-  right nodes even ones.
+  over the matrices, forward along every edge and backward where flow >
+  RESIDUAL_EPS, so left nodes get odd levels and right nodes even ones.
 - Hop pushes: the blocking flow walks level-increasing paths over right
   nodes only. A hop a -> b runs through the left nodes one level above a;
   pushing x over it spreads x across them by cumsum and clip, moving flow
@@ -60,60 +57,52 @@ RESIDUAL_EPS = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class TransportInstance:
-    """One instance, supplies (L,), demands (R,) and capacities (L, R), or
-    a stack of b: supplies (b, L), demands (b, R) and capacities (L, R)
-    shared by all b or (b, L, R); capacity 0 is no edge and ``inf`` an
-    uncapped one. Finiteness, signs and each instance's balance are checked
-    here, once for the whole stack."""
+    """A stack of b instances on L left and R right nodes: supplies (b, L),
+    demands (b, R) and one boolean (L, R) mask of the edges, shared by all
+    b; a single instance is a stack of one. Finiteness, signs and each
+    instance's balance are checked here, once for the whole stack."""
 
     supply: np.ndarray
     demand: np.ndarray
-    capacity: np.ndarray
+    adjacent: np.ndarray
 
     def __post_init__(self):
         supply = np.asarray(self.supply, dtype=float)
         demand = np.asarray(self.demand, dtype=float)
-        capacity = np.asarray(self.capacity, dtype=float)
+        adjacent = np.asarray(self.adjacent)
         if not (
-            supply.ndim in (1, 2)
-            and demand.ndim == supply.ndim
-            and supply.shape[:-1] == demand.shape[:-1]
-            and capacity.shape[-2:] == supply.shape[-1:] + demand.shape[-1:]
-            and capacity.shape[:-2] in ((), supply.shape[:-1])
+            supply.ndim == demand.ndim == 2
+            and len(supply) == len(demand)
+            and adjacent.dtype == bool
+            and adjacent.shape == supply.shape[1:] + demand.shape[1:]
         ):
             raise DimensionMismatch(
-                f"supply {supply.shape}, demand {demand.shape} and capacity "
-                f"{capacity.shape} form neither an (L,), (R,), (L, R) instance "
-                "nor a (b, L), (b, R), (L, R) or (b, L, R) stack"
+                f"supply {supply.shape}, demand {demand.shape} and edge mask "
+                f"{adjacent.shape} of {adjacent.dtype} do not form a (b, L), (b, R), "
+                "(L, R) boolean stack"
             )
         if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
             raise NotFinite("transport supply or demand has a non-finite entry")
-        if np.any(np.isnan(capacity)):
-            raise NotFinite("transport capacity has a NaN entry")
         if np.any(supply < -BALANCE_TOL):
             raise UnbalancedInstance("negative supply")
         if np.any(demand < -BALANCE_TOL):
             raise UnbalancedInstance("negative demand")
-        if np.any(capacity < 0.0):
-            raise UnbalancedInstance("negative capacity")
-        total_s, total_d = supply.sum(axis=-1).reshape(-1), demand.sum(axis=-1).reshape(-1)
+        total_s, total_d = supply.sum(axis=1), demand.sum(axis=1)
         off = np.abs(total_s - total_d) > BALANCE_TOL
         if off.any():
             i = int(off.argmax())
-            where = f"instance {i}: " if supply.ndim == 2 else ""
             raise UnbalancedInstance(
-                f"{where}supply {float(total_s[i])!r} and demand {float(total_d[i])!r} "
-                "differ by more than 1e-9"
+                f"instance {i}: supply {float(total_s[i])!r} and demand "
+                f"{float(total_d[i])!r} differ by more than 1e-9"
             )
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "adjacent", adjacent)
 
     @property
     def edges(self) -> np.ndarray:
-        """The (u, v) pairs with positive capacity, one per row, row-major;
-        (i, u, v) triples for a (b, L, R) capacity stack."""
-        return np.argwhere(self.capacity > 0.0)
+        """The (u, v) pairs of the edges, one per row, row-major."""
+        return np.argwhere(self.adjacent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +116,7 @@ class TransportPlan:
 @dataclass(frozen=True)
 class HallViolator:
     """Right-node set T whose demand exceeds the most the left side can send
-    into it: the sum over left nodes u of min(supply(u), capacity(u -> T))."""
+    into it: the supply of the left nodes with an edge into T."""
 
     right_set: frozenset[int]
     demand: float
@@ -150,11 +139,11 @@ def _spread(room: np.ndarray, amount) -> np.ndarray:
 
 
 def _levels(
-    capacity: np.ndarray, flow: np.ndarray, spare: np.ndarray, unmet: np.ndarray
+    adjacent: np.ndarray, flow: np.ndarray, spare: np.ndarray, unmet: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Array BFS from the source over the residual network: source to left
-    u where spare(u) > RESIDUAL_EPS, u to right v where capacity - flow >
-    RESIDUAL_EPS, v back to u where flow > RESIDUAL_EPS, and v to the sink
+    u where spare(u) > RESIDUAL_EPS, u to right v along every edge, v back
+    to u where flow > RESIDUAL_EPS, and v to the sink
     where unmet(v) > RESIDUAL_EPS. Returns the level of each left node (odd)
     and right node (even), -1 where not reached, and the sink's level, -1
     when unreachable. The BFS stops at the first right level that reaches
@@ -164,9 +153,8 @@ def _levels(
     frontier = spare > RESIDUAL_EPS
     depth = 1
     left[frontier] = depth
-    room = capacity - flow
     while True:
-        reached = (room[frontier] > RESIDUAL_EPS).any(axis=0) & (right < 0)
+        reached = adjacent[frontier].any(axis=0) & (right < 0)
         if not reached.any():
             return left, right, -1
         right[reached] = depth + 1
@@ -180,7 +168,7 @@ def _levels(
 
 
 def _blocking_flow(
-    capacity: np.ndarray,
+    adjacent: np.ndarray,
     flow: np.ndarray,
     spare: np.ndarray,
     unmet: np.ndarray,
@@ -192,8 +180,8 @@ def _blocking_flow(
 
     Paths are walked over right nodes: a hop a -> b (a a right node or the
     source, b a right node two levels up) runs through every left node u
-    one level above a, which can carry min(flow(u, a), capacity(u, b) -
-    flow(u, b)), or min(spare(u), ...) from the source. ``path`` holds the
+    one level above a with an edge into b, which can carry flow(u, a), or
+    spare(u) from the source. ``path`` holds the
     nodes from the source, ``hops[i]`` the rows and room of the hop from
     path[i] to path[i + 1], and ``ahead[a]`` the hops out of a not yet found
     dead, last first. A path ends at a right node one level below the sink.
@@ -241,7 +229,7 @@ def _blocking_flow(
         while todo:
             b = todo[-1]
             if alive(b):
-                room = np.minimum(taken(a, u), capacity[u, b] - flow[u, b])
+                room = np.where(adjacent[u, b], taken(a, u), 0.0)
                 room[room <= RESIDUAL_EPS] = 0.0
                 if room.any():
                     path.append(b)
@@ -257,29 +245,29 @@ def _blocking_flow(
 
 
 def _max_flow(
-    capacity: np.ndarray, supply: np.ndarray, demand: np.ndarray
+    adjacent: np.ndarray, supply: np.ndarray, demand: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """For capacities (1, L, R) shared by b instances or (b, L, R),
-    supplies (b, L) and demands (b, R): the (b, L, R) flows of a maximum
-    flow of each instance, and per instance the right-node levels of its
-    final BFS (-1 for nodes on the sink side of a minimum cut), or None
-    when every demand is met. A greedy start fills each right node in turn,
-    in every instance, first from the left nodes with the least room to
-    place their supply in the right nodes after it; Dinic phases then route
-    the remainder of each instance."""
+    """For edges (L, R) shared by b instances, supplies (b, L) and demands
+    (b, R): the (b, L, R) flows of a maximum flow of each instance, and per
+    instance the right-node levels of its final BFS (-1 for nodes on the
+    sink side of a minimum cut), or None when every demand is met. A greedy
+    start fills each right node in turn, in every instance, first from the
+    left nodes with the least room to place their supply in the right nodes
+    after it; Dinic phases then route the remainder of each instance."""
     (b, num_left), num_right = supply.shape, demand.shape[1]
     flow = np.zeros((b, num_left, num_right))
     spare, unmet = supply.copy(), demand.copy()
-    # capacities (R, 1 or b, L) and needs right node first, so that each
-    # right node's columns are one contiguous block; with shared capacities,
-    # each run of instances with equal supplies shares one need row
-    by_right = capacity.transpose(2, 0, 1).copy()
-    first = np.r_[True, np.any(supply[1:] != supply[:-1], axis=1) | (len(capacity) > 1)]
+    # edges (R, 1, L) and needs right node first, so that each right node's
+    # columns are one contiguous block; each run of instances with equal
+    # supplies shares one need row
+    by_right = adjacent.T[:, None].copy()
+    first = np.ones(b, dtype=bool)
+    first[1:] = np.any(supply[1:] != supply[:-1], axis=1)
     rows, row_of = supply[first], np.cumsum(first) - 1
     # need: a left node's room in the right nodes after the current one,
     # less its supply; below 0 it cannot place all of it later. Leaving up
     # to FEAS_TOL unplaced is within tolerance, so that shortfall is none
-    share = np.minimum(rows, by_right)
+    share = np.where(by_right, rows, 0.0)
     need = share[::-1].cumsum(axis=0)[::-1]
     need -= share
     need -= rows
@@ -288,7 +276,7 @@ def _max_flow(
     offset = np.arange(b)[:, None] * num_left
     by_left = flow.reshape(b * num_left, num_right)
     for v in range(num_right):
-        room = np.minimum(spare, by_right[v])
+        room = np.where(by_right[v], spare, 0.0)
         u = (room > 0.0).any(axis=0).nonzero()[0]
         if not u.size:
             continue
@@ -303,7 +291,7 @@ def _max_flow(
     rights: list[np.ndarray | None] = [None] * b
     for i in (unmet > RESIDUAL_EPS).any(axis=1).nonzero()[0]:
         # views: the pushes land in the stack
-        args = capacity[i % len(capacity)], flow[i], spare[i], unmet[i]
+        args = adjacent, flow[i], spare[i], unmet[i]
         while np.any(unmet[i] > RESIDUAL_EPS):
             left, rights[i], sink = _levels(*args)
             if sink < 0:
@@ -312,42 +300,36 @@ def _max_flow(
     return flow, rights
 
 
-def feasible_transport(
-    inst: TransportInstance,
-) -> TransportPlan | HallViolator | tuple[TransportPlan | HallViolator, ...]:
-    """Per instance, either a plan meeting both marginals or a Hall
-    violator set: a tuple of b results for a stack, the one result for a
-    single instance; a stack's plans are views of one (b, L, R) ``base``.
+def feasible_transport(inst: TransportInstance) -> tuple[TransportPlan | HallViolator, ...]:
+    """Per instance of the stack, either a plan meeting both marginals or a
+    Hall violator set, b results in all; the plans are views of one
+    (b, L, R) ``base``.
 
     Supplies at or below DROP_TOL are dropped before solving (their mass is
     discarded; it is within the balance tolerance by construction).
     """
-    stacked = inst.supply.ndim == 2
-    supply = inst.supply if stacked else inst.supply[None]
-    demand = inst.demand if stacked else inst.demand[None]
-    capacity = inst.capacity if inst.capacity.ndim == 3 else inst.capacity[None]
-    flow, rights = _max_flow(capacity, np.where(supply > DROP_TOL, supply, 0.0), demand)
+    supply, demand, adjacent = inst.supply, inst.demand, inst.adjacent
+    flow, rights = _max_flow(adjacent, np.where(supply > DROP_TOL, supply, 0.0), demand)
     met = flow.sum(axis=(1, 2)) >= demand.sum(axis=1) - FEAS_TOL
-    results = tuple(
+    return tuple(
         TransportPlan(flow=flow[i])
         if met[i]
-        else _violator(supply[i], demand[i], capacity[i % len(capacity)], rights[i])
+        else _violator(supply[i], demand[i], adjacent, rights[i])
         for i in range(len(supply))
     )
-    return results if stacked else results[0]
 
 
 def _violator(
-    supply: np.ndarray, demand: np.ndarray, capacity: np.ndarray, right: np.ndarray
+    supply: np.ndarray, demand: np.ndarray, adjacent: np.ndarray, right: np.ndarray
 ) -> HallViolator:
-    """The Hall violator of one instance: the right nodes with demand that
-    its final BFS did not reach."""
+    """The Hall violator of one instance: the right nodes T with demand
+    that its final BFS did not reach, against the supply of the left nodes
+    with an edge into T."""
     t = np.flatnonzero((demand > 0.0) & (right < 0))
-    into = capacity[:, t].sum(axis=1)
     return HallViolator(
         right_set=frozenset(t.tolist()),
         demand=float(demand[t].sum()),
-        neighborhood_supply=float(np.minimum(supply, into).sum()),
+        neighborhood_supply=float(np.where(adjacent[:, t].any(axis=1), supply, 0.0).sum()),
     )
 
 

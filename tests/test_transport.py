@@ -15,19 +15,31 @@ from chansim.transport import (
 from chansim.errors import DimensionMismatch, NotFinite, UnbalancedInstance, ZeroSupplyNode
 
 
-def make_instance(supply, demand, edges, capacity=None):
-    """Index-array instance for label-keyed supplies, demands and edges:
-    left and right nodes are numbered in the order of the two dicts, and an
-    edge without a listed capacity is uncapped."""
+def make_instance(supply, demand, edges):
+    """Index-array stack of one for label-keyed supplies, demands and edges:
+    left and right nodes are numbered in the order of the two dicts."""
     lefts, rights = list(supply), list(demand)
-    cap = np.zeros((len(lefts), len(rights)))
+    adjacent = np.zeros((len(lefts), len(rights)), dtype=bool)
     for u, v in edges:
-        cap[lefts.index(u), rights.index(v)] = (capacity or {}).get((u, v), np.inf)
+        adjacent[lefts.index(u), rights.index(v)] = True
     return TransportInstance(
-        supply=np.array(list(supply.values()), dtype=float),
-        demand=np.array(list(demand.values()), dtype=float),
-        capacity=cap,
+        supply=np.array([list(supply.values())], dtype=float),
+        demand=np.array([list(demand.values())], dtype=float),
+        adjacent=adjacent,
     )
+
+
+def solve(supply, demand, edges):
+    """The one result of a label-keyed instance."""
+    (result,) = feasible_transport(make_instance(supply, demand, edges))
+    return result
+
+
+def solve_one(supply, demand, adjacent):
+    """The one result of the stack of one over (L,) supplies, (R,) demands
+    and an (L, R) edge mask."""
+    (result,) = feasible_transport(TransportInstance(supply[None], demand[None], adjacent))
+    return result
 
 
 def right_labels(violator, demand):
@@ -36,32 +48,26 @@ def right_labels(violator, demand):
     return frozenset(rights[v] for v in violator.right_set)
 
 
-def reachable_supply(supply, edges, capacity, subset):
-    """Most the left side can send into a right subset: per left node, the
-    smaller of its supply and its total edge capacity into the subset."""
-    into = {}
-    for u, v in edges:
-        if v in subset:
-            into[u] = into.get(u, 0.0) + capacity.get((u, v), float("inf"))
-    return sum(min(supply.get(u, 0.0), c) for u, c in into.items())
+def reachable_supply(supply, edges, subset):
+    """Most the left side can send into a right subset: the supply of the
+    left nodes with an edge into it."""
+    return sum(supply[u] for u in {u for u, v in edges if v in subset})
 
 
-def hall_feasible(supply, demand, edges, capacity=None):
+def hall_feasible(supply, demand, edges):
     """Brute-force oracle: check every right subset's demand against what
     the left side can send into it."""
     rights = list(demand)
     for r in range(1, len(rights) + 1):
         for subset in combinations(rights, r):
             t_demand = sum(demand[v] for v in subset)
-            if t_demand > reachable_supply(supply, edges, capacity or {}, subset) + 1e-8:
+            if t_demand > reachable_supply(supply, edges, subset) + 1e-8:
                 return False
     return True
 
 
-def lp_feasible(supply, demand, edges, capacity=None):
-    """Second oracle: transportation feasibility as a plain LP, edge
-    capacities as upper bounds."""
-    capacity = capacity or {}
+def lp_feasible(supply, demand, edges):
+    """Second oracle: transportation feasibility as a plain LP."""
     edge_list = sorted(edges, key=repr)
     if not edge_list:
         return all(d <= 1e-8 for d in demand.values())
@@ -78,12 +84,12 @@ def lp_feasible(supply, demand, edges, capacity=None):
         c=[0.0] * len(edge_list),
         A_eq=np.array(a_eq),
         b_eq=np.array(b_eq),
-        bounds=[(0, capacity.get(e)) for e in edge_list],
+        bounds=(0, None),
     )
     return res.status == 0
 
 
-def check_plan(plan, supply, demand, edges, tol=1e-8, capacity=None):
+def check_plan(plan, supply, demand, edges, tol=1e-8):
     lefts, rights = list(supply), list(demand)
     flow = plan.flow
     assert flow.shape == (len(lefts), len(rights))
@@ -92,8 +98,6 @@ def check_plan(plan, supply, demand, edges, tol=1e-8, capacity=None):
     for u, v in edges:
         on_edge[lefts.index(u), rights.index(v)] = True
     assert np.all(flow[~on_edge] == 0.0)
-    for (u, v), c in (capacity or {}).items():
-        assert flow[lefts.index(u), rights.index(v)] <= c + tol
     assert np.max(np.abs(flow.sum(axis=1) - list(supply.values()))) < tol
     assert np.max(np.abs(flow.sum(axis=0) - list(demand.values()))) < tol
 
@@ -102,7 +106,7 @@ def test_complete_graph_feasible():
     supply = {0: 0.2, 1: 0.8}
     demand = {"a": 0.5, "b": 0.5}
     edges = set(product(supply, demand))
-    plan = feasible_transport(make_instance(supply, demand, edges))
+    plan = solve(supply, demand, edges)
     assert isinstance(plan, TransportPlan)
     check_plan(plan, supply, demand, edges)
 
@@ -111,7 +115,7 @@ def test_diagonal_violator():
     supply = {1: 0.7, 2: 0.3}
     demand = {1: 0.5, 2: 0.5}
     edges = {(1, 1), (2, 2)}
-    result = feasible_transport(make_instance(supply, demand, edges))
+    result = solve(supply, demand, edges)
     assert isinstance(result, HallViolator)
     assert right_labels(result, demand) == frozenset({2})
     assert result.deficit > 1e-8
@@ -120,24 +124,42 @@ def test_diagonal_violator():
 def test_unbalanced_rejected():
     with pytest.raises(UnbalancedInstance):
         make_instance({0: 1.0}, {0: 0.5}, {(0, 0)})
-    with pytest.raises(UnbalancedInstance):
-        make_instance({0: 1.0}, {0: 1.0}, {(0, 0)}, {(0, 0): -0.5})
 
 
 def test_malformed_arrays_rejected():
     with pytest.raises(DimensionMismatch):
-        TransportInstance(np.ones(2) / 2, np.ones(1), np.full((1, 2), np.inf))
+        TransportInstance(np.ones((1, 2)) / 2, np.ones((1, 1)), np.ones((1, 2), dtype=bool))
     with pytest.raises(NotFinite):
-        TransportInstance(np.ones(1), np.ones(1), np.full((1, 1), np.nan))
-    with pytest.raises(NotFinite):
-        TransportInstance(np.array([np.nan]), np.ones(1), np.ones((1, 1)))
+        TransportInstance(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1), dtype=bool))
+
+
+def test_the_edges_are_one_boolean_mask_of_the_node_shape():
+    supply, demand = np.full((2, 3), 1.0 / 3), np.full((2, 2), 0.5)
+    adjacent = np.array([[True, False], [True, True], [False, True]])
+    inst = TransportInstance(supply, demand, adjacent)
+    assert len(inst.edges) == adjacent.sum()
+    for edges in (
+        np.where(adjacent, np.inf, 0.0),  # a capacity matrix
+        adjacent.T,
+        np.stack([adjacent] * 2),  # one mask per instance
+    ):
+        with pytest.raises(DimensionMismatch):
+            TransportInstance(supply, demand, edges)
+    # a single instance is a stack of one, not (L,) and (R,) vectors
+    with pytest.raises(DimensionMismatch):
+        TransportInstance(supply[0], demand[0], adjacent)
+
+
+def test_a_stack_of_no_instances_has_no_results():
+    nothing = TransportInstance(np.zeros((0, 3)), np.zeros((0, 2)), np.ones((3, 2), dtype=bool))
+    assert feasible_transport(nothing) == ()
 
 
 def test_conditional_single_left_node():
     supply = {0: 1.0}
     demand = {"a": 0.25, "b": 0.75}
     edges = {(0, "a"), (0, "b")}
-    plan = feasible_transport(make_instance(supply, demand, edges))
+    plan = solve(supply, demand, edges)
     cols = conditional_columns(plan)
     assert cols[0] == pytest.approx([0.25, 0.75])
 
@@ -146,7 +168,7 @@ def test_conditional_symmetric_uniform():
     supply = {0: 0.5, 1: 0.5}
     demand = {0: 0.5, 1: 0.5}
     edges = set(product(supply, demand))
-    plan = feasible_transport(make_instance(supply, demand, edges))
+    plan = solve(supply, demand, edges)
     cols = conditional_columns(plan)
     assert np.array(list(supply.values())) @ cols == pytest.approx(list(demand.values()))
 
@@ -154,7 +176,7 @@ def test_conditional_symmetric_uniform():
 def test_conditional_zero_supply_rejected():
     supply = {0: 1.0, 1: 0.0}
     demand = {"a": 1.0}
-    plan = feasible_transport(make_instance(supply, demand, {(0, "a")}))
+    plan = solve(supply, demand, {(0, "a")})
     with pytest.raises(ZeroSupplyNode):
         conditional_columns(plan)
 
@@ -180,42 +202,28 @@ def test_random_instances_match_hall_oracle(rng, level_calls):
         if trial < 200:
             nl = int(rng.integers(1, 7))
             nr = int(rng.integers(1, 7))
-            # every other trial caps about half of a denser edge set, so that
-            # the caps decide feasibility in about a third of those trials
-            capped = trial % 2 == 1
-            edges = {
-                (i, j)
-                for i in range(nl)
-                for j in range(nr)
-                if rng.random() < (0.9 if capped else 0.55)
-            }
+            edges = {(i, j) for i in range(nl) for j in range(nr) if rng.random() < 0.55}
         else:
             # the complete k x k graph without its diagonal, as in reduce_rows
             nl = nr = int(rng.integers(2, 8))
-            capped = False
             edges = {(i, j) for i in range(nl) for j in range(nr) if i != j}
         supply = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(nl)))}
         demand = {j: float(w) for j, w in enumerate(rng.dirichlet(np.ones(nr)))}
-        capacity = {}
-        if capped:
-            capacity = {
-                e: float(rng.uniform(0.0, 0.5)) for e in sorted(edges) if rng.random() < 0.5
-            }
         level_calls.clear()
-        result = feasible_transport(make_instance(supply, demand, edges, capacity))
+        result = solve(supply, demand, edges)
         assert len(level_calls) <= min(nl, nr) + 1
-        oracle = hall_feasible(supply, demand, edges, capacity)
+        oracle = hall_feasible(supply, demand, edges)
         if trial % 5 < 2:
-            assert oracle == lp_feasible(supply, demand, edges, capacity)
+            assert oracle == lp_feasible(supply, demand, edges)
         if isinstance(result, TransportPlan):
             assert oracle
-            check_plan(result, supply, demand, edges, capacity=capacity)
+            check_plan(result, supply, demand, edges)
         else:
             assert not oracle
             assert result.deficit > 1e-8
             right_set = right_labels(result, demand)
             recomputed = sum(demand[v] for v in right_set) - reachable_supply(
-                supply, edges, capacity, right_set
+                supply, edges, right_set
             )
             assert recomputed == pytest.approx(result.deficit)
 
@@ -228,12 +236,12 @@ def test_staircase_leaves_one_augmenting_path_through_every_right_node(level_cal
     # unmet, joined by the single augmenting path m-1 -> m-2 -> ... -> 0 ->
     # m-1 over all m right nodes, which one Dinic phase pushes back
     m = 60
-    capacity = np.zeros((m, m))
-    capacity[np.arange(1, m), np.arange(m - 1)] = np.inf  # left v + 1 -> right v
-    capacity[np.arange(m - 1), np.arange(m - 1)] = np.inf  # decoys
-    capacity[0, m - 1] = np.inf
+    adjacent = np.zeros((m, m), dtype=bool)
+    adjacent[np.arange(1, m), np.arange(m - 1)] = True  # left v + 1 -> right v
+    adjacent[np.arange(m - 1), np.arange(m - 1)] = True  # decoys
+    adjacent[0, m - 1] = True
     supply = demand = np.full(m, 1.0 / m)
-    plan = feasible_transport(TransportInstance(supply, demand, capacity))
+    plan = solve_one(supply, demand, adjacent)
     expected = np.zeros((m, m))
     expected[np.arange(1, m), np.arange(m - 1)] = 1.0 / m
     expected[0, m - 1] = 1.0 / m
@@ -247,7 +255,7 @@ def test_staircase_leaves_one_augmenting_path_through_every_right_node(level_cal
     # move right 0's demand onto right m - 1, which only left 0 reaches
     raised = demand.copy()
     raised[m - 1], raised[0] = 2.0 / m, 0.0
-    result = feasible_transport(TransportInstance(supply, raised, capacity))
+    result = solve_one(supply, raised, adjacent)
     assert isinstance(result, HallViolator)
     assert result.right_set == frozenset({m - 1})
     assert result.demand == pytest.approx(2.0 / m)
@@ -274,7 +282,7 @@ def test_outcome_tuple_structure_always_feasible(rng):
                 demand_vec[i] += w * split[m]
         demand = {i: float(demand_vec[i]) for i in range(k)}
         edges = {(t, i) for t in tuples for i in set(t)}
-        result = feasible_transport(make_instance(supply, demand, edges))
+        result = solve(supply, demand, edges)
         assert isinstance(result, TransportPlan)
         check_plan(result, supply, demand, edges)
 
@@ -286,21 +294,21 @@ def test_reconstruction_residual(rng):
         supply = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(nl)))}
         demand = {j: float(w) for j, w in enumerate(rng.dirichlet(np.ones(nr)))}
         edges = set(product(range(nl), range(nr)))
-        plan = feasible_transport(make_instance(supply, demand, edges))
+        plan = solve(supply, demand, edges)
         cols = conditional_columns(plan)
         recon = np.array(list(supply.values())) @ cols
         assert np.max(np.abs(recon - list(demand.values()))) < 1e-8
 
 
-def _same_result(got, alone, supply, demand, capacity):
+def _same_result(got, alone, supply, demand, adjacent):
     """A stacked instance's result against its solve as a stack of one: the
-    same violator, or a plan that meets its own supplies, demands and
-    capacities within FEAS_TOL and lies within 1e-12 of the lone plan (a
-    stack may sum an instance's gifts in another order)."""
+    same violator, or a plan on the edges that meets its own supplies and
+    demands within FEAS_TOL and lies within 1e-12 of the lone plan (a stack
+    may sum an instance's gifts in another order)."""
     assert type(got) is type(alone)
     if isinstance(alone, TransportPlan):
         flow, tol = got.flow, transport.FEAS_TOL
-        assert np.all(flow >= 0.0) and np.all(flow <= capacity + tol)
+        assert np.all(flow >= 0.0) and np.all(flow[~adjacent] == 0.0)
         assert np.max(np.abs(flow.sum(axis=1) - supply)) <= tol
         assert np.max(np.abs(flow.sum(axis=0) - demand)) <= tol
         assert np.max(np.abs(flow - alone.flow)) <= 1e-12
@@ -308,22 +316,15 @@ def _same_result(got, alone, supply, demand, capacity):
         assert got == alone
 
 
-def _random_stack(rng, b, nl, nr, shared, same):
+def _random_stack(rng, b, nl, nr, same):
     """b instances on nl x nr nodes: random demands and random supplies,
     all on one supply row when ``same`` and about half of them otherwise,
-    over one random capacity matrix or one per instance, with some finite
-    caps, so that some instances need Dinic and some are infeasible."""
-    def capacity():
-        cap = np.where(rng.random((nl, nr)) < 0.6, np.inf, 0.0)
-        capped = rng.random((nl, nr)) < 0.3
-        cap[capped] = rng.uniform(0.0, 0.4, size=capped.sum())
-        return cap
-
+    over one random edge mask, so that some instances need Dinic and some
+    are infeasible."""
     supply = rng.dirichlet(np.ones(nl), size=b)
     supply[(rng.random(b) < 0.5) | same] = supply[0]
     demand = rng.dirichlet(np.ones(nr), size=b)
-    cap = capacity() if shared else np.stack([capacity() for _ in range(b)])
-    return supply, demand, cap
+    return supply, demand, rng.random((nl, nr)) < 0.6
 
 
 def test_stacks_match_their_stacks_of_one(rng, level_calls):
@@ -334,18 +335,16 @@ def test_stacks_match_their_stacks_of_one(rng, level_calls):
     dinic_stacks = infeasible = feasible = 0
     for trial in range(240):
         b, nl, nr = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 7))
-        # one capacity matrix and one supply row for all, as for the
-        # columns of a simulation, in every fourth trial
-        shared, same = trial % 2 == 0, trial % 4 == 0
-        supply, demand, cap = _random_stack(rng, b, nl, nr, shared, same)
+        # one supply row for all, as for the columns of a simulation, in
+        # every fourth trial
+        supply, demand, adjacent = _random_stack(rng, b, nl, nr, trial % 4 == 0)
         level_calls.clear()
-        results = feasible_transport(TransportInstance(supply, demand, cap))
+        results = feasible_transport(TransportInstance(supply, demand, adjacent))
         dinic_stacks += bool(level_calls)
         assert isinstance(results, tuple) and len(results) == b
         for i, got in enumerate(results):
-            own = cap if shared else cap[i]
-            alone = feasible_transport(TransportInstance(supply[i], demand[i], own))
-            _same_result(got, alone, supply[i], demand[i], own)
+            alone = solve_one(supply[i], demand[i], adjacent)
+            _same_result(got, alone, supply[i], demand[i], adjacent)
             infeasible += isinstance(got, HallViolator)
             feasible += isinstance(got, TransportPlan)
     assert dinic_stacks >= 20 and infeasible >= 20 and feasible >= 20
@@ -356,67 +355,63 @@ def test_staircase_in_a_stack_runs_dinic_and_matches_its_solve_alone(level_calls
     # start; next to it in a stack, an instance on the same graph whose
     # demands the greedy start meets alone
     m = 12
-    capacity = np.zeros((m, m))
-    capacity[np.arange(1, m), np.arange(m - 1)] = np.inf
-    capacity[np.arange(m - 1), np.arange(m - 1)] = np.inf
-    capacity[0, m - 1] = np.inf
+    adjacent = np.zeros((m, m), dtype=bool)
+    adjacent[np.arange(1, m), np.arange(m - 1)] = True
+    adjacent[np.arange(m - 1), np.arange(m - 1)] = True
+    adjacent[0, m - 1] = True
     uniform = np.full(m, 1.0 / m)
     easy = np.r_[2.0 / m, np.full(m - 2, 1.0 / m), 0.0]
     supply, demand = np.stack([uniform, uniform]), np.stack([easy, uniform])
-    results = feasible_transport(TransportInstance(supply, demand, capacity))
+    results = feasible_transport(TransportInstance(supply, demand, adjacent))
     assert len(level_calls) == 1  # only the staircase runs a phase
     level_calls.clear()
     for i in range(2):
-        alone = feasible_transport(TransportInstance(supply[i], demand[i], capacity))
-        _same_result(results[i], alone, supply[i], demand[i], capacity)
+        alone = solve_one(supply[i], demand[i], adjacent)
+        _same_result(results[i], alone, supply[i], demand[i], adjacent)
     assert len(level_calls) == 1
 
 
 def test_an_infeasible_instance_in_a_stack_keeps_its_own_violator():
     # the diagonal violator of test_diagonal_violator between two feasible
     # instances on the same graph
-    capacity = np.diag([np.inf, np.inf])
+    adjacent = np.eye(2, dtype=bool)
     supply = np.array([[0.5, 0.5], [0.7, 0.3], [0.4, 0.6]])
     demand = np.array([[0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
-    first, middle, last = feasible_transport(TransportInstance(supply, demand, capacity))
+    first, middle, last = feasible_transport(TransportInstance(supply, demand, adjacent))
     assert isinstance(first, TransportPlan) and isinstance(last, TransportPlan)
-    alone = feasible_transport(TransportInstance(supply[1], demand[1], capacity))
+    alone = solve_one(supply[1], demand[1], adjacent)
     assert isinstance(middle, HallViolator) and middle == alone
     assert middle.right_set == frozenset({1})
 
 
 def test_a_stack_is_validated_as_a_whole():
     supply, demand = np.full((3, 2), 0.5), np.full((3, 2), 0.5)
-    capacity = np.full((2, 2), np.inf)
-    TransportInstance(supply, demand, capacity)
-    TransportInstance(supply, demand, np.stack([capacity] * 3))
+    adjacent = np.ones((2, 2), dtype=bool)
+    TransportInstance(supply, demand, adjacent)
     bad = supply.copy()
     bad[1, 0] = np.nan
     with pytest.raises(NotFinite):
-        TransportInstance(bad, demand, capacity)
+        TransportInstance(bad, demand, adjacent)
     bad[1] = [1.5, -0.5]
     with pytest.raises(UnbalancedInstance, match="negative supply"):
-        TransportInstance(bad, demand, capacity)
+        TransportInstance(bad, demand, adjacent)
     bad[1] = [0.5, 0.6]
     with pytest.raises(UnbalancedInstance, match="instance 1: supply"):
-        TransportInstance(bad, demand, capacity)
+        TransportInstance(bad, demand, adjacent)
     with pytest.raises(DimensionMismatch):
-        TransportInstance(supply, demand, np.stack([capacity] * 2))
-    with pytest.raises(DimensionMismatch):
-        TransportInstance(supply, demand[:2], capacity)
+        TransportInstance(supply, demand[:2], adjacent)
 
 
 def test_stacked_edges_and_conditional_columns():
-    capacity = np.array([[np.inf, 0.0], [np.inf, np.inf]])
+    adjacent = np.array([[True, False], [True, True]])
     supply, demand = np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.5, 0.5], [0.75, 0.25]])
-    assert TransportInstance(supply, demand, capacity).edges.tolist() == [[0, 0], [1, 0], [1, 1]]
-    assert len(TransportInstance(supply, demand, np.stack([capacity] * 2)).edges) == 6
-    plans = feasible_transport(TransportInstance(supply, demand, capacity))
+    assert TransportInstance(supply, demand, adjacent).edges.tolist() == [[0, 0], [1, 0], [1, 1]]
+    plans = feasible_transport(TransportInstance(supply, demand, adjacent))
     stacked = conditional_columns(TransportPlan(flow=np.stack([p.flow for p in plans])))
     for plan, columns in zip(plans, stacked):
         assert np.array_equal(columns, conditional_columns(plan))
     # no left nodes: every instance with no demand is feasible
-    no_left = TransportInstance(np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((0, 3)))
+    no_left = TransportInstance(np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((0, 3), dtype=bool))
     nothing = feasible_transport(no_left)
     assert [p.flow.shape for p in nothing] == [(0, 3), (0, 3)]
     empty = TransportPlan(flow=np.array([[[1.0, 0.0]], [[0.0, 0.0]]]))
