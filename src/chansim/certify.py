@@ -316,10 +316,9 @@ def mutual_information(m, q) -> float:
 
 def holevo_chi(states: Sequence[np.ndarray], q) -> float:
     """Entropy of the average state minus the average state entropy, bits,
-    for density matrices ``states`` and probability weights ``q``."""
+    for a stack of density matrices ``states`` and probability weights ``q``."""
     weights = convex_weights(q, len(states))
-    for rho in states:
-        validate_density(rho)
+    validate_density(states)
     avg = sum(w * np.asarray(rho, dtype=complex) for w, rho in zip(weights, states))
     return von_neumann_entropy(avg) - float(
         sum(w * von_neumann_entropy(rho) for w, rho in zip(weights, states))

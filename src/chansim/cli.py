@@ -220,11 +220,11 @@ def _certify_replacer(args, payload):
 
 
 def _certify_holevo(args, payload):
-    states = [jsonio.complex_matrix_from_json(s) for s in payload["states"]]
+    states = jsonio.complex_matrices_from_json(payload["states"])
     weights = real_matrix_from_json(payload["weights"])
     result = {"type": "holevo", "chi": float(certify.holevo_chi(states, weights)), "info": None}
     if "povm" in payload:
-        povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
+        povm = jsonio.complex_matrices_from_json(payload["povm"]["outcomes"])
         validate_povm(povm)
         result["info"] = float(certify.mutual_information(born_matrix(povm, states), weights))
     return payload, result
@@ -239,7 +239,7 @@ def _verify_simulation(result: dict) -> list[str]:
         target = real_matrix_from_json(result["target"])
         validate_mixture(mixture)
         recon = mixture_matrix(mixture).matrix
-    except (ChanSimError, ValueError) as exc:
+    except (ChanSimError, ValueError, TypeError) as exc:
         return [f"mixture invalid: {exc}"]
     if recon.shape != target.shape:
         return [f"mixture gives a {recon.shape} matrix, the target is {target.shape}"]
@@ -249,7 +249,7 @@ def _verify_simulation(result: dict) -> list[str]:
 def _verify_row_reduction(result: dict) -> list[str]:
     try:
         reduction = row_reduction_from_json(result)
-    except (ChanSimError, ValueError) as exc:
+    except (ChanSimError, ValueError, TypeError) as exc:
         return [f"terms invalid: {exc}"]
     recon = simulate.row_reduction_matrix(reduction.weights, reduction.matrices)
     return _residual_problems(recon, reduction.target.matrix, result["residual"])

@@ -174,18 +174,29 @@ def write_atomic(path: str, text: str) -> None:
 
 # -- numbers and matrices -----------------------------------------------------
 
+_NOT_A_NUMBER = {bool: "a boolean", str: "a string", type(None): "null", dict: "an object"}
+
 
 def _array(data, dtype=float) -> np.ndarray:
-    """``data`` as an array of ``dtype``; a JSON boolean is not a number, so
-    one anywhere in it raises TypeError (numpy would read it as 0 or 1), and
-    lists of different lengths raise DimensionMismatch."""
-    leaves = np.array(data, dtype=object)
-    types = set(map(type, leaves.ravel()))
-    if bool in types:
-        raise TypeError("a boolean where a number belongs")
-    if list in types:
+    """``data``, a JSON number or a nest of lists of them, as an array of
+    ``dtype``: float, or int for decoder entries. Every leaf must be a JSON
+    number, so a boolean, string, null or object raises TypeError that names
+    it (numpy would read true as 1, "0.5" as 0.5 and null as NaN); then lists
+    of different lengths raise DimensionMismatch, and a decoder entry that is
+    not an integer raises ValueError."""
+    array = np.array(data, dtype=object)
+    leaves = flat = array.ravel()
+    while list in (types := set(map(type, leaves))):  # the leaves under a ragged nest
+        leaves = [y for x in leaves for y in (x if type(x) is list else [x])]
+    if not types <= {int, float}:
+        kind = type(next(x for x in leaves if type(x) not in (int, float)))
+        raise TypeError(f"{_NOT_A_NUMBER.get(kind, kind.__name__)} where a number belongs")
+    if leaves is not flat:
         raise DimensionMismatch("lists of different lengths where an array belongs")
-    return leaves.astype(dtype)
+    if dtype is int and float in types:
+        bad = next(x for x in leaves if type(x) is float)
+        raise ValueError(f"decoder entry is not an integer: {bad!r}")
+    return array.astype(dtype)
 
 
 def real_from_json(data, what: str) -> float:
@@ -204,32 +215,19 @@ def int_from_json(data, what: str) -> int:
     return data
 
 
-def _decoders(data) -> np.ndarray:
-    """An int array of decoder entries, each read by ``int_from_json``."""
-    entries = _array(data, object)
-    for x in entries.ravel():
-        int_from_json(x, "decoder entry")
-    return entries.astype(int)
-
-
 def complex_matrix_to_json(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def complex_matrix_from_json(data) -> np.ndarray:
-    """An r x c complex matrix from its r x c x 2 array of [re, im] pairs."""
-    pairs = _array(data)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise DimensionMismatch(f"complex matrix has shape {pairs.shape}, not r x c x 2")
-    return require_finite(pairs.view(complex)[..., 0], "complex matrix")
-
-
 def complex_matrices_from_json(data) -> np.ndarray:
     """An (m, r, c) complex stack from a list of m r x c x 2 arrays of
-    [re, im] pairs; matrices of different shapes raise DimensionMismatch,
-    and an empty list gives a (0, 0, 0) stack."""
+    [re, im] pairs, all JSON numbers; a number in place of the list raises
+    TypeError, matrices of different shapes DimensionMismatch, and an empty
+    list gives a (0, 0, 0) stack."""
     pairs = _array(data)
+    if pairs.ndim == 0:
+        raise TypeError("a number where a list of matrices belongs")
     if pairs.shape == (0,):
         return np.empty((0, 0, 0), dtype=complex)
     if pairs.ndim != 4 or pairs.shape[3] != 2:
@@ -306,7 +304,7 @@ def noise_from_json(data) -> NoiseSpec:
 
 def protocol_from_json(data) -> ClassicalProtocol:
     return ClassicalProtocol(
-        decoder=_decoders(data["decoder"]),
+        decoder=_array(data["decoder"], int),
         states=real_matrix_from_json(data["states"]),
         num_outputs=int_from_json(data["num_outputs"], "num_outputs"),
     )
@@ -330,7 +328,7 @@ def mixture_from_json(data) -> ClassicalMixture:
         raise InvalidCertificate(f"protocols differ in their number of outputs: {sorted(outputs)}")
     return ClassicalMixture(
         weights=_array([t["weight"] for t in data["terms"]]),
-        decoders=_decoders([p["decoder"] for p in protocols]),
+        decoders=_array([p["decoder"] for p in protocols], int),
         states=_array([p["states"] for p in protocols]),
         num_outputs=outputs.pop() if outputs else 0,
         num_states=int_from_json(data["num_states"], "num_states"),

@@ -90,7 +90,7 @@ def test_state_just_outside_the_noise_set_is_never_written(workdir, capsys):
     # which verify then rejected
     run(["fixtures", "emit", "--dir", "."])
     payload = json.loads((workdir / "depolarizing_qubit.json").read_text())
-    povm = [jsonio.complex_matrix_from_json(e) for e in payload["povm"]["outcomes"]]
+    povm = jsonio.complex_matrices_from_json(payload["povm"]["outcomes"])
     states = [np.diag([0.7505, 0.2495]), np.eye(2) / 2]
     (workdir / "outside.json").write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
     capsys.readouterr()
@@ -951,20 +951,30 @@ def test_verify_rejects_malformed_certificate(workdir, capsys, argv, infile, pat
         (["simulate", "reduce"], ("terms", 0, "matrix", 1, 0)),
         (["simulate", "quantum", "--noise", "delta:1/2"], ("mixture", "terms", 0, "protocol",
                                                            "decoder", 1)),
+        (["simulate", "quantum", "--noise", "delta:1/2"], ("mixture", "terms", 0, "weight")),
+        (["simulate", "quantum", "--noise", "delta:1/2"], ("mixture", "terms", 0, "protocol",
+                                                           "states", 0, 0)),
+        (["simulate", "quantum", "--noise", "delta:1/2"], ("target", 0, 0)),
     ],
 )
 def test_verify_rejects_a_boolean_where_a_number_belongs(workdir, capsys, argv, path):
-    # numpy reads true as 1, and each of these verified ok
+    # numpy reads true as 1, the string "0.5" as 0.5 and null as NaN; a true
+    # where a 1 was, and each number rewritten as a string of its value,
+    # verified ok
     run(["fixtures", "emit", "--dir", "."])
     infile = "octahedron_matrix.json" if argv[1] == "reduce" else "depolarizing_qubit.json"
     run(argv + ["--in", infile, "--out", "cert.json"])
-    cert = json.loads((workdir / "cert.json").read_text())
-    assert functools.reduce(operator.getitem, path, cert["result"]) == 1
-    _tamper(cert, ("result", *path), True)
-    (workdir / "tampered.json").write_text(json.dumps(cert))
-    capsys.readouterr()
-    assert run(["verify", "tampered.json"]) == 2
-    assert run(["verify", "tampered.json", "--in", infile]) == 2
+    text = (workdir / "cert.json").read_text()
+    number = functools.reduce(operator.getitem, path, json.loads(text)["result"])
+    for value in [True] * (number == 1) + [str(number), None]:
+        cert = json.loads(text)
+        _tamper(cert, ("result", *path), value)
+        (workdir / "tampered.json").write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert run(["verify", "tampered.json"]) == 2, value
+        assert run(["verify", "tampered.json", "--in", infile]) == 2, value
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("verify: ") for line in err)
 
 
 @pytest.mark.parametrize(
@@ -983,6 +993,34 @@ def test_a_boolean_in_an_input_file_is_an_input_error(workdir, capsys, argv, inf
     capsys.readouterr()
     assert run(argv + ["--in", "bad.json", "--out", "cert.json"]) == 1
     assert "a boolean where a number belongs" in capsys.readouterr().err
+    assert not (workdir / "cert.json").exists()
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["string", "null"])
+@pytest.mark.parametrize(
+    "argv, infile, path",
+    [
+        (["simulate", "quantum"], "depolarizing_qubit.json", ("states", 0, 0, 0, 0)),
+        (["simulate", "ball", "--delta", "1/3"], "ball.json", ("ball_states", 0, 0)),
+        (["certify", "storability"], "octahedron_matrix.json", ("matrix", 0, 0)),
+    ],
+)
+def test_a_string_or_null_in_an_input_file_is_an_input_error(
+    workdir, capsys, argv, infile, path, null
+):
+    # numpy read "0.5" as 0.5 and null as NaN: a storability matrix with the
+    # entry "0.5" exited 0, with the value of the matrix that has 0.5 there
+    run(["fixtures", "emit", "--dir", "."])
+    (workdir / "ball.json").write_text(json.dumps(PINNED_BALL))
+    payload = json.loads((workdir / infile).read_text())
+    number = functools.reduce(operator.getitem, path, payload)
+    _tamper(payload, path, None if null else str(number))
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(argv + ["--in", "bad.json", "--out", "cert.json"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"chansim: TypeError: bad.json: {'null' if null else 'a string'} where a number belongs"
+    ]
     assert not (workdir / "cert.json").exists()
 
 
@@ -1378,6 +1416,9 @@ def test_malformed_input_file_is_an_input_error(workdir, capsys, argv, payload, 
         ["simulate", "noisy-to-noiseless", "--in", "octahedron_matrix.json",
          "--noise", "permutohedron:[true, false, false, false]", "--d", "2"],
         ["certify", "replacer", "--m", "2", "--delta", "1/2", "--spectrum", "[true, false]"],
+        # so were strings of numbers
+        ["simulate", "reduce", "--in", "octahedron_matrix.json", "--p", '["0.5"]'],
+        ["certify", "replacer", "--m", "2", "--delta", "1/2", "--spectrum", '["0.5"]'],
     ],
 )
 def test_option_of_the_wrong_type_is_not_blamed_on_the_input_file(workdir, capsys, argv):

@@ -4,13 +4,14 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chansim.errors import NotFinite
+from chansim.errors import DimensionMismatch, NotFinite
 from chansim.jsonio import (
+    _array,
     canonical_dumps,
-    complex_matrix_from_json,
+    complex_matrices_from_json,
     digest,
     rational_from_json,
     real_matrix_from_json,
@@ -192,11 +193,75 @@ def test_real_matrix_rejects_non_finite(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_complex_matrix_rejects_non_finite(bad):
     with pytest.raises(NotFinite):
-        complex_matrix_from_json([[[1.0, 0.0], [0.0, bad]], [[0.0, 0.0], [1.0, 0.0]]])
-    assert np.all(np.isfinite(complex_matrix_from_json([[[1.0, 0.0]]])))
+        complex_matrices_from_json([[[[1.0, 0.0], [0.0, bad]], [[0.0, 0.0], [1.0, 0.0]]]])
+    assert np.all(np.isfinite(complex_matrices_from_json([[[[1.0, 0.0]]]])))
 
 
 @pytest.mark.parametrize("bad", ["1/0", "x", None, [1, 2], {"a": 1}, True])
 def test_rational_that_does_not_parse_raises_value_error(bad):
     with pytest.raises(ValueError):
         rational_from_json(bad)
+
+
+# -- the array reader -----------------------------------------------------------
+
+numbers = st.integers(-(2**60), 2**60) | st.floats(allow_nan=False)
+# what JSON holds besides numbers and lists, numeric strings included
+not_numbers = (
+    st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+    | st.floats(allow_nan=False).map(repr)
+    | st.dictionaries(st.text(max_size=3), numbers, max_size=2)
+)
+
+
+@st.composite
+def rectangular_nests(draw) -> Any:
+    """A number or a rectangular nest of lists of numbers, of any shape."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    size = math.prod(shape)
+    leaves = draw(st.lists(numbers, min_size=size, max_size=size))
+    return np.array(leaves, dtype=object).reshape(shape).tolist()
+
+
+def _leaves(data) -> list:
+    return [y for x in data for y in _leaves(x)] if isinstance(data, list) else [data]
+
+
+@PROPERTY
+@given(rectangular_nests())
+def test_a_rectangular_nest_of_numbers_reads_as_numpy_reads_it(data):
+    expected = np.array(data, dtype=float)
+    result = _array(data)
+    assert result.dtype == float and result.shape == expected.shape
+    assert np.array_equal(result, expected)
+
+
+@PROPERTY
+@given(
+    st.recursive(numbers | not_numbers, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+)
+def test_a_leaf_that_is_not_a_number_raises_type_error(data):
+    # ragged or not: the type of a leaf is checked before the shape
+    assume(any(type(x) not in (int, float) for x in _leaves(data)))
+    with pytest.raises(TypeError, match="where a number belongs"):
+        _array(data)
+    with pytest.raises(TypeError, match="where a number belongs"):
+        _array(data, int)
+
+
+@PROPERTY
+@given(rectangular_nests(), rectangular_nests(), st.booleans())
+def test_a_ragged_nest_of_numbers_raises_dimension_mismatch(a, b, deeper):
+    assume(np.shape(a) != np.shape(b))
+    data = [[a, b]] if deeper else [a, b]
+    with pytest.raises(DimensionMismatch):
+        _array(data)
+
+
+def test_a_decoder_array_takes_integers_only():
+    assert _array([[0, 1], [1, 0]], int).dtype == int
+    for bad in ([0, 1.0], [[0], [0.5]]):
+        with pytest.raises(ValueError, match=r"^decoder entry is not an integer: "):
+            _array(bad, int)
