@@ -4,17 +4,16 @@ Complex numbers are [re, im] pairs, matrices are row-major nested arrays.
 The canonical serializer makes certificate files and their digests
 byte-reproducible: keys are sorted, separators carry no spaces, strings are
 written as by ``json.dumps(s, ensure_ascii=False)``, and a float x is
-written as ``"%.1f" % x`` when it is integral and |x| < 1e16, else as
-``"%.17g" % x``; -0.0 is written as 0.0, and NaN and infinities raise
-ValueError.
+written as ``repr(x)``, the shortest text that reads back to the same double
+(0.1, 2.0, 1e+16), the number rule of RFC 8785; -0.0 is written as 0.0, and
+NaN and infinities raise ValueError.
 
 ``canonical_dumps`` renders a document in two passes. One structural walk
 writes the skeleton text with a mark in place of each float and collects
 the floats in one list; a list that is a rectangular nest of floats goes in
 whole as a bracket template of its shape, and an ndarray is written as its
-``tolist()``. Then all of the document's floats are checked and formatted
-at once: numpy picks the format of each, and one ``%`` fills them into the
-skeleton.
+``tolist()``. Then all of the document's floats are checked at once, and
+one ``%`` fills them into the skeleton, a ``%r`` at each mark.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .errors import DimensionMismatch, InvalidCertificate
 from .linalg import require_finite
 from .simulate import RowReduction, SimulationResult
 
-CERT_VERSION = "chansim-cert-1"
+CERT_VERSION = "chansim-cert-2"
 
 # stands for a float in the skeleton text; every string and key is written
 # by encode_basestring, which escapes all control characters, so no text
@@ -61,7 +60,9 @@ _encode_plain = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).enco
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
+    """Deterministic JSON text: sorted keys, no spaces, each float as its
+    shortest round-trip ``repr`` (0.0 for -0.0); a non-finite float raises
+    ValueError and a key that is not a string TypeError."""
     skeleton: list[str] = []
     floats: list[float] = []
     try:
@@ -75,12 +76,7 @@ def canonical_dumps(obj: Any) -> str:
         return text
     values = np.array(floats, dtype=float) + 0.0  # -0.0 becomes 0.0
     _require_finite(values)
-    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    pieces = text.replace("%", "%%").split(_MARK)
-    template = [""] * (2 * len(pieces) - 1)
-    template[::2] = pieces
-    template[1::2] = np.where(integral, "%.1f", "%.17g").tolist()
-    return "".join(template) % tuple(values.tolist())
+    return text.replace("%", "%%").replace(_MARK, "%r") % tuple(values.tolist())
 
 
 def _require_finite(values: np.ndarray) -> None:

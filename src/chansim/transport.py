@@ -32,6 +32,8 @@ SIAM J. Comput. 23, 1994):
   from column a to column b. Each push empties a hop or a sink edge, and
   hop rooms only shrink within a phase, so the phase ends in a true
   blocking flow.
+- Round-off: a greedy gift at or below RESIDUAL_EPS, and flow that a
+  push-back leaves at or below it, are exactly 0 in the plan.
 - Phase bound: a shortest augmenting path visits each left and right node
   at most once, so its length grows with every phase and there are at most
   min(L, R) phases before the final BFS finds the sink unreachable (that
@@ -209,7 +211,8 @@ def _blocking_flow(
                 if tail == SOURCE:
                     spare[u] -= moved
                 else:
-                    flow[u, tail] -= moved
+                    back = flow[u, tail] - moved
+                    flow[u, tail] = np.where(back > RESIDUAL_EPS, back, 0.0)
                 room -= moved
             unmet[a] -= push
             # back to the tail of the first emptied hop; the last hop
@@ -285,6 +288,7 @@ def _max_flow(
         # there
         at = offset + u[need[v][:, u].argsort(axis=1, kind="stable")][row_of]
         give = _spread(room.reshape(-1)[at], unmet[:, v, None])
+        give[give <= RESIDUAL_EPS] = 0.0
         by_left[:, v][at] = give
         spare.reshape(-1)[at] -= give
         unmet[:, v] -= give.sum(axis=1)

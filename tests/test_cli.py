@@ -1025,47 +1025,47 @@ def test_a_string_or_null_in_an_input_file_is_an_input_error(
 
 
 # sha256 of the certificate text of each command that
-# test_verify_rejects_every_single_leaf_tamper checks, as written before the
-# mixture moved to arrays: certificates must stay byte-identical. The three
-# quantum simulations with mixed POVMs were re-pinned when the class totals
-# moved to rank-1 lattices: their floats moved by at most 5e-16, and one
-# six-outcome term sends a state that carries no mass to another output.
-# The two noiseless ones with mixed POVMs were re-pinned when that
-# simulation moved to one candidate per output support: weights and states
-# moved in the last bits, and the six-outcome mixture keeps other terms.
+# test_verify_rejects_every_single_leaf_tamper checks: certificates must stay
+# byte-identical. All were re-pinned when floats moved to their shortest
+# round-trip text under the version chansim-cert-2. Besides the version and
+# the input digest, their values stayed as they were, but for two: in the
+# noisy-to-noiseless and the six-outcome noiseless certificates, flow that a
+# transport left within 1e-15 of zero became exactly 0, so states such as
+# 5.551115123125783e-16 became 0.0 and 0.9999999999999994 became 1.0; the
+# six-outcome mixture keeps other terms.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
-     "35431fc46b25f65fdb14992d1bdd7e74cbc6a5f57a9c6ef74bd466705762dc74"),
+     "d9917ce294f0f03c83bf3bc4f649d34c0685e1a598353e2b1b8a1d80997e5e83"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
-     "048b2ae383089391aac738cc907efb8f8589190c9245c07d9b5dcdfbec986a55"),
+     "ae0bdb3713ebda125585c92b7ad6da4ad2f2d854d48fa2fb71439f54d3355127"),
     (["simulate", "quantum"], "projective.json",
-     "4c8a7246fe20234a3ad1aea6884be337b692bb0c48efb737e8037aa58285607c"),
+     "fe4a9a9b99381e2f55230c49033ba2653acb3e4160230f21184e9dd3cfce0e30"),
     (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
-     "5bce77fa6c453a25fb8645ebc64500db8331e92c1524da6a7c341add05f60795"),
+     "876cacfb32de968a8a5a27c6a7308ab0956a3d21448e166200b4ae1bf32452ef"),
     (["certify", "subset", "--r", "3", "--d", "2"], "octahedron_matrix.json",
-     "fd947add246f0f717971ee14a5a60c040020f890ff5f7c0988bf44a05d668865"),
+     "9f37650a4ec202ef54627f7a1bd56ef871fabf30c37185dcb49c44c06022798a"),
     (["certify", "asymmetry"], "octahedron_polytope.json",
-     "8eb8fedc0e48bfaee9d672f8765d89af72a75a74bfe35eca003c6e1c4c05331b"),
+     "73b3b2a574c362d33134b49a17b3dc6a330f30ad713e29affaad6fc4c6cf187d"),
     (["certify", "signalling", "--n", "5", "--delta", "1/2"], None,
-     "393624f935eb5c6e6350f9fb0cd832a7a791d897664e1494753eee7d8e89eb36"),
+     "814b4c9641f2565373792721cca6f38698a18f0263e52ce51971dd8df9577169"),
     (["simulate", "reduce", "--p", "[0.25, 0.25, 0.25, 0.25]"], "octahedron_matrix.json",
-     "55c40a4d7bcf4d3b07bbb19c29892670729df30baf35d8b599efc9876fe637ad"),
+     "9966a2b139eafeb12eaf4c19e69a11061cad0b3da6cce238e5bc747f04d8e761"),
     (["certify", "storability"], "octahedron_matrix.json",
-     "5804e3db3e89a8988cbb77af0390b2afe7d2dcb4d0bd6b1440de2ff0a6d3d212"),
+     "708da031e094f99dcca7e8a5f5dd8cead4451f60335e0e0152bd9ba3daf7d6ae"),
     (["certify", "holevo"], "ensemble.json",
-     "8b19e9d2f4454c8979860a49109f894b4919c766908bd51faf3aeee7822b0b7e"),
+     "a52f1a4ed6389f728cc7f3aaf693535e7cd83b0ca03a6f61dd7f3f17a99407a9"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
-     "aa8659adfbea359801dd52248b12e25bba980aae2701bcaab8ac201931f1b52e"),
+     "c181bb017056be3de23c30e29b777bdb8ddfa3e697b7cf9129c83ba851f0d2a5"),
     # 21 supports of at most 2 of the 6 outputs
     (["simulate", "quantum"], "six_outcome_qubit.json",
-     "ee85643cd938ae1ab7a9ab76a559d14a31271ac4ddd8bbd496b2952985b0c4fc"),
+     "afa5f05353f1a4c0e6edbfe639071e2205dcdd5a3afc18e7c053a815809013e4"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
-     "6fbfb646abd3f48cba5b35dae0650626a03c1caf54668e6b5ba8a9effff986a0"),
+     "bbef155a596aa4061d0d28d5945f77e4db71d5c41b69a41cc64f62f25426c305"),
     # the min-norm route, first pinned when it replaced the layered transport
     (["simulate", "quantum", "--noise", "permutohedron:[0.25, 0.75]"], "depolarizing_qubit.json",
-     "2329ffe9e5ce656dc46c1295e31e151249029ae25d9baebfea3fe44040d5df8a"),
+     "282592ef0b635f1c087436236dc677fedb35465907189b89f9a8f14b1600b72a"),
     (["simulate", "quantum", "--noise", "@percol.json"], "depolarizing_qubit.json",
-     "a4e5f2e5ca293c3a2099616d88fbb809bb3c474a569f6f88082186635aed084c"),
+     "f372625cd49edddadbf5112bc1ffc5c7ff9b647006cc233bb29e6fb78530012c"),
 ]
 
 # a permutohedron column and a delta column, each holding its fixture state
@@ -1075,12 +1075,13 @@ PINNED_PER_COLUMN = {
 }
 
 # jsonio.digest of the list of every input payload (None for a command
-# without one) of each benchmark workload at seed 1, as written before the
-# canonical writer moved to one float pass: input digests must stay as they are
+# without one) of each benchmark workload at seed 1, re-pinned when floats
+# moved to their shortest round-trip text: input digests must not move with
+# the platform, the numpy version or the hash seed
 PINNED_BENCH_INPUT_DIGESTS = {
-    "noisy_quantum": "31f9183ca25d8e8d3587b42aa8e701bc3f97002142142b152eb449d0aec84391",
-    "noiseless_quantum": "70d9b1d58f47abdca7c9b129314d2ea2cd1e4aab40cbdffe3554cc5da851b482",
-    "gpt_channels": "686fd58ac729ca326f899f3ee08fe1c07c2b9c540305de569cb046fc9d10364d",
+    "noisy_quantum": "60729598ffb9fca581bec115ac384ad12de831ea2ffbb8438a3e7b0d802a2873",
+    "noiseless_quantum": "87fb33d9591ec04386831a70a371c52cb907f32731729b6fb9ac19191769a9c3",
+    "gpt_channels": "ef2701829c103607fc8cf79be01be607c4bed28a2c91b27bca0dccd51cd5fd72",
 }
 
 
@@ -1167,6 +1168,35 @@ def test_certificates_match_pinned_digests(workdir, capsys):
             changed.append(argv)
     capsys.readouterr()
     assert changed == []
+
+
+def test_noisy_to_noiseless_states_carry_no_round_off(pinned_certificates):
+    # flow that the greedy start or a push-back left within 1e-15 of zero
+    # gave states such as 5.551115123125783e-16 and 0.9999999999999994
+    directory, certificates = pinned_certificates
+    ((cert, in_args),) = [
+        c for (argv, _, _), c in zip(PINNED_CERTIFICATE_DIGESTS, certificates)
+        if argv[1] == "noisy-to-noiseless"
+    ]
+    states = np.array([t["protocol"]["states"] for t in cert["result"]["mixture"]["terms"]])
+    assert not np.any((0.0 < states) & (states < 1e-12) | (1.0 - 1e-12 < states) & (states < 1.0))
+    assert cert["result"]["residual"] <= 1e-8
+    (directory / "n2n.json").write_text(json.dumps(cert))
+    assert main(["verify", str(directory / "n2n.json"), *in_args]) == 0
+
+
+@pytest.mark.parametrize("with_input", [False, True])
+def test_verify_names_the_version_of_an_old_certificate(workdir, capsys, with_input):
+    # every float's text, and so every input digest, moved with chansim-cert-2
+    run(["fixtures", "emit", "--dir", "."])
+    run(["certify", "storability", "--in", "octahedron_matrix.json", "--out", "cert.json"])
+    cert = json.loads((workdir / "cert.json").read_text())
+    cert["version"] = "chansim-cert-1"
+    (workdir / "old.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    in_args = ["--in", "octahedron_matrix.json"] if with_input else []
+    assert run(["verify", "old.json", *in_args]) == 2
+    assert capsys.readouterr().err == "verify: unknown certificate version 'chansim-cert-1'\n"
 
 
 @pytest.mark.parametrize("cut", [3, 1])

@@ -32,15 +32,14 @@ json_values = st.recursive(
 
 
 # the canonical writer as it was before the single float pass: one recursive
-# call and one format call per float; the oracle for byte identity
+# call and one format call per float; the oracle for byte identity. A float is
+# written as repr, the shortest text that reads back to the same double
 def _canonical_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("cannot serialize non-finite float")
     if x == 0.0:
         return "0.0"  # -0.0 too, so equal values share one text and digest
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+    return repr(x)
 
 
 def _write_canonical(obj: Any, out: list[str]) -> None:
@@ -182,6 +181,21 @@ def test_negative_zero_has_the_digest_of_zero(value):
 
 def test_negative_zero_is_written_as_zero():
     assert canonical_dumps([-0.0, 0.0]) == "[0.0,0.0]"
+
+
+def test_floats_are_written_as_their_shortest_round_trip_text():
+    # %.17g wrote 0.1 as 0.10000000000000001
+    assert canonical_dumps([0.1, 1 / 3, 2.0, 1e16, 5e-324, -0.0, 1e-05]) == (
+        "[0.1,0.3333333333333333,2.0,1e+16,5e-324,0.0,1e-05]"
+    )
+
+
+@PROPERTY
+@given(finite_floats)
+def test_a_float_reads_back_from_its_repr(x):
+    text = canonical_dumps(x)
+    assert json.loads(text) == x
+    assert text == repr(x + 0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
