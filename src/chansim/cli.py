@@ -63,6 +63,13 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _load_input(path: str) -> dict:
+    payload = _load_json(path)
+    if not isinstance(payload, dict):
+        raise TypeError(f"{path}: the input is not a JSON object")
+    return payload
+
+
 def parse_noise(text: str | None) -> NoiseSpec:
     if text is None or text == "noiseless":
         return Noiseless()
@@ -103,11 +110,7 @@ def _emit(args, cert: dict) -> None:
 
 def _certify(handler, args) -> int:
     """The driver of every ``simulate`` and ``certify`` command."""
-    payload = None
-    if getattr(args, "infile", None):
-        payload = _load_json(args.infile)
-        if not isinstance(payload, dict):
-            raise TypeError(f"{args.infile}: the input is not a JSON object")
+    payload = _load_input(args.infile) if getattr(args, "infile", None) else None
     try:
         payload, result = handler(args, payload)
     except (TypeError, AttributeError) as exc:
@@ -386,7 +389,9 @@ def cmd_verify(args) -> int:
     """Check a certificate; a field that is missing or does not parse is a
     failed check, like a wrong value."""
     cert = _load_json(args.certfile)
-    payload = _load_json(args.infile) if args.infile else None
+    # a fault of the input file, a NaN that no check reads too, exits 1
+    payload = _load_input(args.infile) if args.infile else None
+    input_digest = jsonio.digest(payload) if args.infile else None
     problems, kind = [], "certificate"
     try:
         if cert.get("version") != CERT_VERSION:
@@ -399,7 +404,7 @@ def cmd_verify(args) -> int:
             if payload is not None:
                 if check_input:
                     problems += check_input(result, payload)
-                if jsonio.digest(payload) != cert.get("input_digest"):
+                if input_digest != cert.get("input_digest"):
                     problems.append("input digest mismatch")
     except MALFORMED as exc:
         problems.append(f"{kind} fields invalid: {exc!r}")

@@ -8,12 +8,11 @@ written as ``repr(x)``, the shortest text that reads back to the same double
 (0.1, 2.0, 1e+16), the number rule of RFC 8785; -0.0 is written as 0.0, and
 NaN and infinities raise ValueError.
 
-``canonical_dumps`` renders a document in two passes. One structural walk
-writes the skeleton text with a mark in place of each float and collects
-the floats in one list; a list that is a rectangular nest of floats goes in
-whole as a bracket template of its shape, and an ndarray is written as its
-``tolist()``. Then all of the document's floats are checked at once, and
-one ``%`` fills them into the skeleton, a ``%r`` at each mark.
+One walk, ``_skeleton``, writes the text with a mark for each float and
+checks the floats at once; a rectangular nest of floats goes in as a bracket
+template of its shape, an ndarray as its ``tolist()``. ``canonical_dumps``
+fills the marks by one ``%``; ``digest`` writes no float as text, but hashes
+the skeleton, framed by its length, and the floats' IEEE-754 bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .errors import DimensionMismatch, InvalidCertificate
 from .linalg import require_finite
 from .simulate import RowReduction, SimulationResult
 
-CERT_VERSION = "chansim-cert-2"
+CERT_VERSION = "chansim-cert-3"
 
 # stands for a float in the skeleton text; every string and key is written
 # by encode_basestring, which escapes all control characters, so no text
@@ -63,6 +62,23 @@ def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, no spaces, each float as its
     shortest round-trip ``repr`` (0.0 for -0.0); a non-finite float raises
     ValueError and a key that is not a string TypeError."""
+    text, values = _skeleton(obj)
+    return text.replace("%", "%%").replace(_MARK, "%r") % tuple(values.tolist())
+
+
+def digest(obj: Any) -> str:
+    """The hex SHA-256 of ``obj`` with no float written as text: the UTF-8
+    byte length of its skeleton (8 bytes little-endian), those bytes, then
+    its floats as little-endian doubles; raises as ``canonical_dumps``."""
+    text, values = _skeleton(obj)
+    skeleton = text.encode("utf-8")
+    framed = len(skeleton).to_bytes(8, "little") + skeleton + values.astype("<f8").tobytes()
+    return hashlib.sha256(framed).hexdigest()
+
+
+def _skeleton(obj: Any) -> tuple[str, np.ndarray]:
+    """The canonical text of ``obj`` with a mark in place of each float, and
+    its floats as one float64 array (0.0 for -0.0); raises as ``canonical_dumps``."""
     skeleton: list[str] = []
     floats: list[float] = []
     try:
@@ -71,12 +87,9 @@ def canonical_dumps(obj: Any) -> str:
         # a non-finite float ahead of the bad item is the first fault
         _require_finite(np.array(floats, dtype=float))
         raise
-    text = "".join(skeleton)
-    if not floats:
-        return text
     values = np.array(floats, dtype=float) + 0.0  # -0.0 becomes 0.0
     _require_finite(values)
-    return text.replace("%", "%%").replace(_MARK, "%r") % tuple(values.tolist())
+    return "".join(skeleton), values
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -149,10 +162,6 @@ def _brackets(shape: tuple[int, ...]) -> str:
     """The JSON text of an array of this shape with a mark for each entry."""
     inner = _brackets(shape[1:]) if len(shape) > 1 else _MARK
     return "[" + ",".join([inner] * shape[0]) + "]"
-
-
-def digest(obj: Any) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 
 
 def write_atomic(path: str, text: str) -> None:

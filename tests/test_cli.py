@@ -5,6 +5,7 @@ import io
 import json
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1026,46 +1027,43 @@ def test_a_string_or_null_in_an_input_file_is_an_input_error(
 
 # sha256 of the certificate text of each command that
 # test_verify_rejects_every_single_leaf_tamper checks: certificates must stay
-# byte-identical. All were re-pinned when floats moved to their shortest
-# round-trip text under the version chansim-cert-2. Besides the version and
-# the input digest, their values stayed as they were, but for two: in the
-# noisy-to-noiseless and the six-outcome noiseless certificates, flow that a
-# transport left within 1e-15 of zero became exactly 0, so states such as
-# 5.551115123125783e-16 became 0.0 and 0.9999999999999994 became 1.0; the
-# six-outcome mixture keeps other terms.
+# byte-identical. All were re-pinned when the input digest came to hash the
+# skeleton and the floats' IEEE-754 bytes in place of the canonical text,
+# under the version chansim-cert-3; each certificate kept its length, and
+# its values but the version and the input digest.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
-     "d9917ce294f0f03c83bf3bc4f649d34c0685e1a598353e2b1b8a1d80997e5e83"),
+     "5a9f58c94c60b6cde67b817ac9951203d3285798a1867547bf02104c8715a7cb"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
-     "ae0bdb3713ebda125585c92b7ad6da4ad2f2d854d48fa2fb71439f54d3355127"),
+     "d59140506ffb24c8b65f5d4a52eee73b0e751e4201153c1f18647a660da25329"),
     (["simulate", "quantum"], "projective.json",
-     "fe4a9a9b99381e2f55230c49033ba2653acb3e4160230f21184e9dd3cfce0e30"),
+     "d3c4b096084fdd599710caa886b4e758d1c3e38c845595b782c4ba0561cc0634"),
     (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
-     "876cacfb32de968a8a5a27c6a7308ab0956a3d21448e166200b4ae1bf32452ef"),
+     "510b332cf0a0f61dd20684da11af782d725913c3ba29cc1ed838b8ce634ad827"),
     (["certify", "subset", "--r", "3", "--d", "2"], "octahedron_matrix.json",
-     "9f37650a4ec202ef54627f7a1bd56ef871fabf30c37185dcb49c44c06022798a"),
+     "4061ccc1103c311a5c8a8a86b7e045a4fdf543c753fcfbe4caaf87dfd4ff62cd"),
     (["certify", "asymmetry"], "octahedron_polytope.json",
-     "73b3b2a574c362d33134b49a17b3dc6a330f30ad713e29affaad6fc4c6cf187d"),
+     "ab4a00f43a877587c319c608d623803a78e0969053db240a607a55f66eb61c15"),
     (["certify", "signalling", "--n", "5", "--delta", "1/2"], None,
-     "814b4c9641f2565373792721cca6f38698a18f0263e52ce51971dd8df9577169"),
+     "4760acc75e033ab0250d08043fa56a89d03249342065913fcc5f3b67f6443b83"),
     (["simulate", "reduce", "--p", "[0.25, 0.25, 0.25, 0.25]"], "octahedron_matrix.json",
-     "9966a2b139eafeb12eaf4c19e69a11061cad0b3da6cce238e5bc747f04d8e761"),
+     "5147f77dd78d01e0b60743853968a0fa2908cb49fed25b7840c4e8df2e8e7727"),
     (["certify", "storability"], "octahedron_matrix.json",
-     "708da031e094f99dcca7e8a5f5dd8cead4451f60335e0e0152bd9ba3daf7d6ae"),
+     "f65afcdba43547ff2ccbbd551cc9284088d13f9da5cdfc5dfddf5faa9376b3fb"),
     (["certify", "holevo"], "ensemble.json",
-     "a52f1a4ed6389f728cc7f3aaf693535e7cd83b0ca03a6f61dd7f3f17a99407a9"),
+     "423d7f73707bcd689d678f3734e9471c06b7cbd87c5269e3daca80bb4d57b902"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
-     "c181bb017056be3de23c30e29b777bdb8ddfa3e697b7cf9129c83ba851f0d2a5"),
+     "050041a26cd49b3e38403629ca53698bdd666db3d29e6a3fe2b8b6b67db7cd7b"),
     # 21 supports of at most 2 of the 6 outputs
     (["simulate", "quantum"], "six_outcome_qubit.json",
-     "afa5f05353f1a4c0e6edbfe639071e2205dcdd5a3afc18e7c053a815809013e4"),
+     "83743fcb3ea28434947fb179cfd3f8e3c7e7367f8956c3edf7d0ad7d85d340f5"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
-     "bbef155a596aa4061d0d28d5945f77e4db71d5c41b69a41cc64f62f25426c305"),
+     "3493a925146324b1babad6856fd4ee82356a42d468551aaf13996b36fca057e6"),
     # the min-norm route, first pinned when it replaced the layered transport
     (["simulate", "quantum", "--noise", "permutohedron:[0.25, 0.75]"], "depolarizing_qubit.json",
-     "282592ef0b635f1c087436236dc677fedb35465907189b89f9a8f14b1600b72a"),
+     "474335df26e761de20936e85475856686795d946fddffc0c440d06ff765395c4"),
     (["simulate", "quantum", "--noise", "@percol.json"], "depolarizing_qubit.json",
-     "f372625cd49edddadbf5112bc1ffc5c7ff9b647006cc233bb29e6fb78530012c"),
+     "4a948e6b231aaf6f61957f2b80c7adb390e4432e6ee68d654e241bfaed597fe6"),
 ]
 
 # a permutohedron column and a delta column, each holding its fixture state
@@ -1075,13 +1073,14 @@ PINNED_PER_COLUMN = {
 }
 
 # jsonio.digest of the list of every input payload (None for a command
-# without one) of each benchmark workload at seed 1, re-pinned when floats
-# moved to their shortest round-trip text: input digests must not move with
-# the platform, the numpy version or the hash seed
+# without one) of each benchmark workload at seed 1, re-pinned when the
+# digest came to hash the floats' bytes, with the inputs' text unchanged:
+# input digests must not move with the platform, its byte order, the numpy
+# version or the hash seed
 PINNED_BENCH_INPUT_DIGESTS = {
-    "noisy_quantum": "60729598ffb9fca581bec115ac384ad12de831ea2ffbb8438a3e7b0d802a2873",
-    "noiseless_quantum": "87fb33d9591ec04386831a70a371c52cb907f32731729b6fb9ac19191769a9c3",
-    "gpt_channels": "ef2701829c103607fc8cf79be01be607c4bed28a2c91b27bca0dccd51cd5fd72",
+    "noisy_quantum": "6075e539155e5b61c9387ddd29e8d07f882dfbb6f8682c91d2d30cb949f7e12c",
+    "noiseless_quantum": "6379409aae86493bde8cb5d91e05f42f9d84b7501492ad78c769311b7ee0938f",
+    "gpt_channels": "ac6713004d49e612943f74ed868a1b726d33f67e6324c5fd146642df44b74596",
 }
 
 
@@ -1186,17 +1185,69 @@ def test_noisy_to_noiseless_states_carry_no_round_off(pinned_certificates):
 
 
 @pytest.mark.parametrize("with_input", [False, True])
-def test_verify_names_the_version_of_an_old_certificate(workdir, capsys, with_input):
-    # every float's text, and so every input digest, moved with chansim-cert-2
+@pytest.mark.parametrize("version", ["chansim-cert-1", "chansim-cert-2"])
+def test_verify_names_the_version_of_an_old_certificate(workdir, capsys, version, with_input):
+    # every float's text, and so every input digest, moved with chansim-cert-2;
+    # every input digest moved again with chansim-cert-3, which hashes the
+    # floats' bytes
     run(["fixtures", "emit", "--dir", "."])
     run(["certify", "storability", "--in", "octahedron_matrix.json", "--out", "cert.json"])
     cert = json.loads((workdir / "cert.json").read_text())
-    cert["version"] = "chansim-cert-1"
+    cert["version"] = version
     (workdir / "old.json").write_text(json.dumps(cert))
     capsys.readouterr()
     in_args = ["--in", "octahedron_matrix.json"] if with_input else []
     assert run(["verify", "old.json", *in_args]) == 2
-    assert capsys.readouterr().err == "verify: unknown certificate version 'chansim-cert-1'\n"
+    assert capsys.readouterr().err == f"verify: unknown certificate version {version!r}\n"
+
+
+def test_verify_in_reads_the_input_in_any_spelling(workdir, capsys):
+    # the digest is taken over the parsed document, so the file's
+    # whitespace, its key order and the spelling of a float do not matter
+    run(["fixtures", "emit", "--dir", "."])
+    ensemble = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    ensemble["weights"] = [0.5, 0.5]
+    (workdir / "ensemble.json").write_text(jsonio.canonical_dumps(ensemble))
+    text = json.dumps(dict(reversed(ensemble.items())), indent=4)
+    respelled = re.sub(r"(?<![\d.])0\.5(?!\d)", "5e-1", text)
+    assert "5e-1" in respelled and json.loads(respelled) == ensemble
+    (workdir / "respelled.json").write_text(respelled)
+    for argv in (["certify", "holevo"], ["simulate", "quantum", "--noise", "delta:1/2"]):
+        assert run(argv + ["--in", "ensemble.json", "--out", "cert.json"]) == 0
+        assert run(["verify", "cert.json", "--in", "respelled.json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("list", "bad.json: the input is not a JSON object"),
+     ("nan", "cannot serialize non-finite float")],
+    ids=["list", "nan"],
+)
+def test_verify_in_blames_a_faulty_input_file(workdir, capsys, fault, message, json_errors):
+    # verify exited 2 and blamed the certificate ("simulation fields
+    # invalid"), where certify exits 1 on the same file
+    run(["fixtures", "emit", "--dir", "."])
+    simulate = ["simulate", "quantum", "--noise", "delta:1/2"]
+    run(simulate + ["--in", "depolarizing_qubit.json", "--out", "cert.json"])
+    payload = json.loads((workdir / "depolarizing_qubit.json").read_text())
+    # a NaN in a field that no check reads
+    bad = [payload] if fault == "list" else {**payload, "comment": float("nan")}
+    (workdir / "bad.json").write_text(json.dumps(bad))
+    capsys.readouterr()
+    flags = ["--json-errors"] * json_errors
+    kind = "TypeError" if fault == "list" else "ValueError"
+    for argv in (["verify", "cert.json"], simulate + ["--out", "new.json"]):
+        assert run(argv + ["--in", "bad.json", *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        if json_errors:
+            assert [json.loads(line) for line in err] == [
+                {"error": {"type": kind, "message": message}}
+            ]
+        else:
+            assert err == [f"chansim: {kind}: {message}"]
+    assert not (workdir / "new.json").exists()
 
 
 @pytest.mark.parametrize("cut", [3, 1])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import struct
 from typing import Any
 
 import numpy as np
@@ -33,7 +35,8 @@ json_values = st.recursive(
 
 # the canonical writer as it was before the single float pass: one recursive
 # call and one format call per float; the oracle for byte identity. A float is
-# written as repr, the shortest text that reads back to the same double
+# written as repr, the shortest text that reads back to the same double, or,
+# given a list of floats, as a mark, its value appended to the list
 def _canonical_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("cannot serialize non-finite float")
@@ -42,13 +45,18 @@ def _canonical_float(x: float) -> str:
     return repr(x)
 
 
-def _write_canonical(obj: Any, out: list[str]) -> None:
+def _write_canonical(obj: Any, out: list[str], floats: list[float] | None = None) -> None:
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_canonical_float(float(obj)))
+        text = _canonical_float(float(obj))
+        if floats is None:
+            out.append(text)
+        else:
+            out.append("\x00")
+            floats.append(float(text))  # -0.0 as 0.0
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
@@ -60,7 +68,7 @@ def _write_canonical(obj: Any, out: list[str]) -> None:
                 out.append(",")
             out.append(json.dumps(key, ensure_ascii=False))
             out.append(":")
-            _write_canonical(obj[key], out)
+            _write_canonical(obj[key], out, floats)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
@@ -68,7 +76,7 @@ def _write_canonical(obj: Any, out: list[str]) -> None:
         for t, item in enumerate(seq):
             if t:
                 out.append(",")
-            _write_canonical(item, out)
+            _write_canonical(item, out, floats)
         out.append("]")
     else:
         raise TypeError(f"cannot canonically serialize {type(obj).__name__}")
@@ -78,6 +86,18 @@ def _reference_dumps(obj: Any) -> str:
     pieces: list[str] = []
     _write_canonical(obj, pieces)
     return "".join(pieces)
+
+
+def _reference_digest(obj: Any) -> str:
+    """The input digest by the reference writer and the standard library:
+    the UTF-8 length of the text with a mark per float (8 bytes little-endian),
+    that text, then the floats as little-endian doubles."""
+    pieces: list[str] = []
+    floats: list[float] = []
+    _write_canonical(obj, pieces, floats)
+    skeleton = "".join(pieces).encode("utf-8")
+    framed = struct.pack("<Q", len(skeleton)) + skeleton + struct.pack(f"<{len(floats)}d", *floats)
+    return hashlib.sha256(framed).hexdigest()
 
 
 def _outcome(dumps, value):
@@ -155,6 +175,27 @@ documents = st.recursive(
 @given(documents)
 def test_canonical_dumps_matches_the_reference_writer(value):
     assert _outcome(canonical_dumps, value) == _outcome(_reference_dumps, value)
+
+
+@settings(max_examples=400)
+@given(documents)
+def test_digest_matches_the_reference_digest(value):
+    assert _outcome(digest, value) == _outcome(_reference_digest, value)
+
+
+PINNED_DIGEST = "fb581889f4fbc3fa511b5468c8ebc348568507464b5076f705bc753ba7c19686"
+
+
+def test_digest_is_pinned():
+    # catches a change of byte order or framing; the skeleton is
+    # {"a":[\x00,\x00,2],"b":"\u00e9"} and the floats are 0.1 and 0.0
+    value = {"a": [0.1, -0.0, 2], "b": "\u00e9"}
+    assert digest(value) == _reference_digest(value) == PINNED_DIGEST
+
+
+def test_an_integer_and_an_equal_float_have_different_digests():
+    assert digest(1) != digest(1.0)
+    assert digest([1, 2.0]) != digest([1.0, 2])
 
 
 @PROPERTY
