@@ -63,11 +63,25 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _not_an_object(document, what: str) -> str | None:
+    """The complaint about a document that is not a JSON object, else None."""
+    return None if isinstance(document, dict) else f"the {what} is not a JSON object"
+
+
 def _load_input(path: str) -> dict:
     payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise TypeError(f"{path}: the input is not a JSON object")
+    complaint = _not_an_object(payload, "input")
+    if complaint:
+        raise TypeError(f"{path}: {complaint}")
     return payload
+
+
+def _input_digest(path: str, payload: dict) -> str:
+    """The digest of an input document; a NaN that no reader took names the file."""
+    try:
+        return jsonio.digest(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def parse_noise(text: str | None) -> NoiseSpec:
@@ -110,7 +124,8 @@ def _emit(args, cert: dict) -> None:
 
 def _certify(handler, args) -> int:
     """The driver of every ``simulate`` and ``certify`` command."""
-    payload = _load_input(args.infile) if getattr(args, "infile", None) else None
+    infile = getattr(args, "infile", None)
+    payload = _load_input(infile) if infile else None
     try:
         payload, result = handler(args, payload)
     except (TypeError, AttributeError) as exc:
@@ -118,8 +133,9 @@ def _certify(handler, args) -> int:
         # with the wrong type, such as a number where a list belongs
         if payload is None or isinstance(exc, ChanSimError):
             raise
-        raise TypeError(f"{args.infile}: {exc}") from exc
-    _emit(args, certificate(args.command_echo, payload, result))
+        raise TypeError(f"{infile}: {exc}") from exc
+    input_digest = _input_digest(infile, payload) if infile else jsonio.digest(payload)
+    _emit(args, certificate(args.command_echo, input_digest, result))
     return 2 if result["type"] == "binomial_witness" or result.get("passed") is False else 0
 
 
@@ -391,10 +407,13 @@ def cmd_verify(args) -> int:
     cert = _load_json(args.certfile)
     # a fault of the input file, a NaN that no check reads too, exits 1
     payload = _load_input(args.infile) if args.infile else None
-    input_digest = jsonio.digest(payload) if args.infile else None
+    input_digest = _input_digest(args.infile, payload) if args.infile else None
+    complaint = _not_an_object(cert, "certificate")
     problems, kind = [], "certificate"
     try:
-        if cert.get("version") != CERT_VERSION:
+        if complaint:
+            problems.append(complaint)
+        elif cert.get("version") != CERT_VERSION:
             problems.append(f"unknown certificate version {cert.get('version')!r}")
         else:
             result = cert["result"]

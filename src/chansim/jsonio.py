@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
@@ -165,8 +164,12 @@ def _brackets(shape: tuple[int, ...]) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``. The file is made with mode 0o666 less the umask, as
+    ``open(path, "w")`` makes one, and with a random name that must not
+    exist yet."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -443,10 +446,10 @@ def binomial_witness_to_json(w: BinomialWitness, noise: NoiseSpec) -> dict:
     }
 
 
-def certificate(command: list[str], input_payload, result_payload) -> dict:
+def certificate(command: list[str], input_digest: str, result_payload) -> dict:
     return {
         "version": CERT_VERSION,
         "command": list(command),
-        "input_digest": digest(input_payload),
+        "input_digest": input_digest,
         "result": result_payload,
     }

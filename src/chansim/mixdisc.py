@@ -4,10 +4,9 @@ The mixed discriminant is the symmetric multilinear extension of the
 determinant, so D(E, ..., E) = det E. For a POVM E_1..E_k the values
 p_I = D(E_{i_1}, ..., E_{i_n}) over I in [k]^n form a probability
 distribution. It is symmetric in the entries of I, so it is computed and
-stored once per multiset class, as one table (``class_table``, which can
-also bound the copies of each outcome): the sorted multisets as rows of an
-integer array in lexicographic order, and their class totals, p_I times
-the number of orderings of I.
+stored once per multiset class, as one table (``class_table``): the
+sorted multisets as rows of an integer array in lexicographic order, and
+their class totals, p_I times the number of orderings of I.
 
 The class totals are the coefficients of the degree-n polynomial
 det(sum_i s_i E_i) (Bapat 1989): the total of the class with c_i copies
@@ -25,10 +24,10 @@ blocks of ``_BLOCK_POINTS`` matrices, so memory grows only by one value per
 lattice point.
 
 A consumer that needs only each class's support, the set of outcomes it
-carries, takes its support totals instead; the noiseless and delta-noisy
-quantum simulations and the ball simulations do. With E_T the sum of E_i
-over i in T, det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of
-the classes whose support lies inside T (``support_totals``); the ball
+carries, takes its support totals instead; the delta-noisy quantum and
+ball simulations, delta > 0, do. With E_T the sum of E_i over i in T,
+det(E_T) = D(E_T, ..., E_T) is by multilinearity the total of the classes
+whose support lies inside T (``support_totals``); the ball
 pairing is multilinear too, and the bracket of n copies of e_T plays that
 part (``ball_support_totals``). So 2^k - 1 such values, Moebius inverted
 over subsets in one shared block, give every support's total, with no class
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,10 +169,8 @@ class OutcomeDistribution:
 
     Row c of ``classes`` (C, n) is a sorted index multiset, the rows in
     lexicographic order, and ``weights[c]`` its class weight: p_I times the
-    number of orderings of I for a POVM, the share of the d-subsets that
-    decode to the multiset for ``simulate_noisy_by_noiseless`` (n = d), the
-    total of one output support for the support route of the noiseless and
-    delta-noisy quantum and the ball simulations.
+    number of orderings of I for a POVM, the total of one output support
+    for the support route of the delta-noisy quantum and ball simulations.
     Zero classes are omitted; stored weights are positive and sum to 1.
     ``counts`` (C, k) holds the copies of each outcome in each class.
     """
@@ -189,36 +186,30 @@ class OutcomeDistribution:
         return np.bincount(bins.ravel(), minlength=len(bins) * self.k).reshape(-1, self.k)
 
 
-def class_table(n: int, bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Every sorted multiset of length n over range(k), k = len(bounds), with
-    at most bounds[i] copies of i, in lexicographic order: the (C, n) table
-    and its counts (C, k); bounds of n give all C(n+k-1, n) multisets. C is
-    counted exactly and checked against ``DEFAULT_CAP`` before any row is made.
-    Count vectors grow one output at a time, each count in descending order,
-    which keeps the multisets ascending; a count that leaves the later
-    outputs too few copies is never made, so no partial table outgrows the
-    full one."""
-    ways = [1] + [0] * n  # ways[s]: count vectors of the outputs so far summing to s
-    for b in bounds:
-        prefix = list(accumulate(ways, initial=0))
-        ways = [prefix[s + 1] - prefix[max(s - b, 0)] for s in range(n + 1)]
-    if ways[n] > DEFAULT_CAP:
-        raise EnumerationCapExceeded(f"{ways[n]} multiset classes exceed cap {DEFAULT_CAP}")
-    room = np.append(np.cumsum(np.minimum(bounds, n)[::-1])[::-1], 0)  # copies i.. can take
+def class_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sorted multiset of length n over range(k), in lexicographic
+    order: the (C, n) table and its counts (C, k), C = C(n+k-1, n), checked
+    against ``DEFAULT_CAP`` before any row is made. Count vectors grow one
+    output at a time, each count in descending order, which keeps the
+    multisets ascending; the last output takes the copies left."""
+    size = math.comb(n + k - 1, n)
+    if size > DEFAULT_CAP:
+        raise EnumerationCapExceeded(f"{size} multiset classes exceed cap {DEFAULT_CAP}")
     counts, rest = np.zeros((1, 0), dtype=np.intp), np.array([n])
-    for i, b in enumerate(bounds):
-        c = np.arange(min(b, n), -1, -1)  # descending, so the rows stay in order
-        parent, j = np.nonzero((c <= rest[:, None]) & (c >= rest[:, None] - room[i + 1]))
+    c = np.arange(n, -1, -1)  # descending, so the rows stay in order
+    for _ in range(k - 1):
+        parent, j = np.nonzero(c <= rest[:, None])
         counts, rest = np.column_stack([counts[parent], c[j]]), rest[parent] - c[j]
-    outputs = np.tile(np.arange(len(bounds)), len(counts))
+    counts = np.column_stack([counts, rest])
+    outputs = np.tile(np.arange(k), len(counts))
     return np.repeat(outputs, counts.ravel()).reshape(-1, n), counts
 
 
 def _all_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unbounded ``class_table`` over k outcomes and the number of
+    """The ``class_table`` over k outcomes and the number of
     orderings of each class, n! / prod_i c_i!, exact and then a float:
     in int64 up to n = 20 (20! < 2^63), as Python integers above."""
-    classes, counts = class_table(n, [n] * k)
+    classes, counts = class_table(n, k)
     exact = np.int64 if n <= 20 else object
     factorials = np.array([math.factorial(c) for c in range(n + 1)], dtype=exact)
     return classes, counts, (math.factorial(n) // factorials[counts].prod(axis=1)).astype(float)

@@ -2,45 +2,43 @@
 
 Each simulator returns an explicit convex-mixture certificate: a weighted
 list of classical protocols whose mixture reproduces the target transition
-matrix. Quantum and ball targets are decomposed along the outcome
-distribution induced by mixed discriminants or the ball pairing, which is
-symmetric under reordering an outcome tuple; noisy-to-noiseless targets
-along the outputs that a random d-subset of the states decodes to. All
-orderings of a multiset class give the same protocol matrix, so each class
-is one candidate protocol. Every delta-noisy quantum or ball channel (delta
-= 0 for a noiseless one) takes one route, through output supports
-(``_simulate_by_supports``): its target is (1 - delta) times a noiseless
-channel's plus delta times the expected copies of each output over n, and
-the noiseless transport sees a class only through its support, the outputs
-it carries, so it runs on the support totals (``mixdisc.support_totals``
-or ``mixdisc.ball_support_totals``): 2^k - 1 determinants or brackets,
-whatever n is. For delta > 0 a copy-count instance decides which output
-each support's extra copies decode to, and every slot then gets delta / n
-on top of (1 - delta) times its noiseless share. Noisy-to-noiseless targets
-keep one candidate per class of decoded outputs. Both have a one-layer
-noiseless transport, solved as one stack (``_one_layer``): an instance per
-input column, and the copy-count one, on the same left nodes and edges.
-Permutohedron- and per-column-noisy quantum targets keep one candidate per
-class and solve no transport: each column lies in the base polytope of a
-submodular function of output sets built from the class totals and the
-state's spectrum, and Wolfe's min-norm point over its greedy vertices
-(``minnorm.min_norm_point``) writes it as a mixture of output orders
-(``_corral_values``). Each order gives every class a permutation of the
-spectrum, so each slot vector stays in the permutation hull of the state's
-spectrum and so inside the declared noise set.
+matrix. Noiseless targets take one route (``_simulate_noiseless``): quantum
+targets with a ``Noiseless`` or ``Delta(0)`` spec, the ball at delta = 0 and
+every noisy-to-noiseless target lie in the polytope of the noiseless
+d-state protocols, and Wolfe's min-norm point (``minnorm.min_norm_point``)
+over its 0/1 vertices (``_subset_oracle``, one output subset per vertex)
+writes the target as a mixture of them; the atoms that share an output
+subset are one protocol. Delta-noisy quantum and ball targets, delta > 0,
+are decomposed along the outcome distribution induced by mixed
+discriminants or the ball pairing, which is symmetric under reordering an
+outcome tuple, through output supports (``_simulate_by_supports``): the
+target is (1 - delta) times a noiseless channel's plus delta times the
+expected copies of each output over n, the transport sees a class only
+through its support, the outputs it carries, so it runs on the support
+totals (``mixdisc.support_totals`` or ``mixdisc.ball_support_totals``),
+2^k - 1 determinants or brackets whatever n is, and a copy-count instance
+decides which output each support's extra copies decode to; the column
+instances and the copy-count one are one stacked transport
+(``_one_layer``). Permutohedron- and per-column-noisy quantum targets keep
+one candidate per multiset class and solve no transport: each column lies
+in the base polytope of a submodular function of output sets built from the
+class totals and the state's spectrum, and Wolfe's min-norm point over its
+greedy vertices writes it as a mixture of output orders
+(``_corral_values``), each giving every class's slots a permutation of the
+spectrum, inside the declared noise set.
 
-Candidates with equal protocol matrices merge first. A k x l target lies
-in an l(k-1)-dimensional affine space, so every certificate keeps at most
-l(k-1) + 1 of its candidates, reweighted by
-``majorize.caratheodory`` to the same mixture matrix; the survivors are
-candidates unchanged, so their states stay in the noise set. That reduction
-walks an SVD null basis and clamps no weight, so it moves no mass beyond
-round-off; still, a certificate whose recomposition misses its target by more
-than RESIDUAL_TOL is never returned: ``NumericalBreakdown`` names the stage
-instead. Inputs and noise sets are checked at the fixed tolerances that
-``verify`` checks a certificate with; no entry point takes a tolerance.
-Classes are processed in lexicographic order throughout, and the reduction
-is deterministic, so certificates are reproducible byte for byte.
+Candidates with equal protocol matrices merge first. A k x l target lies in
+an l(k-1)-dimensional affine space, so every certificate keeps at most
+l(k-1) + 1 of its candidates, reweighted by ``majorize.caratheodory`` to the
+same mixture matrix; the survivors are candidates unchanged, so their states
+stay in the noise set. That reduction walks an SVD null basis and clamps no
+weight, so it moves no mass beyond round-off; still, a certificate whose
+recomposition misses its target by more than RESIDUAL_TOL is never returned:
+``NumericalBreakdown`` names the stage instead. Inputs and noise sets are
+checked at the fixed tolerances that ``verify`` checks a certificate with;
+no entry point takes a tolerance. Classes and subsets go in lexicographic
+order throughout, and the reduction is deterministic, so certificates are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ from .channels import (
 from .errors import (
     BadRange,
     DimensionMismatch,
+    EnumerationCapExceeded,
     InvalidCertificate,
     NotMajorized,
     NumericalBreakdown,
@@ -90,9 +89,9 @@ from .majorize import caratheodory, majorized_by_permutohedron
 from .majorize import hlp_decompose, max_subset_distribution  # noqa: F401
 from .minnorm import min_norm_point
 from .mixdisc import (
+    DEFAULT_CAP,
     OutcomeDistribution,
     ball_support_totals,
-    class_table,
     distribution_from_class_values,  # noqa: F401 (no caller; the bench hooks patch it)
     outcome_distribution,
     support_sizes,
@@ -347,7 +346,7 @@ def simulate_quantum_noiseless(
     povm: Sequence[np.ndarray], states: Sequence[np.ndarray]
 ) -> SimulationResult:
     """Simulate a level-n quantum channel by the noiseless classical
-    channel with n states: the support route at delta = 0."""
+    channel with n states (``_simulate_noiseless``)."""
     return _simulate_quantum(povm, states, Noiseless())
 
 
@@ -357,18 +356,20 @@ def simulate_quantum_noisy(
     """Simulate a noisy quantum channel by the equally noisy classical one.
 
     Each state must have its spectrum inside the declared noise set; the
-    produced mixture's state columns land in the same set. A ``Delta`` or
-    ``Noiseless`` spec takes the support route (``_simulate_by_supports``)
-    through the 2^k - 1 determinants of ``support_totals`` and one stacked
-    one-layer transport; output i is expected n D(E_i, I, ..., I) = tr E_i
-    times. A ``Permutohedron`` or ``PerColumn`` spec reads the C(n+k-1, n)
-    class totals (``outcome_distribution``) and finds, per column, Wolfe's
-    min-norm point over greedy vertices (``_corral_values``), which keeps
-    every slot vector in the permutation hull of its state's spectrum; no
-    transport is solved. On a 2-CPU host (one BLAS thread, instances as in
-    ``bench/workloads.py``, best of 3) permutohedron (n, k, l) = (10,10,3)
-    takes 1.66-1.70 s in 194 MiB and (8,8,12) 0.19-0.21 s, against 6.3 s in
-    865 MiB and 0.66-0.71 s through the layered transport it replaced.
+    produced mixture's state columns land in the same set. A ``Noiseless``
+    or ``Delta(0)`` spec takes the noiseless route (``_simulate_noiseless``)
+    over the C(k, n) output subsets at most; on a 2-CPU host (one BLAS
+    thread, instances as in ``bench/workloads.py``, best of 3) (n, k, l) =
+    (10,18,3) takes 0.24 s in 47 MiB, against 1.5 s in 359 MiB through the
+    support route. A ``Delta`` spec with delta > 0 takes the support route
+    (``_simulate_by_supports``) through the 2^k - 1 determinants of
+    ``support_totals`` and one stacked one-layer transport; output i is
+    expected n D(E_i, I, ..., I) = tr E_i times. A ``Permutohedron`` or
+    ``PerColumn`` spec reads the C(n+k-1, n) class totals
+    (``outcome_distribution``) and finds, per column, Wolfe's min-norm
+    point over greedy vertices (``_corral_values``), which keeps every slot
+    vector in the permutation hull of its state's spectrum; permutohedron
+    (10,10,3) takes 1.66-1.70 s in 194 MiB.
     """
     return _simulate_quantum(povm, states, spec)
 
@@ -379,9 +380,10 @@ def _simulate_quantum(
     povm = validate_povm(povm)
     spectra = validate_density(states)
     target = TransitionMatrix(born_matrix(povm, states))
-    if isinstance(spec, (Noiseless, Delta)):
-        if isinstance(spec, Delta):
-            _check_spectra(spectra, spec)
+    if isinstance(spec, Noiseless) or isinstance(spec, Delta) and spec.delta == 0:
+        return _simulate_noiseless(target, povm.shape[1], spec)
+    if isinstance(spec, Delta):
+        _check_spectra(spectra, spec)
         totals, traces = support_totals(povm), np.trace(povm, axis1=1, axis2=2).real
         return _simulate_by_supports(target, totals, traces, povm.shape[1], spec)
     dist = outcome_distribution(povm)
@@ -390,46 +392,117 @@ def _simulate_quantum(
     return _finalize(target, *_class_terms(dist, values), spec)
 
 
+def _simulate_noiseless(target: TransitionMatrix, d: int, noise: NoiseSpec) -> SimulationResult:
+    """Simulate a target by the noiseless classical channel with d states:
+    Wolfe's min-norm point over the vertices of ``_subset_oracle``. Atoms
+    that share their output subset S are one protocol, as its matrix is
+    linear in the states: summed in the lexicographic order of S, its
+    sorted decoder carries S once each and d - m more copies of S's
+    smallest output, and per column each atom's weight goes on the first
+    slot of the output it chose. The corral has at most l(k - 1) + 1 atoms,
+    so ``_finalize`` never reduces. NumericalBreakdown if the min-norm
+    point misses the target by more than CORRAL_TOL."""
+    a, l = target.matrix, target.matrix.shape[1]
+    corral = min_norm_point(_subset_oracle(a, d), a.ravel(), "noiseless simulation")
+    if corral.distance > CORRAL_TOL:
+        raise NumericalBreakdown(
+            f"noiseless simulation: min-norm point at distance {corral.distance:.3e} "
+            f"exceeds {CORRAL_TOL:.1e}"
+        )
+    subsets = sorted({subset for subset, _ in corral.labels})
+    row = {subset: t for t, subset in enumerate(subsets)}
+    m = len(subsets[0])
+    decoders = np.array([subset[:1] * (d - m) + subset for subset in subsets], dtype=np.intp)
+    weights, states = np.zeros(len(subsets)), np.zeros((len(subsets), d, l))
+    for (subset, chosen), weight in zip(corral.labels, corral.weights):
+        place = np.searchsorted(subset, chosen)
+        weights[row[subset]] += weight
+        states[row[subset], place + (d - m) * (place > 0), np.arange(l)] += weight
+    # rescaled, as the corral's point meets the target only up to rounding
+    states /= states.sum(axis=1, keepdims=True)
+    return _finalize(target, weights, decoders, states, noise)
+
+
+def _subset_oracle(a: np.ndarray, d: int):
+    """The linear-minimization oracle of the noiseless d-state protocols
+    for a direction y of a's shape (k, l), flattened. Only the outputs R
+    that a reaches (rows with a positive entry) are used: a protocol with
+    mass on a zero row never reproduces a. With m = min(d, |R|) it returns
+    the m-subset S of R that minimizes sum_j min_{i in S} y_ij and the 0/1
+    vertex sending column j to its minimizing output, labelled (S, the
+    chosen outputs); ties go to the first S in lexicographic order, then to
+    the first output. C(|R|, m) is checked against ``DEFAULT_CAP`` before
+    anything is built. Level s holds the s-subsets that begin an m-subset,
+    in lexicographic order, each a parent (s - 1)-subset plus a larger
+    output, so the minima are taken one level at a time."""
+    k, l = a.shape
+    reached = np.flatnonzero(a.max(axis=1) > 0.0)
+    r, m = len(reached), min(d, len(reached))
+    if math.comb(r, m) > DEFAULT_CAP:
+        raise EnumerationCapExceeded(f"{math.comb(r, m)} output subsets exceed cap {DEFAULT_CAP}")
+    levels, last = [], np.array([-1])
+    for s in range(m):
+        # a parent's children: its last output + 1 up to r - m + s, which
+        # leaves room for the m - s - 1 outputs still to come
+        sizes = r - m + s - last
+        parent = np.repeat(np.arange(len(last)), sizes)
+        start = np.repeat(np.cumsum(sizes) - sizes - last - 1, sizes)
+        last = np.arange(len(parent)) - start
+        levels.append((parent, last))
+
+    def vertex(direction: np.ndarray) -> tuple[tuple, np.ndarray]:
+        y = direction.reshape(k, l)[reached]
+        mins = y[levels[0][1]]
+        for parent, output in levels[1:]:
+            mins = np.minimum(mins[parent], y[output])
+        best = int(mins.sum(axis=1).argmin())
+        subset = np.empty(m, dtype=np.intp)
+        for s in range(m - 1, -1, -1):
+            parent, output = levels[s]
+            subset[s], best = output[best], parent[best]
+        chosen = reached[subset[y[subset].argmin(axis=0)]]
+        v = np.zeros((k, l))
+        v[chosen, np.arange(l)] = 1.0
+        return (tuple(reached[subset].tolist()), chosen), v.ravel()
+
+    return vertex
+
+
 def _simulate_by_supports(
-    target: TransitionMatrix, totals: np.ndarray, copies: np.ndarray, n: int, spec: NoiseSpec
+    target: TransitionMatrix, totals: np.ndarray, copies: np.ndarray, n: int, spec: Delta
 ) -> SimulationResult:
-    """Simulate a delta-noisy channel (delta = 0 for ``Noiseless``) by the
-    equally noisy classical one with n states, through the supports of its
-    outcome distribution: totals[S] as ``mixdisc.support_totals`` gives
-    them, and copies[i] the expected copies of output i in a class. The
-    target is A = (1 - delta) B + delta copies / n, B the noiseless
-    channel's matrix. B's transport has one layer, in which a class sends
-    any mass to the outputs it carries, so it has one left node per support
-    and one instance per column, scaled by 1 - delta (dividing by it would
-    blow up round-off near delta = 1). For delta > 0 a copy-count instance
-    joins the stack (``_one_layer``): support S sends its extra copies,
-    t_S (n - |S|), to its outputs to meet copies[i] - sum_{S carrying i} t_S,
-    and candidate (S, i), with them on i, weighs t_S times S's share of that
-    flow into i (S keeps them on its smallest output if |S| = n or its supply
-    is dust). For input j each output's share goes on its first slot, times
+    """Simulate a delta-noisy channel, delta > 0, by the equally noisy
+    classical one with n states, through the supports of its outcome
+    distribution: totals[S] as ``mixdisc.support_totals`` gives them, and
+    copies[i] the expected copies of output i in a class. The target is
+    A = (1 - delta) B + delta copies / n, B the noiseless channel's matrix.
+    B's transport has one layer, in which a class sends any mass to the
+    outputs it carries, so it has one left node per support and one
+    instance per column, scaled by 1 - delta (dividing by it would blow up
+    round-off near delta = 1). A copy-count instance joins the stack
+    (``_one_layer``): support S sends its extra copies, t_S (n - |S|), to
+    its outputs to meet copies[i] - sum_{S carrying i} t_S, and candidate
+    (S, i), with them on i, weighs t_S times S's share of that flow into i
+    (S keeps them on its smallest output if |S| = n or its supply is
+    dust). For input j each output's share goes on its first slot, times
     1 - delta, plus delta / n on every slot: a Delta-set column."""
     a, l = target.matrix, target.matrix.shape[1]
-    delta = 0.0 if isinstance(spec, Noiseless) else float(spec.delta)
+    delta = float(spec.delta)
     dist = _support_classes(totals, n)
     w, k, counts = dist.weights, dist.k, dist.counts
     member = counts > 0
     extra = n - member.sum(axis=1)
-    copy = None
-    if delta > 0.0:
-        moved = w * extra > DROP_TOL
-        copy = np.where(moved, w * extra, 0.0), copies - w @ np.where(moved[:, None], member, counts)
+    moved = w * extra > DROP_TOL
+    copy = np.where(moved, w * extra, 0.0), copies - w @ np.where(moved[:, None], member, counts)
     # entries below zero are round-off; at delta = 1 no column instance
-    b = a if delta == 0.0 else np.maximum(a - delta / n * copies[:, None], 0.0)
+    b = np.maximum(a - delta / n * copies[:, None], 0.0)
     values, placement = _one_layer(dist, b if delta < 1.0 else b[:, :0], 1.0 - delta, copy)
-    if delta > 0.0:
-        support, outputs = np.nonzero(placement)
-        placed = member[support] + extra[support, None] * (outputs[:, None] == np.arange(k))
-        weights = w[support] * placement[support, outputs]
-        decoders = np.repeat(np.tile(np.arange(k), len(placed)), placed.ravel()).reshape(-1, n)
-        order = np.lexsort(decoders.T[::-1])
-        support, decoders, weights = support[order], decoders[order], weights[order]
-    else:
-        support, decoders, weights = np.arange(len(w)), dist.classes, w
+    support, outputs = np.nonzero(placement)
+    placed = member[support] + extra[support, None] * (outputs[:, None] == np.arange(k))
+    weights = w[support] * placement[support, outputs]
+    decoders = np.repeat(np.tile(np.arange(k), len(placed)), placed.ravel()).reshape(-1, n)
+    order = np.lexsort(decoders.T[::-1])
+    support, decoders, weights = support[order], decoders[order], weights[order]
     if delta < 1.0:
         # rescaled, as transport meets its demands only up to rounding
         x = values[:, support[:, None], decoders] * counts[support[:, None], decoders]
@@ -445,8 +518,8 @@ def _simulate_by_supports(
 
 
 def _one_layer(
-    dist: OutcomeDistribution, a: np.ndarray, depth: float, copy: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+    dist: OutcomeDistribution, a: np.ndarray, depth: float, copy: tuple
+) -> tuple[np.ndarray, np.ndarray]:
     """Array (l, classes, k): per column j of a (k, l) and class M, the
     value of each slot of M that carries output i under the base (0, ...,
     0, depth), such that the classes reproduce column j. Its one layer
@@ -454,30 +527,27 @@ def _one_layer(
     shared among the c_M(i) slots that carry i; a class of supply at most
     DROP_TOL stays out, spread evenly and taken off the demand.
     ``copy``, supplies (classes,) and demands (k,), is one more instance of
-    the stack; its conditional columns are returned too (else None), a
-    class with no supply there sent to its smallest output."""
+    the stack; its conditional columns are returned too, a class with no
+    supply there sent to its smallest output."""
     n, w, l = dist.n, dist.weights, a.shape[1]
     counts = dist.counts.astype(float)
     even = depth * counts / n
     dust = w * depth <= DROP_TOL
     supply = np.broadcast_to(np.where(dust, 0.0, w * depth), (l, len(w)))
     demand = a.T - w[dust] @ even[dust]
-    where = [f"column {j}: transport" for j in range(l)]
-    if copy is not None:
-        supply, demand = np.vstack([supply, copy[0]]), np.vstack([demand, copy[1]])
-        where.append("copy-count transport")
+    where = [f"column {j}: transport" for j in range(l)] + ["copy-count transport"]
+    supply, demand = np.vstack([supply, copy[0]]), np.vstack([demand, copy[1]])
     plan = _transport(where, supply, demand, counts > 0.0)
     # any row on its edges serves a dust row without flow: its values are set below
     plan.flow[:l, dust] = counts[dust]
-    if copy is not None:
-        idle = copy[0] == 0.0
-        plan.flow[l, idle] = np.eye(dist.k)[counts[idle].argmax(axis=1)]
+    idle = copy[0] == 0.0
+    plan.flow[l, idle] = np.eye(dist.k)[counts[idle].argmax(axis=1)]
     spread = conditional_columns(plan)
     values = spread[:l]
     values *= depth
     values[:, dust] = even[dust]
     values /= np.maximum(counts, 1.0)
-    return values, None if copy is None else spread[l]
+    return values, spread[l]
 
 
 def _support_classes(totals: np.ndarray, n: int) -> OutcomeDistribution:
@@ -528,7 +598,8 @@ def simulate_ball(
     effects: Sequence[BallEffect], states: Sequence[BallState], delta: Rational = 0.0
 ) -> SimulationResult:
     """Simulate the delta-noisy ball channel by the delta-noisy classical
-    channel with n states, n the even norm index, through the supports of
+    channel with n states, n the even norm index: at delta = 0 by the
+    noiseless route (``_simulate_noiseless``), else through the supports of
     its 2^k - 1 brackets (``ball_support_totals``); output i is expected
     n bracket(e_i, u, ..., u) = n c_i times, u = (1, 0) the unit effect.
     DimensionMismatch unless every effect and state has norm index n and
@@ -540,8 +611,10 @@ def simulate_ball(
         raise DimensionMismatch(f"every effect and state must have norm index {n}")
     if len({len(e.v) for e in effects} | {len(s.x) for s in states}) > 1:
         raise DimensionMismatch("effects and states must share one dimension")
-    c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
     target = ball_born_matrix(effects, states, delta=delta)
+    if delta == 0:
+        return _simulate_noiseless(target, n, Delta(delta))
+    c, v = np.array([e.c for e in effects]), np.array([e.v for e in effects])
     totals = ball_support_totals(c, v, n)
     return _simulate_by_supports(target, totals, n * c, n, Delta(delta))
 
@@ -563,23 +636,20 @@ def simulate_noisy_by_noiseless(
     """Simulate a noisy n-state channel by the noiseless d-state channel.
 
     Returns the failing prefix-sum index as a witness when the noise set
-    itself is not d-simulable. Otherwise each d-subset of the n states,
-    decoded as the target decodes them (state m to output m for a matrix),
-    is a d-state protocol. The subsets that decode to one multiset of
-    outputs form one class (``_subset_classes``), and the classes are mixed
-    along the one-layer noiseless transport (``_one_layer``), one stacked
-    solve. By Gale's theorem
-    the subsets have a feasible transport, each sending 1/C(n,d) of a column
-    only into its own members, when every r states carry at least
-    C(r,d)/C(n,d) of the column, which the base's threshold guarantees; that
-    flow, summed over each class, is a feasible class transport. A
+    itself is not d-simulable. Otherwise, once every target column lies in
+    the noise set, the target's matrix lies in the polytope of the
+    noiseless d-state protocols (a d-subset of the states, decoded as the
+    target decodes them, is one, and by Gale's theorem the subsets mix to
+    the target when every r states carry at least C(r,d)/C(n,d) of each
+    column, which the base's threshold guarantees), and the noiseless route
+    (``_simulate_noiseless``) writes it as a mixture of such protocols. A
     ``PerColumn`` spec raises PerColumnNoise, since the witness names no
     column.
     """
     if not isinstance(target, ClassicalProtocol):
         x = as_transition(target).matrix
         target = ClassicalProtocol(decoder=np.arange(len(x)), states=x, num_outputs=len(x))
-    decoder, x, k = target.decoder, target.states, target.num_outputs
+    x = target.states
     n = len(x)
     if not 1 <= d <= n:
         raise BadRange(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -592,24 +662,7 @@ def simulate_noisy_by_noiseless(
     inside = majorized_by_permutohedron(x.T, base, STOCHASTIC_TOL)
     if not inside.all():
         raise NotMajorized(f"target column {np.argmin(inside)} violates the declared noise spec")
-    a = protocol_matrix(target)
-    dist = _subset_classes(np.bincount(decoder, minlength=k), d)
-    values, _ = _one_layer(dist, a.matrix, 1.0)
-    return _finalize(a, *_class_terms(dist, values), Noiseless())
-
-
-def _subset_classes(sizes: np.ndarray, d: int) -> OutcomeDistribution:
-    """The outputs that a uniformly random d-subset of the states decodes
-    to, as classes: with n_i = sizes[i] states decoding to output i, the
-    class with c_i copies of i holds prod_i C(n_i, c_i) of the C(n, d)
-    subsets, an exact integer divided once."""
-    classes, counts = class_table(d, sizes)
-    subsets = np.ones(len(classes), dtype=object)
-    for i in np.flatnonzero(sizes > 1):  # C(1, c) = C(0, 0) = 1
-        ways = np.array([math.comb(int(sizes[i]), c) for c in range(d + 1)], dtype=object)
-        subsets *= ways[counts[:, i]]
-    weights = (subsets / math.comb(int(sizes.sum()), d)).astype(float)
-    return OutcomeDistribution(n=d, k=len(sizes), classes=classes, weights=weights)
+    return _simulate_noiseless(protocol_matrix(target), d, Noiseless())
 
 
 def _distinct_protocols(weights: np.ndarray, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

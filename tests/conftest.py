@@ -171,8 +171,9 @@ MIN_NORM_END = 1e-12
 
 @pytest.fixture(autouse=True)
 def min_norm_ends(monkeypatch):
-    """Every min-norm point that a permutohedron or per-column simulation
-    accepts, in any test, lies within MIN_NORM_END of its column. Yields
+    """Every min-norm point that a simulation accepts (a permutohedron or
+    per-column column, or a noiseless target), in any test, lies within
+    MIN_NORM_END of its target. Yields
     the (where, distance) of each accepted point; a point that the
     simulation refuses (past CORRAL_TOL) is not recorded."""
     accepted = []

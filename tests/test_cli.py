@@ -1030,12 +1030,16 @@ def test_a_string_or_null_in_an_input_file_is_an_input_error(
 # byte-identical. All were re-pinned when the input digest came to hash the
 # skeleton and the floats' IEEE-754 bytes in place of the canonical text,
 # under the version chansim-cert-3; each certificate kept its length, and
-# its values but the version and the input digest.
+# its values but the version and the input digest. Three noiseless ones were
+# re-pinned when noiseless targets took Wolfe's min-norm point over d-state
+# vertices: depolarizing_qubit (3 terms to 2), six_outcome_qubit (11 to 7)
+# and noisy_matrix (10 to 5), each with residual <= 1e-8, verify --in
+# passing and every state column in the noiseless set.
 PINNED_CERTIFICATE_DIGESTS = [
     (["simulate", "quantum", "--noise", "delta:1/2"], "depolarizing_qubit.json",
      "5a9f58c94c60b6cde67b817ac9951203d3285798a1867547bf02104c8715a7cb"),
     (["simulate", "quantum"], "depolarizing_qubit.json",
-     "d59140506ffb24c8b65f5d4a52eee73b0e751e4201153c1f18647a660da25329"),
+     "59e709d9738f8a3abb6d5f554835d75620484ec7d69ef03c5a583680f46c5630"),
     (["simulate", "quantum"], "projective.json",
      "d3c4b096084fdd599710caa886b4e758d1c3e38c845595b782c4ba0561cc0634"),
     (["certify", "pairwise", "--d", "2"], "octahedron_matrix.json",
@@ -1054,11 +1058,11 @@ PINNED_CERTIFICATE_DIGESTS = [
      "423d7f73707bcd689d678f3734e9471c06b7cbd87c5269e3daca80bb4d57b902"),
     (["simulate", "ball", "--delta", "1/3"], "ball.json",
      "050041a26cd49b3e38403629ca53698bdd666db3d29e6a3fe2b8b6b67db7cd7b"),
-    # 21 supports of at most 2 of the 6 outputs
+    # the C(6, 2) = 15 output pairs of the min-norm route, 7 of them kept
     (["simulate", "quantum"], "six_outcome_qubit.json",
-     "83743fcb3ea28434947fb179cfd3f8e3c7e7367f8956c3edf7d0ad7d85d340f5"),
+     "748b20526fc9e6f522d19077cd7438fb22adf008f74a81041d619c6fe4740be7"),
     (["simulate", "noisy-to-noiseless", "--noise", "delta:1/2", "--d", "3"], "noisy_matrix.json",
-     "3493a925146324b1babad6856fd4ee82356a42d468551aaf13996b36fca057e6"),
+     "4eaa211f42aaf5b0d356c7e4bd5211aa5a0e909c96a356cc56b5ff590bdc47df"),
     # the min-norm route, first pinned when it replaced the layered transport
     (["simulate", "quantum", "--noise", "permutohedron:[0.25, 0.75]"], "depolarizing_qubit.json",
      "474335df26e761de20936e85475856686795d946fddffc0c440d06ff765395c4"),
@@ -1222,7 +1226,7 @@ def test_verify_in_reads_the_input_in_any_spelling(workdir, capsys):
 @pytest.mark.parametrize(
     "fault, message",
     [("list", "bad.json: the input is not a JSON object"),
-     ("nan", "cannot serialize non-finite float")],
+     ("nan", "bad.json: cannot serialize non-finite float")],
     ids=["list", "nan"],
 )
 def test_verify_in_blames_a_faulty_input_file(workdir, capsys, fault, message, json_errors):
@@ -1248,6 +1252,55 @@ def test_verify_in_blames_a_faulty_input_file(workdir, capsys, fault, message, j
         else:
             assert err == [f"chansim: {kind}: {message}"]
     assert not (workdir / "new.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_a_nan_that_no_reader_takes_names_the_input_file(workdir, capsys, command):
+    # the digest serializes the whole input, the readers only their fields
+    run(["fixtures", "emit", "--dir", "."])
+    run(["certify", "storability", "--in", "octahedron_matrix.json", "--out", "cert.json"])
+    matrix = json.loads((workdir / "octahedron_matrix.json").read_text())["matrix"]
+    (workdir / "nan.json").write_text(json.dumps({"matrix": matrix, "note": [1.0, float("nan")]}))
+    capsys.readouterr()
+    if command == "certify":
+        argv = ["certify", "storability", "--in", "nan.json", "--out", "new.json"]
+    else:
+        argv = ["verify", "cert.json", "--in", "nan.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "chansim: ValueError: nan.json: cannot serialize non-finite float\n"
+    assert not (workdir / "new.json").exists()
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("with_input", [False, True])
+def test_verify_of_a_certificate_that_is_not_an_object(workdir, capsys, json_errors, with_input):
+    # a list used to fail on cert.get: "certificate fields invalid:
+    # AttributeError(...)"
+    run(["fixtures", "emit", "--dir", "."])
+    (workdir / "listcert.json").write_text("[1]")
+    capsys.readouterr()
+    argv = ["verify", "listcert.json"] + ["--in", "octahedron_matrix.json"] * with_input
+    assert run(argv + ["--json-errors"] * json_errors) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "verify: the certificate is not a JSON object\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_certificates_and_fixtures_are_written_under_the_umask(workdir, umask):
+    # a temporary file from tempfile.mkstemp kept its mode 0o600
+    previous = os.umask(umask)
+    try:
+        run(["fixtures", "emit", "--dir", "."])
+        run(["certify", "storability", "--in", "octahedron_matrix.json", "--out", "c.json"])
+    finally:
+        os.umask(previous)
+    for name in ("c.json", "octahedron_matrix.json", "depolarizing_qubit.json"):
+        assert os.stat(workdir / name).st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "c.json", "depolarizing_qubit.json", "octahedron_matrix.json", "octahedron_polytope.json"
+    ]
 
 
 @pytest.mark.parametrize("cut", [3, 1])

@@ -300,11 +300,18 @@ def test_caratheodory_lets_no_small_coefficient_skip_the_ratio_test():
 def test_caratheodory_on_the_candidate_protocols_of_a_noiseless_simulation(
     bench_workloads, monkeypatch
 ):
-    # 1716 multiset-class protocols of a (6, 8, 3) simulation, weighted and
+    # the candidate protocols of a (6, 8, 3) simulation, weighted and
     # flattened as the certificate builder hands them over; a tableau that
     # ignored small negative coefficients and clamped the weights they
-    # drove negative missed their weighted sum by 7.8e-2 here
+    # drove negative missed their weighted sum by 7.8e-2 on the 1716
+    # multiset-class protocols of the noiseless instance, which now takes
+    # the min-norm route and needs no reduction, so the instance is moved
+    # into the delta = 1/2 set, whose support route still hands over more
+    # than 3 * (8 - 1) + 1 candidates
+    from fractions import Fraction
+
     from chansim import jsonio, simulate
+    from chansim.channels import Delta
 
     calls = []
 
@@ -313,9 +320,11 @@ def test_caratheodory_on_the_candidate_protocols_of_a_noiseless_simulation(
         return np.arange(len(weights)), weights
 
     monkeypatch.setattr(simulate, "caratheodory", record)
-    inst = bench_workloads._quantum_instance(np.random.default_rng([6, 6, 8]), 6, 8, 3, "noiseless")
-    simulate.simulate_quantum_noiseless(*jsonio.quantum_instance_from_json(inst.payload))
+    inst = bench_workloads._quantum_instance(np.random.default_rng([6, 6, 8]), 6, 8, 3, "delta:1/2")
+    povm, states = jsonio.quantum_instance_from_json(inst.payload)
+    simulate.simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2)))
     ((weights, points),) = calls
+    assert len(weights) > 3 * (8 - 1) + 1
     index, kept = majorize.caratheodory(weights, points)
     assert len(index) <= 3 * (8 - 1) + 1
     assert np.all(kept >= 0.0)

@@ -25,6 +25,7 @@ from chansim.channels import (
 from chansim.certify import BinomialWitness
 from chansim.errors import (
     DimensionMismatch,
+    EnumerationCapExceeded,
     NotFinite,
     NotMajorized,
     NotPsd,
@@ -97,11 +98,13 @@ def test_one_protocol_per_multiset_class(rng, monkeypatch):
     ]
     quantum_states = [random_density(rng, n) for _ in range(l)]
     noisy_states = [random_density_floor(rng, n, 0.5) for _ in range(l)]
+    # the quantum states moved into the delta = 1/2 set
+    halved = [0.5 * rho + np.eye(n) / (2 * n) for rho in quantum_states]
     ball_states = [BallState(x=x, norm_index=2) for x in random_ball_states(rng, l, 2, 2)]
 
     def simulations():
         return [
-            (simulate_quantum_noiseless(povm, quantum_states), n),
+            (simulate_quantum_noisy(povm, halved, Delta(Fraction(1, 2))), n),
             (simulate_quantum_noisy(povm, noisy_states, Delta(0.5)), n),
             (simulate_ball(effects, ball_states, delta=0.5), 2),
         ]
@@ -630,65 +633,47 @@ def _n2n_case(rng, case):
 @pytest.mark.parametrize(
     "case", ["delta", "d_equals_n", "d_1_uniform", "vertex_columns", "permutohedron"]
 )
-def test_noisy_by_noiseless_is_one_candidate_per_class_of_decoded_outputs(
-    rng, monkeypatch, case
-):
-    # before merging: one candidate per multiset of outputs that a d-subset
-    # decodes to, in lexicographic order, weighted by its share of the
-    # C(n, d) subsets, with stochastic state columns whose mixture is the
-    # target; then one term per distinct protocol matrix, its first
-    # candidate weighted by the total of the candidates that share it
-    from collections import Counter
-    from itertools import combinations
-
+def test_noisy_by_noiseless_is_one_term_per_output_subset(rng, monkeypatch, case):
+    # the candidates: one per m-subset S of the reached outputs, m =
+    # min(d, |R|), in lexicographic order; the decoder is S with d - m more
+    # copies of its smallest output, each column's mass sits on first
+    # slots, and the candidates mix to the target; the certificate keeps
+    # them unchanged, no more than l(k - 1) + 1 of them
     spec, x, d = _n2n_case(rng, case)
     n, l = x.shape
     decoder = rng.permutation(np.arange(n) % 3)
     protocol = ClassicalProtocol(decoder=decoder, states=x, num_outputs=3)
+    seen = []
+    finalize = simulate._finalize
+
+    def spy(target, weights, decoders, states, noise):
+        seen.append((weights, decoders, states))
+        return finalize(target, weights, decoders, states, noise)
+
+    monkeypatch.setattr(simulate, "_finalize", spy)
     result = simulate_noisy_by_noiseless(spec, protocol, d)
     check_simulation(result, max_states=d)
-    monkeypatch.setattr(simulate, "caratheodory", lambda w, points: (np.arange(len(w)), w))
-    candidates = []
-    class_terms = simulate._class_terms
-
-    def spy(dist, values):
-        candidates.append(class_terms(dist, values))
-        return candidates[-1]
-
-    monkeypatch.setattr(simulate, "_class_terms", spy)
-    full = simulate_noisy_by_noiseless(spec, protocol, d).mixture
-    weights, decoders, xs = candidates[0]
-    # the oracle: every d-subset's decoded outputs, sorted and counted
-    subsets = Counter(tuple(sorted(decoder[list(s)])) for s in combinations(range(n), d))
-    assert [tuple(c) for c in decoders.tolist()] == sorted(subsets)
-    sizes = np.bincount(decoder, minlength=3)
-    for w, c in zip(weights, decoders.tolist()):
-        ways = math.prod(math.comb(int(sizes[i]), c.count(i)) for i in range(3))
-        assert ways == subsets[tuple(c)]
-        assert w == ways / math.comb(n, d)
-    assert abs(weights.sum() - 1.0) <= 1e-15
-    assert np.all(xs >= 0.0)
-    assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-12
+    ((weights, decoders, xs),) = seen
     e = np.zeros((3, n))
     e[decoder, np.arange(n)] = 1.0
+    reached = np.flatnonzero((e @ x).max(axis=1) > 0.0)
+    m = min(d, len(reached))
+    outs = [tuple(dec[d - m:]) for dec in decoders.tolist()]
+    assert outs == sorted(set(outs))
+    assert all(set(out) <= set(reached.tolist()) and len(set(out)) == m for out in outs)
+    assert all(dec[: d - m + 1] == [dec[0]] * (d - m + 1) for dec in decoders.tolist())
+    assert len(outs) <= l * (3 - 1) + 1
+    if m == len(reached):
+        assert len(outs) == 1
+    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.all(xs >= 0.0) and np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-12
+    first = np.diff(decoders, axis=1, prepend=-1) != 0
+    assert not xs[~first].any()
     per_class = protocol_matrices(decoders, xs, 3)
     assert np.max(np.abs(np.einsum("t,tkl->kl", weights, per_class) - e @ x)) <= 1e-12
-    # the merged terms: distinct matrices, each its first candidate
-    merged = protocol_matrices(full.decoders, full.states, 3)
-    assert len(np.unique(merged.reshape(len(merged), -1), axis=0)) == len(merged)
-    firsts = []
-    for w, dec, states, m in zip(full.weights, full.decoders, full.states, merged):
-        members = np.flatnonzero((per_class == m).all(axis=(1, 2)))
-        firsts.append(members[0])
-        assert np.array_equal(dec, decoders[members[0]])
-        assert np.array_equal(states, xs[members[0]])
-        assert abs(w - weights[members].sum()) <= 1e-15
-    assert np.all(np.diff(firsts) > 0)
-    assert np.max(np.abs(mixture_matrix(full).matrix - e @ x)) <= 1e-12
-    # the pruned certificate keeps candidates unchanged
-    candidates = list(zip(decoders, xs))
     for dec, states in zip(result.mixture.decoders, result.mixture.states):
-        assert any(np.array_equal(f, dec) and np.array_equal(g, states) for f, g in candidates)
+        t = outs.index(tuple(dec[d - m:].tolist()))
+        assert np.array_equal(dec, decoders[t]) and np.array_equal(states, xs[t])
 
 
 def _largest_noisy_to_noiseless(bench_workloads):
@@ -922,6 +907,138 @@ def test_noiseless_quantum_past_the_class_cap(bench_workloads, tmp_path):
     assert len(result["mixture"]["terms"]) <= 3 * (12 - 1) + 1
 
 
+# -- the noiseless route: Wolfe's min-norm point over d-state vertices ---------
+
+
+def test_noiseless_targets_within_d_states_are_one_term(rng):
+    # with d at least the number of reached outputs every vertex has the
+    # same output subset, so the corral is one protocol: the decoder carries
+    # each reached output, and its first slots hold the target's columns;
+    # for the noiseless quantum spec, Delta(0) and the ball at delta = 0
+    n, l = 4, 3
+    povm = random_povm(rng, n, 3)
+    # a fourth and a sixth outcome that no state reaches
+    povm = [povm[0], povm[1], np.zeros((n, n)), povm[2], np.zeros((n, n))]
+    states = [random_density(rng, n) for _ in range(l)]
+    effects = [BallEffect(c=c, v=v, norm_index=4) for c, v in random_ball_effects(rng, 3, 2, 4)]
+    points = [BallState(x=x, norm_index=4) for x in random_ball_states(rng, l, 2, 4)]
+    for result, reached in (
+        (simulate_quantum_noiseless(povm, states), [0, 1, 3]),
+        (simulate_quantum_noisy(povm, states, Delta(0)), [0, 1, 3]),
+        (simulate_ball(effects, points, delta=0), [0, 1, 2]),
+    ):
+        check_simulation(result)
+        (decoder,), (x,) = result.mixture.decoders.tolist(), result.mixture.states
+        assert result.mixture.weights.tolist() == [1.0]
+        assert decoder == reached[:1] * (n - 3) + reached
+        first = np.diff(decoder, prepend=-1) != 0
+        assert np.max(np.abs(x[first] - result.target.matrix[reached])) <= 1e-12
+        assert not x[~first].any()
+
+
+@pytest.mark.parametrize("n, k", [(2, 20), (3, 24), (2, 40)])
+def test_noiseless_quantum_past_the_support_cap(bench_workloads, tmp_path, n, k):
+    # 2^k - 1 output supports exceed the cap of 10^6, C(k, n) output subsets
+    # do not
+    inst = bench_workloads._quantum_instance(np.random.default_rng([1, n, k]), n, k, 3, "noiseless")
+    assert 2**k - 1 > DEFAULT_CAP >= math.comb(k, n)
+    result = _certify_and_verify(tmp_path, inst)
+    assert result["residual"] <= 1e-8
+    assert len(result["mixture"]["terms"]) <= 3 * (k - 1) + 1
+
+
+def _enumerated_vertex(y, reached, d):
+    """The subset oracle's answer by enumeration: the first m-subset S of
+    ``reached`` in lexicographic order with the least sum of column minima,
+    and per column the first output of S that attains its minimum."""
+    m = min(d, len(reached))
+    best = min(subsets(reached, m), key=lambda out: y[list(out)].min(axis=0).sum())
+    chosen = np.array([best[int(np.argmin(y[list(best), j]))] for j in range(y.shape[1])])
+    return best, chosen
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_the_subset_oracle_is_the_enumeration(rng, ties):
+    # small integer directions tie subsets and outputs alike; their sums
+    # are exact, so the first subset and the first output must win
+    for _ in range(60):
+        k, l, d = int(rng.integers(1, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        a = random_stochastic(rng, k, l)
+        a[rng.random(k) < 0.3] = 0.0
+        a /= np.maximum(a.sum(axis=0), 1e-300)
+        a[0, a.sum(axis=0) == 0.0] = 1.0
+        reached = np.flatnonzero(a.max(axis=1) > 0.0).tolist()
+        vertex = simulate._subset_oracle(a, d)
+        for _ in range(5):
+            y = rng.integers(0, 3, size=(k, l)).astype(float) if ties else rng.normal(size=(k, l))
+            (out, chosen), v = vertex(y.ravel())
+            best, first = _enumerated_vertex(y, reached, d)
+            assert out == best and np.array_equal(chosen, first)
+            expected = np.zeros((k, l))
+            expected[first, np.arange(l)] = 1.0
+            assert np.array_equal(v, expected.ravel())
+
+
+def test_a_target_enumerates_only_the_outputs_it_reaches(rng):
+    # 40 declared outputs, 6 decoded to: C(40, 7) and C(40, 10) subsets
+    # would exceed the cap; C(6, 6) = 1 is one term
+    n, l = 12, 3
+    used = np.array([2, 7, 11, 20, 33, 39])
+    x = 0.5 / n + 0.5 * random_stochastic(rng, n, l)
+    protocol = ClassicalProtocol(decoder=used[np.arange(n) % 6], states=x, num_outputs=40)
+    for d in (7, 10):
+        assert math.comb(40, d) > DEFAULT_CAP
+        result = simulate_noisy_by_noiseless(Delta(Fraction(1, 2)), protocol, d)
+        check_simulation(result, max_states=d)
+        (decoder,) = result.mixture.decoders.tolist()
+        assert decoder == [2] * (d - 5) + used[1:].tolist()
+
+
+def test_the_subset_cap_is_checked_before_any_oracle_call(rng, monkeypatch, tmp_path, capsys):
+    from chansim import jsonio
+    from chansim.cli import main
+
+    def no_oracle(*args):
+        raise AssertionError("min_norm_point called")
+
+    monkeypatch.setattr(simulate, "min_norm_point", no_oracle)
+    # C(40, 21) subsets of the outputs of a delta = 1/2 channel on 40 states
+    x = 0.5 / 40 + 0.5 * random_stochastic(rng, 40, 2)
+    with pytest.raises(EnumerationCapExceeded, match=f"^{math.comb(40, 21)} output subsets exceed cap 1000000$"):
+        simulate_noisy_by_noiseless(Delta(Fraction(1, 2)), x, 21)
+    # C(200, 3) subsets of the outcomes of a qutrit POVM
+    povm, states = random_povm(rng, 3, 200), [random_density(rng, 3)]
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
+    assert main(["simulate", "quantum", "--in", str(source), "--out", str(cert)]) == 1
+    message = f"{math.comb(200, 3)} output subsets exceed cap 1000000"
+    assert capsys.readouterr().err == f"chansim: EnumerationCapExceeded: {message}\n"
+    assert not cert.exists()
+
+
+def test_a_noiseless_corral_short_of_its_target_is_never_written(rng, monkeypatch, tmp_path):
+    import dataclasses
+
+    from chansim import jsonio
+    from chansim.cli import main
+
+    solve = simulate.min_norm_point
+
+    def short(oracle, target, where):
+        corral = solve(oracle, target, where)
+        return dataclasses.replace(corral, distance=2 * simulate.CORRAL_TOL)
+
+    monkeypatch.setattr(simulate, "min_norm_point", short)
+    povm, states = random_povm(rng, 2, 5), [random_density(rng, 2) for _ in range(2)]
+    message = "^noiseless simulation: min-norm point at distance 2.000e-10 exceeds 1.0e-10$"
+    with pytest.raises(NumericalBreakdown, match=message):
+        simulate_quantum_noiseless(povm, states)
+    source, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    source.write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
+    assert main(["simulate", "quantum", "--in", str(source), "--out", str(cert)]) == 1
+    assert not cert.exists()
+
+
 def _one_column_instance(rng, route):
     """A simulation of one input column for each construction: its
     1 (k - 1) + 1 = k candidate bound sends every certificate of more
@@ -931,12 +1048,7 @@ def _one_column_instance(rng, route):
         effects = [BallEffect(c=c, v=v, norm_index=4) for c, v in pairs]
         states = [BallState(x=np.array([0.3, -0.4]), norm_index=4)]
         return lambda: simulate_ball(effects, states, 0.5)
-    if route == "noisy-to-noiseless":
-        x = 0.1 + 0.5 * random_stochastic(rng, 5, 1)
-        return lambda: simulate_noisy_by_noiseless(Delta(0.5), x, 3)
     povm, sigma = random_povm(rng, 4, 5), random_density(rng, 4)
-    if route == "noiseless":
-        return lambda: simulate_quantum_noiseless(povm, [sigma])
     if route == "delta":
         return lambda: simulate_quantum_noisy(povm, [0.5 * sigma + np.eye(4) / 8], Delta(0.5))
     spectrum = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
@@ -944,12 +1056,11 @@ def _one_column_instance(rng, route):
     return lambda: simulate_quantum_noisy(povm, [sigma], spec)
 
 
-@pytest.mark.parametrize(
-    "route", ["noiseless", "delta", "permutohedron", "ball", "noisy-to-noiseless"]
-)
+@pytest.mark.parametrize("route", ["delta", "permutohedron", "ball"])
 def test_the_reduction_sees_distinct_protocol_matrices(rng, monkeypatch, route):
     # _finalize merges equal protocol matrices before caratheodory, for
-    # every construction
+    # every construction that can hand it more than l(k - 1) + 1 (the
+    # noiseless route's corral never does)
     seen = []
 
     def spy(weights, points):
@@ -1107,47 +1218,9 @@ def test_copy_placements_expect_tr_e_copies_of_each_output(rng, monkeypatch, n, 
     assert [tuple(d) for d in decoders.tolist()] == sorted(map(tuple, decoders.tolist()))
 
 
-def _one_candidate_per_support(povm, states):
-    """The noiseless support construction as it stood before the delta-noisy
-    route joined it: one candidate per support, extra copies on the
-    smallest output, each output's share on its first slot."""
-    from chansim.channels import TransitionMatrix
-    from chansim.mixdisc import support_totals
-
-    a = born_matrix(povm, states)
-    n = len(povm[0])
-    dist = simulate._support_classes(support_totals(povm), n)
-    values, _ = simulate._one_layer(dist, a, 1.0)
-    decoders = dist.classes
-    first = np.diff(decoders, axis=1, prepend=-1) != 0
-    shares = (values * dist.counts)[:, np.arange(len(decoders))[:, None], decoders]
-    x = np.where(first, shares, 0.0)
-    x /= x.sum(axis=2, keepdims=True)
-    x = x.transpose(1, 2, 0)
-    matrices = protocol_matrices(decoders, x, dist.k)
-    weights, keep = simulate._distinct_protocols(dist.weights, matrices)
-    target = TransitionMatrix(a)
-    return simulate._finalize(target, weights, decoders[keep], x[keep], Noiseless()).mixture
-
-
-def test_support_route_at_delta_zero_is_one_candidate_per_support(rng):
-    # bit for bit, through the noiseless entry point and a Delta(0) spec
-    for _ in range(12):
-        n, k = int(rng.integers(2, 11)), int(rng.integers(2, 13))
-        povm, states = random_povm(rng, n, k), [random_density(rng, n) for _ in range(3)]
-        expected = _one_candidate_per_support(povm, states)
-        for mixture in (
-            simulate_quantum_noiseless(povm, states).mixture,
-            simulate_quantum_noisy(povm, states, Delta(0)).mixture,
-        ):
-            assert np.array_equal(mixture.weights, expected.weights)
-            assert np.array_equal(mixture.decoders, expected.decoders)
-            assert np.array_equal(mixture.states, expected.states)
-
-
 @pytest.mark.parametrize(
     "route, instances",
-    [("noiseless", 3), ("delta_half", 4), ("delta_one", 1), ("ball_half", 4), ("noisy_to_noiseless", 3)],
+    [("delta_half", 4), ("delta_one", 1), ("ball_half", 4)],
 )
 def test_one_transport_per_one_layer_simulation(rng, monkeypatch, route, instances):
     # the column instances and the copy-count instance are one stacked solve
@@ -1161,9 +1234,7 @@ def test_one_transport_per_one_layer_simulation(rng, monkeypatch, route, instanc
         return solve(inst)
 
     monkeypatch.setattr(simulate, "feasible_transport", spy)
-    if route == "noiseless":
-        result = simulate_quantum_noiseless(povm, [random_density(rng, n) for _ in range(l)])
-    elif route == "delta_half":
+    if route == "delta_half":
         states = [random_density_floor(rng, n, 0.5) for _ in range(l)]
         result = simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2)))
     elif route == "delta_one":
@@ -1172,8 +1243,6 @@ def test_one_transport_per_one_layer_simulation(rng, monkeypatch, route, instanc
         effects = [BallEffect(c=c, v=v, norm_index=2) for c, v in random_ball_effects(rng, k, 2, 2)]
         states = [BallState(x=x, norm_index=2) for x in random_ball_states(rng, l, 2, 2)]
         result = simulate_ball(effects, states, delta=0.5)
-    else:
-        result = simulate_noisy_by_noiseless(*_n2n_case(rng, "delta"))
     check_simulation(result)
     assert calls == [instances]
 
@@ -1235,9 +1304,9 @@ def test_a_pruning_that_misses_the_target_is_never_written(rng, monkeypatch, tmp
     from chansim import jsonio
     from chansim.cli import main
 
-    # 13 distinct support candidates for at most 2 * (5 - 1) + 1 = 9 terms,
-    # so the pruning runs
-    povm, states = random_povm(rng, 4, 5), [random_density(rng, 4) for _ in range(2)]
+    # more distinct candidates than 2 * (5 - 1) + 1 = 9 terms, so the
+    # pruning runs
+    povm, states = random_povm(rng, 4, 5), [random_density_floor(rng, 4, 0.5) for _ in range(2)]
     exact = simulate.caratheodory
 
     def off_by_a_micro(weights, points):
@@ -1247,10 +1316,10 @@ def test_a_pruning_that_misses_the_target_is_never_written(rng, monkeypatch, tmp
 
     monkeypatch.setattr(simulate, "caratheodory", off_by_a_micro)
     with pytest.raises(NumericalBreakdown, match="simulation: recomposition residual"):
-        simulate_quantum_noiseless(povm, states)
+        simulate_quantum_noisy(povm, states, Delta(Fraction(1, 2)))
     source, cert = tmp_path / "in.json", tmp_path / "cert.json"
     source.write_text(json.dumps(jsonio.quantum_instance_to_json(povm, states)))
-    args = ["simulate", "quantum", "--in", str(source), "--noise", "noiseless", "--out", str(cert)]
+    args = ["simulate", "quantum", "--in", str(source), "--noise", "delta:1/2", "--out", str(cert)]
     assert main(args) == 1
     assert not cert.exists()
 
